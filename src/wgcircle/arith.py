@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import cyclic_power
+from .convolve import power
 from .errors import DomainError, ensure_memory
 
 
@@ -130,6 +130,18 @@ def arith_tables(limit: int) -> ArithTables:
     return ArithTables(limit=int(limit), mobius=mob, phi=phi, spf=spf)
 
 
+def kth_root_floor(n: int, k: int) -> int:
+    """Largest integer P with P^k <= n (float guess fixed up exactly)."""
+    if n < 1 or k < 1:
+        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    p = int(round(n ** (1.0 / k)))
+    while p > 1 and p**k > n:
+        p -= 1
+    while (p + 1) ** k <= n:
+        p += 1
+    return p
+
+
 def _modpow_all(q: int, k: int) -> np.ndarray:
     """x^k mod q for x = 1..q, by vectorized binary exponentiation."""
     base = np.arange(1, q + 1, dtype=np.int64) % q
@@ -143,13 +155,20 @@ def _modpow_all(q: int, k: int) -> np.ndarray:
     return result
 
 
+#: Moduli must stay below this: (q-1)^2 has to fit int64 in the power sieve.
+MODULUS_LIMIT = 46341
+
+
+def check_modulus(q: int) -> None:
+    """Reject a modulus the int64 power sieve cannot take."""
+    if not 1 <= q < MODULUS_LIMIT:
+        raise DomainError(f"modulus {q} outside the supported range [1, {MODULUS_LIMIT - 1}]")
+
+
 @lru_cache(maxsize=512)
 def power_residue_counts(q: int, k: int) -> np.ndarray:
     """Histogram over residues r mod q of #{x in [1, q] : x^k = r mod q}."""
-    if q < 1:
-        raise DomainError(f"modulus must be positive, got {q}")
-    if q >= 46341:  # (q-1)^2 must stay inside int64 for the squaring steps
-        raise DomainError(f"modulus {q} too large for the int64 power sieve")
+    check_modulus(q)
     counts = np.bincount(_modpow_all(q, k), minlength=q)
     counts.setflags(write=False)
     return counts
@@ -194,8 +213,7 @@ def power_sum_counts(p: int, k: int, s: int) -> np.ndarray:
     x runs over a complete residue system, and [1, p] is one, so the k-th
     power histogram over x in [1, p] is the right starting point.
     """
-    hist = power_residue_counts(p, k)
-    return cyclic_power(hist, s, p)
+    return power(power_residue_counts(p, k), s, modulus=p)
 
 
 def mp_count(p: int, n: int, k: int, s: int) -> int:

@@ -30,9 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .arith import SmoothSet, gauss_sum, sieve_primes, smooth_set
+from .arith import SmoothSet, gauss_sum, kth_root_floor, sieve_primes, smooth_set
 from .errors import AliasingError, DomainError, ensure_memory
 from .specialfn import eta_value
 
@@ -42,18 +41,6 @@ CORE_HEIGHT_EXPONENT = 1.0 / 99.0
 
 #: Exponent e in the pruned-arc height P^e; any small power works.
 PRUNED_HEIGHT_EXPONENT = 1.0 / 5.0
-
-
-def kth_root_floor(n: int, k: int) -> int:
-    """Largest integer P with P^k <= n (float guess fixed up exactly)."""
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    p = int(round(n ** (1.0 / k)))
-    while p > 1 and p**k > n:
-        p -= 1
-    while (p + 1) ** k <= n:
-        p += 1
-    return p
 
 
 def big_l(n: int) -> float:
@@ -310,26 +297,31 @@ class ArcUnion:
 
         return canonical(self) == canonical(other)
 
-    def grid_mask(self, m: int) -> np.ndarray:
-        """Boolean membership of the grid points j/m, j in [0, m).
+    def grid_spans(self, m: int):
+        """(piece, j0, j1) for each piece holding grid points j/m, j0 <= j <= j1.
 
-        The point alpha = 1 is the grid point 0 by periodicity, so intervals
+        The point alpha = 1 is the grid point 0 by periodicity, so pieces
         reaching 1 stop at j = m - 1 (the wrap arcs around 0 and 1 cover it).
         Open endpoints that land exactly on a grid point are excluded.
         """
-        mask = np.zeros(m, dtype=bool)
         for piece in self.intervals:
             lo_scaled = piece.lo * m
-            j0 = int(math.ceil(lo_scaled))
+            j0 = math.ceil(lo_scaled)
             if not piece.lo_closed and lo_scaled.denominator == 1:
                 j0 += 1
             hi_scaled = piece.hi * m
-            j1 = int(math.floor(hi_scaled))
+            j1 = math.floor(hi_scaled)
             if not piece.hi_closed and hi_scaled.denominator == 1:
                 j1 -= 1
             j1 = min(j1, m - 1)
             if j0 <= j1:
-                mask[j0 : j1 + 1] = True
+                yield piece, j0, j1
+
+    def grid_mask(self, m: int) -> np.ndarray:
+        """Boolean membership of the grid points j/m, j in [0, m)."""
+        mask = np.zeros(m, dtype=bool)
+        for _, j0, j1 in self.grid_spans(m):
+            mask[j0 : j1 + 1] = True
         return mask
 
     def grid_indices(self, m: int) -> np.ndarray:
@@ -540,18 +532,31 @@ def v_poly(beta: float, n: int, k: int) -> complex:
     return complex(np.dot(w, phases))
 
 
+#: Composite Gauss-Legendre rule of singular_integral: nodes per panel, and
+#: panels no wider than 1/(_PANELS_PER_PERIOD * n) in beta, half the period of
+#: the fastest phase e(-beta n).
+_GL_NODES = 16
+_PANELS_PER_PERIOD = 2
+
+
 def singular_integral(n: int, k: int, s: int, X: float) -> float:
-    """Adaptive quadrature of v_1(b) * v_k(b)^s * e(-b n) over |b| <= X/n.
+    """Composite Gauss-Legendre quadrature of v_1(b) * v_k(b)^s * e(-b n) over |b| <= X/n.
 
     The integrand has conjugate symmetry, so the value is twice the real part
     of the half-range integral.
     """
     if not 1 <= X <= n / 2:
         raise DomainError(f"need 1 <= X <= n/2, got X={X}")
-    def integrand(beta: float) -> float:
-        return (v_poly(beta, n, 1) * v_poly(beta, n, k) ** s * np.exp(-2j * np.pi * beta * n)).real
-    value, _err = quad(integrand, 0.0, X / n, limit=300)
-    return 2.0 * value
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    edges = np.linspace(0.0, X / n, math.ceil(_PANELS_PER_PERIOD * X) + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        for node, weight in zip(nodes, weights):
+            beta = lo + half * (node + 1.0)
+            value = v_poly(beta, n, 1) * v_poly(beta, n, k) ** s * np.exp(-2j * np.pi * beta * n)
+            total += half * weight * value.real
+    return 2.0 * total
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +596,9 @@ def major_arc_model_error(
     m = grid.size
     sup_err = 0.0
     points = 0
-    for lo, hi, arc in arcs_union.intervals:
+    for (_, _, arc), j0, j1 in arcs_union.grid_spans(m):
         if arc is None:
             continue
-        j0 = int(math.ceil(lo * m))
-        j1 = min(int(math.floor(hi * m)), m - 1)
         center = float(arc.center)
         for j in range(j0, j1 + 1):
             alpha = j / m
@@ -944,12 +947,8 @@ def f_envelope_constant(
     P = kth_root_floor(n, k)
     scale = P * big_l(n) ** 3
     best = 0.0
-    for lo, hi, arc in pruned.intervals:
+    for (_, _, arc), j0, j1 in pruned.grid_spans(m):
         if arc is None:
-            continue
-        j0 = int(math.ceil(lo * m))
-        j1 = min(int(math.floor(hi * m)), m - 1)
-        if j1 < j0:
             continue
         js = np.arange(j0, j1 + 1)
         alphas = js / m

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import arith, circle, counting, exponents, series, specialfn
@@ -22,9 +21,9 @@ _R_ETA_MAX = 1.0 / 7.0
 
 def _resolve_r(args, P: int) -> int:
     """R from --R (fixed) or --r-eta (power of P, clamped to >= 2)."""
-    if getattr(args, "R", None):
-        return int(args.R)
-    eta_exp = getattr(args, "r_eta", None) or 0.125
+    if args.R is not None:
+        return args.R
+    eta_exp = args.r_eta if args.r_eta is not None else 0.125
     if not 0.0 < eta_exp <= _R_ETA_MAX:
         raise WgcircleError(f"--r-eta must lie in (0, 1/7], got {eta_exp}")
     return max(2, int(P**eta_exp))
@@ -136,7 +135,7 @@ def _cmd_count(args) -> int:
     if args.method == "direct":
         r = counting.count_direct(args.k, args.s, args.n)
     else:
-        plan = counting.ConvolutionPlan(n_max=args.n, k=args.k, s=args.s, method=args.method)
+        plan = counting.ConvolutionPlan(method=args.method)
         r = int(counting.count_range(args.k, args.s, args.n, plan)[args.n])
     report = {"k": args.k, "s": args.s, "n": args.n, "r": r, "method": args.method}
     _emit(args, report, plain_lines=[f"r = {r}"])
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wgcircle",
         description="Desk-scale circle-method toolkit for n = p + x_1^k + ... + x_s^k",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="reserved; computations are vectorized and thread-count independent")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json"):

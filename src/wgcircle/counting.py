@@ -8,7 +8,8 @@ p = x_1^k + ... + x_s^k with p <= N prime.  Two independent routes:
     prime complement (no convolution algorithm involved);
   * count_range raises the power-indicator polynomial to the s-th power by
     repeated convolution and convolves with the prime indicator; every entry
-    is an exact integer (verified float FFT with an integer-safe fallback).
+    is an exact integer (verified float FFT with an integer-safe fallback),
+    held as a Python integer once it outgrows int64.
 
 The prediction compared against is
 
@@ -26,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import sieve_primes
-from .convolve import ConvStats, convolve_exact
+from .arith import kth_root_floor, sieve_primes
+from .convolve import ConvStats, convolve_exact, power
 from .errors import DomainError, ResourceError
 from .series import singular_series_many
 
@@ -45,20 +46,8 @@ class CountRow:
 
 @dataclass
 class ConvolutionPlan:
-    n_max: int
-    k: int
-    s: int
     method: str = "float_fft_verified"  # or "integer_safe", "direct"
-    fft_size: int = 0
     stats: ConvStats = field(default_factory=ConvStats)
-
-    def __post_init__(self) -> None:
-        if self.fft_size == 0:
-            need = (self.s + 1) * self.n_max + 1
-            self.fft_size = 1 << (need - 1).bit_length()
-
-    def conv_method(self) -> str:
-        return {"float_fft_verified": "auto", "integer_safe": "integer_safe", "direct": "direct"}[self.method]
 
 
 def _bucket(limit: int) -> int:
@@ -68,10 +57,7 @@ def _bucket(limit: int) -> int:
 @lru_cache(maxsize=32)
 def _power_sums(k: int, s: int, bucket: int) -> np.ndarray:
     """Sorted s-fold sums x_1^k + ... + x_s^k <= bucket (ordered tuples kept)."""
-    top = int(bucket ** (1.0 / k)) + 1
-    while top**k > bucket:
-        top -= 1
-    powers = (np.arange(1, top + 1, dtype=np.int64)) ** k
+    powers = np.arange(1, kth_root_floor(bucket, k) + 1, dtype=np.int64) ** k
     sums = powers
     for _ in range(s - 1):
         if len(sums) * len(powers) > _DIRECT_BUDGET:
@@ -122,46 +108,28 @@ def count_direct_weighted(k: int, s: int, n: int, log_weights: np.ndarray) -> fl
 
 
 def _power_indicator(k: int, n_max: int) -> np.ndarray:
-    top = int(n_max ** (1.0 / k)) + 1
-    while top**k > n_max:
-        top -= 1
     ind = np.zeros(n_max + 1, dtype=np.int64)
-    ind[(np.arange(1, top + 1, dtype=np.int64)) ** k] = 1
+    ind[np.arange(1, kth_root_floor(n_max, k) + 1, dtype=np.int64) ** k] = 1
     return ind
-
-
-def _indicator_power(ind: np.ndarray, s: int, n_max: int, plan: ConvolutionPlan) -> np.ndarray:
-    """ind^s as a generating function, truncated at n_max (exact: summands are >= 1)."""
-    result: np.ndarray | None = None
-    square = ind
-    e = s
-    method = plan.conv_method()
-    while e > 0:
-        if e & 1:
-            result = square if result is None else convolve_exact(result, square, n_max + 1, method, plan.stats)
-        e >>= 1
-        if e:
-            square = convolve_exact(square, square, n_max + 1, method, plan.stats)
-    assert result is not None
-    return result
 
 
 def count_range(k: int, s: int, n_max: int, plan: ConvolutionPlan | None = None) -> np.ndarray:
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
     if k < 1 or s < 1 or n_max < 2:
         raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
-    plan = plan or ConvolutionPlan(n_max=n_max, k=k, s=s)
-    power_part = _indicator_power(_power_indicator(k, n_max), s, n_max, plan)
+    plan = plan or ConvolutionPlan()
+    # exact: summands are >= 1, so truncating every product at z^n_max is safe
+    power_part = power(_power_indicator(k, n_max), s, n_max + 1, method=plan.method, stats=plan.stats)
     prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
-    return convolve_exact(power_part, prime_ind, n_max + 1, plan.conv_method(), plan.stats)
+    return convolve_exact(power_part, prime_ind, n_max + 1, plan.method, plan.stats)
 
 
 def count_conjugate(k: int, s: int, N: int, plan: ConvolutionPlan | None = None) -> int:
     """Solutions of p = x_1^k + ... + x_s^k with p <= N prime (ordered tuples)."""
     if N < 2:
         return 0
-    plan = plan or ConvolutionPlan(n_max=N, k=k, s=s)
-    power_part = _indicator_power(_power_indicator(k, N), s, N, plan)
+    plan = plan or ConvolutionPlan()
+    power_part = power(_power_indicator(k, N), s, N + 1, method=plan.method, stats=plan.stats)
     mask = sieve_primes(N).is_prime_mask()
     return int(power_part[mask].sum())
 

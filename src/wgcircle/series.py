@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, arith_tables, gauss_sums_all, mp_count, sieve_primes
+from .arith import ArithTables, arith_tables, check_modulus, gauss_sums_all, mp_count, sieve_primes
 from .errors import DomainError, InternalConsistencyError
 
 _DUAL_ROUTE_TOL = 1e-9
@@ -129,6 +129,7 @@ def series_partial(n: int, k: int, s: int, X: int, tables: ArithTables | None = 
         raise DomainError(f"need X >= 1, got {X}")
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
+    check_modulus(X)  # the largest modulus, checked before any work
     tables = arith_tables(X) if tables is None or tables.limit < X else tables
     total = 1 + 0j  # q = 1 term
     for q in range(2, X + 1):
@@ -141,16 +142,6 @@ def series_partial(n: int, k: int, s: int, X: int, tables: ArithTables | None = 
         value=float(total.real), imag_residue=abs(float(total.imag)),
         converges=s >= 3,
     )
-
-
-def measured_tail_constant(k: int, s: int, n: int, p_max: int = 1000) -> float:
-    """max over p <= p_max of |chi_p(n) - 1| * p^(3/2), the empirical constant
-    in the local-factor decay; reported, never assumed."""
-    best = 0.0
-    for p in sieve_primes(p_max).primes:
-        rep = chi_p(int(p), n, k, s)
-        best = max(best, abs(rep.chi - 1.0) * float(p) ** 1.5)
-    return best
 
 
 def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
@@ -176,13 +167,15 @@ def euler_product(
     """Product of chi_p over p <= prime_cutoff, dual-route checked per prime.
 
     partial_xs optionally attaches truncated q-sum values to the report.  The
-    tail bound combines the measured decay constant over p <= tail_probe with
-    the integral estimate beyond the cutoff.  Raises if any factor is
+    tail bound combines the measured decay constant, max |chi_p - 1| p^(3/2)
+    over ascending p <= tail_probe (reported as tail_constant), with the
+    integral estimate beyond the cutoff.  Raises if any factor is
     nonpositive (only float catastrophe could cause that; the theory gives
     chi_p >= p^{-s} > 0).
     """
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
+    check_modulus(max((prime_cutoff, *partial_xs)))  # the largest modulus, checked before any work
     primes = sieve_primes(prime_cutoff).primes
     product = 1.0
     min_factor = math.inf

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -158,7 +159,39 @@ class TestFailureModes:
         assert code == 0
         assert json.loads(target.read_text())["theta"] == 5
 
-    def test_threads_flag_accepted_and_inert(self, capsys):
-        _, one = run_cli(capsys, "--threads", "1", "count", "--k", "2", "--s", "2", "--n", "10")
-        _, many = run_cli(capsys, "--threads", "8", "count", "--k", "2", "--s", "2", "--n", "10")
-        assert one == many
+    @pytest.mark.parametrize("flag", ["--R", "--r-eta"])
+    @pytest.mark.parametrize("command", [
+        ("dissect", "--n", "2000", "--k", "2", "--s", "3"),
+        ("moments", "--P", "16", "--k", "3", "--t", "8"),
+        ("model-error", "--n", "1024", "--k", "2"),
+    ])
+    def test_zero_smoothness_flag_is_rejected(self, capsys, command, flag):
+        # zero is a value, not an unset flag
+        code = main([*command, flag, "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_eta_past_underflow_exits_two(self, capsys):
+        code = main(["eta", "--t", "800"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("limit_flag", [("--cutoff", "46400"), ("--xs", "64,46400")])
+    def test_modulus_ceiling_checked_up_front(self, capsys, limit_flag):
+        start = time.perf_counter()
+        code = main(["series", "--n", "100", "--k", "3", "--s", "4", *limit_flag])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "46400" in capsys.readouterr().err
+
+
+class TestCountPastInt64:
+    def test_routes_agree_exactly(self, capsys):
+        results = set()
+        for method in ("float_fft_verified", "integer_safe"):
+            code, out = run_cli(capsys, "count", "--k", "2", "--s", "40", "--n", "1000", "--method", method)
+            assert code == 0
+            results.add(json.loads(out)["r"])
+        assert results == {30385489528274579244650671984815416064}

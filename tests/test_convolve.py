@@ -51,7 +51,7 @@ class TestConvolveExact:
     def test_auto_falls_back(self):
         stats = convolve.ConvStats()
         a = np.array([2**30, 2**30, 1], dtype=np.int64)
-        out = convolve.convolve_exact(a, a, method="auto", stats=stats)
+        out = convolve.convolve_exact(a, a, stats=stats)  # the float-first default
         assert out.tolist() == naive_conv(a.tolist(), a.tolist())
         assert stats.kronecker == 1 and stats.float_rejected == 1
 
@@ -84,28 +84,37 @@ class TestConvolveExact:
         assert left.tolist() == right.tolist()
 
 
+def folded(values, m):
+    out = [0] * m
+    for i, v in enumerate(values):
+        out[i % m] += v
+    return out
+
+
 class TestCyclic:
     def test_cyclic_matches_direct(self):
         a = [1, 2, 0, 3]
-        b = [2, 1, 1, 0]
-        lin = naive_conv(a, b)
-        folded = [0] * 4
-        for i, v in enumerate(lin):
-            folded[i % 4] += v
-        assert convolve.cyclic_convolve_big(a, b, 4) == folded
+        assert convolve.power(np.array(a), 2, modulus=4).tolist() == folded(naive_conv(a, a), 4)
 
     def test_cyclic_power_counts_sums(self):
         # histogram of residues of x mod 5 for x in 0..4 is all ones; the
         # s-fold convolution counts tuples by residue sum, so it is uniform
-        out = convolve.cyclic_power(np.ones(5, dtype=np.int64), 3, 5)
+        out = convolve.power(np.ones(5, dtype=np.int64), 3, modulus=5)
         assert list(out) == [25] * 5
 
     def test_cyclic_power_big_path(self):
+        # (7 * 10^5)^4 / 7 per residue is past int64: exact Python integers
         hist = np.full(7, 10**5, dtype=np.int64)
-        out = convolve.cyclic_power(hist, 4, 7)
-        assert isinstance(out, list)
-        assert sum(out) == (7 * 10**5) ** 4
+        out = convolve.power(hist, 4, modulus=7)
+        assert out.dtype == object
+        assert out.tolist() == [(7 * 10**5) ** 4 // 7] * 7
 
     def test_power_one_is_identity(self):
         hist = np.array([3, 1, 4], dtype=np.int64)
-        assert list(convolve.cyclic_power(hist, 1, 3)) == [3, 1, 4]
+        assert list(convolve.power(hist, 1, modulus=3)) == [3, 1, 4]
+
+
+class TestPower:
+    def test_rejects_zero_power(self):
+        with pytest.raises(DomainError):
+            convolve.power(np.ones(3, dtype=np.int64), 0)

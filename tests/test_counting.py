@@ -59,16 +59,25 @@ class TestCountRange:
         assert int(counting.count_range(2, 2, 16)[10]) == 3
 
     def test_integer_safe_route_agrees(self):
-        plan_float = counting.ConvolutionPlan(n_max=500, k=2, s=3)
-        plan_int = counting.ConvolutionPlan(n_max=500, k=2, s=3, method="integer_safe")
+        plan_float = counting.ConvolutionPlan()
+        plan_int = counting.ConvolutionPlan(method="integer_safe")
         a = counting.count_range(2, 3, 500, plan_float)
         b = counting.count_range(2, 3, 500, plan_int)
         assert a.tolist() == b.tolist()
         assert plan_int.stats.kronecker > 0
 
-    def test_plan_fft_size_invariant(self):
-        plan = counting.ConvolutionPlan(n_max=1000, k=2, s=2)
-        assert plan.fft_size > 3 * 1000
+    def test_past_int64_every_method_is_exact(self):
+        # r(1000) for k = 2, s = 40 is ~3e37; a Python-int oracle fixes it
+        n, k, s = 1000, 2, 40
+        mask = sieve_primes(n).is_prime_mask()
+        poly = [1] + [0] * n
+        for _ in range(s):
+            poly = [sum(poly[m - x * x] for x in range(1, math.isqrt(m) + 1)) for m in range(n + 1)]
+        oracle = sum(poly[n - p] for p in range(2, n + 1) if mask[p])
+        for method in ("float_fft_verified", "integer_safe", "direct"):
+            counts = counting.count_range(k, s, n, counting.ConvolutionPlan(method=method))
+            assert int(counts[n]) == oracle
+            assert min(counts) >= 0
 
     def test_cumulative_identity(self):
         # sum_{n <= N} r(n) counts triples with p + x^2 + y^2 <= N

@@ -1,0 +1,55 @@
+"""Golden outputs: the bytes of every README command, pinned by sha256.
+
+Each command runs in-process with ``--out`` and the digest of the written
+bytes must match ``golden_readme.json``.  Refactors that keep behaviour keep
+these digests; a change that moves one on purpose re-records the file with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from wgcircle.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_readme.json")
+
+README_COMMANDS = {
+    "constants": ["constants", "--theta", "5"],
+    "eta": ["eta", "--t", "1.0"],
+    "plan": ["plan", "--k", "17", "--theta", "5"],
+    "verify-tables": ["verify-tables"],
+    "sieve": ["sieve", "--limit", "1000000"],
+    "series": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000", "--xs", "64,256"],
+    "count": ["count", "--k", "2", "--s", "2", "--n", "10"],
+    "compare": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000", "--format", "csv"],
+    "dissect": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--theta", "5"],
+    "moments": ["moments", "--P", "64", "--k", "3", "--t", "8"],
+    "model-error": ["model-error", "--n", "16384", "--k", "2"],
+}
+
+
+def output_digest(argv: list[str], path: Path) -> str:
+    code = main([*argv, "--out", str(path)])
+    assert code == 0, f"{argv} exited {code}"
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(README_COMMANDS))
+def test_readme_command_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(README_COMMANDS[name], tmp_path / "out") == expected
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_digest(argv, Path(tmp) / "out") for name, argv in README_COMMANDS.items()}
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")

@@ -68,7 +68,7 @@ class TestLocalFactor:
                 assert rep.chi >= p ** (-3) - 1e-12
 
     def test_large_p_trend(self):
-        c = series.measured_tail_constant(3, 3, 10, 500)
+        c = series.euler_product(10, 3, 3, 500, tail_probe=500).tail_constant
         assert c < 3.0  # recorded: 1.386 at p <= 1000
 
     def test_residue_table_matches_pointwise(self):
