@@ -29,8 +29,8 @@ def _resolve_r(args, P: int) -> int:
     return max(2, int(P**eta_exp))
 
 
-def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None) -> None:
-    payload = serialize(report, args.format, csv_header, csv_rows, plain_lines)
+def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None, csv_columns=None) -> None:
+    payload = serialize(report, args.format, csv_header, csv_rows, plain_lines, csv_columns)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)
@@ -149,10 +149,10 @@ def _cmd_compare(args) -> int:
         "prime_cutoff": rep.prime_cutoff,
         "min_ratio": rep.min_ratio, "mean_ratio": rep.mean_ratio, "zero_count": rep.zero_count,
         "constant_note": rep.constant_note,
-        "rows": rep.to_csv_rows(),
     }
-    _emit(args, report, csv_header=["n", "r", "prediction", "ratio", "series"],
-          csv_rows=rep.to_csv_rows(),
+    if args.format == "json":
+        report["rows"] = list(zip(*(column.tolist() for column in rep.columns())))
+    _emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=rep.columns(),
           plain_lines=[f"min_ratio = {rep.min_ratio}", f"mean_ratio = {rep.mean_ratio}",
                        f"zero_count = {rep.zero_count}"])
     return 0

@@ -29,6 +29,11 @@ from .errors import DomainError
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
 _INT64_LIMIT = 2**63
+# peak bytes per FFT point of one verified float convolution of two int64
+# inputs (float copies, both half spectra, their product, the inverse and the
+# rounding temporaries); tracemalloc measures up to ~44 when the inputs fill
+# half the transform
+_FFT_BYTES_PER_POINT = 48
 
 METHODS = ("float_fft_verified", "integer_safe", "direct")
 
@@ -45,6 +50,11 @@ class ConvStats:
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
+
+
+def fft_working_bytes(out_len: int) -> int:
+    """Peak bytes of a verified float-FFT self-convolution of out_len entries."""
+    return _FFT_BYTES_PER_POINT * _next_pow2(2 * out_len - 1)
 
 
 def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray | None:

@@ -28,20 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import kth_root_floor, sieve_primes
-from .convolve import ConvStats, convolve_exact, power
-from .errors import DomainError, ResourceError
+from .convolve import ConvStats, convolve_exact, fft_working_bytes, power
+from .errors import DomainError, ResourceError, ensure_memory
 from .series import singular_series_many
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
-
-
-@dataclass(frozen=True)
-class CountRow:
-    n: int
-    r: int
-    prediction: float
-    ratio: float
-    series_value: float
 
 
 @dataclass
@@ -113,10 +104,16 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
     return ind
 
 
+def _check_budget(n_max: int) -> None:
+    """Refuse up front when the FFT working set for z^0..z^n_max overruns the budget."""
+    ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
+
+
 def count_range(k: int, s: int, n_max: int, plan: ConvolutionPlan | None = None) -> np.ndarray:
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
     if k < 1 or s < 1 or n_max < 2:
         raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
+    _check_budget(n_max)
     plan = plan or ConvolutionPlan()
     # exact: summands are >= 1, so truncating every product at z^n_max is safe
     power_part = power(_power_indicator(k, n_max), s, n_max + 1, method=plan.method, stats=plan.stats)
@@ -128,6 +125,7 @@ def count_conjugate(k: int, s: int, N: int, plan: ConvolutionPlan | None = None)
     """Solutions of p = x_1^k + ... + x_s^k with p <= N prime (ordered tuples)."""
     if N < 2:
         return 0
+    _check_budget(N)
     plan = plan or ConvolutionPlan()
     power_part = power(_power_indicator(k, N), s, N + 1, method=plan.method, stats=plan.stats)
     mask = sieve_primes(N).is_prime_mask()
@@ -146,22 +144,37 @@ def hl_prediction(k: int, s: int, n: int, series_value: float) -> float:
     return series_value * gamma_factor * n ** (s / k) / math.log(n)
 
 
-@dataclass(frozen=True)
+#: Column names of a comparison report, in CSV order.
+COMPARE_COLUMNS = ("n", "r", "prediction", "ratio", "series")
+
+
+@dataclass(frozen=True, eq=False)
 class CompareReport:
+    """Counts against the prediction, one array per column (see COMPARE_COLUMNS).
+
+    `r` is int64, or an object array of Python integers once a count
+    outgrows int64; `ratio` is r / prediction, NaN where the prediction is
+    not positive.
+    """
+
     k: int
     s: int
     n_lo: int
     n_hi: int
     stride: int
     prime_cutoff: int
-    rows: tuple[CountRow, ...]
+    n: np.ndarray
+    r: np.ndarray
+    prediction: np.ndarray
+    ratio: np.ndarray
+    series: np.ndarray
     min_ratio: float
     mean_ratio: float
     zero_count: int
     constant_note: str = "prediction constant is heuristic (circle-method shape); only the order is backed by theory"
 
-    def to_csv_rows(self) -> list[list]:
-        return [[row.n, row.r, row.prediction, row.ratio, row.series_value] for row in self.rows]
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in COMPARE_COLUMNS]
 
 
 def compare_report(
@@ -183,19 +196,13 @@ def compare_report(
     series_vals = singular_series_many(ns, k, s, prime_cutoff)
     gamma_factor = math.gamma(1.0 + 1.0 / k) ** s / math.gamma(s / k + 1.0)
     preds = series_vals * gamma_factor * ns ** (s / k) / np.log(ns)
-    rows = []
-    ratios = []
-    zero_count = 0
-    for n, series_val, pred in zip(ns.tolist(), series_vals.tolist(), preds.tolist()):
-        r = int(counts[n])
-        ratio = r / pred if pred > 0 else float("nan")
-        rows.append(CountRow(n=n, r=r, prediction=pred, ratio=ratio, series_value=series_val))
-        ratios.append(ratio)
-        if r == 0:
-            zero_count += 1
-    arr = np.asarray(ratios)
+    r = counts[ns]
+    # int64 -> float64 and Python int -> float both round to nearest, so each
+    # ratio is bit for bit the scalar r / pred
+    ratio = np.full(len(ns), np.nan)
+    np.divide(r.astype(np.float64), preds, out=ratio, where=preds > 0)
     return CompareReport(
         k=k, s=s, n_lo=n_lo, n_hi=n_hi, stride=stride, prime_cutoff=prime_cutoff,
-        rows=tuple(rows),
-        min_ratio=float(arr.min()), mean_ratio=float(arr.mean()), zero_count=zero_count,
+        n=ns, r=r, prediction=preds, ratio=ratio, series=series_vals,
+        min_ratio=float(ratio.min()), mean_ratio=float(ratio.mean()), zero_count=int((r == 0).sum()),
     )

@@ -3,6 +3,12 @@
 Field order is insertion order (stable by construction), floats are rounded
 to 12 significant digits before encoding, CSV uses RFC-style minimal quoting.
 Identical reports serialize to identical bytes.
+
+CSV comes from rows (`to_csv_bytes`, through `csv.writer`, for the small
+mixed-type tables) or from numeric columns (`to_csv_columns_bytes`, one
+printf template for every row, for the comparison report's hundreds of
+thousands of rows).  Both write the same bytes for the same numbers: integers
+as str(int), floats as f"{v:.12g}", and no numeric field ever needs quoting.
 """
 
 from __future__ import annotations
@@ -55,19 +61,39 @@ def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
+_COLUMN_FORMATS = {"i": "%d", "O": "%d", "f": "%.12g"}
+
+
+def to_csv_columns_bytes(header: list[str], columns: list) -> bytes:
+    """CSV of numeric numpy columns, the bytes to_csv_bytes gives for their rows.
+
+    Integer columns (int64, or object arrays of Python integers) print with
+    %d, float columns with %.12g.
+    """
+    kinds = [column.dtype.kind for column in columns]
+    if not set(kinds) <= _COLUMN_FORMATS.keys():
+        raise DomainError(f"CSV columns must be integer or float arrays, got dtype kinds {kinds}")
+    template = ",".join(_COLUMN_FORMATS[kind] for kind in kinds) + "\n"
+    body = "".join(map(template.__mod__, zip(*(column.tolist() for column in columns))))
+    return to_csv_bytes(header, []) + body.encode()
+
+
 def to_plain_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
 def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, csv_rows: list[list] | None = None,
-              plain_lines: list[str] | None = None) -> bytes:
+              plain_lines: list[str] | None = None, csv_columns: list | None = None) -> bytes:
     """Encode a report in the requested format.
 
-    CSV needs explicit header/rows; plain needs prepared lines; both fall
-    back to JSON when the structured form was not supplied.
+    CSV needs an explicit header and rows or numeric columns; plain needs
+    prepared lines; both fall back to JSON when the structured form was not
+    supplied.
     """
     if fmt not in FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt == "csv" and csv_columns is not None:
+        return to_csv_columns_bytes(csv_header or [], csv_columns)
     if fmt == "csv" and csv_rows is not None:
         return to_csv_bytes(csv_header or [], csv_rows)
     if fmt == "plain" and plain_lines is not None:

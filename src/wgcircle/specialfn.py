@@ -28,6 +28,7 @@ All functions are pure; no shared mutable state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,17 +146,17 @@ def eta(t: float, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> EtaPoint:
 
     Returns the value together with the derivative -eta/(1+eta).  The map is
     a strictly decreasing bijection of (0, inf) onto (0, 1).  For t > 600 the
-    asymptotic form e^(1-t) is used (relative error below 1e-250); relative
-    accuracy degrades near the underflow threshold t ~ 745, and beyond it,
-    where e^(1-t) rounds to 0, DomainError is raised.
+    asymptotic form e^(1-t) is used (relative error below 1e-250).  Beyond
+    t ~ 709.4, where e^(1-t) drops below the smallest normal double and would
+    keep ever fewer significant bits, DomainError is raised.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"eta is defined for t > 0, got {t!r}")
     if t > _ETA_ASYMPTOTIC_T:
         u = math.exp(1.0 - t)
-        if u == 0.0:
-            raise DomainError(f"eta({t!r}) underflows double precision (t must stay below ~745)")
+        if u < sys.float_info.min:
+            raise DomainError(f"eta({t!r}) underflows double precision (t must stay below ~709.4)")
     else:
         lo, hi = cfg.bracket if cfg.bracket is not None else (1e-300, 1.0 - 1e-12)
         u = _bisect_newton(

@@ -178,6 +178,32 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_eta_subnormal_exits_two(self, capsys):
+        # e^(1-745) is subnormal: eta would keep only a few significant bits
+        code = main(["eta", "--t", "745"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_eta_last_normal_point_is_accurate(self, capsys):
+        code, out = run_cli(capsys, "eta", "--t", "709")
+        assert code == 0
+        assert json.loads(out)["residual"] < 1e-9
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "1000000"),
+        ("count", "--k", "2", "--s", "2", "--n", "1000000"),
+    ])
+    def test_count_budget_checked_up_front(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "1500000")
+        start = time.perf_counter()
+        code = main(list(command))
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "WGCIRCLE_MEM_BYTES" in err
+
     @pytest.mark.parametrize("limit_flag", [("--cutoff", "46400"), ("--xs", "64,46400")])
     def test_modulus_ceiling_checked_up_front(self, capsys, limit_flag):
         start = time.perf_counter()

@@ -145,18 +145,18 @@ class TestPrediction:
 class TestCompareReport:
     def test_bookkeeping(self):
         rep = counting.compare_report(2, 2, 100, 300, stride=7, prime_cutoff=200)
-        assert rep.rows[0].n == 100
-        ratios = [row.ratio for row in rep.rows]
+        assert rep.n[0] == 100
+        ratios = rep.ratio.tolist()
         assert rep.min_ratio == pytest.approx(min(ratios))
         assert rep.mean_ratio == pytest.approx(sum(ratios) / len(ratios))
-        assert rep.zero_count == sum(1 for row in rep.rows if row.r == 0)
-        for row in rep.rows:
-            if row.prediction > 0:
-                assert row.ratio == pytest.approx(row.r / row.prediction)
+        assert rep.zero_count == sum(1 for r in rep.r.tolist() if r == 0)
+        for r, prediction, ratio in zip(rep.r.tolist(), rep.prediction.tolist(), ratios):
+            if prediction > 0:
+                assert ratio == pytest.approx(r / prediction)
 
     def test_csv_shape(self):
         rep = counting.compare_report(2, 2, 50, 60, prime_cutoff=100)
-        rows = rep.to_csv_rows()
+        rows = list(zip(*rep.columns()))
         assert len(rows) == 11
         assert all(len(r) == 5 for r in rows)
 

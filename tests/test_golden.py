@@ -1,7 +1,8 @@
 """Golden outputs: the bytes of every README command, pinned by sha256.
 
 Each command runs in-process with ``--out`` and the digest of the written
-bytes must match ``golden_readme.json``.  Refactors that keep behaviour keep
+bytes must match ``golden_readme.json``.  The ``compare`` variants pin the
+JSON, plain and strided CSV forms of the comparison report as well.  Refactors that keep behaviour keep
 these digests; a change that moves one on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -34,6 +35,15 @@ README_COMMANDS = {
     "model-error": ["model-error", "--n", "16384", "--k", "2"],
 }
 
+COMPARE_VARIANTS = {
+    "compare-json": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000", "--format", "json"],
+    "compare-plain": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000", "--format", "plain"],
+    "compare-stride7": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000",
+                        "--stride", "7", "--format", "csv"],
+}
+
+GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS}
+
 
 def output_digest(argv: list[str], path: Path) -> str:
     code = main([*argv, "--out", str(path)])
@@ -47,9 +57,15 @@ def test_readme_command_bytes(name, tmp_path):
     assert output_digest(README_COMMANDS[name], tmp_path / "out") == expected
 
 
+@pytest.mark.parametrize("name", list(COMPARE_VARIANTS))
+def test_compare_variant_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(COMPARE_VARIANTS[name], tmp_path / "out") == expected
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: output_digest(argv, Path(tmp) / "out") for name, argv in README_COMMANDS.items()}
+        digests = {name: output_digest(argv, Path(tmp) / "out") for name, argv in GOLDEN_COMMANDS.items()}
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")

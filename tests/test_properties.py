@@ -1,12 +1,14 @@
-"""Property tests: the power engine and the grid spans against plain oracles."""
+"""Property tests: the power engine, the grid spans and the columnar CSV
+writer against plain oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcircle import circle, convolve
+from wgcircle import circle, convolve, serialize
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -87,3 +89,29 @@ def test_grid_spans_match_contains(data, m):
             mask[j0 : j1 + 1] = True
         assert mask.tolist() == [region.contains(Fraction(j, m)) for j in range(m)]
         assert (region.grid_mask(m) == mask).all()
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1.5e-310, 2.0**-1022, 1e300]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(
+    st.tuples(
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**200)),
+        _CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS,
+    ),
+    max_size=20,
+))
+def test_csv_columns_match_row_writer(rows):
+    header = ["n", "r", "prediction", "ratio", "series"]
+    n, r, *floats = (list(column) for column in zip(*rows)) if rows else [[]] * 5
+    # past int64 the counts are an object array of Python integers
+    r_dtype = object if any(v >= 2**63 for v in r) else np.int64
+    columns = [np.array(n, dtype=np.int64), np.array(r, dtype=r_dtype)]
+    columns += [np.array(values, dtype=np.float64) for values in floats]
+    expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
+    assert serialize.to_csv_columns_bytes(header, columns) == expected
