@@ -14,6 +14,7 @@ Tables are build-once, read-many; every query is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,6 +164,16 @@ def check_modulus(q: int) -> None:
     """Reject a modulus the int64 power sieve cannot take."""
     if not 1 <= q < MODULUS_LIMIT:
         raise DomainError(f"modulus {q} outside the supported range [1, {MODULUS_LIMIT - 1}]")
+
+
+def check_double_range(base: int, exponent: int, what: str, factor: int = 1) -> None:
+    """Reject base^exponent * factor, which a float route divides by, past the largest double.
+
+    Bit lengths settle the clear cases without building a huge power.
+    """
+    if (exponent * (base.bit_length() - 1) + factor.bit_length() - 1 >= 1024
+            or base**exponent * factor > sys.float_info.max):
+        raise DomainError(f"{what} leaves the double range")
 
 
 @lru_cache(maxsize=512)

@@ -8,10 +8,16 @@ FFT, and a Riemann sum over the grid integrates g * f^s * e(-alpha n) exactly
 on the full circle whenever M exceeds the bandwidth (trig-polynomial
 orthogonality); on arc subsets the endpoint error is reported, never hidden.
 
-Arc unions are kept as sorted disjoint intervals with Fraction endpoints
-(floats are dyadic rationals, so the disjointness checks are exact).  The
-major arcs of height Q collect |q*alpha - a| <= Q/denom for q <= Q; the core
-arcs use the fixed width Qcal/n instead.  The weight
+An arc union is one closed Farey family: the reduced fractions a/q <= 1
+with q <= q_top, in ascending order from the Farey next-term recurrence, each
+with an integer reach r, and one exact width W shared by the whole family (a
+float height is a dyadic rational, so W = num/den is exact).  The arc around
+a/q is |q*alpha - a| <= r*W, with integer-ratio endpoints, so grid masks,
+measures and the disjointness check are exact integer arithmetic.  The major
+arcs of height Q have reach 1 and W = Q/denom, q <= Q; the core arcs have
+reach q and the fixed width W = Qcal/n.  The minor arcs and the height slices
+are not unions of their own: they are mask expressions (complement,
+difference) over these families, with exact measures.  The weight
 
     upsilon(alpha) = 1/(q + n*|q*alpha - a|)
 
@@ -25,9 +31,10 @@ reductions use numpy's fixed-order pairwise sums, so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,214 +140,114 @@ def evaluate_on_grid(
 
 
 @dataclass(frozen=True)
-class FareyArc:
-    """The interval |q*alpha - a| <= q*half_width around a/q, clipped to [0,1]."""
+class ArcUnion:
+    """A closed Farey family: the arcs |q*alpha - a| <= r*W around each reduced
+    a/q in [0, 1] with q <= q_top, clipped to [0, 1].
 
-    q: int
-    a: int
-    half_width: Fraction  # in alpha units
-
-    @property
-    def center(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-    @property
-    def lo(self) -> Fraction:
-        return max(Fraction(0), self.center - self.half_width)
-
-    @property
-    def hi(self) -> Fraction:
-        return min(Fraction(1), self.center + self.half_width)
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One subinterval with explicit endpoint closure.
-
-    Closure matters only at seams: set differences and complements exclude
-    boundary points their generator owns, so point membership and grid masks
-    stay exact, not just measure-exact.  Iterates as (lo, hi, arc) for the
-    common case that only the geometry is needed.
+    `intervals` holds one (q, a, r) triple per arc, in ascending a/q, with the
+    integer reach r.  The family shares one exact width W = num/den, so the
+    arc around a/q runs from (a*den - r*num)/(q*den) to (a*den + r*num)/(q*den)
+    and everything below is integer arithmetic on those ratios.
     """
 
-    lo: Fraction
-    hi: Fraction
-    arc: "FareyArc | None" = None
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __iter__(self):
-        return iter((self.lo, self.hi, self.arc))
-
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    def contains(self, x: Fraction) -> bool:
-        if self.lo < x < self.hi:
-            return True
-        if x == self.lo and self.lo_closed:
-            return True
-        return x == self.hi and self.hi_closed
-
-
-def _closed(lo: Fraction, hi: Fraction, arc: "FareyArc | None" = None) -> Piece:
-    return Piece(lo=lo, hi=hi, arc=arc)
-
-
-@dataclass(frozen=True)
-class ArcUnion:
-    """Sorted, pairwise-disjoint subintervals of [0, 1]."""
-
     label: str
-    intervals: tuple[Piece, ...]
-    params: dict = field(default_factory=dict)
+    intervals: tuple[tuple[int, int, int], ...]
+    num: int
+    den: int
 
     def __post_init__(self) -> None:
-        prev: Piece | None = None
-        for piece in self.intervals:
-            if piece.lo > piece.hi:
-                raise DomainError(f"{self.label}: interval with lo > hi")
-            if prev is not None:
-                if piece.lo < prev.hi or (
-                    piece.lo == prev.hi and piece.lo_closed and prev.hi_closed
-                ):
-                    raise DomainError(f"{self.label}: overlapping intervals at {float(piece.lo):.6g}")
-            prev = piece
+        # neighbouring arcs are disjoint iff hi_i < lo_{i+1}; cross-multiplied
+        # by q_i*q_{i+1}*den that is an exact integer comparison
+        q, a, r = (col.astype(object) for col in self._columns)
+        hi = (a[:-1] * self.den + r[:-1] * self.num) * q[1:]
+        lo = (a[1:] * self.den - r[1:] * self.num) * q[:-1]
+        overlaps = np.flatnonzero(hi >= lo)
+        if len(overlaps):
+            q1, a1, r1 = self.intervals[overlaps[0] + 1]
+            seam = max(0, a1 * self.den - r1 * self.num) / (q1 * self.den)
+            raise DomainError(f"{self.label}: overlapping intervals at {seam:.6g}")
 
-    @property
-    def arcs(self) -> list[FareyArc]:
-        return [p.arc for p in self.intervals if p.arc is not None]
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        q, a, r = np.array(self.intervals, dtype=np.int64).reshape(-1, 3).T
+        return q, a, r
 
     def measure_exact(self) -> Fraction:
-        return sum((p.hi - p.lo for p in self.intervals), Fraction(0))
+        """Exact length inside [0, 1]: each arc is 2*r*W/q long, summed per
+        distinct q, less what the arcs at 0 and 1 reach past [0, 1] (the family
+        is disjoint, so no other arc can)."""
+        counts = Counter((q, r) for q, _, r in self.intervals)
+        per_width = sum((Fraction(count * r, q) for (q, r), count in counts.items()), Fraction(0))
+        (q0, a0, r0), (q1, a1, r1) = self.intervals[0], self.intervals[-1]
+        past_zero = Fraction(max(0, r0 * self.num - a0 * self.den), q0 * self.den)
+        past_one = Fraction(max(0, (a1 - q1) * self.den + r1 * self.num), q1 * self.den)
+        return Fraction(2 * self.num, self.den) * per_width - past_zero - past_one
 
     def measure(self) -> float:
         return float(self.measure_exact())
 
-    def contains(self, alpha: float | Fraction) -> bool:
-        x = Fraction(alpha)
-        for piece in self.intervals:
-            if piece.contains(x):
-                return True
-            if piece.lo > x:
-                return False
-        return False
+    def _spans(self, m: int) -> tuple[np.ndarray, ...]:
+        """q, a, j0, j1 of the arcs holding grid points j/m, j0 <= j <= j1.
 
-    def complement(self, label: str | None = None) -> "ArcUnion":
-        out: list[Piece] = []
-        cursor = Fraction(0)
-        cursor_closed = True  # does the cursor point itself belong to the complement
-        for piece in self.intervals:
-            gap = Piece(cursor, piece.lo, None, cursor_closed, not piece.lo_closed)
-            if not gap.is_empty():
-                out.append(gap)
-            cursor, cursor_closed = piece.hi, not piece.hi_closed
-        tail = Piece(cursor, Fraction(1), None, cursor_closed, True)
-        if not tail.is_empty():
-            out.append(tail)
-        return ArcUnion(label=label or f"complement({self.label})", intervals=tuple(out), params=dict(self.params))
-
-    def difference(self, other: "ArcUnion", label: str | None = None) -> "ArcUnion":
-        out: list[Piece] = []
-        for piece in self.intervals:
-            pieces = [piece]
-            for cut in other.intervals:
-                nxt: list[Piece] = []
-                for p in pieces:
-                    # no point in common
-                    if cut.hi < p.lo or (cut.hi == p.lo and not (cut.hi_closed and p.lo_closed)):
-                        nxt.append(p)
-                        continue
-                    if cut.lo > p.hi or (cut.lo == p.hi and not (cut.lo_closed and p.hi_closed)):
-                        nxt.append(p)
-                        continue
-                    left = Piece(p.lo, cut.lo, p.arc, p.lo_closed, not cut.lo_closed)
-                    if not left.is_empty():
-                        nxt.append(left)
-                    right = Piece(cut.hi, p.hi, p.arc, not cut.hi_closed, p.hi_closed)
-                    if not right.is_empty():
-                        nxt.append(right)
-                pieces = nxt
-            out.extend(pieces)
-        return ArcUnion(label=label or f"{self.label} minus {other.label}", intervals=tuple(out), params=dict(self.params))
-
-    def union(self, other: "ArcUnion", label: str | None = None) -> "ArcUnion":
-        merged = sorted(
-            list(self.intervals) + list(other.intervals),
-            key=lambda p: (p.lo, not p.lo_closed),
-        )
-        out: list[Piece] = []
-        for piece in merged:
-            if out:
-                prev = out[-1]
-                touches = piece.lo < prev.hi or (
-                    piece.lo == prev.hi and (piece.lo_closed or prev.hi_closed)
-                )
-                if touches:
-                    if (piece.hi, piece.hi_closed) > (prev.hi, prev.hi_closed):
-                        out[-1] = Piece(prev.lo, piece.hi, prev.arc or piece.arc,
-                                        prev.lo_closed, piece.hi_closed)
-                    continue
-            out.append(piece)
-        return ArcUnion(label=label or f"{self.label} union {other.label}", intervals=tuple(out), params=dict(self.params))
-
-    def same_point_set(self, other: "ArcUnion") -> bool:
-        """Exact equality as subsets of [0, 1] (zero-length pieces ignored)."""
-        def canonical(u: "ArcUnion"):
-            return [
-                (p.lo, p.hi, p.lo_closed, p.hi_closed)
-                for p in u.union(u).intervals
-                if not p.is_empty()
-            ]
-
-        return canonical(self) == canonical(other)
+        With F = floor(m*r*W) the arc's grid points are exactly
+        ceil((m*a - F)/q) <= j <= floor((m*a + F)/q): m*a is an integer, so
+        the fractional part of m*r*W never moves either bound.
+        """
+        q, a, r = self._columns
+        reaches, which = np.unique(r, return_inverse=True)
+        F = np.array([m * int(x) * self.num // self.den for x in reaches], dtype=np.int64)[which]
+        j0 = np.maximum(-((F - m * a) // q), 0)
+        j1 = np.minimum((m * a + F) // q, m - 1)
+        hit = j0 <= j1
+        return q[hit], a[hit], j0[hit], j1[hit]
 
     def grid_spans(self, m: int):
-        """(piece, j0, j1) for each piece holding grid points j/m, j0 <= j <= j1.
+        """(q, a, j0, j1) for each arc holding grid points j/m, j0 <= j <= j1.
 
-        The point alpha = 1 is the grid point 0 by periodicity, so pieces
-        reaching 1 stop at j = m - 1 (the wrap arcs around 0 and 1 cover it).
-        Open endpoints that land exactly on a grid point are excluded.
+        The point alpha = 1 is the grid point 0 by periodicity, so the arc at
+        1 stops at j = m - 1 (the arc at 0 covers it).
         """
-        for piece in self.intervals:
-            lo_scaled = piece.lo * m
-            j0 = math.ceil(lo_scaled)
-            if not piece.lo_closed and lo_scaled.denominator == 1:
-                j0 += 1
-            hi_scaled = piece.hi * m
-            j1 = math.floor(hi_scaled)
-            if not piece.hi_closed and hi_scaled.denominator == 1:
-                j1 -= 1
-            j1 = min(j1, m - 1)
-            if j0 <= j1:
-                yield piece, j0, j1
+        return zip(*(col.tolist() for col in self._spans(m)))
 
     def grid_mask(self, m: int) -> np.ndarray:
         """Boolean membership of the grid points j/m, j in [0, m)."""
-        mask = np.zeros(m, dtype=bool)
-        for _, j0, j1 in self.grid_spans(m):
-            mask[j0 : j1 + 1] = True
-        return mask
-
-    def grid_indices(self, m: int) -> np.ndarray:
-        return np.nonzero(self.grid_mask(m))[0]
+        _, _, j0, j1 = self._spans(m)
+        edges = np.zeros(m + 1, dtype=np.int8)
+        edges[j0] = 1
+        edges[j1 + 1] -= 1  # disjoint spans: no index repeats within j0 or within j1 + 1
+        return np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
 
     def endpoint_count(self) -> int:
         return 2 * len(self.intervals)
 
     def to_json_arcs(self) -> list[dict]:
+        # int / int is correctly rounded, so these are the floats of the exact values
         return [
-            {"q": arc.q, "a": arc.a, "center": float(arc.center), "half_width": float(arc.half_width)}
-            for arc in self.arcs
+            {"q": q, "a": a, "center": a / q, "half_width": r * self.num / (q * self.den)}
+            for q, a, r in self.intervals
         ]
 
 
-def major_arcs(Q: float, denom: int, label: str | None = None, params: dict | None = None) -> ArcUnion:
-    """Union of |q*alpha - a| <= Q/denom over q <= Q, 0 <= a <= q, (a, q) = 1.
+def _farey_family(label: str, q_top: int, width: Fraction, reach_is_q: bool) -> ArcUnion:
+    """The arcs |q*alpha - a| <= r*width around the Farey fractions of order
+    q_top, with reach r = q or r = 1.
 
-    Disjoint when Q <= sqrt(denom)/2 (enforced); endpoints exact Fractions.
+    The next-term recurrence yields every reduced a/q in [0, 1] with q <= q_top
+    in ascending order, so there is no gcd test and no sort.
+    """
+    arcs = [(1, 0, 1)]
+    a, b, c, d = 0, 1, 1, q_top
+    while c <= q_top:
+        step = (q_top + b) // d
+        a, b, c, d = c, d, step * c - a, step * d - b
+        arcs.append((b, a, b if reach_is_q else 1))
+    return ArcUnion(label=label, intervals=tuple(arcs), num=width.numerator, den=width.denominator)
+
+
+def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
+    """|q*alpha - a| <= Q/denom around each reduced a/q in [0, 1] with q <= Q.
+
+    Disjoint when Q <= sqrt(denom)/2 (enforced); the width is exact.
     """
     if Q < 1:
         raise DomainError(f"height must be >= 1, got {Q}")
@@ -350,24 +257,7 @@ def major_arcs(Q: float, denom: int, label: str | None = None, params: dict | No
     # exactly at construction.
     if Q > 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
         raise DomainError(f"height {Q} above the disjointness bound sqrt({denom})/2")
-    q_top = int(math.floor(Q))
-    width = Fraction(Q) / denom
-    intervals: list[Piece] = []
-    for q in range(1, q_top + 1):
-        hw = width / q
-        for a in range(0, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            arc = FareyArc(q=q, a=a, half_width=hw)
-            lo, hi = arc.lo, arc.hi
-            if hi > lo:
-                intervals.append(_closed(lo, hi, arc))
-    intervals.sort(key=lambda piece: piece.lo)
-    return ArcUnion(
-        label=label or f"M({Q:g})",
-        intervals=tuple(intervals),
-        params={"Q": Q, "denom": denom, **(params or {})},
-    )
+    return _farey_family(label or f"M({Q:g})", int(math.floor(Q)), Fraction(Q) / denom, reach_is_q=False)
 
 
 def core_arcs(n: int, height: float | None = None, label: str = "N") -> ArcUnion:
@@ -378,22 +268,11 @@ def core_arcs(n: int, height: float | None = None, label: str = "N") -> ArcUnion
     q_cal = (math.log(n)) ** CORE_HEIGHT_EXPONENT if height is None else height
     if q_cal < 1:
         raise DomainError(f"core height must be >= 1, got {q_cal}")
-    width = Fraction(q_cal) / n
-    intervals: list[Piece] = []
-    for q in range(1, int(math.floor(q_cal)) + 1):
-        for a in range(0, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            arc = FareyArc(q=q, a=a, half_width=width)
-            lo, hi = arc.lo, arc.hi
-            if hi > lo:
-                intervals.append(_closed(lo, hi, arc))
-    intervals.sort(key=lambda piece: piece.lo)
-    return ArcUnion(label=label, intervals=tuple(intervals), params={"Q": q_cal, "denom": n})
+    return _farey_family(label, int(math.floor(q_cal)), Fraction(q_cal) / n, reach_is_q=True)
 
 
 def build_arc_union(label: str, n: int, k: int, **params) -> ArcUnion:
-    """Named dissections: M(Q), N, L, K, Kprime, P_slice(Y), all at scale n."""
+    """Named dissections: M(Q), N, L, K, Kprime, all at scale n."""
     P = kth_root_floor(n, k)
     if label == "M":
         return major_arcs(params["Q"], n, label=f"M({params['Q']:g})")
@@ -406,14 +285,22 @@ def build_arc_union(label: str, n: int, k: int, **params) -> ArcUnion:
         return major_arcs(n**0.4, n, label="K")
     if label == "Kprime":
         return major_arcs(0.5 * math.sqrt(n), n, label="Kprime")
-    if label == "P_slice":
-        y = params["Y"]
-        if not 0.5 <= y <= 0.25 * math.sqrt(n):
-            raise DomainError(f"slice height must lie in [1/2, sqrt(n)/4], got {y}")
-        outer = major_arcs(2 * y, n, label=f"M({2*y:g})")
-        inner = major_arcs(max(1.0, y), n, label=f"M({y:g})")
-        return outer.difference(inner, label=f"P({y:g})")
     raise DomainError(f"unknown arc-union label {label!r}")
+
+
+def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
+    """The slice P(Y) = M(2Y) minus M(Y) at scale n: its label, its mask on
+    the grid j/m and its measure.
+
+    Each arc of M(max(1, Y)) has the centre of an arc of M(2Y) and is no wider
+    (Y >= 1/2), so the slice measure is the exact difference of the two.
+    """
+    if not 0.5 <= Y <= 0.25 * math.sqrt(n):
+        raise DomainError(f"slice height must lie in [1/2, sqrt(n)/4], got {Y}")
+    outer = major_arcs(2 * Y, n)
+    inner = major_arcs(max(1.0, Y), n)
+    mask = outer.grid_mask(m) & ~inner.grid_mask(m)
+    return f"P({Y:g})", mask, float(outer.measure_exact() - inner.measure_exact())
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +483,17 @@ def major_arc_model_error(
     m = grid.size
     sup_err = 0.0
     points = 0
-    for (_, _, arc), j0, j1 in arcs_union.grid_spans(m):
-        if arc is None:
-            continue
-        center = float(arc.center)
+    for q, a, j0, j1 in arcs_union.grid_spans(m):
+        center = a / q
         for j in range(j0, j1 + 1):
             alpha = j / m
-            model = rho_hat * gauss_sum(arc.q, arc.a, k) / arc.q * v_poly(alpha - center, n, k)
+            model = rho_hat * gauss_sum(q, a, k) / q * v_poly(alpha - center, n, k)
             sup_err = max(sup_err, abs(f_vals[j] - model))
             points += 1
     return ModelErrorReport(
         n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
         sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=points, arcs=len(arcs_union.arcs),
+        points=points, arcs=len(arcs_union.intervals),
     )
 
 
@@ -713,7 +598,6 @@ class LevelClass:
 @dataclass(frozen=True)
 class LevelSetPartition:
     family: str  # "minor" (tiny/band over the minor arcs) or "slice" (per height slice)
-    base_label: str
     thresholds: dict
     classes: tuple[LevelClass, ...]
     warnings: tuple[str, ...] = ()
@@ -726,6 +610,13 @@ class LevelSetPartition:
             [c.label, c.measure, c.sup_g, c.sup_f, c.contribution_abs]
             for c in self.classes
         ]
+
+
+def _check_thresholds(**values: float | None) -> None:
+    """The band thresholds U and V divide n, so each must be finite and positive."""
+    for name, value in values.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 def _class_from_mask(label: str, mask: np.ndarray, g_abs, f_abs, weight, m: int) -> LevelClass:
@@ -745,7 +636,7 @@ def level_partition(
     k: int,
     s: int,
     theta: int,
-    base: ArcUnion,
+    base_mask: np.ndarray,
     g_values: np.ndarray,
     f_values: np.ndarray,
     *,
@@ -754,7 +645,7 @@ def level_partition(
     V: float | None = None,
     Q: float | None = None,
 ) -> LevelSetPartition:
-    """Classify the base set's grid points by the size of |g| (and then |f|).
+    """Classify the base set's grid points (base_mask) by the size of |g| (and then |f|).
 
     family="minor": tiny_g is |g| <= sqrt(n); the band is n/U <= |g| <= 2n/U,
     split at |f|^s = P^s/(U * L^3).  family="slice": small_g is |g| <= n/Q on a
@@ -763,12 +654,12 @@ def level_partition(
     partition the base exactly.  Thresholds outside the ranges the theory
     covers produce warnings, not errors.
     """
+    _check_thresholds(U=U, V=V)
     m = len(g_values)
     if len(f_values) != m:
         raise DomainError("g and f grids differ")
     P = kth_root_floor(n, k)
     L = big_l(n)
-    base_mask = base.grid_mask(m)
     g_abs = np.abs(g_values)
     f_abs = np.abs(f_values)
     weight = g_abs * f_abs**s
@@ -809,7 +700,7 @@ def level_partition(
         _class_from_mask(labels[3], rest, g_abs, f_abs, weight, m),
     )
     return LevelSetPartition(
-        family=family, base_label=base.label, thresholds=thresholds,
+        family=family, thresholds=thresholds,
         classes=classes, warnings=tuple(warnings),
     )
 
@@ -864,6 +755,7 @@ def dissection_ledger(
     envelope constants.  Thresholds default to values that keep the bands
     populated at desk scale; all of them are recorded in the output.
     """
+    _check_thresholds(U=U, V=V)
     grid = GridSpec.alias_free(n, s, oversample=oversample)
     m = grid.size
     f_spec, members = build_f_spectrum(n, k, R)
@@ -873,27 +765,26 @@ def dissection_ledger(
 
     height_label = "Kprime" if theta == 4 else "K"
     wide = build_arc_union(height_label, n, k)
-    minor = wide.complement("k" if theta == 5 else "kprime")
+    minor_label = "k" if theta == 5 else "kprime"
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
 
-    minor_mask = minor.grid_mask(m)
+    minor_mask = ~wide.grid_mask(m)
     g_abs = np.abs(g_vals)
     sup_g_minor = float(g_abs[minor_mask].max()) if minor_mask.any() else 0.0
     if U is None:
         U = min(math.sqrt(n), max(1.0, 2.0 * n / sup_g_minor if sup_g_minor else math.sqrt(n)))
-    part_minor = level_partition(n, k, s, theta, minor, g_vals, f_vals, family="minor", U=U)
+    part_minor = level_partition(n, k, s, theta, minor_mask, g_vals, f_vals, family="minor", U=U)
 
     if Q_slice is None:
         q_hi = 0.5 * n ** (2.0 / theta)
         Q_slice = max(kth_root_floor(n, k) ** PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
-    slice_union = build_arc_union("P_slice", n, k, Y=Q_slice)
-    slice_mask = slice_union.grid_mask(m)
+    slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
     sup_g_slice = float(g_abs[slice_mask].max()) if slice_mask.any() else 0.0
     if V is None:
         V = min(Q_slice, max(math.sqrt(Q_slice), 2.0 * n / sup_g_slice if sup_g_slice else Q_slice))
     part_slice = level_partition(
-        n, k, s, theta, slice_union, g_vals, f_vals, family="slice", V=V, Q=Q_slice
+        n, k, s, theta, slice_mask, g_vals, f_vals, family="slice", V=V, Q=Q_slice
     )
 
     cover = dyadic_band_cover(n, theta, g_vals, minor_mask)
@@ -907,11 +798,11 @@ def dissection_ledger(
         "grid_size": m,
         "smooth_count": len(members),
         "arc_unions": {
-            wide.label: {"measure": wide.measure(), "arcs": len(wide.arcs)},
-            minor.label: {"measure": minor.measure()},
-            pruned.label: {"measure": pruned.measure(), "arcs": len(pruned.arcs)},
-            core.label: {"measure": core.measure(), "arcs": len(core.arcs)},
-            slice_union.label: {"measure": slice_union.measure()},
+            wide.label: {"measure": wide.measure(), "arcs": len(wide.intervals)},
+            minor_label: {"measure": float(1 - wide.measure_exact())},
+            pruned.label: {"measure": pruned.measure(), "arcs": len(pruned.intervals)},
+            core.label: {"measure": core.measure(), "arcs": len(core.intervals)},
+            slice_label: {"measure": slice_measure},
         },
         "arcs_json": {
             wide.label: wide.to_json_arcs(),
@@ -947,12 +838,10 @@ def f_envelope_constant(
     P = kth_root_floor(n, k)
     scale = P * big_l(n) ** 3
     best = 0.0
-    for (_, _, arc), j0, j1 in pruned.grid_spans(m):
-        if arc is None:
-            continue
+    for q, a, j0, j1 in pruned.grid_spans(m):
         js = np.arange(j0, j1 + 1)
         alphas = js / m
-        ups = 1.0 / (arc.q + n * np.abs(arc.q * alphas - arc.a))
+        ups = 1.0 / (q + n * np.abs(q * alphas - a))
         ratio = np.abs(f_values[js]) / (scale * ups ** (1.0 / (2 * k)))
         best = max(best, float(ratio.max()))
     return {"scale": scale, "constant": best}

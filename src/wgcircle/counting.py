@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import kth_root_floor, sieve_primes
+from .arith import check_double_range, kth_root_floor, sieve_primes
 from .convolve import ConvStats, convolve_exact, fft_working_bytes, power
 from .errors import DomainError, ResourceError, ensure_memory
 from .series import singular_series_many
@@ -132,6 +132,15 @@ def count_conjugate(k: int, s: int, N: int, plan: ConvolutionPlan | None = None)
     return int(power_part[mask].sum())
 
 
+def gamma_factor(k: int, s: int) -> float:
+    """Gamma(1+1/k)^s / Gamma(s/k+1), the heuristic constant of the prediction."""
+    try:
+        denominator = math.gamma(s / k + 1.0)
+    except OverflowError:
+        raise DomainError(f"Gamma(s/k + 1) = Gamma({s / k + 1.0:g}) leaves the double range") from None
+    return math.gamma(1.0 + 1.0 / k) ** s / denominator
+
+
 def hl_prediction(k: int, s: int, n: int, series_value: float) -> float:
     """series(n) * Gamma(1+1/k)^s / Gamma(s/k+1) * n^(s/k) / log n.
 
@@ -140,8 +149,7 @@ def hl_prediction(k: int, s: int, n: int, series_value: float) -> float:
     """
     if n < 3:
         raise DomainError(f"prediction needs n >= 3, got {n}")
-    gamma_factor = math.gamma(1.0 + 1.0 / k) ** s / math.gamma(s / k + 1.0)
-    return series_value * gamma_factor * n ** (s / k) / math.log(n)
+    return series_value * gamma_factor(k, s) * n ** (s / k) / math.log(n)
 
 
 #: Column names of a comparison report, in CSV order.
@@ -191,11 +199,16 @@ def compare_report(
         raise DomainError(f"need 3 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
+    if k < 1 or s < 1:
+        raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
+    # the float routes divide by Gamma(s/k + 1) and by p^s (p - 1): refuse before any sieve or count
+    factor = gamma_factor(k, s)
+    check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",
+                       factor=prime_cutoff - 1)
     counts = count_range(k, s, n_hi, plan)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     series_vals = singular_series_many(ns, k, s, prime_cutoff)
-    gamma_factor = math.gamma(1.0 + 1.0 / k) ** s / math.gamma(s / k + 1.0)
-    preds = series_vals * gamma_factor * ns ** (s / k) / np.log(ns)
+    preds = series_vals * factor * ns ** (s / k) / np.log(ns)
     r = counts[ns]
     # int64 -> float64 and Python int -> float both round to nearest, so each
     # ratio is bit for bit the scalar r / pred

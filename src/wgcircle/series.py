@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, arith_tables, check_modulus, gauss_sums_all, mp_count, sieve_primes
+from .arith import (
+    ArithTables, arith_tables, check_double_range, check_modulus, gauss_sums_all, mp_count, sieve_primes,
+)
 from .errors import DomainError, InternalConsistencyError
 
 _DUAL_ROUTE_TOL = 1e-9
@@ -130,6 +132,7 @@ def series_partial(n: int, k: int, s: int, X: int, tables: ArithTables | None = 
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
     check_modulus(X)  # the largest modulus, checked before any work
+    check_double_range(X, s, f"modulus^s = {X}^{s}")  # s_n_q divides by q^s
     tables = arith_tables(X) if tables is None or tables.limit < X else tables
     total = 1 + 0j  # q = 1 term
     for q in range(2, X + 1):
@@ -175,7 +178,9 @@ def euler_product(
     """
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
-    check_modulus(max((prime_cutoff, *partial_xs)))  # the largest modulus, checked before any work
+    top = max((prime_cutoff, *partial_xs))  # the largest modulus, checked before any work
+    check_modulus(top)
+    check_double_range(top, s, f"modulus^s = {top}^{s}")  # s_n_q divides by q^s
     primes = sieve_primes(prime_cutoff).primes
     product = 1.0
     min_factor = math.inf

@@ -1,0 +1,90 @@
+"""Pointwise oracle for the Farey arc families of `wgcircle.circle`.
+
+This is the naive construction: loops over q and a with a gcd test, one
+Fraction interval per arc, clipped to [0, 1] and sorted by left endpoint.
+Membership of a point is tested arc by arc.  The tests compare the integer
+(q, a, r) families, their masks and exact measures against it.
+"""
+
+import bisect
+import math
+from fractions import Fraction
+
+import numpy as np
+
+
+def oracle_arcs(q_top: int, width: Fraction, reach_is_q: bool) -> list[tuple]:
+    """(lo, hi, q, a) of |alpha - a/q| <= half-width, (a, q) = 1, q <= q_top.
+
+    The half-width is width/q (major arcs) or width (core arcs).
+    """
+    arcs = []
+    for q in range(1, q_top + 1):
+        half = width if reach_is_q else width / q
+        for a in range(q + 1):
+            if math.gcd(a, q) != 1:
+                continue
+            center = Fraction(a, q)
+            arcs.append((max(Fraction(0), center - half), min(Fraction(1), center + half), q, a))
+    arcs.sort()
+    return arcs
+
+
+def major_oracle(Q: float, denom: int) -> list[tuple]:
+    return oracle_arcs(math.floor(Q), Fraction(Q) / denom, reach_is_q=False)
+
+
+def core_oracle(height: float, n: int) -> list[tuple]:
+    return oracle_arcs(math.floor(height), Fraction(height) / n, reach_is_q=True)
+
+
+def disjoint(arcs: list[tuple]) -> bool:
+    """Closed arcs sorted by lo are pairwise disjoint iff neighbours are."""
+    return all(hi1 < lo2 for (_, hi1, _, _), (lo2, _, _, _) in zip(arcs, arcs[1:]))
+
+
+def contains(arcs: list[tuple], x: Fraction) -> bool:
+    """x lies in some arc (arcs disjoint and sorted by lo)."""
+    i = bisect.bisect_right([lo for lo, _, _, _ in arcs], x) - 1
+    return i >= 0 and x <= arcs[i][1]
+
+
+def mask(arcs: list[tuple], m: int) -> np.ndarray:
+    """Pointwise membership of j/m for j in [0, m)."""
+    los = [lo for lo, _, _, _ in arcs]
+    out = np.zeros(m, dtype=bool)
+    for j in range(m):
+        x = Fraction(j, m)
+        i = bisect.bisect_right(los, x) - 1
+        out[j] = i >= 0 and x <= arcs[i][1]
+    return out
+
+
+def measure(arcs: list[tuple]) -> Fraction:
+    return sum((hi - lo for lo, hi, _, _ in arcs), Fraction(0))
+
+
+def gaps_measure(arcs: list[tuple]) -> Fraction:
+    """Exact measure of [0, 1] outside the (disjoint, sorted) arcs, gap by gap."""
+    edges = [Fraction(0)] + [x for lo, hi, _, _ in arcs for x in (lo, hi)] + [Fraction(1)]
+    return sum((right - left for left, right in zip(edges[0::2], edges[1::2])), Fraction(0))
+
+
+def measure_minus(outer: list[tuple], inner: list[tuple]) -> Fraction:
+    """Exact measure of the outer arcs less the (disjoint) inner arcs."""
+    total = Fraction(0)
+    for lo, hi, _, _ in outer:
+        total += hi - lo
+        for ilo, ihi, _, _ in inner:
+            total -= max(Fraction(0), min(hi, ihi) - max(lo, ilo))
+    return total
+
+
+def family_endpoints(union) -> list[tuple]:
+    """(lo, hi, q, a) read off a family's integers: (a*den -+ r*num)/(q*den), clipped."""
+    out = []
+    for q, a, r in union.intervals:
+        lo = Fraction(a * union.den - r * union.num, q * union.den)
+        hi = Fraction(a * union.den + r * union.num, q * union.den)
+        out.append((max(Fraction(0), lo), min(Fraction(1), hi), q, a))
+    return out

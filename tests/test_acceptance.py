@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from arc_oracle import core_oracle, family_endpoints, gaps_measure, major_oracle, measure, measure_minus
 from wgcircle import circle, counting, exponents, series
 from wgcircle import specialfn as sf
 from wgcircle.arith import arith_tables, sieve_primes
@@ -174,11 +175,24 @@ def test_criterion_9_prediction_desk_check():
 def test_criterion_10_dissection_ledger():
     with criterion(10, "arc dissection and level-set ledgers at n = 1e5", 600.0):
         n, k, s, theta = 10**5, 2, 3, 5
-        for label in ("K", "Kprime", "L", "N"):
-            union = circle.build_arc_union(label, n, k)
-            for (lo1, hi1, _), (lo2, hi2, _) in zip(union.intervals, union.intervals[1:]):
-                assert hi1 <= lo2  # exact Fraction comparison
+        oracles = {
+            "K": major_oracle(n**0.4, n),
+            "Kprime": major_oracle(0.5 * math.sqrt(n), n),
+            "L": major_oracle(max(1.0, circle.kth_root_floor(n, k) ** circle.PRUNED_HEIGHT_EXPONENT), n),
+            "N": core_oracle(math.log(n) ** circle.CORE_HEIGHT_EXPONENT, n),
+        }
+        for label, oracle in oracles.items():
+            arcs = family_endpoints(circle.build_arc_union(label, n, k))
+            assert arcs == oracle
+            for (_, hi1, _, _), (lo2, _, _, _) in zip(arcs, arcs[1:]):
+                assert hi1 < lo2  # exact Fraction comparison of closed arcs
         rep = circle.dissection_ledger(n, k, s, theta, R=2)
+        measures = rep["arc_unions"]
+        assert measures["K"]["measure"] == float(measure(oracles["K"]))
+        assert measures["k"]["measure"] == float(gaps_measure(oracles["K"]))
+        assert measures["L"]["measure"] == float(measure(oracles["L"]))
+        assert measures["N"]["measure"] == float(measure(oracles["N"]))
+        assert measures["P(16)"]["measure"] == float(measure_minus(major_oracle(32.0, n), major_oracle(16.0, n)))
         assert rep["minor_partition"]["measure_sum"] == pytest.approx(
             rep["minor_partition"]["base_measure"], abs=1e-9
         )

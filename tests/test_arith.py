@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -228,3 +229,19 @@ class TestMpCount:
     def test_composite_rejected(self):
         with pytest.raises(DomainError):
             arith.mp_count(9, 1, 2, 2)
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize("base, exponent, factor, fits", [
+        (2, 1023, 1, True), (2, 1024, 1, False), (10, 308, 1, True), (10, 308, 2, False),
+        (1000, 101, 999, True), (1000, 102, 999, False), (997, 101, 996, True), (997, 102, 996, False),
+        (1, 10**9, 1, True), (5, 10**9, 4, False),
+    ])
+    def test_matches_exact_comparison(self, base, exponent, factor, fits):
+        if exponent < 10**4:
+            assert fits == (base**exponent * factor <= sys.float_info.max)
+        if fits:
+            arith.check_double_range(base, exponent, "x", factor=factor)
+        else:
+            with pytest.raises(DomainError, match="leaves the double range"):
+                arith.check_double_range(base, exponent, "x", factor=factor)

@@ -6,6 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arc_oracle import (
+    contains, core_oracle, disjoint, family_endpoints, gaps_measure, major_oracle, mask, measure,
+    measure_minus,
+)
 from wgcircle import circle, counting
 from wgcircle.arith import sieve_primes, smooth_set
 from wgcircle.errors import AliasingError, DomainError
@@ -88,42 +92,54 @@ class TestUpsilon:
 class TestArcUnions:
     def test_unit_height_structure(self):
         union = circle.major_arcs(1.0, 100)
-        assert [(float(lo), float(hi)) for lo, hi, _ in union.intervals] == [(0.0, 0.01), (0.99, 1.0)]
+        assert family_endpoints(union) == major_oracle(1.0, 100)
+        assert [(float(lo), float(hi)) for lo, hi, _, _ in family_endpoints(union)] == [(0.0, 0.01), (0.99, 1.0)]
         assert union.measure() == pytest.approx(0.02)
-        assert [(arc.q, arc.a) for arc in union.arcs] == [(1, 0), (1, 1)]
+        assert [(q, a) for q, a, _ in union.intervals] == [(1, 0), (1, 1)]
 
     def test_measure_bound(self):
         for n, q in ((10**4, 4.0), (10**4, 16.0), (10**5, 50.0), (4 * 10**4, 9.0)):
             union = circle.major_arcs(q, n)
+            assert union.measure_exact() == measure(major_oracle(q, n))
             assert union.measure() <= 3 * q * q / n
 
     def test_disjointness_is_exact(self):
         union = circle.major_arcs(40.0, 10**4)
-        for (lo1, hi1, _), (lo2, hi2, _) in zip(union.intervals, union.intervals[1:]):
-            assert hi1 <= lo2  # Fractions: exact comparison
+        arcs = family_endpoints(union)
+        assert arcs == major_oracle(40.0, 10**4)
+        for (_, hi1, _, _), (lo2, _, _, _) in zip(arcs, arcs[1:]):
+            assert hi1 < lo2  # Fractions: exact comparison of closed arcs
+        for n, height in ((100, 30.0), (8, 2.0)):  # (8, 2): 0/1 and 1/2 share the point 1/4
+            with pytest.raises(DomainError, match="overlapping"):
+                circle.core_arcs(n, height=height)
+            assert not disjoint(core_oracle(height, n))
 
     def test_height_bound_enforced(self):
         with pytest.raises(DomainError):
             circle.major_arcs(51.0, 10**4)
 
     def test_slice_algebra(self):
-        n, y = 10**4, 8.0
+        n, y, m = 10**4, 8.0, 1 << 15
         outer = circle.major_arcs(2 * y, n)
         inner = circle.major_arcs(y, n)
-        sl = circle.build_arc_union("P_slice", n, 2, Y=y)
-        # disjoint from the inner set, union restores the outer set
-        assert (sl.measure_exact() + inner.measure_exact()) == outer.measure_exact()
-        assert sl.union(inner).same_point_set(outer)
-        for lo, hi, _ in sl.intervals:
-            assert not inner.contains((lo + hi) / 2)
+        label, sl, sl_measure = circle.height_slice(n, y, m)
+        assert label == "P(8)"
+        # disjoint from the inner set, together they restore the outer set
+        assert not (sl & inner.grid_mask(m)).any()
+        assert ((sl | inner.grid_mask(m)) == outer.grid_mask(m)).all()
+        exact = measure_minus(major_oracle(2 * y, n), major_oracle(y, n))
+        assert exact + inner.measure_exact() == outer.measure_exact()
+        assert sl_measure == float(exact)
 
     def test_complement_partitions_unit_interval(self):
         union = circle.major_arcs(5.0, 10**4)
-        comp = union.complement()
-        assert union.measure_exact() + comp.measure_exact() == Fraction(1)
+        oracle = major_oracle(5.0, 10**4)
+        # the minor-arc measure is 1 - measure_exact; the oracle sums the gaps
+        assert 1 - union.measure_exact() == gaps_measure(oracle)
         m = 4096
-        assert not (union.grid_mask(m) & comp.grid_mask(m)).any()
-        assert (union.grid_mask(m) | comp.grid_mask(m)).all()
+        minor = ~union.grid_mask(m)
+        assert (minor == ~mask(oracle, m)).all()
+        assert not (union.grid_mask(m) & minor).any() and (union.grid_mask(m) | minor).all()
 
     def test_named_unions(self):
         n = 10**4
@@ -134,31 +150,39 @@ class TestArcUnions:
 
     def test_core_arcs_desk_scale(self):
         union = circle.build_arc_union("N", 10**5, 2)
-        assert [(arc.q, arc.a) for arc in union.arcs] == [(1, 0), (1, 1)]
+        assert [(q, a) for q, a, _ in union.intervals] == [(1, 0), (1, 1)]
+        assert family_endpoints(union) == core_oracle(math.log(10**5) ** circle.CORE_HEIGHT_EXPONENT, 10**5)
+        wider = circle.core_arcs(10**5, height=5.5)
+        assert all(r == q for q, _, r in wider.intervals)
+        assert family_endpoints(wider) == core_oracle(5.5, 10**5)
+        assert wider.measure_exact() == measure(core_oracle(5.5, 10**5))
 
     def test_set_algebra_against_pointwise_oracle(self):
         import random
 
         rng = random.Random(17)
-        n = 5000
-        a = circle.major_arcs(12.0, n)
-        b = circle.major_arcs(5.0, n)
-        diff = a.difference(b)
-        comp = a.complement()
-        union = a.union(b)
+        n, m = 5000, 4 * 5000
+        a, b = major_oracle(12.0, n), major_oracle(6.0, n)
+        a_mask = circle.major_arcs(12.0, n).grid_mask(m)
+        b_mask = circle.major_arcs(6.0, n).grid_mask(m)
+        _, diff, _ = circle.height_slice(n, 6.0, m)
         for _ in range(3000):
-            x = Fraction(rng.randrange(0, 4 * n), 4 * n)
-            in_a, in_b = a.contains(x), b.contains(x)
-            assert diff.contains(x) == (in_a and not in_b)
-            assert comp.contains(x) == (not in_a)
-            assert union.contains(x) == (in_a or in_b)
+            j = rng.randrange(0, m)
+            in_a, in_b = contains(a, Fraction(j, m)), contains(b, Fraction(j, m))
+            assert a_mask[j] == in_a and b_mask[j] == in_b
+            assert diff[j] == (in_a and not in_b)
+            assert (~a_mask)[j] == (not in_a)
+            assert (a_mask | b_mask)[j] == (in_a or in_b)
 
     def test_grid_mask_matches_contains(self):
         n, m = 3000, 2048
         union = circle.major_arcs(9.0, n)
-        mask = union.grid_mask(m)
-        for j in range(0, m, 7):
-            assert bool(mask[j]) == union.contains(Fraction(j, m))
+        assert (union.grid_mask(m) == mask(major_oracle(9.0, n), m)).all()
+        for q, a, j0, j1 in union.grid_spans(m):
+            arc = [(lo, hi) for lo, hi, q2, a2 in major_oracle(9.0, n) if (q2, a2) == (q, a)]
+            (lo, hi), = arc
+            assert lo <= Fraction(j0, m) and Fraction(j1, m) <= hi
+            assert Fraction(j0 - 1, m) < lo and (Fraction(j1 + 1, m) > hi or j1 == m - 1)
 
     def test_difference_excludes_seam_points(self):
         # choose scales so the inner arc's endpoint lands exactly on a grid
@@ -166,23 +190,26 @@ class TestArcUnions:
         n, y, m = 1024, 2.0, 4096
         outer = circle.major_arcs(2 * y, n)
         inner = circle.major_arcs(y, n)
-        sl = outer.difference(inner)
+        _, sl, _ = circle.height_slice(n, y, m)
         seam = Fraction(2, 1024)  # right endpoint of the inner arc at 0
-        assert inner.contains(seam)
-        assert not sl.contains(seam)
-        assert not (sl.grid_mask(m) & inner.grid_mask(m)).any()
-        combined = sl.grid_mask(m) | inner.grid_mask(m)
+        j = int(seam * m)
+        assert contains(major_oracle(y, n), seam) and inner.grid_mask(m)[j]
+        assert not sl[j]
+        assert not (sl & inner.grid_mask(m)).any()
+        combined = sl | inner.grid_mask(m)
         assert (combined == outer.grid_mask(m)).all()
+        expected = mask(major_oracle(2 * y, n), m) & ~mask(major_oracle(y, n), m)
+        assert (sl == expected).all()
 
     def test_complement_seam_is_single_owner(self):
         n = 1024
         union = circle.major_arcs(2.0, n)
-        comp = union.complement()
         edge = Fraction(2, 1024)
-        assert union.contains(edge) and not comp.contains(edge)
         m = 4096
-        assert not (union.grid_mask(m) & comp.grid_mask(m)).any()
-        assert (union.grid_mask(m) | comp.grid_mask(m)).all()
+        j = int(edge * m)
+        assert contains(major_oracle(2.0, n), edge)
+        assert union.grid_mask(m)[j] and not (~union.grid_mask(m))[j]
+        assert (union.grid_mask(m) == mask(major_oracle(2.0, n), m)).all()
 
     def test_locate_matches_linear_scan(self):
         import random
@@ -360,7 +387,8 @@ def scene():
         "n": n, "k": k, "s": s, "theta": theta, "grid": grid,
         "f": circle.evaluate_on_grid(fspec, grid),
         "g": circle.evaluate_on_grid(gspec, grid),
-        "minor": circle.build_arc_union("K", n, k).complement(),
+        # the minor arcs k = [0, 1] minus K, as the ledger builds them
+        "minor": ~circle.build_arc_union("K", n, k).grid_mask(grid.size),
     }
 
 
@@ -370,7 +398,8 @@ class TestLevelSets:
             scene["n"], scene["k"], scene["s"], scene["theta"], scene["minor"],
             scene["g"], scene["f"], family="minor", U=20.0,
         )
-        base_measure = scene["minor"].grid_mask(scene["grid"].size).mean()
+        assert (scene["minor"] == ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["grid"].size)).all()
+        base_measure = scene["minor"].mean()
         assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
         labels = [c.label for c in part.classes]
         assert labels == ["tiny_g", "band_small_f", "band_large_f", "unbanded"]
@@ -400,26 +429,26 @@ class TestLevelSets:
     def test_slice_partition_is_exact(self, scene):
         n = scene["n"]
         q = 8.0
-        sl = circle.build_arc_union("P_slice", n, scene["k"], Y=q)
+        _, sl, _ = circle.height_slice(n, q, scene["grid"].size)
         part = circle.level_partition(
             n, scene["k"], scene["s"], scene["theta"], sl, scene["g"], scene["f"],
             family="slice", V=q / 2, Q=q,
         )
-        base_measure = sl.grid_mask(scene["grid"].size).mean()
+        base_measure = sl.mean()
         assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
         assert [c.label for c in part.classes] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_dyadic_cover(self, scene):
         cover = circle.dyadic_band_cover(
             scene["n"], scene["theta"], scene["g"],
-            scene["minor"].grid_mask(scene["grid"].size),
+            scene["minor"],
         )
         assert cover["uncovered"] == 0
         assert cover["bands"] >= 5
 
     def test_envelope_reports(self, scene):
         n = scene["n"]
-        env = circle.g_envelope_constant(n, scene["g"], scene["minor"].grid_mask(scene["grid"].size))
+        env = circle.g_envelope_constant(n, scene["g"], scene["minor"])
         assert env["constant"] > 0
         assert env["sup_g"] <= env["constant"] * env["scale"] + 1e-9
         fenv = circle.f_envelope_constant(n, scene["k"], scene["f"], circle.build_arc_union("L", n, scene["k"]))

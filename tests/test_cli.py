@@ -213,6 +213,33 @@ class TestFailureModes:
         assert "46400" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("threshold", [("--u", "0"), ("--v", "0"), ("--u", "-1"), ("--u", "nan"),
+                                           ("--v", "inf")])
+    def test_band_threshold_checked_up_front(self, capsys, threshold):
+        start = time.perf_counter()
+        code = main(["dissect", "--n", "4096", "--k", "2", "--s", "2", *threshold])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and positive" in err
+
+    @pytest.mark.parametrize("command", [
+        ("series", "--n", "100", "--k", "3", "--s", "120", "--cutoff", "1000"),
+        ("compare", "--k", "3", "--s", "120", "--lo", "1500", "--hi", "1500"),
+        ("compare", "--k", "1", "--s", "300", "--lo", "1500", "--hi", "1500", "--cutoff", "5"),
+    ])
+    def test_double_range_checked_up_front(self, capsys, command):
+        # modulus^s (series, compare) or Gamma(s/k + 1) (compare) past the largest double
+        start = time.perf_counter()
+        code = main(list(command))
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "leaves the double range" in err
+
+
 class TestCountPastInt64:
     def test_routes_agree_exactly(self, capsys):
         results = set()

@@ -2,12 +2,18 @@
 
 Each command runs in-process with ``--out`` and the digest of the written
 bytes must match ``golden_readme.json``.  The ``compare`` variants pin the
-JSON, plain and strided CSV forms of the comparison report as well.  Refactors that keep behaviour keep
-these digests; a change that moves one on purpose re-records the file with
+JSON, plain and strided CSV forms of the comparison report as well; the arc
+variants pin the arc lists and region measures of ``dissect --format json``
+(including slices whose seams land on grid points and an empty slice) and a
+``moments`` run over every integer height up to 8.  Refactors that keep
+behaviour keep these digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and says why in CHANGES.md.
+records the digest of every command whose key is missing from the file and
+never overwrites an existing key, so a refactor cannot re-pin changed bytes
+by accident.  To re-record a key on purpose, delete it from the file first,
+run the command above, and say why in CHANGES.md.
 """
 
 import hashlib
@@ -42,7 +48,17 @@ COMPARE_VARIANTS = {
                         "--stride", "7", "--format", "csv"],
 }
 
-GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS}
+ARC_VARIANTS = {
+    "dissect-json": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--theta", "5", "--format", "json"],
+    "dissect-json-theta4": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--theta", "4",
+                            "--format", "json"],
+    "dissect-seams": ["dissect", "--n", "1024", "--k", "2", "--s", "3", "--q-slice", "2", "--format", "json"],
+    "dissect-empty-slice": ["dissect", "--n", "4096", "--k", "2", "--s", "2", "--q-slice", "0.5",
+                            "--format", "json"],
+    "moments-qvalues": ["moments", "--P", "16", "--k", "2", "--t", "4.5", "--q-values", "1,2,3,4,5,6,7,8"],
+}
+
+GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS}
 
 
 def output_digest(argv: list[str], path: Path) -> str:
@@ -63,9 +79,19 @@ def test_compare_variant_bytes(name, tmp_path):
     assert output_digest(COMPARE_VARIANTS[name], tmp_path / "out") == expected
 
 
+@pytest.mark.parametrize("name", list(ARC_VARIANTS))
+def test_arc_variant_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(ARC_VARIANTS[name], tmp_path / "out") == expected
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import tempfile
 
+    digests = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: output_digest(argv, Path(tmp) / "out") for name, argv in GOLDEN_COMMANDS.items()}
+        for name, argv in GOLDEN_COMMANDS.items():
+            if name not in digests:
+                digests[name] = output_digest(argv, Path(tmp) / "out")
+                print(f"recorded {name}")
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")

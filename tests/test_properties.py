@@ -1,14 +1,17 @@
-"""Property tests: the power engine, the grid spans and the columnar CSV
-writer against plain oracles."""
+"""Property tests: the power engine, the Farey arc families and the columnar
+CSV writer against plain oracles."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arc_oracle
 from wgcircle import circle, convolve, serialize
+from wgcircle.errors import DomainError
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -59,36 +62,56 @@ def test_power_matches_repeated_convolution(hist, s, method, cyclic, out_len):
     assert got.dtype == (np.int64 if max(expected) < 2**63 else object)
 
 
-def _fractions(m: int):
-    """Sorted distinct endpoints, many of them exactly on the grid j/m."""
-    on_grid = st.integers(0, m).map(lambda j: Fraction(j, m))
-    off_grid = st.integers(0, 7 * m).map(lambda j: Fraction(j, 7 * m))
-    return st.lists(st.one_of(on_grid, off_grid), min_size=0, max_size=10, unique=True).map(sorted)
-
-
 @st.composite
-def unions(draw, m: int):
-    points = draw(_fractions(m))
-    pieces = []
-    for lo, hi in zip(points[0::2], points[1::2]):
-        pieces.append(circle.Piece(lo, hi, None, draw(st.booleans()), draw(st.booleans())))
-    return circle.ArcUnion(label="random", intervals=tuple(pieces))
+def families(draw):
+    """A Farey family at a dyadic denom, a grid m = denom * 2^t on which many
+    endpoints land exactly, and its height: an integer or not."""
+    e = draw(st.integers(4, 10))
+    denom, m = 2**e, 2 ** (e + draw(st.integers(0, 3)))
+    top = 0.5 * math.sqrt(denom)
+    height = draw(st.one_of(
+        st.integers(1, int(top)).map(float),
+        st.floats(1.0, top, allow_nan=False),
+        st.integers(4, int(4 * top)).map(lambda x: x / 4),
+    ))
+    return denom, m, height
 
 
 @PROPERTY_SETTINGS
-@given(data=st.data(), m=st.sampled_from([8, 12, 64, 100]))
-def test_grid_spans_match_contains(data, m):
-    a = data.draw(unions(m))
-    b = data.draw(unions(m))
-    for region in (a, b, a.complement(), a.difference(b), a.union(b), b.complement().difference(a)):
-        mask = np.zeros(m, dtype=bool)
-        for piece, j0, j1 in region.grid_spans(m):
-            assert 0 <= j0 <= j1 < m
-            assert not mask[j0 : j1 + 1].any()
-            assert all(piece.contains(Fraction(j, m)) for j in range(j0, j1 + 1))
-            mask[j0 : j1 + 1] = True
-        assert mask.tolist() == [region.contains(Fraction(j, m)) for j in range(m)]
-        assert (region.grid_mask(m) == mask).all()
+@given(family=families(), core=st.booleans(), slice_at=st.floats(0.0, 1.0))
+def test_grid_spans_match_contains(family, core, slice_at):
+    denom, m, height = family
+    if core:
+        oracle = arc_oracle.core_oracle(height, denom)
+        if not arc_oracle.disjoint(oracle):
+            with pytest.raises(DomainError, match="overlapping"):
+                circle.core_arcs(denom, height)
+            return
+        union = circle.core_arcs(denom, height)
+    else:
+        oracle = arc_oracle.major_oracle(height, denom)
+        union = circle.major_arcs(height, denom)
+    expected = arc_oracle.mask(oracle, m)
+    spans = np.zeros(m, dtype=bool)
+    arcs = {(q, a): (lo, hi) for lo, hi, q, a in oracle}
+    for q, a, j0, j1 in union.grid_spans(m):
+        lo, hi = arcs[q, a]
+        assert 0 <= j0 <= j1 < m
+        assert not spans[j0 : j1 + 1].any()
+        assert all(lo <= Fraction(j, m) <= hi for j in range(j0, j1 + 1))
+        spans[j0 : j1 + 1] = True
+    assert (spans == expected).all()
+    assert (union.grid_mask(m) == expected).all()
+    assert union.measure_exact() == arc_oracle.measure(oracle)
+    # its complement: the minor-arc mask and measure
+    assert (~union.grid_mask(m) == ~expected).all()
+    assert 1 - union.measure_exact() == arc_oracle.gaps_measure(oracle)
+    # a nested slice M(2Y) minus M(Y), Y in [1/2, sqrt(denom)/4]
+    y = 0.5 + slice_at * (0.25 * math.sqrt(denom) - 0.5)
+    outer, inner = arc_oracle.major_oracle(2 * y, denom), arc_oracle.major_oracle(max(1.0, y), denom)
+    _, sl, sl_measure = circle.height_slice(denom, y, m)
+    assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))).all()
+    assert sl_measure == float(arc_oracle.measure_minus(outer, inner))
 
 
 _CSV_FLOATS = st.one_of(
