@@ -166,14 +166,19 @@ def check_modulus(q: int) -> None:
         raise DomainError(f"modulus {q} outside the supported range [1, {MODULUS_LIMIT - 1}]")
 
 
-def check_double_range(base: int, exponent: int, what: str, factor: int = 1) -> None:
-    """Reject base^exponent * factor, which a float route divides by, past the largest double.
+def check_double_range(base: int, exponent: float, what: str, factor: int = 1) -> None:
+    """Reject base^exponent * factor, which a float route computes or divides by, past the largest double.
 
-    Bit lengths settle the clear cases without building a huge power.
+    Bit lengths settle the clear cases without building a huge power; an
+    integer exponent is then compared exactly, a fractional one in floats.
     """
-    if (exponent * (base.bit_length() - 1) + factor.bit_length() - 1 >= 1024
-            or base**exponent * factor > sys.float_info.max):
-        raise DomainError(f"{what} leaves the double range")
+    if exponent * (base.bit_length() - 1) + factor.bit_length() - 1 < 1024:
+        try:
+            if base**exponent * factor <= sys.float_info.max:
+                return
+        except OverflowError:
+            pass
+    raise DomainError(f"{what} leaves the double range")
 
 
 @lru_cache(maxsize=512)

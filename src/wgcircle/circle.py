@@ -24,6 +24,11 @@ difference) over these families, with exact measures.  The weight
 is attached to the unique covering arc of height sqrt(n)/2, located through
 continued-fraction convergents rather than a linear scan.
 
+The dissection ledger takes |g| and |f| once, at the base points of the
+minor arcs and of the height slice only; the level partitions, the band cover
+and the envelope constant work on those compressed arrays, from which a class
+mask selects the same points, in the same order, as from the full grid.
+
 Grid evaluation and classification are data-parallel over grid indices;
 reductions use numpy's fixed-order pairwise sums, so results are reproducible.
 """
@@ -38,7 +43,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import SmoothSet, gauss_sum, kth_root_floor, sieve_primes, smooth_set
+from .arith import SmoothSet, check_double_range, gauss_sum, kth_root_floor, sieve_primes, smooth_set
 from .errors import AliasingError, DomainError, ensure_memory
 from .specialfn import eta_value
 
@@ -511,6 +516,14 @@ class MomentResult:
     below_guaranteed_range: bool  # t < k + 1: outside the guaranteed regime
 
 
+def _moment_values(P: int, R: int, k: int, t: float, grid: GridSpec | None = None) -> tuple[GridSpec, np.ndarray]:
+    """The grid and f on it at denominator P^k, refused before the FFT when the
+    sums of |f|^t <= P^t over the grid could leave the double range."""
+    grid = grid or GridSpec.alias_free(P**k, 0, oversample=2)
+    check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {grid.size}", factor=grid.size)
+    return grid, evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], grid)
+
+
 def moment_v(
     P: int,
     R: int,
@@ -529,12 +542,8 @@ def moment_v(
     denom = P**k
     if not 1 <= Q <= 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
         raise DomainError(f"need 1 <= Q <= P^(k/2)/2, got Q={Q}")
-    spectrum = None
     if f_values is None:
-        ncap = denom
-        spectrum, _ = build_f_spectrum(ncap, k, R)
-        grid = grid or GridSpec.alias_free(ncap, 0, oversample=2)
-        f_values = evaluate_on_grid(spectrum, grid)
+        grid, f_values = _moment_values(P, R, k, t, grid)
     if grid is None:
         raise DomainError("grid must accompany precomputed f values")
     union = major_arcs(Q, denom)
@@ -554,16 +563,16 @@ def moment_v(
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
     """V(Q) over a dyadic ladder with log2 slopes and the reference 2*Delta_t/k."""
+    if P < 2 or k < 1:
+        raise DomainError(f"need P >= 2 and k >= 1, got P={P}, k={k}")
+    reference = 2.0 * eta_value(t / k)  # 2*Delta_t/k with Delta_t = k*eta(t/k)
     denom = P**k
     if q_values is None:
         q_values, q = [], 1.0
         while q <= 0.5 * math.sqrt(denom):
             q_values.append(q)
             q *= 2.0
-    ncap = denom
-    spectrum, _ = build_f_spectrum(ncap, k, R)
-    grid = GridSpec.alias_free(ncap, 0, oversample=2)
-    f_vals = evaluate_on_grid(spectrum, grid)
+    grid, f_vals = _moment_values(P, R, k, t)
     rows = []
     prev = None
     for q in q_values:
@@ -572,10 +581,9 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
         rows.append({"Q": q, "V": res.value, "measure": res.measure,
                      "boundary_error": res.boundary_error, "log2_ratio": slope})
         prev = res.value
-    reference = 2.0 * eta_value(t / k)
     return {
         "P": P, "R": R, "k": k, "t": t,
-        "reference_slope": reference,  # 2*Delta_t/k with Delta_t = k*eta(t/k)
+        "reference_slope": reference,
         "rows": rows,
         "below_guaranteed_range": t < k + 1,
     }
@@ -611,6 +619,12 @@ class LevelSetPartition:
             for c in self.classes
         ]
 
+    def to_report(self, base_measure: float) -> dict:
+        return {
+            "thresholds": self.thresholds, "warnings": list(self.warnings),
+            "measure_sum": self.measures_sum(), "base_measure": base_measure, "classes": self.to_csv_rows(),
+        }
+
 
 def _check_thresholds(**values: float | None) -> None:
     """The band thresholds U and V divide n, so each must be finite and positive."""
@@ -636,68 +650,58 @@ def level_partition(
     k: int,
     s: int,
     theta: int,
-    base_mask: np.ndarray,
-    g_values: np.ndarray,
-    f_values: np.ndarray,
+    g_abs: np.ndarray,
+    f_abs: np.ndarray,
+    m: int,
     *,
     family: str,
     U: float | None = None,
     V: float | None = None,
     Q: float | None = None,
 ) -> LevelSetPartition:
-    """Classify the base set's grid points (base_mask) by the size of |g| (and then |f|).
+    """Classify the base set's points by the size of |g| (and then |f|).
 
-    family="minor": tiny_g is |g| <= sqrt(n); the band is n/U <= |g| <= 2n/U,
-    split at |f|^s = P^s/(U * L^3).  family="slice": small_g is |g| <= n/Q on a
-    height slice, band n/V <= |g| <= 2n/V split at |f|^s = P^s/(V * L^4).
-    Points of the base in neither class land in "unbanded", so the classes
-    partition the base exactly.  Thresholds outside the ranges the theory
-    covers produce warnings, not errors.
+    g_abs and f_abs are |g| and |f| at the base set's points of the grid of
+    size m, in grid order.  family="minor": tiny_g is |g| <= sqrt(n); the band
+    is n/U <= |g| <= 2n/U, split at |f|^s = P^s/(U * L^3).  family="slice":
+    small_g is |g| <= n/Q on a height slice, band n/V <= |g| <= 2n/V split at
+    |f|^s = P^s/(V * L^4).  Points of the base in neither class land in
+    "unbanded", so the classes partition the base exactly.  Thresholds outside
+    the ranges the theory covers produce warnings, not errors.
     """
     _check_thresholds(U=U, V=V)
-    m = len(g_values)
-    if len(f_values) != m:
-        raise DomainError("g and f grids differ")
-    P = kth_root_floor(n, k)
+    if len(f_abs) != len(g_abs):
+        raise DomainError("g and f amplitudes differ in length")
     L = big_l(n)
-    g_abs = np.abs(g_values)
-    f_abs = np.abs(f_values)
-    weight = g_abs * f_abs**s
-    warnings: list[str] = []
-
     if family == "minor":
         if U is None:
             raise DomainError("minor-family partition needs U")
-        u_lo, u_hi = n ** (1.0 / theta) / L**5, math.sqrt(n)
-        if not u_lo <= U <= u_hi:
-            warnings.append(f"U={U:g} outside the covered range [{u_lo:g}, {u_hi:g}]")
-        first = base_mask & (g_abs <= math.sqrt(n))
-        band = base_mask & ~first & (g_abs >= n / U) & (g_abs <= 2 * n / U)
-        split = P**s / (U * L**3)
-        thresholds = {"U": U, "theta": theta, "f_split": split}
-        labels = ("tiny_g", "band_small_f", "band_large_f", "unbanded")
+        name, scale, first_label, first_cut = "U", U, "tiny_g", math.sqrt(n)
+        lo, hi, log_power = n ** (1.0 / theta) / L**5, math.sqrt(n), 3
+        thresholds = {"U": U, "theta": theta}
     elif family == "slice":
         if V is None or Q is None:
             raise DomainError("slice-family partition needs V and Q")
-        v_lo, v_hi = math.sqrt(Q) / L**5, Q
-        if not v_lo <= V <= v_hi:
-            warnings.append(f"V={V:g} outside the covered range [{v_lo:g}, {v_hi:g}]")
-        first = base_mask & (g_abs <= n / Q)
-        band = base_mask & ~first & (g_abs >= n / V) & (g_abs <= 2 * n / V)
-        split = P**s / (V * L**4)
-        thresholds = {"V": V, "Q": Q, "theta": theta, "f_split": split}
-        labels = ("small_g", "band_small_f", "band_large_f", "unbanded")
+        name, scale, first_label, first_cut = "V", V, "small_g", n / Q
+        lo, hi, log_power = math.sqrt(Q) / L**5, Q, 4
+        thresholds = {"V": V, "Q": Q, "theta": theta}
     else:
         raise DomainError(f"unknown level-set family {family!r}")
+    warnings = []
+    if not lo <= scale <= hi:
+        warnings.append(f"{name}={scale:g} outside the covered range [{lo:g}, {hi:g}]")
+    split = kth_root_floor(n, k) ** s / (scale * L**log_power)
+    thresholds["f_split"] = split
 
-    band_small = band & (f_abs**s <= split)
-    band_large = band & ~band_small
-    rest = base_mask & ~first & ~band
-    classes = (
-        _class_from_mask(labels[0], first, g_abs, f_abs, weight, m),
-        _class_from_mask(labels[1], band_small, g_abs, f_abs, weight, m),
-        _class_from_mask(labels[2], band_large, g_abs, f_abs, weight, m),
-        _class_from_mask(labels[3], rest, g_abs, f_abs, weight, m),
+    f_pow = f_abs**s
+    first = g_abs <= first_cut
+    band = ~first & (g_abs >= n / scale) & (g_abs <= 2 * n / scale)
+    band_small = band & (f_pow <= split)
+    labels = (first_label, "band_small_f", "band_large_f", "unbanded")
+    masks = (first, band_small, band & ~band_small, ~first & ~band)
+    weight = g_abs * f_pow
+    classes = tuple(
+        _class_from_mask(label, mask, g_abs, f_abs, weight, m) for label, mask in zip(labels, masks)
     )
     return LevelSetPartition(
         family=family, thresholds=thresholds,
@@ -705,35 +709,32 @@ def level_partition(
     )
 
 
-def dyadic_band_cover(n: int, theta: int, g_values: np.ndarray, base_mask: np.ndarray) -> dict:
+def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray) -> dict:
     """Check that O(log n) dyadic bands cover the base points with |g| > sqrt(n).
 
-    Bands are n/U <= |g| <= 2n/U for U halving from sqrt(n) down to
-    n^(1/theta)/L^5; consecutive bands share an endpoint, so coverage can fail
-    only above the top band (a point would contradict the prime-sum envelope
-    at scale; at desk scale it simply reports).
+    g_abs is |g| at the base points.  Bands are n/U <= |g| <= 2n/U for U
+    halving from sqrt(n) down to n^(1/theta)/L^5 (at most 200 bands).
+    Consecutive bands share an endpoint exactly in floating point (n/(U/2)
+    and 2n/U round the same quotient), so together they are the one interval
+    from n/sqrt(n) to 2n/U_last, and coverage can fail only above the top band
+    (a point would contradict the prime-sum envelope at scale; at desk scale
+    it simply reports).
     """
-    L = big_l(n)
-    u_min = n ** (1.0 / theta) / L**5
-    g_abs = np.abs(g_values)
-    over = base_mask & (g_abs > math.sqrt(n))
-    covered = np.zeros_like(over)
-    bands = 0
-    u = math.sqrt(n)
+    u_min = n ** (1.0 / theta) / big_l(n) ** 5
+    bands, u, top = 0, math.sqrt(n), None
     while u >= u_min and bands < 200:
-        covered |= over & (g_abs >= n / u) & (g_abs <= 2 * n / u)
+        top = 2 * n / u
         u /= 2.0
         bands += 1
-    uncovered = int((over & ~covered).sum())
-    return {"bands": bands, "points_above_tiny": int(over.sum()), "uncovered": uncovered}
+    over = g_abs > math.sqrt(n)
+    uncovered = over if top is None else over & ~((g_abs >= n / math.sqrt(n)) & (g_abs <= top))
+    return {"bands": bands, "points_above_tiny": int(over.sum()), "uncovered": int(uncovered.sum())}
 
 
-def g_envelope_constant(n: int, g_values: np.ndarray, base_mask: np.ndarray) -> dict:
+def g_envelope_constant(n: int, sup_g: float) -> dict:
     """Empirical C with sup |g| on the base <= C * n^(4/5) * L^4 (reported, not asserted)."""
-    g_abs = np.abs(g_values)
-    sup = float(g_abs[base_mask].max()) if base_mask.any() else 0.0
     scale = n**0.8 * big_l(n) ** 4
-    return {"sup_g": sup, "scale": scale, "constant": sup / scale}
+    return {"sup_g": sup_g, "scale": scale, "constant": sup_g / scale}
 
 
 def dissection_ledger(
@@ -755,41 +756,41 @@ def dissection_ledger(
     envelope constants.  Thresholds default to values that keep the bands
     populated at desk scale; all of them are recorded in the output.
     """
+    if k < 1 or s < 1:
+        raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
     _check_thresholds(U=U, V=V)
     grid = GridSpec.alias_free(n, s, oversample=oversample)
     m = grid.size
+    # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
+    P = kth_root_floor(n, k)
+    check_double_range(P, s, f"P^s * 2n * grid size = {P}^{s} * {2 * n} * {m}", factor=2 * n * m)
     f_spec, members = build_f_spectrum(n, k, R)
     g_spec = build_g_spectrum(n)
     f_vals = evaluate_on_grid(f_spec, grid)
     g_vals = evaluate_on_grid(g_spec, grid)
 
-    height_label = "Kprime" if theta == 4 else "K"
-    wide = build_arc_union(height_label, n, k)
+    wide = build_arc_union("Kprime" if theta == 4 else "K", n, k)
     minor_label = "k" if theta == 5 else "kprime"
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
 
+    # |g| and |f| once, at the base points of each family only
     minor_mask = ~wide.grid_mask(m)
-    g_abs = np.abs(g_vals)
-    sup_g_minor = float(g_abs[minor_mask].max()) if minor_mask.any() else 0.0
+    g_minor, f_minor = np.abs(g_vals[minor_mask]), np.abs(f_vals[minor_mask])
+    sup_g_minor = float(g_minor.max()) if len(g_minor) else 0.0
     if U is None:
         U = min(math.sqrt(n), max(1.0, 2.0 * n / sup_g_minor if sup_g_minor else math.sqrt(n)))
-    part_minor = level_partition(n, k, s, theta, minor_mask, g_vals, f_vals, family="minor", U=U)
+    part_minor = level_partition(n, k, s, theta, g_minor, f_minor, m, family="minor", U=U)
 
     if Q_slice is None:
         q_hi = 0.5 * n ** (2.0 / theta)
-        Q_slice = max(kth_root_floor(n, k) ** PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
+        Q_slice = max(P**PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
     slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
-    sup_g_slice = float(g_abs[slice_mask].max()) if slice_mask.any() else 0.0
+    g_slice, f_slice = np.abs(g_vals[slice_mask]), np.abs(f_vals[slice_mask])
+    sup_g_slice = float(g_slice.max()) if len(g_slice) else 0.0
     if V is None:
         V = min(Q_slice, max(math.sqrt(Q_slice), 2.0 * n / sup_g_slice if sup_g_slice else Q_slice))
-    part_slice = level_partition(
-        n, k, s, theta, slice_mask, g_vals, f_vals, family="slice", V=V, Q=Q_slice
-    )
-
-    cover = dyadic_band_cover(n, theta, g_vals, minor_mask)
-    g_env = g_envelope_constant(n, g_vals, minor_mask)
-    f_env = f_envelope_constant(n, k, f_vals, pruned)
+    part_slice = level_partition(n, k, s, theta, g_slice, f_slice, m, family="slice", V=V, Q=Q_slice)
 
     csv_rows = [["minor/" + row[0], *row[1:]] for row in part_minor.to_csv_rows()]
     csv_rows += [["slice/" + row[0], *row[1:]] for row in part_slice.to_csv_rows()]
@@ -809,30 +810,16 @@ def dissection_ledger(
             pruned.label: pruned.to_json_arcs(),
             core.label: core.to_json_arcs(),
         },
-        "minor_partition": {
-            "thresholds": part_minor.thresholds,
-            "warnings": list(part_minor.warnings),
-            "measure_sum": part_minor.measures_sum(),
-            "base_measure": float(minor_mask.sum()) / m,
-            "classes": part_minor.to_csv_rows(),
-        },
-        "slice_partition": {
-            "thresholds": part_slice.thresholds,
-            "warnings": list(part_slice.warnings),
-            "measure_sum": part_slice.measures_sum(),
-            "base_measure": float(slice_mask.sum()) / m,
-            "classes": part_slice.to_csv_rows(),
-        },
-        "covering": cover,
-        "g_envelope": g_env,
-        "f_envelope": f_env,
+        "minor_partition": part_minor.to_report(len(g_minor) / m),
+        "slice_partition": part_slice.to_report(len(g_slice) / m),
+        "covering": dyadic_band_cover(n, theta, g_minor),
+        "g_envelope": g_envelope_constant(n, sup_g_minor),
+        "f_envelope": f_envelope_constant(n, k, f_vals, pruned),
         "csv_rows": csv_rows,
     }
 
 
-def f_envelope_constant(
-    n: int, k: int, f_values: np.ndarray, pruned: ArcUnion
-) -> dict:
+def f_envelope_constant(n: int, k: int, f_values: np.ndarray, pruned: ArcUnion) -> dict:
     """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs."""
     m = len(f_values)
     P = kth_root_floor(n, k)

@@ -26,7 +26,7 @@ def _resolve_r(args, P: int) -> int:
     eta_exp = args.r_eta if args.r_eta is not None else 0.125
     if not 0.0 < eta_exp <= _R_ETA_MAX:
         raise WgcircleError(f"--r-eta must lie in (0, 1/7], got {eta_exp}")
-    return max(2, int(P**eta_exp))
+    return max(2, int(max(P, 1) ** eta_exp))  # R = 2 for every P < 2, which callers refuse
 
 
 def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None, csv_columns=None) -> None:

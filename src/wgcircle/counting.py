@@ -201,10 +201,11 @@ def compare_report(
         raise DomainError(f"stride must be >= 1, got {stride}")
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
-    # the float routes divide by Gamma(s/k + 1) and by p^s (p - 1): refuse before any sieve or count
+    # the float routes divide by Gamma(s/k + 1) and p^s (p - 1) and scale by n^(s/k): refuse before any count
     factor = gamma_factor(k, s)
     check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",
                        factor=prime_cutoff - 1)
+    check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
     counts = count_range(k, s, n_hi, plan)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     series_vals = singular_series_many(ns, k, s, prime_cutoff)

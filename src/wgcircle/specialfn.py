@@ -40,9 +40,10 @@ THETA_VALUES = (4, 5)
 TAU_SIGMA_DOMAIN = (1.25, 3.0)
 BIG_E_DOMAIN = (1.5, 3.0)
 
-# Beyond this t the lower bracket endpoint 1e-300 no longer straddles the
-# root; eta(t) = e^(1-t) * e^(-eta) is then exact to relative error ~ eta.
-_ETA_ASYMPTOTIC_T = 600.0
+# Beyond t ~ 142 the Newton polish, started from a bracket 1e-3 wide around
+# a root near e^(1-t), runs out of max_iter halvings; from this t on,
+# eta(t) = e^(1-t) * e^(-eta) is e^(1-t) to relative error ~ eta < 1e-60.
+_ETA_ASYMPTOTIC_T = 140.0
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def eta(t: float, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> EtaPoint:
     """Solve eta + log eta = 1 - t for the unique root in (0, 1).
 
     Returns the value together with the derivative -eta/(1+eta).  The map is
-    a strictly decreasing bijection of (0, inf) onto (0, 1).  For t > 600 the
-    asymptotic form e^(1-t) is used (relative error below 1e-250).  Beyond
+    a strictly decreasing bijection of (0, inf) onto (0, 1).  For t > 140 the
+    asymptotic form e^(1-t) is used (relative error below 1e-60).  Beyond
     t ~ 709.4, where e^(1-t) drops below the smallest normal double and would
     keep ever fewer significant bits, DomainError is raised.
     """

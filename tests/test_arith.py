@@ -245,3 +245,16 @@ class TestDoubleRange:
         else:
             with pytest.raises(DomainError, match="leaves the double range"):
                 arith.check_double_range(base, exponent, "x", factor=factor)
+
+    @pytest.mark.parametrize("base, exponent, factor, fits", [
+        (10, 308.25, 1, True), (10, 308.3, 1, False), (2, 1023.5, 1, True), (2, 1023.5, 2, False),
+        (1500, 50.5, 1, True), (1500, 100.0, 1, False), (40, 180.0, 4096, True), (40, 1000.0, 4096, False),
+        (3, 10.0**9, 1, False),
+    ])
+    def test_fractional_exponent(self, base, exponent, factor, fits):
+        # a float power, as n^(s/k) and P^t are computed, raises past the largest double
+        if fits:
+            arith.check_double_range(base, exponent, "x", factor=factor)
+        else:
+            with pytest.raises(DomainError, match="leaves the double range"):
+                arith.check_double_range(base, exponent, "x", factor=factor)

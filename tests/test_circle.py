@@ -392,11 +392,16 @@ def scene():
     }
 
 
+def base_amplitudes(scene, mask):
+    """|g| and |f| at the base points, as the ledger computes them."""
+    return np.abs(scene["g"][mask]), np.abs(scene["f"][mask])
+
+
 class TestLevelSets:
     def test_minor_partition_is_exact(self, scene):
         part = circle.level_partition(
-            scene["n"], scene["k"], scene["s"], scene["theta"], scene["minor"],
-            scene["g"], scene["f"], family="minor", U=20.0,
+            scene["n"], scene["k"], scene["s"], scene["theta"],
+            *base_amplitudes(scene, scene["minor"]), scene["grid"].size, family="minor", U=20.0,
         )
         assert (scene["minor"] == ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["grid"].size)).all()
         base_measure = scene["minor"].mean()
@@ -410,7 +415,7 @@ class TestLevelSets:
         n, s = scene["n"], scene["s"]
         u = 20.0
         part = circle.level_partition(
-            n, scene["k"], s, scene["theta"], scene["minor"], scene["g"], scene["f"],
+            n, scene["k"], s, scene["theta"], *base_amplitudes(scene, scene["minor"]), scene["grid"].size,
             family="minor", U=u,
         )
         gentle = part.classes[1]
@@ -420,8 +425,8 @@ class TestLevelSets:
     def test_low_band_empty(self, scene):
         # a band threshold below the covered range forces |g| >= n/U > sup g
         part = circle.level_partition(
-            scene["n"], scene["k"], scene["s"], scene["theta"], scene["minor"],
-            scene["g"], scene["f"], family="minor", U=1e-6,
+            scene["n"], scene["k"], scene["s"], scene["theta"],
+            *base_amplitudes(scene, scene["minor"]), scene["grid"].size, family="minor", U=1e-6,
         )
         assert part.warnings
         assert part.classes[1].points == 0 and part.classes[2].points == 0
@@ -431,7 +436,7 @@ class TestLevelSets:
         q = 8.0
         _, sl, _ = circle.height_slice(n, q, scene["grid"].size)
         part = circle.level_partition(
-            n, scene["k"], scene["s"], scene["theta"], sl, scene["g"], scene["f"],
+            n, scene["k"], scene["s"], scene["theta"], *base_amplitudes(scene, sl), scene["grid"].size,
             family="slice", V=q / 2, Q=q,
         )
         base_measure = sl.mean()
@@ -440,15 +445,14 @@ class TestLevelSets:
 
     def test_dyadic_cover(self, scene):
         cover = circle.dyadic_band_cover(
-            scene["n"], scene["theta"], scene["g"],
-            scene["minor"],
+            scene["n"], scene["theta"], base_amplitudes(scene, scene["minor"])[0],
         )
         assert cover["uncovered"] == 0
         assert cover["bands"] >= 5
 
     def test_envelope_reports(self, scene):
         n = scene["n"]
-        env = circle.g_envelope_constant(n, scene["g"], scene["minor"])
+        env = circle.g_envelope_constant(n, float(base_amplitudes(scene, scene["minor"])[0].max()))
         assert env["constant"] > 0
         assert env["sup_g"] <= env["constant"] * env["scale"] + 1e-9
         fenv = circle.f_envelope_constant(n, scene["k"], scene["f"], circle.build_arc_union("L", n, scene["k"]))

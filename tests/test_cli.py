@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import math
 import time
+import warnings
 
 import pytest
 
@@ -228,16 +230,46 @@ class TestFailureModes:
         ("series", "--n", "100", "--k", "3", "--s", "120", "--cutoff", "1000"),
         ("compare", "--k", "3", "--s", "120", "--lo", "1500", "--hi", "1500"),
         ("compare", "--k", "1", "--s", "300", "--lo", "1500", "--hi", "1500", "--cutoff", "5"),
+        ("compare", "--k", "1", "--s", "100", "--lo", "1500", "--hi", "1500", "--cutoff", "5"),
+        ("dissect", "--n", "100000", "--k", "2", "--s", "400"),
+        ("moments", "--P", "40", "--k", "2", "--t", "1000"),
     ])
     def test_double_range_checked_up_front(self, capsys, command):
-        # modulus^s (series, compare) or Gamma(s/k + 1) (compare) past the largest double
+        # modulus^s (series, compare), Gamma(s/k + 1) or n^(s/k) (compare), P^s times the
+        # contribution bound (dissect) or P^t times the grid size (moments) past the largest double
         start = time.perf_counter()
-        code = main(list(command))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(list(command))
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "leaves the double range" in err
+
+    @pytest.mark.parametrize("s", ["-2", "0"])
+    def test_dissect_s_checked_up_front(self, capsys, s):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dissect", "--n", "100000", "--k", "2", "--s", s])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: need k, s >= 1, got k=2, s={s}\n"
+
+    @pytest.mark.parametrize("P", ["-3", "1"])
+    def test_moments_needs_P_two(self, capsys, P):
+        # a negative P once reached P**(1/8) in the default R and raised TypeError
+        code = main(["moments", "--P", P, "--k", "3", "--t", "4.5"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: need P >= 2 and k >= 1, got P={P}, k=3\n"
+
+    def test_eta_past_the_solver_range_is_solved(self, capsys):
+        # t = 300 lies where the bisection-Newton solver once ran out of iterations
+        code, out = run_cli(capsys, "eta", "--t", "300")
+        assert code == 0
+        assert json.loads(out)["eta"] == pytest.approx(math.exp(-299.0), rel=1e-15)
 
 
 class TestCountPastInt64:

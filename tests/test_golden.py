@@ -4,9 +4,11 @@ Each command runs in-process with ``--out`` and the digest of the written
 bytes must match ``golden_readme.json``.  The ``compare`` variants pin the
 JSON, plain and strided CSV forms of the comparison report as well; the arc
 variants pin the arc lists and region measures of ``dissect --format json``
-(including slices whose seams land on grid points and an empty slice) and a
-``moments`` run over every integer height up to 8.  Refactors that keep
-behaviour keep these digests.
+(including slices whose seams land on grid points and an empty slice), the
+level-set ledgers of ``dissect`` with band thresholds inside and outside the
+covered ranges, oversampled and in plain form, and a ``moments`` run over
+every integer height up to 8.  Refactors that keep behaviour keep these
+digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -56,6 +58,15 @@ ARC_VARIANTS = {
     "dissect-empty-slice": ["dissect", "--n", "4096", "--k", "2", "--s", "2", "--q-slice", "0.5",
                             "--format", "json"],
     "moments-qvalues": ["moments", "--P", "16", "--k", "2", "--t", "4.5", "--q-values", "1,2,3,4,5,6,7,8"],
+    # band thresholds inside the covered ranges, then outside them (warnings present)
+    "dissect-uv-inside": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--u", "200", "--v", "12",
+                          "--format", "json"],
+    "dissect-uv-outside": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--u", "1000", "--v", "40",
+                           "--format", "json"],
+    "dissect-oversample2": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--oversample", "2",
+                            "--format", "json"],
+    "dissect-theta4-plain": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--theta", "4",
+                             "--format", "plain"],
 }
 
 GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS}

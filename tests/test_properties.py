@@ -1,5 +1,5 @@
-"""Property tests: the power engine, the Farey arc families and the columnar
-CSV writer against plain oracles."""
+"""Property tests: the power engine, the Farey arc families, the level sets
+and the columnar CSV writer against plain oracles."""
 
 import math
 from fractions import Fraction
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arc_oracle
+import level_oracle
 from wgcircle import circle, convolve, serialize
 from wgcircle.errors import DomainError
 
@@ -112,6 +113,105 @@ def test_grid_spans_match_contains(family, core, slice_at):
     _, sl, sl_measure = circle.height_slice(denom, y, m)
     assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))).all()
     assert sl_measure == float(arc_oracle.measure_minus(outer, inner))
+
+
+def _near(values):
+    """Each value with its two float neighbours: on a cut and just either side."""
+    return [x for v in values for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+_PHASES = np.array([1, -1, 1j, -1j])  # |amplitude * phase| == amplitude exactly
+
+
+@st.composite
+def grid_values(draw, pool, top):
+    """Complex grid values whose amplitudes come from the pool or [0, top],
+    and a base mask over the grid (possibly empty)."""
+    m = draw(st.integers(1, 48))
+    amps = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(0.0, top)), min_size=m, max_size=m))
+    phases = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    base = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return np.array(amps) * _PHASES[phases], np.array(base, dtype=bool)
+
+
+def _level_pair(n, k, s, theta, family, scale, Q, g, f, base):
+    """The amplitude-based partition of the base points and the full-grid oracle's."""
+    params = {"U": scale} if family == "minor" else {"V": scale, "Q": Q}
+    got = circle.level_partition(n, k, s, theta, np.abs(g[base]), np.abs(f[base]), len(g),
+                                 family=family, **params)
+    return got, level_oracle.level_partition(n, k, s, theta, base, g, f, family=family, **params)
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=st.sampled_from(("minor", "slice")),
+    n=st.integers(16, 10**7),
+    k=st.integers(1, 3),
+    s=st.integers(1, 5),
+    theta=st.sampled_from((4, 5)),
+    scale=st.floats(1e-6, 1e6),
+    Q=st.floats(0.5, 1e4),
+    data=st.data(),
+)
+def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale, Q, data):
+    # U or V inside and outside the covered range; |g| on every g cut, |f|^s on the f split
+    P, L = circle.kth_root_floor(n, k), circle.big_l(n)
+    first_cut, log_power = (math.sqrt(n), 3) if family == "minor" else (n / Q, 4)
+    split = P**s / (scale * L**log_power)
+    g, base = data.draw(grid_values(_near([first_cut, n / scale, 2 * n / scale]) + [0.0], 3.0 * n))
+    f_pool = _near([split ** (1.0 / s)]) + [0.0, float(P)]
+    f = data.draw(st.lists(st.one_of(st.sampled_from(f_pool), st.floats(0.0, float(P))),
+                           min_size=len(g), max_size=len(g)))
+    got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, np.array(f, dtype=complex), base)
+    assert got == expected
+    assert sum(c.points for c in got.classes) == int(base.sum())
+
+
+def _band_edges(n, theta):
+    u_min = n ** (1.0 / theta) / circle.big_l(n) ** 5
+    us, u = [], math.sqrt(n)
+    while u >= u_min and len(us) < 200:
+        us.append(u)
+        u /= 2.0
+    return [math.sqrt(n)] + [n / u for u in us] + [2 * n / u for u in us]
+
+
+@PROPERTY_SETTINGS
+@given(n=st.one_of(st.integers(2, 10**8), st.integers(2**500, 2**700)), theta=st.integers(1, 8),
+       data=st.data())
+def test_dyadic_band_cover_matches_band_by_band_oracle(n, theta, data):
+    # huge n reaches the 200-band cap; theta = 1 can leave no band at all
+    g, base = data.draw(grid_values(_near(_band_edges(n, theta)), 4.0 * n))
+    got = circle.dyadic_band_cover(n, theta, np.abs(g[base]))
+    assert got == level_oracle.dyadic_band_cover(n, theta, g, base)
+
+
+def test_level_set_edge_cases_match_oracle():
+    n, k, s, theta, scale, Q = 10**5, 2, 1, 5, 50.0, 16.0
+    P, L = circle.kth_root_floor(n, k), circle.big_l(n)
+    for family, first_cut, log_power in (("minor", math.sqrt(n), 3), ("slice", n / Q, 4)):
+        # every point exactly on a cut (s = 1 puts |f| on the split itself), then an empty base
+        split = P / (scale * L**log_power)
+        g = np.array([first_cut, n / scale, 2 * n / scale, 2 * n / scale, n / scale], dtype=complex)
+        f = np.array([split, split, split, 0.0, float(P)], dtype=complex)
+        for base in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
+            got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base)
+            assert got == expected
+            assert all(c.points == 0 for c in got.classes) == (not base.any())
+    # the 200-band cap, with points on the top edge and just above it
+    n, theta = 2**700, 8
+    top = _band_edges(n, theta)[-1]
+    g = np.array(_near([top, math.sqrt(n)]), dtype=complex)
+    base = np.ones(len(g), dtype=bool)
+    got = circle.dyadic_band_cover(n, theta, np.abs(g))
+    assert got == level_oracle.dyadic_band_cover(n, theta, g, base)
+    assert got["bands"] == 200 and got["uncovered"] == 1
+    # at this n the lowest band starts at n/sqrt(n), a float above sqrt(n): a point there is covered
+    n = 100008
+    g = np.array(_near([n / math.sqrt(n)]), dtype=complex)
+    got = circle.dyadic_band_cover(n, 5, np.abs(g))
+    assert got == level_oracle.dyadic_band_cover(n, 5, g, np.ones(len(g), dtype=bool))
+    assert n / math.sqrt(n) > math.sqrt(n) and got["points_above_tiny"] >= 2 and got["uncovered"] == 0
 
 
 _CSV_FLOATS = st.one_of(

@@ -77,6 +77,15 @@ class TestEta:
         # residual in the exponential form: u * e^u should equal e^(1-t)
         assert u * math.exp(u) == pytest.approx(math.exp(1 - 650.0), rel=1e-12)
 
+    def test_scan_to_the_underflow_limit_raises_nothing(self):
+        # step 0.01 up to 709.39, the last such t before e^(1-t) leaves the normal doubles;
+        # the solver once failed for most t in (142, 600]
+        prev = 1.0
+        for i in range(1, 70940):
+            u = sf.eta(i / 100).eta
+            assert 0.0 < u < prev
+            prev = u
+
     def test_tiny_t_stays_below_one(self):
         u = sf.eta(1e-9).eta
         assert 0.999 < u < 1.0
