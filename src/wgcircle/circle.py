@@ -524,6 +524,28 @@ def _moment_values(P: int, R: int, k: int, t: float, grid: GridSpec | None = Non
     return grid, evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], grid)
 
 
+def _check_height(Q: float, denom: int) -> None:
+    if not 1 <= Q <= 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
+        raise DomainError(f"need 1 <= Q <= P^(k/2)/2, got Q={Q}")
+
+
+def _moment_row(P: int, R: int, Q: float, t: float, k: int, grid: GridSpec, f_values: np.ndarray,
+                sup_t: float) -> MomentResult:
+    """moment_v on computed f values, given max |f|^t over their grid."""
+    union = major_arcs(Q, P**k)
+    mask = union.grid_mask(grid.size)
+    amps = np.abs(f_values[mask]) ** t
+    value = float(amps.sum() / grid.size)
+    return MomentResult(
+        P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
+        value=value,
+        boundary_error=union.endpoint_count() * sup_t / grid.size,
+        measure=float(mask.sum()) / grid.size,
+        points=int(mask.sum()),
+        below_guaranteed_range=t < k + 1,
+    )
+
+
 def moment_v(
     P: int,
     R: int,
@@ -539,26 +561,13 @@ def moment_v(
     Precomputed f values (from the matching grid) avoid repeated FFTs in
     dyadic sweeps.
     """
-    denom = P**k
-    if not 1 <= Q <= 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
-        raise DomainError(f"need 1 <= Q <= P^(k/2)/2, got Q={Q}")
+    _check_height(Q, P**k)
     if f_values is None:
         grid, f_values = _moment_values(P, R, k, t, grid)
     if grid is None:
         raise DomainError("grid must accompany precomputed f values")
-    union = major_arcs(Q, denom)
-    mask = union.grid_mask(grid.size)
-    amps = np.abs(f_values[mask]) ** t
-    value = float(amps.sum() / grid.size)
-    sup = float((np.abs(f_values).max()) ** t)
-    return MomentResult(
-        P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
-        value=value,
-        boundary_error=union.endpoint_count() * sup / grid.size,
-        measure=float(mask.sum()) / grid.size,
-        points=int(mask.sum()),
-        below_guaranteed_range=t < k + 1,
-    )
+    # the grid max, not f_values[0] = f(0): the two differ by rounding when |f| is flat
+    return _moment_row(P, R, Q, t, k, grid, f_values, float(np.abs(f_values).max() ** t))
 
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
@@ -572,11 +581,14 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
         while q <= 0.5 * math.sqrt(denom):
             q_values.append(q)
             q *= 2.0
+    for q in q_values:
+        _check_height(q, denom)
     grid, f_vals = _moment_values(P, R, k, t)
+    sup_t = float(np.abs(f_vals).max() ** t)  # one grid pass for the whole ladder
     rows = []
     prev = None
     for q in q_values:
-        res = moment_v(P, R, q, t, k, grid=grid, f_values=f_vals)
+        res = _moment_row(P, R, q, t, k, grid, f_vals, sup_t)
         slope = math.log2(res.value / prev) if prev and prev > 0 and res.value > 0 else None
         rows.append({"Q": q, "V": res.value, "measure": res.measure,
                      "boundary_error": res.boundary_error, "log2_ratio": slope})
@@ -764,15 +776,15 @@ def dissection_ledger(
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
     P = kth_root_floor(n, k)
     check_double_range(P, s, f"P^s * 2n * grid size = {P}^{s} * {2 * n} * {m}", factor=2 * n * m)
-    f_spec, members = build_f_spectrum(n, k, R)
-    g_spec = build_g_spectrum(n)
-    f_vals = evaluate_on_grid(f_spec, grid)
-    g_vals = evaluate_on_grid(g_spec, grid)
-
+    # the arc unions first: a height past the disjointness bound is refused before the sieve and FFTs
     wide = build_arc_union("Kprime" if theta == 4 else "K", n, k)
     minor_label = "k" if theta == 5 else "kprime"
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
+    f_spec, members = build_f_spectrum(n, k, R)
+    g_spec = build_g_spectrum(n)
+    f_vals = evaluate_on_grid(f_spec, grid)
+    g_vals = evaluate_on_grid(g_spec, grid)
 
     # |g| and |f| once, at the base points of each family only
     minor_mask = ~wide.grid_mask(m)

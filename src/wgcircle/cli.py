@@ -135,8 +135,7 @@ def _cmd_count(args) -> int:
     if args.method == "direct":
         r = counting.count_direct(args.k, args.s, args.n)
     else:
-        plan = counting.ConvolutionPlan(method=args.method)
-        r = int(counting.count_range(args.k, args.s, args.n, plan)[args.n])
+        r = int(counting.count_range(args.k, args.s, args.n)[args.n])
     report = {"k": args.k, "s": args.s, "n": args.n, "r": r, "method": args.method}
     _emit(args, report, plain_lines=[f"r = {r}"])
     return 0
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("float_fft_verified", "integer_safe", "direct"),
+    p.add_argument("--method", choices=("float_fft_verified", "direct"),
                    default="float_fft_verified")
     common(p)
     p.set_defaults(fn=_cmd_count)

@@ -1,18 +1,17 @@
 """Exact integer convolution and the one power engine built on it.
 
 Counting by generating functions needs convolutions whose entries are exact
-integers.  Three routes:
+integers.  There is one route: a real FFT product, rounded, and accepted only
+when every entry of the whole product rounds with residue < 0.25 and the
+largest stays below 2^52, i.e. when exactness is certain.  When the check
+rejects, or max(a) * max(b) * min(len(a), len(b)), the bound on the product's
+entries, already reaches 2^52 (as it does for Python integers past int64),
+the operand with more bits is split at half its bit length,
+a = hi * 2^h + lo, each half is convolved the same way, and the two products
+recombine as hi * 2^h + lo.  Every split halves a bit length, so the pieces
+reach the float range.
 
-  * float_fft_verified: real FFT product, then round.  Accepted only when
-    every entry rounds with residue < 0.25 and the largest value stays below
-    2^52, i.e. when exactness is certain; otherwise it falls back to kronecker.
-  * integer_safe (kronecker): pack each sequence into one big integer with
-    slots wide enough that no carries cross, multiply, unpack.  Exact for any
-    magnitudes (Python integers), and fast thanks to big-int multiplication.
-  * direct: numpy's O(n*m) convolution on Python integers, for small inputs
-    and as a test oracle.
-
-`power` raises a histogram to the s-th power over these routes, truncated
+`power` raises a histogram to the s-th power on this route, truncated
 (representation counts r(n)) or cyclic (local counts M_p(n)).  Results are
 int64 while they fit and Python integers beyond, never wrapped.  All inputs
 are nonnegative integer sequences.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
@@ -35,17 +34,14 @@ _INT64_LIMIT = 2**63
 # half the transform
 _FFT_BYTES_PER_POINT = 48
 
-METHODS = ("float_fft_verified", "integer_safe", "direct")
-
 
 @dataclass
 class ConvStats:
-    """Counts of which route actually ran (the float route records fallbacks)."""
+    """Float products accepted and rejected, and operand splits made."""
 
     float_ok: int = 0
     float_rejected: int = 0
-    kronecker: int = 0
-    direct: int = 0
+    splits: int = 0
 
 
 def _next_pow2(n: int) -> int:
@@ -58,56 +54,25 @@ def fft_working_bytes(out_len: int) -> int:
 
 
 def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray | None:
-    """Float-FFT convolution, returned only when provably exact, else None."""
+    """Float-FFT convolution truncated at out_len, returned only when provably
+    exact, else None.
+
+    The rounding error of every entry scales with the whole product, so both
+    checks cover all len(a) + len(b) - 1 entries: a large tail that is cut
+    off can still corrupt the kept prefix.
+    """
     n = len(a) + len(b) - 1
     size = _next_pow2(n)
     fa = np.fft.rfft(a.astype(np.float64), size)
     fb = np.fft.rfft(b.astype(np.float64), size)
-    conv = np.fft.irfft(fa * fb, size)[:out_len]
+    conv = np.fft.irfft(fa * fb, size)[:n]
     rounded = np.rint(conv)
-    if rounded.size and float(rounded.max()) >= _FLOAT_EXACT_MAX:
+    if float(rounded.max()) >= _FLOAT_EXACT_MAX:
         return None
-    if conv.size and float(np.abs(conv - rounded).max()) >= _RESIDUE_LIMIT:
+    conv -= rounded  # the rounding residues, in place
+    if float(np.abs(conv, out=conv).max()) >= _RESIDUE_LIMIT:
         return None
-    return rounded.astype(np.int64)
-
-
-def _pack(arr, nbytes: int) -> int:
-    if nbytes <= 8:
-        buf = np.asarray(arr, dtype=np.uint64).astype("<u8").tobytes()
-        if nbytes != 8:
-            # repack into tight slots
-            tight = bytearray()
-            for i in range(0, len(buf), 8):
-                tight += buf[i : i + nbytes]
-            buf = bytes(tight)
-    else:
-        buf = b"".join(int(v).to_bytes(nbytes, "little") for v in arr)
-    return int.from_bytes(buf, "little")
-
-
-def kronecker_convolve(a, b, out_len: int | None = None) -> list[int]:
-    """Exact linear convolution of nonnegative integer sequences.
-
-    Slot width is chosen from the worst-case entry bound, so no carry can
-    cross slot boundaries and unpacking recovers the exact coefficients.
-    """
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
-    amax = max(int(v) for v in a)
-    bmax = max(int(v) for v in b)
-    if amax < 0 or bmax < 0 or min(int(v) for v in a) < 0 or min(int(v) for v in b) < 0:
-        raise DomainError("kronecker convolution requires nonnegative entries")
-    bound = amax * bmax * min(la, lb) + 1
-    nbytes = max(1, (bound.bit_length() + 7) // 8)
-    product = _pack(a, nbytes) * _pack(b, nbytes)
-    n_out = la + lb - 1
-    raw = product.to_bytes(n_out * nbytes + nbytes, "little")
-    out = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(n_out)]
-    if out_len is not None:
-        out = out[:out_len]
-    return out
+    return rounded[:out_len].astype(np.int64)
 
 
 def _exact(values) -> np.ndarray:
@@ -120,37 +85,45 @@ def _exact(values) -> np.ndarray:
     return arr
 
 
-def convolve_exact(
-    a,
-    b,
-    out_len: int | None = None,
-    method: str = "float_fft_verified",
-    stats: ConvStats | None = None,
-) -> np.ndarray:
-    """Exact linear convolution, truncated at out_len.
-
-    The result is int64 when every entry fits and an object array of Python
-    integers otherwise; inputs may be either.
-    """
-    if method not in METHODS:
-        raise DomainError(f"unknown convolution method {method!r}")
-    stats = stats if stats is not None else ConvStats()
-    a, b = _exact(a), _exact(b)
-    if not (len(a) and len(b)):
-        return np.zeros(0, dtype=np.int64)
-    n_out = len(a) + len(b) - 1
-    out_len = n_out if out_len is None else min(out_len, n_out)
-    if method == "direct":
-        stats.direct += 1
-        return _exact(np.convolve(a.astype(object), b.astype(object))[:out_len])
-    if method == "float_fft_verified" and a.dtype != object and b.dtype != object:
+def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, stats: ConvStats) -> np.ndarray:
+    """The checked float FFT, tried while the entry bound is below 2^52,
+    splitting the wider operand until it accepts."""
+    max_a, max_b = int(a.max()), int(b.max())
+    if max_a * max_b * min(len(a), len(b)) < _FLOAT_EXACT_MAX:
         result = fft_convolve_checked(a, b, out_len)
         if result is not None:
             stats.float_ok += 1
             return result
         stats.float_rejected += 1
-    stats.kronecker += 1
-    return _exact(np.array(kronecker_convolve(a, b, out_len), dtype=object))
+    if max_a < max_b:
+        a, b, max_a = b, a, max_b
+    if max_a <= 1:
+        raise InternalConsistencyError(
+            f"the float FFT rejected a 0/1 convolution of lengths {len(a)} and {len(b)}")
+    h = max_a.bit_length() // 2
+    stats.splits += 1
+    hi = _convolve(_exact(a >> h), b, out_len, stats)
+    lo = _convolve(_exact(a & ((1 << h) - 1)), b, out_len, stats)
+    # int64 shifts and sums wrap silently: widen to Python integers first when they could
+    if hi.dtype != object and (int(hi.max()) << h) + int(lo.max()) >= _INT64_LIMIT:
+        hi = hi.astype(object)
+    return _exact((hi << h) + lo)
+
+
+def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:
+    """Exact linear convolution of nonnegative sequences, truncated at out_len.
+
+    The result is int64 when every entry fits and an object array of Python
+    integers otherwise; inputs may be either.
+    """
+    a, b = _exact(a), _exact(b)
+    if not (len(a) and len(b)):
+        return np.zeros(0, dtype=np.int64)
+    if min(a.min(), b.min()) < 0:
+        raise DomainError("exact convolution requires nonnegative entries")
+    n_out = len(a) + len(b) - 1
+    out_len = n_out if out_len is None else min(out_len, n_out)
+    return _convolve(a, b, out_len, stats if stats is not None else ConvStats())
 
 
 def _fold(values: np.ndarray, modulus: int) -> np.ndarray:
@@ -168,7 +141,6 @@ def power(
     s: int,
     out_len: int | None = None,
     modulus: int | None = None,
-    method: str = "float_fft_verified",
     stats: ConvStats | None = None,
 ) -> np.ndarray:
     """hist^s as a generating function, by binary exponentiation, exact.
@@ -189,8 +161,8 @@ def power(
     e = s
     while e > 0:
         if e & 1:
-            result = square if result is None else reduce(convolve_exact(result, square, out_len, method, stats))
+            result = square if result is None else reduce(convolve_exact(result, square, out_len, stats))
         e >>= 1
         if e:
-            square = reduce(convolve_exact(square, square, out_len, method, stats))
+            square = reduce(convolve_exact(square, square, out_len, stats))
     return result

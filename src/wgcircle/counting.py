@@ -8,7 +8,7 @@ p = x_1^k + ... + x_s^k with p <= N prime.  Two independent routes:
     prime complement (no convolution algorithm involved);
   * count_range raises the power-indicator polynomial to the s-th power by
     repeated convolution and convolves with the prime indicator; every entry
-    is an exact integer (verified float FFT with an integer-safe fallback),
+    is an exact integer (verified float FFT, splitting operands it rejects),
     held as a Python integer once it outgrows int64.
 
 The prediction compared against is
@@ -22,7 +22,7 @@ magnitude is backed by theory, and reports label the constant as heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,12 +33,6 @@ from .errors import DomainError, ResourceError, ensure_memory
 from .series import singular_series_many
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
-
-
-@dataclass
-class ConvolutionPlan:
-    method: str = "float_fft_verified"  # or "integer_safe", "direct"
-    stats: ConvStats = field(default_factory=ConvStats)
 
 
 def _bucket(limit: int) -> int:
@@ -109,25 +103,23 @@ def _check_budget(n_max: int) -> None:
     ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
 
 
-def count_range(k: int, s: int, n_max: int, plan: ConvolutionPlan | None = None) -> np.ndarray:
+def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> np.ndarray:
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
     if k < 1 or s < 1 or n_max < 2:
         raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
     _check_budget(n_max)
-    plan = plan or ConvolutionPlan()
     # exact: summands are >= 1, so truncating every product at z^n_max is safe
-    power_part = power(_power_indicator(k, n_max), s, n_max + 1, method=plan.method, stats=plan.stats)
+    power_part = power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
     prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
-    return convolve_exact(power_part, prime_ind, n_max + 1, plan.method, plan.stats)
+    return convolve_exact(power_part, prime_ind, n_max + 1, stats)
 
 
-def count_conjugate(k: int, s: int, N: int, plan: ConvolutionPlan | None = None) -> int:
+def count_conjugate(k: int, s: int, N: int, stats: ConvStats | None = None) -> int:
     """Solutions of p = x_1^k + ... + x_s^k with p <= N prime (ordered tuples)."""
     if N < 2:
         return 0
     _check_budget(N)
-    plan = plan or ConvolutionPlan()
-    power_part = power(_power_indicator(k, N), s, N + 1, method=plan.method, stats=plan.stats)
+    power_part = power(_power_indicator(k, N), s, N + 1, stats=stats)
     mask = sieve_primes(N).is_prime_mask()
     return int(power_part[mask].sum())
 
@@ -192,7 +184,7 @@ def compare_report(
     n_hi: int,
     stride: int = 1,
     prime_cutoff: int = 1000,
-    plan: ConvolutionPlan | None = None,
+    stats: ConvStats | None = None,
 ) -> CompareReport:
     """Exact counts against the prediction over a range, with aggregates."""
     if not 3 <= n_lo <= n_hi:
@@ -206,7 +198,7 @@ def compare_report(
     check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",
                        factor=prime_cutoff - 1)
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    counts = count_range(k, s, n_hi, plan)
+    counts = count_range(k, s, n_hi, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     series_vals = singular_series_many(ns, k, s, prime_cutoff)
     preds = series_vals * factor * ns ** (s / k) / np.log(ns)

@@ -58,10 +58,16 @@ class TestCount:
 
     def test_methods_agree(self, capsys):
         results = set()
-        for method in ("float_fft_verified", "integer_safe", "direct"):
+        for method in ("float_fft_verified", "direct"):
             _, out = run_cli(capsys, "count", "--k", "3", "--s", "3", "--n", "600", "--method", method)
             results.add(json.loads(out)["r"])
         assert len(results) == 1
+
+    def test_integer_safe_is_not_a_method(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--k", "2", "--s", "2", "--n", "10", "--method", "integer_safe"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -258,6 +264,17 @@ class TestFailureModes:
         assert code == 2
         assert err == f"error: need k, s >= 1, got k=2, s={s}\n"
 
+    def test_dissect_height_checked_before_the_ffts(self, capsys, monkeypatch):
+        # at n < 1024 the default theta = 5 puts K = n^0.4 above sqrt(n)/2
+        def no_grid(*args, **kwargs):
+            raise AssertionError("evaluate_on_grid ran before the arc check")
+
+        monkeypatch.setattr("wgcircle.circle.evaluate_on_grid", no_grid)
+        code = main(["dissect", "--n", "1000", "--k", "1", "--s", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: height 15.848931924611136 above the disjointness bound sqrt(1000)/2\n")
+
     @pytest.mark.parametrize("P", ["-3", "1"])
     def test_moments_needs_P_two(self, capsys, P):
         # a negative P once reached P**(1/8) in the default R and raised TypeError
@@ -274,9 +291,8 @@ class TestFailureModes:
 
 class TestCountPastInt64:
     def test_routes_agree_exactly(self, capsys):
-        results = set()
-        for method in ("float_fft_verified", "integer_safe"):
-            code, out = run_cli(capsys, "count", "--k", "2", "--s", "40", "--n", "1000", "--method", method)
-            assert code == 0
-            results.add(json.loads(out)["r"])
-        assert results == {30385489528274579244650671984815416064}
+        # the float route, splitting its operands past 2^52, against the value
+        # fixed by the Python-int oracle in test_counting
+        code, out = run_cli(capsys, "count", "--k", "2", "--s", "40", "--n", "1000")
+        assert code == 0
+        assert json.loads(out)["r"] == 30385489528274579244650671984815416064

@@ -1,4 +1,4 @@
-"""Tests for the exact convolution routes."""
+"""Tests for the exact convolution route and the power engine."""
 
 import random
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wgcircle import convolve
-from wgcircle.errors import DomainError
+from wgcircle.errors import DomainError, InternalConsistencyError
 
 
 def naive_conv(a, b):
@@ -15,24 +15,6 @@ def naive_conv(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-class TestKronecker:
-    def test_small_matches_naive(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            a = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 12))]
-            b = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 12))]
-            assert convolve.kronecker_convolve(a, b) == naive_conv(a, b)
-
-    def test_huge_entries(self):
-        a = [2**90, 3, 1]
-        b = [5, 2**77]
-        assert convolve.kronecker_convolve(a, b) == naive_conv(a, b)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            convolve.kronecker_convolve([1, -2], [3])
 
 
 class TestFloatChecked:
@@ -46,28 +28,66 @@ class TestFloatChecked:
         big = np.array([2**40, 2**40], dtype=np.int64)
         assert convolve.fft_convolve_checked(big, big, 3) is None
 
+    def test_discarded_tail_is_checked(self):
+        # the tail past out_len reaches 2^62: its rounding error corrupts the
+        # kept prefix, whose own values are tiny, so the check must see it
+        a = np.ones(128, dtype=np.int64)
+        a[64:] = 2**28 - 1
+        assert convolve.fft_convolve_checked(a, a, 64) is None
+        assert convolve.convolve_exact(a, a, 64).tolist() == list(range(1, 65))
+
 
 class TestConvolveExact:
     def test_auto_falls_back(self):
+        # the entry bound 1024 * (2^21 - 1)^2 is just below 2^52, so the float
+        # product is tried; its rounding fails the check, and splitting at 10
+        # bits makes two accepted halves
+        stats = convolve.ConvStats()
+        m, size = 2**21 - 1, 1024
+        out = convolve.convolve_exact(np.full(size, m, dtype=np.int64), np.full(size, m, dtype=np.int64),
+                                      stats=stats)
+        assert out.tolist() == [m * m * min(i + 1, 2 * size - 1 - i) for i in range(2 * size - 1)]
+        assert out.dtype == np.int64
+        assert stats == convolve.ConvStats(float_ok=2, float_rejected=1, splits=1)
+
+    def test_bound_past_float_splits_at_once(self):
+        # the entry bound 3 * 2^60 is past 2^52: a is split at 15 bits with no float try
         stats = convolve.ConvStats()
         a = np.array([2**30, 2**30, 1], dtype=np.int64)
-        out = convolve.convolve_exact(a, a, stats=stats)  # the float-first default
+        out = convolve.convolve_exact(a, a, stats=stats)
         assert out.tolist() == naive_conv(a.tolist(), a.tolist())
-        assert stats.kronecker == 1 and stats.float_rejected == 1
+        assert out.dtype == np.int64
+        assert stats == convolve.ConvStats(float_ok=2, float_rejected=0, splits=1)
 
-    def test_direct_method(self):
-        a = np.array([1, 1, 1], dtype=np.int64)
-        assert convolve.convolve_exact(a, a, method="direct").tolist() == [1, 2, 3, 2, 1]
+    def test_small_matches_naive(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            a = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 12))]
+            b = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 12))]
+            assert convolve.convolve_exact(a, b).tolist() == naive_conv(a, b)
+
+    def test_huge_entries(self):
+        a = [2**90, 3, 1]
+        b = [5, 2**77]
+        out = convolve.convolve_exact(np.array(a, dtype=object), np.array(b, dtype=object))
+        assert out.dtype == object
+        assert out.tolist() == naive_conv(a, b)
+
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            convolve.convolve_exact([1, -2], [3])
+
+    def test_split_needs_progress(self, monkeypatch):
+        # 0/1 operands cannot be split further: a rejection there is a fault, not a loop
+        monkeypatch.setattr(convolve, "fft_convolve_checked", lambda a, b, out_len: None)
+        with pytest.raises(InternalConsistencyError):
+            convolve.convolve_exact(np.array([1, 0, 1]), np.array([1, 1]))
 
     def test_truncation(self):
         a = np.arange(1, 6, dtype=np.int64)
         full = convolve.convolve_exact(a, a)
         trunc = convolve.convolve_exact(a, a, out_len=3)
         assert trunc.tolist() == full.tolist()[:3]
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            convolve.convolve_exact(np.array([1]), np.array([1]), method="fft")
 
     def test_associativity_with_truncation(self):
         # ((A*A)*B) == (A*(A*B)) entrywise on the window n <= 1e4, with A the

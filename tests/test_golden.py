@@ -7,7 +7,9 @@ variants pin the arc lists and region measures of ``dissect --format json``
 (including slices whose seams land on grid points and an empty slice), the
 level-set ledgers of ``dissect`` with band thresholds inside and outside the
 covered ranges, oversampled and in plain form, and a ``moments`` run over
-every integer height up to 8.  Refactors that keep behaviour keep these
+every integer height up to 8 and one with a single member.  Three runs in
+the paper's regime (s >= ck + 4) pin counts past 2^52, and one at s = 40
+counts past 2^115.  Refactors that keep behaviour keep these
 digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -58,6 +60,8 @@ ARC_VARIANTS = {
     "dissect-empty-slice": ["dissect", "--n", "4096", "--k", "2", "--s", "2", "--q-slice", "0.5",
                             "--format", "json"],
     "moments-qvalues": ["moments", "--P", "16", "--k", "2", "--t", "4.5", "--q-values", "1,2,3,4,5,6,7,8"],
+    # one member: |f| = 1 everywhere, and the grid max of |f| sits one rounding above f(0)
+    "moments-one-member": ["moments", "--P", "64", "--k", "3", "--t", "8", "--R", "1"],
     # band thresholds inside the covered ranges, then outside them (warnings present)
     "dissect-uv-inside": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--u", "200", "--v", "12",
                           "--format", "json"],
@@ -69,7 +73,17 @@ ARC_VARIANTS = {
                              "--format", "plain"],
 }
 
-GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS}
+# the paper's regime s >= ck + 4 (s >= 9 for k = 2, s >= 11 for k = 3), where
+# r(n) passes 2^52 and the exact convolution splits its operands
+PAPER_REGIME_VARIANTS = {
+    "count-k3-s11": ["count", "--k", "3", "--s", "11", "--n", "100000"],
+    "count-k2-s9": ["count", "--k", "2", "--s", "9", "--n", "100000"],
+    "compare-k3-s11": ["compare", "--k", "3", "--s", "11", "--lo", "50000", "--hi", "100000", "--format", "csv"],
+    # entries past 2^115: splits on both operands, several levels deep, over Python integers
+    "count-k2-s40": ["count", "--k", "2", "--s", "40", "--n", "20000"],
+}
+
+GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS, **PAPER_REGIME_VARIANTS}
 
 
 def output_digest(argv: list[str], path: Path) -> str:
@@ -94,6 +108,12 @@ def test_compare_variant_bytes(name, tmp_path):
 def test_arc_variant_bytes(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert output_digest(ARC_VARIANTS[name], tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("name", list(PAPER_REGIME_VARIANTS))
+def test_paper_regime_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(PAPER_REGIME_VARIANTS[name], tmp_path / "out") == expected
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

@@ -1,5 +1,5 @@
-"""Property tests: the power engine, the Farey arc families, the level sets
-and the columnar CSV writer against plain oracles."""
+"""Property tests: exact convolution, the power engine, the Farey arc
+families, the level sets and the columnar CSV writer against plain oracles."""
 
 import math
 from fractions import Fraction
@@ -43,21 +43,76 @@ def naive_power(hist, s, out_len, modulus):
     return result
 
 
+def as_array(values, dtype):
+    """int64 when asked and every entry fits, else an object array of Python integers."""
+    if dtype == "int64" and max(values) < 2**63:
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+@st.composite
+def small_prefix_huge_tail(draw, max_bits=200):
+    """A short run of small entries followed by a tail of 20- to max_bits-bit
+    ones: the shape whose discarded tail corrupts a float-FFT prefix."""
+    prefix = draw(st.lists(st.integers(0, 3), min_size=1, max_size=64))
+    bits = draw(st.integers(20, max_bits))
+    tail = draw(st.lists(st.integers(2 ** (bits - 1), 2**bits - 1), min_size=1, max_size=64))
+    return prefix + tail, len(prefix)
+
+
+def entries(max_size):
+    """Nonnegative entries of one random bit width up to 200."""
+    return st.integers(0, 200).flatmap(
+        lambda bits: st.lists(st.integers(0, 2**bits), min_size=1, max_size=max_size))
+
+
+@PROPERTY_SETTINGS
+@given(
+    a=entries(24),
+    b=entries(24),
+    dtypes=st.tuples(st.sampled_from(["int64", "object"]), st.sampled_from(["int64", "object"])),
+    out_len=st.none() | st.integers(1, 60),
+)
+def test_convolve_exact_matches_python_ints(a, b, dtypes, out_len):
+    got = convolve.convolve_exact(as_array(a, dtypes[0]), as_array(b, dtypes[1]), out_len)
+    expected = naive_conv(a, b)[:out_len]
+    assert got.tolist() == expected
+    assert got.dtype == (np.int64 if max(expected) < 2**63 else object)
+
+
+@PROPERTY_SETTINGS
+@given(shape=small_prefix_huge_tail(), dtype=st.sampled_from(["int64", "object"]), truncate=st.booleans())
+def test_convolve_exact_small_prefix_huge_tail(shape, dtype, truncate):
+    values, prefix_len = shape
+    out_len = prefix_len if truncate else None
+    got = convolve.convolve_exact(as_array(values, dtype), as_array(values, dtype), out_len)
+    assert got.tolist() == naive_conv(values, values)[:out_len]
+
+
+@PROPERTY_SETTINGS
+@given(shape=small_prefix_huge_tail(max_bits=62))
+def test_float_checked_prefix_is_exact_or_refused(shape):
+    # the float route alone, past the entry bound that convolve_exact splits at
+    values, prefix_len = shape
+    arr = np.array(values, dtype=np.int64)
+    got = convolve.fft_convolve_checked(arr, arr, prefix_len)
+    assert got is None or got.tolist() == naive_conv(values, values)[:prefix_len]
+
+
 @PROPERTY_SETTINGS
 @given(
     hist=st.lists(st.integers(0, 2**40), min_size=1, max_size=8),
     s=st.integers(1, 6),
-    method=st.sampled_from(convolve.METHODS),
     cyclic=st.booleans(),
     out_len=st.integers(1, 40),
 )
-def test_power_matches_repeated_convolution(hist, s, method, cyclic, out_len):
+def test_power_matches_repeated_convolution(hist, s, cyclic, out_len):
     # entries up to 2^40 to the 6th power reach far past int64
     modulus = len(hist) if cyclic else None
     if cyclic:
         out_len = None
     arr = np.array(hist, dtype=np.int64)
-    got = convolve.power(arr, s, out_len, modulus=modulus, method=method)
+    got = convolve.power(arr, s, out_len, modulus=modulus)
     expected = naive_power(hist, s, out_len, modulus)
     assert got.tolist() == expected
     assert got.dtype == (np.int64 if max(expected) < 2**63 else object)
