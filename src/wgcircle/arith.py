@@ -3,10 +3,9 @@
 PrimeTable gives primes with natural-log weights and the partial sums needed
 for the prime exponential sum; SmoothSet materializes the sets A(P, R) of
 integers in [1, P] whose prime divisors are all at most R; ArithTables holds
-Moebius, totient and smallest-prime-factor arrays.  On top of these sit the
-complete exponential sum S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums,
-and the local count M_p(n) of solutions of b + x_1^k + ... + x_s^k = n mod p
-with b coprime to p.
+Moebius and totient arrays.  On top of these sit the complete exponential sum
+S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums, and the local count
+M_p(n) of solutions of b + x_1^k + ... + x_s^k = n mod p with b coprime to p.
 
 Tables are build-once, read-many; every query is pure.
 """
@@ -102,45 +101,40 @@ def smooth_set(P: int, R: int) -> SmoothSet:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Moebius, totient and smallest-prime-factor arrays up to ``limit``."""
+    """Moebius and totient arrays up to ``limit``."""
 
     limit: int
     mobius: np.ndarray  # int8 in {-1, 0, 1}
     phi: np.ndarray     # int64
-    spf: np.ndarray     # int64; spf[1] = 1
 
 
 def arith_tables(limit: int) -> ArithTables:
     if limit < 1:
         raise DomainError(f"tables need limit >= 1, got {limit}")
-    ensure_memory(17 * (limit + 1), "arithmetic tables")
+    ensure_memory(9 * (limit + 1), "arithmetic tables")
     mob = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        spf[1] = 1
     for p in range(2, limit + 1):
-        if spf[p] == 0:
-            view = spf[p::p]
-            view[view == 0] = p
+        if phi[p] == p:  # no smaller prime has touched p: p is prime
             mob[p::p] *= -1
             if p * p <= limit:
                 mob[p * p :: p * p] = 0
             phi[p::p] -= phi[p::p] // p
     mob[0] = 0
-    return ArithTables(limit=int(limit), mobius=mob, phi=phi, spf=spf)
+    return ArithTables(limit=int(limit), mobius=mob, phi=phi)
 
 
 def kth_root_floor(n: int, k: int) -> int:
-    """Largest integer P with P^k <= n (float guess fixed up exactly)."""
+    """Largest integer P with P^k <= n, by integer Newton steps (any size of n)."""
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    p = int(round(n ** (1.0 / k)))
-    while p > 1 and p**k > n:
-        p -= 1
-    while (p + 1) ** k <= n:
-        p += 1
-    return p
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        # from above the root, Newton steps fall strictly until they reach it
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _modpow_all(q: int, k: int) -> np.ndarray:

@@ -44,6 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arith import SmoothSet, check_double_range, gauss_sum, kth_root_floor, sieve_primes, smooth_set
+from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
 from .specialfn import eta_value
 
@@ -63,23 +64,9 @@ def big_l(n: int) -> float:
 # Spectra and grids
 
 
-@dataclass(frozen=True)
-class ExponentialSumSpectrum:
-    """Real weights on integer frequencies 0..max_freq."""
-
-    coeffs: np.ndarray  # float64
-    label: str = ""
-
-    @property
-    def max_freq(self) -> int:
-        return len(self.coeffs) - 1
-
-    def value_at_zero(self) -> float:
-        return float(self.coeffs.sum())
-
-
-def build_f_spectrum(n: int, k: int, R: int) -> tuple[ExponentialSumSpectrum, SmoothSet]:
-    """Indicator spectrum of the smooth k-th powers x^k <= n, x in A(P, R)."""
+def build_f_spectrum(n: int, k: int, R: int) -> tuple[np.ndarray, SmoothSet]:
+    """Indicator spectrum of the smooth k-th powers x^k <= n, x in A(P, R):
+    float64 weights on the frequencies 0..n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     P = kth_root_floor(n, k)
@@ -87,61 +74,41 @@ def build_f_spectrum(n: int, k: int, R: int) -> tuple[ExponentialSumSpectrum, Sm
     ensure_memory(8 * (n + 1), "smooth-power spectrum")
     coeffs = np.zeros(n + 1, dtype=np.float64)
     coeffs[members.members**k] = 1.0
-    return ExponentialSumSpectrum(coeffs=coeffs, label=f"f(P={P},R={R},k={k})"), members
+    return coeffs, members
 
 
-def build_g_spectrum(n: int) -> ExponentialSumSpectrum:
-    """log p at each prime frequency p <= n."""
+def build_g_spectrum(n: int) -> np.ndarray:
+    """log p at each prime frequency p <= n: float64 weights on 0..n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     table = sieve_primes(n)
     ensure_memory(8 * (n + 1), "prime spectrum")
     coeffs = np.zeros(n + 1, dtype=np.float64)
     coeffs[table.primes] = table.log_weights
-    return ExponentialSumSpectrum(coeffs=coeffs, label=f"g(n={n})")
+    return coeffs
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid alpha_j = j/size, size a power of two."""
-
-    size: int
-    oversample: int = 1
-
-    def __post_init__(self) -> None:
-        if self.size < 2 or self.size & (self.size - 1):
-            raise DomainError(f"grid size must be a power of two >= 2, got {self.size}")
-        if self.oversample < 1:
-            raise DomainError(f"oversample must be >= 1, got {self.oversample}")
-
-    @classmethod
-    def alias_free(cls, n: int, s: int, oversample: int = 1) -> "GridSpec":
-        """Smallest power-of-two grid exceeding the bandwidth (s+1)*n, scaled."""
-        need = (s + 1) * n + 1
-        size = 1 << (need - 1).bit_length()
-        if oversample > 1:
-            size <<= (oversample - 1).bit_length()
-        return cls(size=size, oversample=oversample)
-
-    def alphas(self) -> np.ndarray:
-        return np.arange(self.size) / self.size
+def alias_free_size(n: int, s: int, oversample: int) -> int:
+    """Smallest power-of-two grid exceeding the bandwidth (s+1)*n, times
+    oversample rounded up to a power of two."""
+    return next_pow2((s + 1) * n + 1) * next_pow2(oversample)
 
 
-def evaluate_on_grid(
-    spectrum: ExponentialSumSpectrum, grid: GridSpec, allow_alias: bool = False
-) -> np.ndarray:
-    """Values sum_m c_m e(alpha_j m) at all grid points, by inverse FFT."""
-    if grid.size <= spectrum.max_freq and not allow_alias:
-        raise AliasingError(
-            f"grid size {grid.size} <= max frequency {spectrum.max_freq}; "
-            "pass allow_alias=True only if aliasing is intended"
-        )
-    ensure_memory(16 * grid.size, "grid evaluation")
-    return np.fft.ifft(spectrum.coeffs, n=grid.size) * grid.size
+def evaluate_on_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Values sum_j c_j e(j * i/m) at the m grid points i/m, by inverse FFT."""
+    if m < len(coeffs):
+        raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
+    ensure_memory(16 * m, "grid evaluation")
+    return np.fft.ifft(coeffs, n=m) * m
 
 
 # ---------------------------------------------------------------------------
 # Farey arcs
+
+# peak bytes per arc while a family is built (the (q, a, r) tuples, their
+# integer columns and the exact disjointness check); tracemalloc measures up
+# to ~420 for the K family at n = 10^8
+_ARC_BYTES = 480
 
 
 @dataclass(frozen=True)
@@ -238,8 +205,10 @@ def _farey_family(label: str, q_top: int, width: Fraction, reach_is_q: bool) -> 
     q_top, with reach r = q or r = 1.
 
     The next-term recurrence yields every reduced a/q in [0, 1] with q <= q_top
-    in ascending order, so there is no gcd test and no sort.
+    in ascending order, so there is no gcd test and no sort.  There are at
+    most 2 + q_top^2/2 of them (phi(q) < q), charged against the budget first.
     """
+    ensure_memory(_ARC_BYTES * (q_top * q_top // 2 + 2), f"Farey family {label} of order {q_top}")
     arcs = [(1, 0, 1)]
     a, b, c, d = 0, 1, 1, q_top
     while c <= q_top:
@@ -370,28 +339,24 @@ class IntegralResult:
 
 
 def integrate_over_set(
-    spectra: list[ExponentialSumSpectrum],
+    spectra: list[np.ndarray],
     conjugate_flags: list[bool],
     twist: int | None,
     region: ArcUnion | None,
-    grid: GridSpec,
-    allow_alias: bool = False,
-    values: list[np.ndarray] | None = None,
+    m: int,
 ) -> IntegralResult:
-    """Riemann sum of prod spectra * e(-alpha*twist) over the region's grid points.
+    """Riemann sum of prod spectra * e(-alpha*twist) over the region's points
+    of the grid of size m.
 
     On the full circle (region None) with an alias-free grid this equals the
     true integral exactly; on subsets the reported boundary error bounds the
-    endpoint effect.  Precomputed grid values can be passed to avoid repeated
-    FFTs.
+    endpoint effect.
     """
     if len(spectra) != len(conjugate_flags):
         raise DomainError("one conjugate flag per spectrum required")
-    m = grid.size
-    if values is None:
-        values = [evaluate_on_grid(sp, grid, allow_alias) for sp in spectra]
     prod = np.ones(m, dtype=np.complex128)
-    for vals, conj in zip(values, conjugate_flags):
+    for coeffs, conj in zip(spectra, conjugate_flags):
+        vals = evaluate_on_grid(coeffs, m)
         prod = prod * (np.conj(vals) if conj else vals)
     if twist:
         prod = prod * np.exp((-2j * np.pi * twist / m) * np.arange(m))
@@ -467,13 +432,7 @@ class ModelErrorReport:
     arcs: int
 
 
-def major_arc_model_error(
-    n: int,
-    k: int,
-    R: int,
-    grid: GridSpec | None = None,
-    height: float | None = None,
-) -> ModelErrorReport:
+def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     """Sup over core-arc grid points of |f(alpha) - rho * S(q,a)/q * v_k(alpha - a/q)|.
 
     rho is the empirical smooth density |A(P, R)| / P.  The sup is also
@@ -482,10 +441,9 @@ def major_arc_model_error(
     spectrum, members = build_f_spectrum(n, k, R)
     P = kth_root_floor(n, k)
     rho_hat = len(members) / P
-    grid = grid or GridSpec.alias_free(n, 1)
-    f_vals = evaluate_on_grid(spectrum, grid)
-    arcs_union = core_arcs(n, height)
-    m = grid.size
+    m = alias_free_size(n, 1, 1)
+    f_vals = evaluate_on_grid(spectrum, m)
+    arcs_union = core_arcs(n)
     sup_err = 0.0
     points = 0
     for q, a, j0, j1 in arcs_union.grid_spans(m):
@@ -516,12 +474,12 @@ class MomentResult:
     below_guaranteed_range: bool  # t < k + 1: outside the guaranteed regime
 
 
-def _moment_values(P: int, R: int, k: int, t: float, grid: GridSpec | None = None) -> tuple[GridSpec, np.ndarray]:
-    """The grid and f on it at denominator P^k, refused before the FFT when the
-    sums of |f|^t <= P^t over the grid could leave the double range."""
-    grid = grid or GridSpec.alias_free(P**k, 0, oversample=2)
-    check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {grid.size}", factor=grid.size)
-    return grid, evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], grid)
+def _moment_values(P: int, R: int, k: int, t: float) -> tuple[int, np.ndarray]:
+    """The grid size and f on the grid at denominator P^k, refused before the
+    FFT when the sums of |f|^t <= P^t over the grid could leave the double range."""
+    m = alias_free_size(P**k, 0, 2)
+    check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {m}", factor=m)
+    return m, evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], m)
 
 
 def _check_height(Q: float, denom: int) -> None:
@@ -529,45 +487,32 @@ def _check_height(Q: float, denom: int) -> None:
         raise DomainError(f"need 1 <= Q <= P^(k/2)/2, got Q={Q}")
 
 
-def _moment_row(P: int, R: int, Q: float, t: float, k: int, grid: GridSpec, f_values: np.ndarray,
+def _moment_row(P: int, R: int, Q: float, t: float, k: int, m: int, f_values: np.ndarray,
                 sup_t: float) -> MomentResult:
-    """moment_v on computed f values, given max |f|^t over their grid."""
+    """moment_v on f values computed on the grid of size m, given max |f|^t over it."""
     union = major_arcs(Q, P**k)
-    mask = union.grid_mask(grid.size)
+    mask = union.grid_mask(m)
     amps = np.abs(f_values[mask]) ** t
-    value = float(amps.sum() / grid.size)
+    value = float(amps.sum() / m)
     return MomentResult(
         P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
         value=value,
-        boundary_error=union.endpoint_count() * sup_t / grid.size,
-        measure=float(mask.sum()) / grid.size,
+        boundary_error=union.endpoint_count() * sup_t / m,
+        measure=float(mask.sum()) / m,
         points=int(mask.sum()),
         below_guaranteed_range=t < k + 1,
     )
 
 
-def moment_v(
-    P: int,
-    R: int,
-    Q: float,
-    t: float,
-    k: int,
-    grid: GridSpec | None = None,
-    f_values: np.ndarray | None = None,
-) -> MomentResult:
+def moment_v(P: int, R: int, Q: float, t: float, k: int) -> MomentResult:
     """Restricted Riemann sum of |f|^t over the major arcs of height Q.
 
     Arc geometry lives at denominator P^k here.  Fractional t is fine.
-    Precomputed f values (from the matching grid) avoid repeated FFTs in
-    dyadic sweeps.
     """
     _check_height(Q, P**k)
-    if f_values is None:
-        grid, f_values = _moment_values(P, R, k, t, grid)
-    if grid is None:
-        raise DomainError("grid must accompany precomputed f values")
+    m, f_values = _moment_values(P, R, k, t)
     # the grid max, not f_values[0] = f(0): the two differ by rounding when |f| is flat
-    return _moment_row(P, R, Q, t, k, grid, f_values, float(np.abs(f_values).max() ** t))
+    return _moment_row(P, R, Q, t, k, m, f_values, float(np.abs(f_values).max() ** t))
 
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
@@ -583,12 +528,12 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
             q *= 2.0
     for q in q_values:
         _check_height(q, denom)
-    grid, f_vals = _moment_values(P, R, k, t)
+    m, f_vals = _moment_values(P, R, k, t)
     sup_t = float(np.abs(f_vals).max() ** t)  # one grid pass for the whole ladder
     rows = []
     prev = None
     for q in q_values:
-        res = _moment_row(P, R, q, t, k, grid, f_vals, sup_t)
+        res = _moment_row(P, R, q, t, k, m, f_vals, sup_t)
         slope = math.log2(res.value / prev) if prev and prev > 0 and res.value > 0 else None
         rows.append({"Q": q, "V": res.value, "measure": res.measure,
                      "boundary_error": res.boundary_error, "log2_ratio": slope})
@@ -771,8 +716,7 @@ def dissection_ledger(
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
     _check_thresholds(U=U, V=V)
-    grid = GridSpec.alias_free(n, s, oversample=oversample)
-    m = grid.size
+    m = alias_free_size(n, s, oversample)
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
     P = kth_root_floor(n, k)
     check_double_range(P, s, f"P^s * 2n * grid size = {P}^{s} * {2 * n} * {m}", factor=2 * n * m)
@@ -783,8 +727,8 @@ def dissection_ledger(
     core = build_arc_union("N", n, k)
     f_spec, members = build_f_spectrum(n, k, R)
     g_spec = build_g_spectrum(n)
-    f_vals = evaluate_on_grid(f_spec, grid)
-    g_vals = evaluate_on_grid(g_spec, grid)
+    f_vals = evaluate_on_grid(f_spec, m)
+    g_vals = evaluate_on_grid(g_spec, m)
 
     # |g| and |f| once, at the base points of each family only
     minor_mask = ~wide.grid_mask(m)

@@ -21,6 +21,7 @@ _R_ETA_MAX = 1.0 / 7.0
 
 def _resolve_r(args, P: int) -> int:
     """R from --R (fixed) or --r-eta (power of P, clamped to >= 2)."""
+    arith.check_double_range(P, 1, "P")  # the float routes take P, sqrt(P^k) and P^eta
     if args.R is not None:
         return args.R
     eta_exp = args.r_eta if args.r_eta is not None else 0.125
@@ -158,6 +159,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dissect(args) -> int:
+    if args.oversample < 1:
+        raise WgcircleError(f"--oversample must be >= 1, got {args.oversample}")
     P = circle.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
     report = circle.dissection_ledger(

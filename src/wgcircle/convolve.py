@@ -44,13 +44,14 @@ class ConvStats:
     splits: int = 0
 
 
-def _next_pow2(n: int) -> int:
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n, for n >= 1."""
     return 1 << max(0, (n - 1).bit_length())
 
 
 def fft_working_bytes(out_len: int) -> int:
     """Peak bytes of a verified float-FFT self-convolution of out_len entries."""
-    return _FFT_BYTES_PER_POINT * _next_pow2(2 * out_len - 1)
+    return _FFT_BYTES_PER_POINT * next_pow2(2 * out_len - 1)
 
 
 def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray | None:
@@ -62,9 +63,9 @@ def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarr
     off can still corrupt the kept prefix.
     """
     n = len(a) + len(b) - 1
-    size = _next_pow2(n)
+    size = next_pow2(n)
     fa = np.fft.rfft(a.astype(np.float64), size)
-    fb = np.fft.rfft(b.astype(np.float64), size)
+    fb = fa if b is a else np.fft.rfft(b.astype(np.float64), size)  # a squaring transforms once
     conv = np.fft.irfft(fa * fb, size)[:n]
     rounded = np.rint(conv)
     if float(rounded.max()) >= _FLOAT_EXACT_MAX:

@@ -31,16 +31,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, TableLookupError, TableParseError
-from .specialfn import (
-    RootConfig,
-    DEFAULT_ROOT_CONFIG,
-    check_theta,
-    critical_ratio,
-    eta_value,
-    sigma_even_plan,
-)
-
-SOURCES = ("eta_formula", "lambda_even", "lambda_odd_interp", "table2_literal", "external_result")
+from .specialfn import check_theta, critical_ratio, eta_value, sigma_even_plan
 
 #: Guard subtracted before ceiling at the fourth decimal; absorbs binary
 #: representation fuzz of decimal inputs without masking real mismatches.
@@ -109,13 +100,13 @@ class LambdaTable:
         return cls(entries=entries)
 
 
-def delta_from_eta(k: int, t: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> AdmissibleExponent:
+def delta_from_eta(k: int, t: int) -> AdmissibleExponent:
     """Admissible exponent k * eta(t/k) for even t >= 2, k >= 3."""
     if k < 3:
         raise DomainError(f"eta-formula exponents need k >= 3, got {k}")
     if t < 2 or t % 2 != 0:
         raise DomainError(f"eta-formula exponents need even t >= 2, got {t} (odd t goes through a lambda table)")
-    return AdmissibleExponent(k=int(k), t=float(t), delta=k * eta_value(t / k, cfg), source="eta_formula")
+    return AdmissibleExponent(k=int(k), t=float(t), delta=k * eta_value(t / k), source="eta_formula")
 
 
 def delta_from_lambda(k: int, u: int, tbl: LambdaTable) -> AdmissibleExponent:
@@ -346,7 +337,7 @@ def table_plan(k: int, theta: int, rows: list[Table2Row] | None = None) -> Admis
 _EXTERNAL_SMALL_K = {3: 4, 4: 6}  # k -> s known from the literature
 
 
-def plan_for_k(k: int, theta: int = 5, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> AdmissiblePlan:
+def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
     """Select a working (s, t) pair for exponent k.
 
     k >= 17 runs the even-target optimizer: s = ceil(k*sigma), t = target - s,
@@ -368,15 +359,15 @@ def plan_for_k(k: int, theta: int = 5, cfg: RootConfig = DEFAULT_ROOT_CONFIG) ->
         )
     if k <= 16:
         return table_plan(k, theta)
-    sp = sigma_even_plan(k, theta, cfg)
+    sp = sigma_even_plan(k, theta)
     s = math.ceil(k * sp.sigma)
     t = sp.even_target - s
-    delta_st = k * eta_value(sp.even_target / k, cfg)
+    delta_st = k * eta_value(sp.even_target / k)
     s_even = s if s % 2 == 0 else s + 1
-    delta_s = k * eta_value(s_even / k, cfg)
+    delta_s = k * eta_value(s_even / k)
     return check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula")
 
 
-def plan_bound_ok(plan: AdmissiblePlan, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> bool:
+def plan_bound_ok(plan: AdmissiblePlan) -> bool:
     """Sanity bound for optimizer plans: s <= c_theta * k + 5."""
-    return plan.s <= critical_ratio(plan.theta, cfg) * plan.k + 5.0
+    return plan.s <= critical_ratio(plan.theta) * plan.k + 5.0

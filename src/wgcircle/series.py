@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
-    ArithTables, arith_tables, check_double_range, check_modulus, gauss_sums_all, mp_count, sieve_primes,
+    arith_tables, check_double_range, check_modulus, gauss_sums_all, mp_count, sieve_primes,
 )
 from .errors import DomainError, InternalConsistencyError
 
@@ -125,26 +125,37 @@ class SeriesPartial:
     converges: bool
 
 
-def series_partial(n: int, k: int, s: int, X: int, tables: ArithTables | None = None) -> SeriesPartial:
-    """Truncated q-sum over q <= X; square-full q vanish through mu(q)."""
-    if X < 1:
-        raise DomainError(f"need X >= 1, got {X}")
+def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
+    """Truncated q-sums over q <= X for each X in xs, keyed by X.
+
+    One ascending pass over q records the running total as it reaches each X,
+    so every value is summed in the same order as a pass that stops at its X.
+    Square-full q vanish through mu(q).
+    """
+    marks = sorted(set(int(x) for x in xs))
+    if marks and marks[0] < 1:
+        raise DomainError(f"need X >= 1, got {marks[0]}")
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
-    check_modulus(X)  # the largest modulus, checked before any work
-    check_double_range(X, s, f"modulus^s = {X}^{s}")  # s_n_q divides by q^s
-    tables = arith_tables(X) if tables is None or tables.limit < X else tables
+    top = marks[-1] if marks else 1
+    check_modulus(top)  # the largest modulus, checked before any work
+    check_double_range(top, s, f"modulus^s = {top}^{s}")  # s_n_q divides by q^s
+    tables = arith_tables(top)
+    out = {}
     total = 1 + 0j  # q = 1 term
-    for q in range(2, X + 1):
-        mu = int(tables.mobius[q])
-        if mu == 0:
-            continue
-        total += mu / int(tables.phi[q]) * s_n_q(q, n, k, s)
-    return SeriesPartial(
-        n=int(n), k=int(k), s=int(s), x=int(X),
-        value=float(total.real), imag_residue=abs(float(total.imag)),
-        converges=s >= 3,
-    )
+    done = 1
+    for x in marks:
+        for q in range(done + 1, x + 1):
+            mu = int(tables.mobius[q])
+            if mu:
+                total += mu / int(tables.phi[q]) * s_n_q(q, n, k, s)
+        done = x
+        out[x] = SeriesPartial(
+            n=int(n), k=int(k), s=int(s), x=x,
+            value=float(total.real), imag_residue=abs(float(total.imag)),
+            converges=s >= 3,
+        )
+    return out
 
 
 def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
@@ -159,19 +170,23 @@ def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
     return 2.0 * tail_constant / (math.sqrt(cutoff) * math.log(cutoff))
 
 
+#: Primes up to this bound measure the decay constant of euler_product's tail bound.
+_TAIL_PROBE = 1000
+
+
 def euler_product(
     n: int,
     k: int,
     s: int,
     prime_cutoff: int,
     partial_xs: tuple[int, ...] = (),
-    tail_probe: int = 1000,
 ) -> SeriesReport:
     """Product of chi_p over p <= prime_cutoff, dual-route checked per prime.
 
-    partial_xs optionally attaches truncated q-sum values to the report.  The
-    tail bound combines the measured decay constant, max |chi_p - 1| p^(3/2)
-    over ascending p <= tail_probe (reported as tail_constant), with the
+    partial_xs optionally attaches truncated q-sum values to the report, in
+    the given order.  The tail bound combines the measured decay constant,
+    max |chi_p - 1| p^(3/2) over ascending p <= _TAIL_PROBE (reported as
+    tail_constant), with the
     integral estimate beyond the cutoff.  Raises if any factor is
     nonpositive (only float catastrophe could cause that; the theory gives
     chi_p >= p^{-s} > 0).
@@ -191,7 +206,7 @@ def euler_product(
             raise InternalConsistencyError(f"nonpositive local factor {rep.chi!r} at p={p}")
         product *= rep.chi
         min_factor = min(min_factor, rep.chi)
-        if p <= tail_probe:
+        if p <= _TAIL_PROBE:
             tail_constant = max(tail_constant, abs(rep.chi - 1.0) * float(p) ** 1.5)
     report = SeriesReport(
         n=int(n), k=int(k), s=int(s), prime_cutoff=int(prime_cutoff),
@@ -202,9 +217,8 @@ def euler_product(
         min_factor=float(min_factor),
     )
     if partial_xs:
-        tables = arith_tables(max(partial_xs))
-        for x in partial_xs:
-            report.partials.append((int(x), series_partial(n, k, s, x, tables).value))
+        partials = series_partials(n, k, s, partial_xs)
+        report.partials = [(int(x), partials[int(x)].value) for x in partial_xs]
     return report
 
 

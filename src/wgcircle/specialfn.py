@@ -41,29 +41,14 @@ TAU_SIGMA_DOMAIN = (1.25, 3.0)
 BIG_E_DOMAIN = (1.5, 3.0)
 
 # Beyond t ~ 142 the Newton polish, started from a bracket 1e-3 wide around
-# a root near e^(1-t), runs out of max_iter halvings; from this t on,
+# a root near e^(1-t), runs out of _MAX_ITER halvings; from this t on,
 # eta(t) = e^(1-t) * e^(-eta) is e^(1-t) to relative error ~ eta < 1e-60.
 _ETA_ASYMPTOTIC_T = 140.0
 
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Bracketed root-finder settings: bisect to a narrow bracket, then Newton."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-    bracket: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-        if self.bracket is not None and not self.bracket[0] < self.bracket[1]:
-            raise DomainError("bracket must satisfy lo < hi")
-
-
-DEFAULT_ROOT_CONFIG = RootConfig()
+# _bisect_newton's tolerance, step budget per phase, and hand-over width.
+_ABS_TOL = 1e-12
+_MAX_ITER = 200
+_COARSE_WIDTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -99,13 +84,11 @@ def _bisect_newton(
     fprime: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: RootConfig,
-    coarse_width: float = 1e-3,
 ) -> float:
     """Root of f between lo and hi; f(lo) and f(hi) must differ in sign.
 
-    Bisection narrows the bracket to coarse_width, Newton polishes to
-    |f| <= cfg.abs_tol.  Newton steps leaving the bracket fall back to
+    Bisection narrows the bracket to _COARSE_WIDTH, Newton polishes to
+    |f| <= _ABS_TOL.  Newton steps leaving the bracket fall back to
     bisection, so convergence is unconditional for monotone f.
     """
     flo, fhi = f(lo), f(hi)
@@ -116,8 +99,8 @@ def _bisect_newton(
     if (flo > 0.0) == (fhi > 0.0):
         raise ConvergenceError(f"no sign change on bracket [{lo}, {hi}]")
     neg, pos = (lo, hi) if flo < 0.0 else (hi, lo)
-    for _ in range(cfg.max_iter):
-        if abs(pos - neg) <= coarse_width:
+    for _ in range(_MAX_ITER):
+        if abs(pos - neg) <= _COARSE_WIDTH:
             break
         mid = 0.5 * (neg + pos)
         if f(mid) < 0.0:
@@ -127,9 +110,9 @@ def _bisect_newton(
     else:
         raise ConvergenceError("bisection did not narrow the bracket")
     x = 0.5 * (neg + pos)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
-        if abs(fx) <= cfg.abs_tol:
+        if abs(fx) <= _ABS_TOL:
             return x
         if fx < 0.0:
             neg = x
@@ -139,10 +122,10 @@ def _bisect_newton(
         x -= step
         if not (min(neg, pos) < x < max(neg, pos)):
             x = 0.5 * (neg + pos)
-    raise ConvergenceError(f"root polish did not reach |f| <= {cfg.abs_tol}")
+    raise ConvergenceError(f"root polish did not reach |f| <= {_ABS_TOL}")
 
 
-def eta(t: float, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> EtaPoint:
+def eta(t: float) -> EtaPoint:
     """Solve eta + log eta = 1 - t for the unique root in (0, 1).
 
     Returns the value together with the derivative -eta/(1+eta).  The map is
@@ -159,19 +142,17 @@ def eta(t: float, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> EtaPoint:
         if u < sys.float_info.min:
             raise DomainError(f"eta({t!r}) underflows double precision (t must stay below ~709.4)")
     else:
-        lo, hi = cfg.bracket if cfg.bracket is not None else (1e-300, 1.0 - 1e-12)
         u = _bisect_newton(
             lambda x: x + math.log(x) - (1.0 - t),
             lambda x: 1.0 + 1.0 / x,
-            lo,
-            hi,
-            cfg,
+            1e-300,
+            1.0 - 1e-12,
         )
     return EtaPoint(t=t, eta=u, eta_prime=-u / (1.0 + u))
 
 
-def eta_value(t: float, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> float:
-    return eta(t, cfg).eta
+def eta_value(t: float) -> float:
+    return eta(t).eta
 
 
 def eta_inverse(u: float) -> float:
@@ -194,7 +175,7 @@ def coarse_constant(theta: int) -> float:
 SIGMA_HALF_RATIO = 0.5 + math.log(2.0)
 
 
-def critical_ratio(theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> float:
+def critical_ratio(theta: int) -> float:
     """Unique root of 2c = 2 + log(theta*c - 1) in [1, inf).
 
     This is the critical s/k growth ratio: 2.134693... (theta = 5) and
@@ -206,7 +187,6 @@ def critical_ratio(theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> float:
         lambda c: 2.0 - theta / (theta * c - 1.0),
         1.0,
         4.0,
-        cfg,
     )
 
 
@@ -252,12 +232,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     return 0.5 * (a + b)
 
 
-def big_e(
-    sigma: float,
-    theta: int,
-    cross_check: bool = False,
-    cfg: RootConfig = DEFAULT_ROOT_CONFIG,
-) -> float:
+def big_e(sigma: float, theta: int, cross_check: bool = False) -> float:
     """E(sigma) = tau(sigma)/sigma + theta/(theta*sigma - 1) on [3/2, 3].
 
     This equals min over tau in [0, sigma] of h(tau) = tau/sigma + theta*eta(sigma+tau).
@@ -271,7 +246,7 @@ def big_e(
         raise DomainError(f"big_e defined on [{lo}, {hi}], got sigma={sigma!r}")
     value = tau_of_sigma(sigma, theta) / sigma + theta / (theta * sigma - 1.0)
     if cross_check:
-        h = lambda tau: tau / sigma + theta * eta_value(sigma + tau, cfg)
+        h = lambda tau: tau / sigma + theta * eta_value(sigma + tau)
         grid = [sigma * j / 64.0 for j in range(65)]
         j_best = min(range(65), key=lambda j: h(grid[j]))
         a = grid[max(j_best - 1, 0)]
@@ -284,7 +259,7 @@ def big_e(
     return value
 
 
-def critical_ratio_via_optimizer(theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> float:
+def critical_ratio_via_optimizer(theta: int) -> float:
     """Root of E(c) = 1 on [3/2, 3]; agrees with critical_ratio to ~1e-12.
 
     E is strictly decreasing here with E(3/2) > 1 > E(3), so plain bisection
@@ -307,7 +282,7 @@ def critical_ratio_via_optimizer(theta: int, cfg: RootConfig = DEFAULT_ROOT_CONF
     return 0.5 * (lo + hi)
 
 
-def sigma_even_plan(k: int, theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> SigmaPlan:
+def sigma_even_plan(k: int, theta: int) -> SigmaPlan:
     """Find sigma in (c, c + 4/k) with k*(sigma + tau(sigma)) an even integer.
 
     k*(sigma + tau(sigma)) increases in sigma (its derivative is
@@ -321,7 +296,7 @@ def sigma_even_plan(k: int, theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -
     check_theta(theta)
     if k < 17:
         raise DomainError(f"sigma_even_plan requires k >= 17, got {k}")
-    c = critical_ratio(theta, cfg)
+    c = critical_ratio(theta)
     hi_sigma = c + 4.0 / k
     lo_target = k * (c + tau_of_sigma(c, theta))
     hi_target = k * hi_sigma + k * tau_of_sigma(hi_sigma, theta)
@@ -339,7 +314,6 @@ def sigma_even_plan(k: int, theta: int, cfg: RootConfig = DEFAULT_ROOT_CONFIG) -
         lambda s: 1.0 + tau_prime(s, theta),
         c,
         hi_sigma,
-        cfg,
     )
     return SigmaPlan(
         theta=theta,

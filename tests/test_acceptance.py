@@ -15,7 +15,7 @@ import pytest
 from arc_oracle import core_oracle, family_endpoints, gaps_measure, major_oracle, measure, measure_minus
 from wgcircle import circle, counting, exponents, series
 from wgcircle import specialfn as sf
-from wgcircle.arith import arith_tables, sieve_primes
+from wgcircle.arith import sieve_primes
 from wgcircle.serialize import to_csv_bytes, to_json_bytes
 
 
@@ -115,10 +115,9 @@ def test_criterion_5_local_factors():
 
 def test_criterion_6_series_convergence():
     with criterion(6, "q-sum decay slope and product agreement", 60.0):
-        tables = arith_tables(1024)
         partials = {
-            x: series.series_partial(100, 3, 4, x, tables).value
-            for x in (8, 16, 32, 64, 128, 256, 512, 1024)
+            x: sp.value
+            for x, sp in series.series_partials(100, 3, 4, (8, 16, 32, 64, 128, 256, 512, 1024)).items()
         }
         xs, ys = [], []
         for x in (8, 16, 32, 64, 128, 256, 512):
@@ -151,9 +150,8 @@ def test_criterion_8_quadrature_exactness():
             for n in range(s + 3, 2001):
                 fspec, _ = circle.build_f_spectrum(n, k, circle.kth_root_floor(n, k))
                 gspec = circle.build_g_spectrum(n)
-                grid = circle.GridSpec.alias_free(n, s)
                 res = circle.integrate_over_set(
-                    [gspec] + [fspec] * s, [False] * (s + 1), n, None, grid
+                    [gspec] + [fspec] * s, [False] * (s + 1), n, None, circle.alias_free_size(n, s, 1)
                 )
                 direct = counting.count_direct_weighted(k, s, n, logp)
                 assert abs(res.value.real - direct) <= 1e-6 * max(1.0, abs(direct))

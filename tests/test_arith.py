@@ -182,7 +182,6 @@ class TestArithTables:
         assert t.mobius[4] == 0 and t.mobius[12] == 0
         assert t.mobius[6] == 1 and t.mobius[30] == -1
         assert t.phi[12] == 4 and t.phi[97] == 96
-        assert t.spf[91] == 7 and t.spf[97] == 97
 
     def test_totient_divisor_sum(self):
         t = arith.arith_tables(100)

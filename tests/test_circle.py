@@ -17,13 +17,13 @@ from wgcircle.errors import AliasingError, DomainError
 
 class TestSpectra:
     def test_f_spectrum_counts_smooth_numbers(self):
-        spectrum, members = circle.build_f_spectrum(100, 2, 3)
-        assert spectrum.value_at_zero() == 7.0  # |A(10, 3)|
-        assert int((spectrum.coeffs != 0).sum()) == len(members)
+        coeffs, members = circle.build_f_spectrum(100, 2, 3)
+        assert coeffs.sum() == 7.0  # |A(10, 3)|
+        assert int((coeffs != 0).sum()) == len(members)
 
     def test_g_spectrum_zero_value(self):
-        spectrum = circle.build_g_spectrum(10)
-        assert spectrum.value_at_zero() == pytest.approx(5.3471075307, abs=1e-9)
+        coeffs = circle.build_g_spectrum(10)
+        assert coeffs.sum() == pytest.approx(5.3471075307, abs=1e-9)
 
     def test_kth_root_floor(self):
         assert circle.kth_root_floor(100, 2) == 10
@@ -33,39 +33,34 @@ class TestSpectra:
 
 class TestGridEvaluation:
     def test_constant_spectrum(self):
-        spectrum = circle.ExponentialSumSpectrum(coeffs=np.array([3.5]))
-        grid = circle.GridSpec(size=8)
-        vals = circle.evaluate_on_grid(spectrum, grid)
+        vals = circle.evaluate_on_grid(np.array([3.5]), 8)
         assert np.allclose(vals, 3.5)
 
     def test_single_frequency_gives_roots_of_unity(self):
-        spectrum = circle.ExponentialSumSpectrum(coeffs=np.array([0.0, 1.0]))
-        grid = circle.GridSpec(size=8)
-        vals = circle.evaluate_on_grid(spectrum, grid)
+        vals = circle.evaluate_on_grid(np.array([0.0, 1.0]), 8)
         expected = np.exp(2j * np.pi * np.arange(8) / 8)
         assert np.allclose(vals, expected)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         coeffs = rng.random(33)
-        spectrum = circle.ExponentialSumSpectrum(coeffs=coeffs)
-        grid = circle.GridSpec(size=64)
-        vals = circle.evaluate_on_grid(spectrum, grid)
+        vals = circle.evaluate_on_grid(coeffs, 64)
         lhs = float((np.abs(vals) ** 2).mean())
         rhs = float((coeffs**2).sum())
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_aliasing_guard(self):
-        spectrum = circle.ExponentialSumSpectrum(coeffs=np.ones(20))
+        coeffs = np.ones(20)
         with pytest.raises(AliasingError):
-            circle.evaluate_on_grid(spectrum, circle.GridSpec(size=16))
-        circle.evaluate_on_grid(spectrum, circle.GridSpec(size=16), allow_alias=True)
+            circle.evaluate_on_grid(coeffs, 16)
+        # any size past the top frequency is alias-free, a power of two or not
+        assert np.allclose(circle.evaluate_on_grid(coeffs, 20)[1:], 0.0)
 
     def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            circle.GridSpec(size=12)
-        grid = circle.GridSpec.alias_free(100, 2)
-        assert grid.size > 300
+        assert circle.alias_free_size(100, 2, 1) == 512  # 2^k > (s+1)*n
+        # oversample rounds up to a power of two
+        assert circle.alias_free_size(100, 2, 2) == 1024
+        assert circle.alias_free_size(100, 2, 3) == circle.alias_free_size(100, 2, 4) == 2048
 
 
 class TestUpsilon:
@@ -230,10 +225,9 @@ class TestArcUnions:
 class TestIntegration:
     def test_orthogonality(self):
         m, n_freq = 64, 7
-        spectrum = circle.ExponentialSumSpectrum(coeffs=np.eye(1, 33, n_freq)[0])
-        grid = circle.GridSpec(size=m)
-        hit = circle.integrate_over_set([spectrum], [False], n_freq, None, grid)
-        miss = circle.integrate_over_set([spectrum], [False], n_freq + 1, None, grid)
+        coeffs = np.eye(1, 33, n_freq)[0]
+        hit = circle.integrate_over_set([coeffs], [False], n_freq, None, m)
+        miss = circle.integrate_over_set([coeffs], [False], n_freq + 1, None, m)
         assert hit.value == pytest.approx(1.0, abs=1e-12)
         assert abs(miss.value) < 1e-12
 
@@ -242,8 +236,7 @@ class TestIntegration:
         n = 20
         fspec, _ = circle.build_f_spectrum(n, 2, circle.kth_root_floor(n, 2))
         gspec = circle.build_g_spectrum(n)
-        grid = circle.GridSpec.alias_free(n, 1)
-        res = circle.integrate_over_set([gspec, fspec], [False, False], n, None, grid)
+        res = circle.integrate_over_set([gspec, fspec], [False, False], n, None, circle.alias_free_size(n, 1, 1))
         assert res.value.real == pytest.approx(math.log(19) + math.log(11), rel=1e-6)
         assert res.boundary_error == 0.0
 
@@ -252,16 +245,15 @@ class TestIntegration:
         for n in (30, 50, 90):
             fspec, _ = circle.build_f_spectrum(n, 2, circle.kth_root_floor(n, 2))
             gspec = circle.build_g_spectrum(n)
-            grid = circle.GridSpec.alias_free(n, 2)
-            val = circle.integrate_over_set([gspec, fspec, fspec], [False] * 3, n, None, grid).value.real
+            m = circle.alias_free_size(n, 2, 1)
+            val = circle.integrate_over_set([gspec, fspec, fspec], [False] * 3, n, None, m).value.real
             assert val <= counting.count_direct(2, 2, n) * math.log(n) + 1e-9
 
     def test_subset_boundary_error_reported(self):
         n = 64
         fspec, _ = circle.build_f_spectrum(n, 2, 8)
-        grid = circle.GridSpec.alias_free(n, 1)
         union = circle.major_arcs(2.0, n)
-        res = circle.integrate_over_set([fspec], [False], None, union, grid)
+        res = circle.integrate_over_set([fspec], [False], None, union, circle.alias_free_size(n, 1, 1))
         assert res.boundary_error > 0
         assert res.measure <= 1.0
 
@@ -270,9 +262,8 @@ class TestIntegration:
         # squared coefficients, by orthogonality
         n = 200
         fspec, _ = circle.build_f_spectrum(n, 2, 5)
-        grid = circle.GridSpec.alias_free(n, 2)
-        res = circle.integrate_over_set([fspec, fspec], [False, True], None, None, grid)
-        assert res.value.real == pytest.approx(float((fspec.coeffs**2).sum()), rel=1e-9)
+        res = circle.integrate_over_set([fspec, fspec], [False, True], None, None, circle.alias_free_size(n, 2, 1))
+        assert res.value.real == pytest.approx(float((fspec**2).sum()), rel=1e-9)
         assert abs(res.value.imag) < 1e-9
 
 
@@ -329,9 +320,9 @@ class TestModelError:
         # at alpha = 0 the model is rho * v_k(0), close to |A| by construction
         n = 4096
         P = circle.kth_root_floor(n, 2)
-        spectrum, members = circle.build_f_spectrum(n, 2, P)
+        coeffs, members = circle.build_f_spectrum(n, 2, P)
         model = len(members) / P * circle.v_poly(0.0, n, 2).real
-        assert spectrum.value_at_zero() == pytest.approx(model, rel=0.02)
+        assert coeffs.sum() == pytest.approx(model, rel=0.02)
 
     def test_full_range_smoothness_is_classical(self):
         rep = circle.major_arc_model_error(1024, 2, circle.kth_root_floor(1024, 2))
@@ -342,11 +333,10 @@ class TestMoments:
     def test_subset_of_full_circle(self):
         P, k, t, R = 32, 3, 8.0, 2
         denom = P**k
-        grid = circle.GridSpec.alias_free(denom, 0, oversample=2)
-        spectrum, _ = circle.build_f_spectrum(denom, k, R)
-        vals = circle.evaluate_on_grid(spectrum, grid)
+        coeffs, _ = circle.build_f_spectrum(denom, k, R)
+        vals = circle.evaluate_on_grid(coeffs, circle.alias_free_size(denom, 0, 2))
         full = float((np.abs(vals) ** t).mean())
-        res = circle.moment_v(P, R, 0.5 * math.sqrt(denom), t, k, grid=grid, f_values=vals)
+        res = circle.moment_v(P, R, 0.5 * math.sqrt(denom), t, k)
         assert res.value <= full
 
     def test_measure_dominated_near_unit_height(self):
@@ -380,15 +370,15 @@ class TestMoments:
 @pytest.fixture(scope="module")
 def scene():
     n, k, s, theta = 10**4, 2, 3, 5
-    grid = circle.GridSpec.alias_free(n, s)
+    m = circle.alias_free_size(n, s, 1)
     fspec, _ = circle.build_f_spectrum(n, k, 2)
     gspec = circle.build_g_spectrum(n)
     return {
-        "n": n, "k": k, "s": s, "theta": theta, "grid": grid,
-        "f": circle.evaluate_on_grid(fspec, grid),
-        "g": circle.evaluate_on_grid(gspec, grid),
+        "n": n, "k": k, "s": s, "theta": theta, "m": m,
+        "f": circle.evaluate_on_grid(fspec, m),
+        "g": circle.evaluate_on_grid(gspec, m),
         # the minor arcs k = [0, 1] minus K, as the ledger builds them
-        "minor": ~circle.build_arc_union("K", n, k).grid_mask(grid.size),
+        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m),
     }
 
 
@@ -401,9 +391,9 @@ class TestLevelSets:
     def test_minor_partition_is_exact(self, scene):
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            *base_amplitudes(scene, scene["minor"]), scene["grid"].size, family="minor", U=20.0,
+            *base_amplitudes(scene, scene["minor"]), scene["m"], family="minor", U=20.0,
         )
-        assert (scene["minor"] == ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["grid"].size)).all()
+        assert (scene["minor"] == ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["m"])).all()
         base_measure = scene["minor"].mean()
         assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
         labels = [c.label for c in part.classes]
@@ -415,7 +405,7 @@ class TestLevelSets:
         n, s = scene["n"], scene["s"]
         u = 20.0
         part = circle.level_partition(
-            n, scene["k"], s, scene["theta"], *base_amplitudes(scene, scene["minor"]), scene["grid"].size,
+            n, scene["k"], s, scene["theta"], *base_amplitudes(scene, scene["minor"]), scene["m"],
             family="minor", U=u,
         )
         gentle = part.classes[1]
@@ -426,7 +416,7 @@ class TestLevelSets:
         # a band threshold below the covered range forces |g| >= n/U > sup g
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            *base_amplitudes(scene, scene["minor"]), scene["grid"].size, family="minor", U=1e-6,
+            *base_amplitudes(scene, scene["minor"]), scene["m"], family="minor", U=1e-6,
         )
         assert part.warnings
         assert part.classes[1].points == 0 and part.classes[2].points == 0
@@ -434,9 +424,9 @@ class TestLevelSets:
     def test_slice_partition_is_exact(self, scene):
         n = scene["n"]
         q = 8.0
-        _, sl, _ = circle.height_slice(n, q, scene["grid"].size)
+        _, sl, _ = circle.height_slice(n, q, scene["m"])
         part = circle.level_partition(
-            n, scene["k"], scene["s"], scene["theta"], *base_amplitudes(scene, sl), scene["grid"].size,
+            n, scene["k"], scene["s"], scene["theta"], *base_amplitudes(scene, sl), scene["m"],
             family="slice", V=q / 2, Q=q,
         )
         base_measure = sl.mean()

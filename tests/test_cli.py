@@ -275,6 +275,35 @@ class TestFailureModes:
         assert capsys.readouterr().err == (
             "error: height 15.848931924611136 above the disjointness bound sqrt(1000)/2\n")
 
+    @pytest.mark.parametrize("command", [
+        ("dissect", "--n", str(10**400), "--k", "2", "--s", "3"),
+        ("model-error", "--n", str(10**400), "--k", "2"),
+        ("moments", "--P", str(2**1030), "--k", "1", "--t", "2"),
+    ])
+    def test_huge_inputs_exit_two(self, capsys, command):
+        # n or P past the double range: a float k-th root or P^eta once raised OverflowError
+        start = time.perf_counter()
+        code = main(list(command))
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dissect_arcs_charged_before_they_are_built(self, capsys, monkeypatch):
+        # the K family of order 1584 would take ~300 MB; the spectra are never reached
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "10000000")
+        start = time.perf_counter()
+        code = main(["dissect", "--n", "100000000", "--k", "2", "--s", "3"])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: Farey family K of order 1584 needs ") and err.count("\n") == 1
+
+    def test_dissect_oversample_checked(self, capsys):
+        code = main(["dissect", "--n", "100000", "--k", "2", "--s", "3", "--oversample", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --oversample must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("P", ["-3", "1"])
     def test_moments_needs_P_two(self, capsys, P):
         # a negative P once reached P**(1/8) in the default R and raised TypeError

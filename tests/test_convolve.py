@@ -36,6 +36,16 @@ class TestFloatChecked:
         assert convolve.fft_convolve_checked(a, a, 64) is None
         assert convolve.convolve_exact(a, a, 64).tolist() == list(range(1, 65))
 
+    def test_squaring_transforms_once(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(1) or rfft(*args))
+        a = np.array([1, 2, 3], dtype=np.int64)
+        assert convolve.fft_convolve_checked(a, a, 5).tolist() == [1, 4, 10, 12, 9]
+        assert len(calls) == 1
+        assert convolve.fft_convolve_checked(a, a.copy(), 5).tolist() == [1, 4, 10, 12, 9]
+        assert len(calls) == 3
+
 
 class TestConvolveExact:
     def test_auto_falls_back(self):

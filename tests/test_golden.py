@@ -7,9 +7,10 @@ variants pin the arc lists and region measures of ``dissect --format json``
 (including slices whose seams land on grid points and an empty slice), the
 level-set ledgers of ``dissect`` with band thresholds inside and outside the
 covered ranges, oversampled and in plain form, and a ``moments`` run over
-every integer height up to 8 and one with a single member.  Three runs in
-the paper's regime (s >= ck + 4) pin counts past 2^52, and one at s = 40
-counts past 2^115.  Refactors that keep behaviour keep these
+every integer height up to 8 and one with a single member.  The series
+variants pin truncated q-sums at ascending, unsorted and repeated points.
+Three runs in the paper's regime (s >= ck + 4) pin counts past 2^52, and one
+at s = 40 counts past 2^115.  Refactors that keep behaviour keep these
 digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -71,6 +72,19 @@ ARC_VARIANTS = {
                             "--format", "json"],
     "dissect-theta4-plain": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--theta", "4",
                              "--format", "plain"],
+    # --oversample 3 rounds up to x4: 2^21 grid points against 2^19 without it
+    "dissect-oversample3": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--oversample", "3",
+                            "--format", "json"],
+    "model-error-k3": ["model-error", "--n", "16384", "--k", "3"],
+}
+
+# truncated q-sums at several points: ascending (the benchmark's series_euler
+# shape), and unsorted with a repeat, which the report keeps in the given order
+SERIES_VARIANTS = {
+    "series-euler": ["series", "--n", "123457", "--k", "3", "--s", "4", "--cutoff", "3000",
+                     "--xs", "512,1024", "--format", "json"],
+    "series-xs-unsorted": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000",
+                           "--xs", "256,64,256"],
 }
 
 # the paper's regime s >= ck + 4 (s >= 9 for k = 2, s >= 11 for k = 3), where
@@ -83,7 +97,8 @@ PAPER_REGIME_VARIANTS = {
     "count-k2-s40": ["count", "--k", "2", "--s", "40", "--n", "20000"],
 }
 
-GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS, **PAPER_REGIME_VARIANTS}
+GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS, **SERIES_VARIANTS,
+                   **PAPER_REGIME_VARIANTS}
 
 
 def output_digest(argv: list[str], path: Path) -> str:
@@ -108,6 +123,12 @@ def test_compare_variant_bytes(name, tmp_path):
 def test_arc_variant_bytes(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert output_digest(ARC_VARIANTS[name], tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("name", list(SERIES_VARIANTS))
+def test_series_variant_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(SERIES_VARIANTS[name], tmp_path / "out") == expected
 
 
 @pytest.mark.parametrize("name", list(PAPER_REGIME_VARIANTS))

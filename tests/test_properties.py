@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import arc_oracle
 import level_oracle
-from wgcircle import circle, convolve, serialize
+from wgcircle import arith, circle, convolve, serialize
 from wgcircle.errors import DomainError
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -293,3 +293,13 @@ def test_csv_columns_match_row_writer(rows):
     columns += [np.array(values, dtype=np.float64) for values in floats]
     expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
     assert serialize.to_csv_columns_bytes(header, columns) == expected
+
+
+@PROPERTY_SETTINGS
+@given(x=st.integers(1, 2**200 - 1), k=st.integers(1, 12), offset=st.sampled_from([-1, 0, 1]))
+def test_kth_root_floor_near_perfect_powers(x, k, offset):
+    n = x**k + offset
+    if n < 1:
+        return
+    root = arith.kth_root_floor(n, k)
+    assert root**k <= n < (root + 1) ** k

@@ -68,7 +68,7 @@ class TestLocalFactor:
                 assert rep.chi >= p ** (-3) - 1e-12
 
     def test_large_p_trend(self):
-        c = series.euler_product(10, 3, 3, 500, tail_probe=500).tail_constant
+        c = series.euler_product(10, 3, 3, 500).tail_constant
         assert c < 3.0  # recorded: 1.386 at p <= 1000
 
     def test_residue_table_matches_pointwise(self):
@@ -80,28 +80,42 @@ class TestLocalFactor:
 
 class TestSeriesPartial:
     def test_x_one(self):
-        assert series.series_partial(100, 3, 4, 1).value == 1.0
+        assert series.series_partials(100, 3, 4, (1,))[1].value == 1.0
 
     def test_squarefull_terms_vanish(self):
         # q = 4 contributes nothing: partial sums at X=3 and X=4 coincide
-        t = arith_tables(16)
-        s3 = series.series_partial(100, 3, 4, 3, t).value
-        s4 = series.series_partial(100, 3, 4, 4, t).value
-        assert s3 == pytest.approx(s4, abs=1e-15)
+        partials = series.series_partials(100, 3, 4, (3, 4))
+        assert partials[3].value == pytest.approx(partials[4].value, abs=1e-15)
 
     def test_imag_residue_small(self):
-        sp = series.series_partial(100, 3, 4, 64)
+        sp = series.series_partials(100, 3, 4, (64,))[64]
         assert sp.imag_residue < 1e-9
 
     def test_low_s_flagged(self):
-        assert series.series_partial(50, 2, 2, 8).converges is False
-        assert series.series_partial(50, 2, 3, 8).converges is True
+        assert series.series_partials(50, 2, 2, (8,))[8].converges is False
+        assert series.series_partials(50, 2, 3, (8,))[8].converges is True
+
+    def test_one_pass_matches_separate_sums(self):
+        # each running total is summed in the order of a pass stopping at its X
+        n, k, s = 100, 3, 4
+        t = arith_tables(40)
+        partials = series.series_partials(n, k, s, (40, 7, 1, 7, 24))
+        assert sorted(partials) == [1, 7, 24, 40]
+        for x, sp in partials.items():
+            total = 1 + 0j
+            for q in range(2, x + 1):
+                if t.mobius[q]:
+                    total += int(t.mobius[q]) / int(t.phi[q]) * series.s_n_q(q, n, k, s)
+            assert (sp.x, sp.value, sp.imag_residue) == (x, total.real, abs(total.imag))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            series.series_partials(100, 3, 4, (8, 0))
 
     def test_convergence_slope(self):
         # |S(n,2X) - S(n,X)| should decay at least like X^(-0.3) in the fit
-        t = arith_tables(1024)
-        partials = {x: series.series_partial(100, 3, 4, x, t).value for x in
-                    (8, 16, 32, 64, 128, 256, 512, 1024)}
+        partials = {x: sp.value for x, sp in
+                    series.series_partials(100, 3, 4, (8, 16, 32, 64, 128, 256, 512, 1024)).items()}
         xs, ys = [], []
         for x in (8, 16, 32, 64, 128, 256, 512):
             d = abs(partials[2 * x] - partials[x])
@@ -123,6 +137,11 @@ class TestEulerProduct:
         best = rep.partials[-1][1]
         series_tail = 3.5 * abs(rep.partials[-1][1] - rep.partials[0][1])
         assert abs(rep.product_value - best) <= rep.tail_bound + series_tail + 1e-9
+
+    def test_partials_keep_the_given_order(self):
+        rep = series.euler_product(100, 3, 4, 50, partial_xs=(16, 4, 16))
+        partials = series.series_partials(100, 3, 4, (4, 16))
+        assert rep.partials == [(16, partials[16].value), (4, partials[4].value), (16, partials[16].value)]
 
     def test_positivity_sample(self):
         rng = np.random.default_rng(11)

@@ -93,21 +93,16 @@ class TestEta:
 
 
 class TestRootConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            sf.RootConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            sf.RootConfig(max_iter=0)
-        with pytest.raises(DomainError):
-            sf.RootConfig(bracket=(2.0, 1.0))
+    """The root finder's fixed tolerance and step budget."""
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(ConvergenceError):
-            sf._bisect_newton(lambda x: x * x + 1, lambda x: 2 * x, -1.0, 1.0, sf.DEFAULT_ROOT_CONFIG)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            sf._bisect_newton(lambda x: x * x + 1, lambda x: 2 * x, -1.0, 1.0)
 
     def test_iteration_budget_enforced(self):
-        with pytest.raises(ConvergenceError):
-            sf.eta(2.0, sf.RootConfig(max_iter=2))
+        # a step has no point with |f| <= tol, so the polish spends its whole budget
+        with pytest.raises(ConvergenceError, match="root polish"):
+            sf._bisect_newton(lambda x: -1.0 if x < 0.3 else 1.0, lambda x: 1.0, 0.0, 1.0)
 
 
 class TestCriticalRatio:
