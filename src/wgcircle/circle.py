@@ -7,6 +7,9 @@ prime p <= n.  Values at the uniform grid alpha_j = j/M come from one inverse
 FFT, and a Riemann sum over the grid integrates g * f^s * e(-alpha n) exactly
 on the full circle whenever M exceeds the bandwidth (trig-polynomial
 orthogonality); on arc subsets the endpoint error is reported, never hidden.
+Where only |g| and |f| matter, the real weights give g(1 - alpha) = conj
+g(alpha), so one real FFT yields the amplitudes on the half grid
+j in [0, M/2], and the mirror point M - j carries the same amplitude.
 
 An arc union is one closed Farey family: the reduced fractions a/q <= 1
 with q <= q_top, in ascending order from the Farey next-term recurrence, each
@@ -24,10 +27,15 @@ difference) over these families, with exact measures.  The weight
 is attached to the unique covering arc of height sqrt(n)/2, located through
 continued-fraction convergents rather than a linear scan.
 
-The dissection ledger takes |g| and |f| once, at the base points of the
-minor arcs and of the height slice only; the level partitions, the band cover
-and the envelope constant work on those compressed arrays, from which a class
-mask selects the same points, in the same order, as from the full grid.
+The dissection ledger works on the half grid.  Every Farey family is
+symmetric under a/q -> (q - a)/q, so its grid mask is symmetric under
+j -> M - j, and a half-grid point stands for itself and its mirror: it counts
+twice, except j = 0 and j = M/2, which are their own mirrors.  The ledger
+takes |g| and |f| once, by one real FFT per spectrum, and keeps them at the
+base points of the minor arcs and of the height slice only; the level
+partitions, the band cover and the envelope constant work on those
+compressed arrays with these weights, so counts and measures are those of
+the full grid and maxima are unchanged.
 
 Grid evaluation and classification are data-parallel over grid indices;
 reductions use numpy's fixed-order pairwise sums, so results are reproducible.
@@ -46,6 +54,7 @@ import numpy as np
 from .arith import SmoothSet, check_double_range, gauss_sum, kth_root_floor, sieve_primes, smooth_set
 from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
+from .serialize import JsonRecords
 from .specialfn import eta_value
 
 #: Exponent of the core-arc height (log n)^CORE_HEIGHT_EXPONENT; configurable,
@@ -102,13 +111,33 @@ def evaluate_on_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(coeffs, n=m) * m
 
 
+def grid_amplitudes(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """|sum_j c_j e(j * i/m)| at the grid points i/m, 0 <= i <= m/2, by one
+    real FFT.
+
+    With real weights, rfft's sum of c_j e(-j * i/m) is the conjugate of the
+    value at i/m, and so is the value at (m - i)/m: these m//2 + 1 amplitudes
+    are every amplitude on the grid.
+    """
+    if m < len(coeffs):
+        raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
+    return np.abs(np.fft.rfft(coeffs, n=m))
+
+
+def half_size(m: int) -> int:
+    """Points j in [0, m/2] of the grid of size m."""
+    return m // 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # Farey arcs
 
 # peak bytes per arc while a family is built (the (q, a, r) tuples, their
 # integer columns and the exact disjointness check); tracemalloc measures up
-# to ~420 for the K family at n = 10^8
+# to ~420 for the K family at n = 10^8; per arc of a built family that stays
+# alive (the tuples and their int64 columns), up to ~150
 _ARC_BYTES = 480
+_ARC_LIVE_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -158,8 +187,9 @@ class ArcUnion:
     def measure(self) -> float:
         return float(self.measure_exact())
 
-    def _spans(self, m: int) -> tuple[np.ndarray, ...]:
-        """q, a, j0, j1 of the arcs holding grid points j/m, j0 <= j <= j1.
+    def _spans(self, m: int, half: bool) -> tuple[np.ndarray, ...]:
+        """q, a, j0, j1 of the arcs holding grid points j/m, j0 <= j <= j1,
+        for j < m, or for j <= m/2 when half.
 
         With F = floor(m*r*W) the arc's grid points are exactly
         ceil((m*a - F)/q) <= j <= floor((m*a + F)/q): m*a is an integer, so
@@ -169,22 +199,26 @@ class ArcUnion:
         reaches, which = np.unique(r, return_inverse=True)
         F = np.array([m * int(x) * self.num // self.den for x in reaches], dtype=np.int64)[which]
         j0 = np.maximum(-((F - m * a) // q), 0)
-        j1 = np.minimum((m * a + F) // q, m - 1)
+        j1 = np.minimum((m * a + F) // q, half_size(m) - 1 if half else m - 1)
         hit = j0 <= j1
         return q[hit], a[hit], j0[hit], j1[hit]
 
-    def grid_spans(self, m: int):
+    def grid_spans(self, m: int, half: bool = False):
         """(q, a, j0, j1) for each arc holding grid points j/m, j0 <= j <= j1.
 
         The point alpha = 1 is the grid point 0 by periodicity, so the arc at
-        1 stops at j = m - 1 (the arc at 0 covers it).
+        1 stops at j = m - 1 (the arc at 0 covers it).  With half, spans stop
+        at j = m/2.
         """
-        return zip(*(col.tolist() for col in self._spans(m)))
+        return zip(*(col.tolist() for col in self._spans(m, half)))
 
-    def grid_mask(self, m: int) -> np.ndarray:
-        """Boolean membership of the grid points j/m, j in [0, m)."""
-        _, _, j0, j1 = self._spans(m)
-        edges = np.zeros(m + 1, dtype=np.int8)
+    def grid_mask(self, m: int, half: bool = False) -> np.ndarray:
+        """Boolean membership of the grid points j/m, j in [0, m), or of the
+        half grid j in [0, m/2] when half: the family is symmetric under
+        a/q -> (q - a)/q, so the mask is symmetric under j -> m - j."""
+        _, _, j0, j1 = self._spans(m, half)
+        size = half_size(m) if half else m
+        edges = np.zeros(size + 1, dtype=np.int8)
         edges[j0] = 1
         edges[j1 + 1] -= 1  # disjoint spans: no index repeats within j0 or within j1 + 1
         return np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
@@ -192,12 +226,26 @@ class ArcUnion:
     def endpoint_count(self) -> int:
         return 2 * len(self.intervals)
 
-    def to_json_arcs(self) -> list[dict]:
-        # int / int is correctly rounded, so these are the floats of the exact values
-        return [
-            {"q": q, "a": a, "center": a / q, "half_width": r * self.num / (q * self.den)}
-            for q, a, r in self.intervals
-        ]
+    def to_json_arcs(self) -> JsonRecords:
+        """One record q, a, center, half_width per arc, as float64 columns
+        holding the correctly rounded a/q and r*W/q."""
+        q, a, r = self._columns
+        # a and q are below 2^53, so the float quotient is the rounded a/q; each
+        # distinct (q, r) gets its r*num/(q*den) from exact integer division
+        pairs, which = np.unique(np.stack((q, r), axis=1), axis=0, return_inverse=True)
+        widths = np.array([int(rr) * self.num / (int(qq) * self.den) for qq, rr in pairs.tolist()])
+        return JsonRecords(columns=(q, a, a / q, widths[which.reshape(-1)]),
+                           fields=("q", "a", "center", "half_width"))
+
+
+def _family_bytes(q_top: int, per_arc: int = _ARC_BYTES) -> int:
+    """Bytes of the Farey family of order q_top, at per_arc bytes per arc: it
+    has at most 2 + q_top^2/2 arcs (phi(q) < q)."""
+    return per_arc * (q_top * q_top // 2 + 2)
+
+
+def _charge_family(label: str, q_top: int) -> None:
+    ensure_memory(_family_bytes(q_top), f"Farey family {label} of order {q_top}")
 
 
 def _farey_family(label: str, q_top: int, width: Fraction, reach_is_q: bool) -> ArcUnion:
@@ -205,10 +253,10 @@ def _farey_family(label: str, q_top: int, width: Fraction, reach_is_q: bool) -> 
     q_top, with reach r = q or r = 1.
 
     The next-term recurrence yields every reduced a/q in [0, 1] with q <= q_top
-    in ascending order, so there is no gcd test and no sort.  There are at
-    most 2 + q_top^2/2 of them (phi(q) < q), charged against the budget first.
+    in ascending order, so there is no gcd test and no sort.  The family is
+    charged against the budget first.
     """
-    ensure_memory(_ARC_BYTES * (q_top * q_top // 2 + 2), f"Farey family {label} of order {q_top}")
+    _charge_family(label, q_top)
     arcs = [(1, 0, 1)]
     a, b, c, d = 0, 1, 1, q_top
     while c <= q_top:
@@ -223,6 +271,11 @@ def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
 
     Disjoint when Q <= sqrt(denom)/2 (enforced); the width is exact.
     """
+    _check_major_height(Q, denom)
+    return _farey_family(label or f"M({Q:g})", int(math.floor(Q)), Fraction(Q) / denom, reach_is_q=False)
+
+
+def _check_major_height(Q: float, denom: int) -> None:
     if Q < 1:
         raise DomainError(f"height must be >= 1, got {Q}")
     # 1e-9 slack: callers pass Q = sqrt(denom)/2 as a float, which may round a
@@ -231,7 +284,6 @@ def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
     # exactly at construction.
     if Q > 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
         raise DomainError(f"height {Q} above the disjointness bound sqrt({denom})/2")
-    return _farey_family(label or f"M({Q:g})", int(math.floor(Q)), Fraction(Q) / denom, reach_is_q=False)
 
 
 def core_arcs(n: int, height: float | None = None, label: str = "N") -> ArcUnion:
@@ -245,35 +297,45 @@ def core_arcs(n: int, height: float | None = None, label: str = "N") -> ArcUnion
     return _farey_family(label, int(math.floor(q_cal)), Fraction(q_cal) / n, reach_is_q=True)
 
 
+def major_height(label: str, n: int, k: int, **params) -> float:
+    """The height Q of the named major-arc family M(Q), L, K or Kprime at scale n."""
+    if label == "M":
+        return params["Q"]
+    if label == "L":
+        return max(1.0, kth_root_floor(n, k) ** params.get("height_exponent", PRUNED_HEIGHT_EXPONENT))
+    if label == "K":
+        return n**0.4
+    if label == "Kprime":
+        return 0.5 * math.sqrt(n)
+    raise DomainError(f"unknown arc-union label {label!r}")
+
+
 def build_arc_union(label: str, n: int, k: int, **params) -> ArcUnion:
     """Named dissections: M(Q), N, L, K, Kprime, all at scale n."""
-    P = kth_root_floor(n, k)
-    if label == "M":
-        return major_arcs(params["Q"], n, label=f"M({params['Q']:g})")
     if label == "N":
         return core_arcs(n, params.get("height"))
-    if label == "L":
-        e = params.get("height_exponent", PRUNED_HEIGHT_EXPONENT)
-        return major_arcs(max(1.0, P**e), n, label="L")
-    if label == "K":
-        return major_arcs(n**0.4, n, label="K")
-    if label == "Kprime":
-        return major_arcs(0.5 * math.sqrt(n), n, label="Kprime")
-    raise DomainError(f"unknown arc-union label {label!r}")
+    height = major_height(label, n, k, **params)
+    return major_arcs(height, n, label=f"M({height:g})" if label == "M" else label)
+
+
+def _check_slice_height(n: int, Y: float) -> None:
+    if not 0.5 <= Y <= 0.25 * math.sqrt(n):
+        raise DomainError(f"slice height must lie in [1/2, sqrt(n)/4], got {Y}")
 
 
 def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
     """The slice P(Y) = M(2Y) minus M(Y) at scale n: its label, its mask on
-    the grid j/m and its measure.
+    the half grid j/m, j in [0, m/2], and its measure.
 
-    Each arc of M(max(1, Y)) has the centre of an arc of M(2Y) and is no wider
-    (Y >= 1/2), so the slice measure is the exact difference of the two.
+    Both families are symmetric under j -> m - j, so the half grid holds the
+    whole slice.  Each arc of M(max(1, Y)) has the centre of an arc of M(2Y)
+    and is no wider (Y >= 1/2), so the slice measure is the exact difference
+    of the two.
     """
-    if not 0.5 <= Y <= 0.25 * math.sqrt(n):
-        raise DomainError(f"slice height must lie in [1/2, sqrt(n)/4], got {Y}")
+    _check_slice_height(n, Y)
     outer = major_arcs(2 * Y, n)
     inner = major_arcs(max(1.0, Y), n)
-    mask = outer.grid_mask(m) & ~inner.grid_mask(m)
+    mask = outer.grid_mask(m, half=True) & ~inner.grid_mask(m, half=True)
     return f"P({Y:g})", mask, float(outer.measure_exact() - inner.measure_exact())
 
 
@@ -590,15 +652,55 @@ def _check_thresholds(**values: float | None) -> None:
             raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _class_from_mask(label: str, mask: np.ndarray, g_abs, f_abs, weight, m: int) -> LevelClass:
-    pts = int(mask.sum())
+@dataclass(frozen=True)
+class BasePoints:
+    """|g| and |f| at the points of a symmetric base set on the half grid
+    j in [0, m/2] of the grid of size m, in grid order.
+
+    Each point stands for itself and its mirror m - j, so it counts twice;
+    `once` holds the positions, in g and f, of the points j = 0 and j = m/2,
+    which are their own mirrors and count once.
+    """
+
+    g: np.ndarray
+    f: np.ndarray
+    once: np.ndarray
+    m: int
+
+    @classmethod
+    def select(cls, g_half: np.ndarray, f_half: np.ndarray, mask: np.ndarray, m: int) -> BasePoints:
+        """The points of the half-grid mask, from the half-grid amplitudes."""
+        if not len(g_half) == len(f_half) == len(mask) == half_size(m):
+            raise DomainError(f"half-grid arrays need {half_size(m)} points for a grid of size {m}")
+        g, f = g_half[mask], f_half[mask]
+        once = [0] if mask[0] else []
+        if m % 2 == 0 and mask[-1]:
+            once.append(len(g) - 1)
+        return cls(g=g, f=f, once=np.array(once, dtype=np.int64), m=m)
+
+    def count(self, mask: np.ndarray) -> int:
+        """Full-grid points of the class given by a mask over the base points."""
+        return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[self.once]))
+
+    def total(self, values: np.ndarray, mask: np.ndarray) -> float:
+        """Sum of values over the full-grid points of the class."""
+        ends = self.once[mask[self.once]]
+        return float(2.0 * values[mask].sum() - values[ends].sum())
+
+    def measure(self) -> float:
+        return (2 * len(self.g) - len(self.once)) / self.m
+
+
+def _class_from_mask(label: str, mask: np.ndarray, base: BasePoints, weight: np.ndarray) -> LevelClass:
+    pts = base.count(mask)
     return LevelClass(
         label=label,
         points=pts,
-        measure=pts / m,
-        sup_g=float(g_abs[mask].max()) if pts else 0.0,
-        sup_f=float(f_abs[mask].max()) if pts else 0.0,
-        contribution_abs=float(weight[mask].sum() / m) if pts else 0.0,
+        measure=pts / base.m,
+        # amplitudes are >= 0, so an empty class has sup 0.0
+        sup_g=float(np.max(base.g, where=mask, initial=0.0)),
+        sup_f=float(np.max(base.f, where=mask, initial=0.0)),
+        contribution_abs=base.total(weight, mask) / base.m if pts else 0.0,
     )
 
 
@@ -607,9 +709,7 @@ def level_partition(
     k: int,
     s: int,
     theta: int,
-    g_abs: np.ndarray,
-    f_abs: np.ndarray,
-    m: int,
+    base: BasePoints,
     *,
     family: str,
     U: float | None = None,
@@ -618,17 +718,15 @@ def level_partition(
 ) -> LevelSetPartition:
     """Classify the base set's points by the size of |g| (and then |f|).
 
-    g_abs and f_abs are |g| and |f| at the base set's points of the grid of
-    size m, in grid order.  family="minor": tiny_g is |g| <= sqrt(n); the band
-    is n/U <= |g| <= 2n/U, split at |f|^s = P^s/(U * L^3).  family="slice":
+    Counts, measures and sums are over the full grid (each half-grid point
+    standing for its mirror too).  family="minor": tiny_g is |g| <= sqrt(n);
+    the band is n/U <= |g| <= 2n/U, split at |f|^s = P^s/(U * L^3).  family="slice":
     small_g is |g| <= n/Q on a height slice, band n/V <= |g| <= 2n/V split at
     |f|^s = P^s/(V * L^4).  Points of the base in neither class land in
     "unbanded", so the classes partition the base exactly.  Thresholds outside
     the ranges the theory covers produce warnings, not errors.
     """
     _check_thresholds(U=U, V=V)
-    if len(f_abs) != len(g_abs):
-        raise DomainError("g and f amplitudes differ in length")
     L = big_l(n)
     if family == "minor":
         if U is None:
@@ -650,27 +748,25 @@ def level_partition(
     split = kth_root_floor(n, k) ** s / (scale * L**log_power)
     thresholds["f_split"] = split
 
-    f_pow = f_abs**s
+    g_abs, f_pow = base.g, base.f**s
     first = g_abs <= first_cut
     band = ~first & (g_abs >= n / scale) & (g_abs <= 2 * n / scale)
     band_small = band & (f_pow <= split)
+    weight = np.multiply(f_pow, g_abs, out=f_pow)  # |g| |f|^s, in the buffer of |f|^s
     labels = (first_label, "band_small_f", "band_large_f", "unbanded")
     masks = (first, band_small, band & ~band_small, ~first & ~band)
-    weight = g_abs * f_pow
-    classes = tuple(
-        _class_from_mask(label, mask, g_abs, f_abs, weight, m) for label, mask in zip(labels, masks)
-    )
+    classes = tuple(_class_from_mask(label, mask, base, weight) for label, mask in zip(labels, masks))
     return LevelSetPartition(
         family=family, thresholds=thresholds,
         classes=classes, warnings=tuple(warnings),
     )
 
 
-def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray) -> dict:
+def dyadic_band_cover(n: int, theta: int, base: BasePoints) -> dict:
     """Check that O(log n) dyadic bands cover the base points with |g| > sqrt(n).
 
-    g_abs is |g| at the base points.  Bands are n/U <= |g| <= 2n/U for U
-    halving from sqrt(n) down to n^(1/theta)/L^5 (at most 200 bands).
+    Bands are n/U <= |g| <= 2n/U for U halving from sqrt(n) down to
+    n^(1/theta)/L^5 (at most 200 bands).
     Consecutive bands share an endpoint exactly in floating point (n/(U/2)
     and 2n/U round the same quotient), so together they are the one interval
     from n/sqrt(n) to 2n/U_last, and coverage can fail only above the top band
@@ -683,15 +779,51 @@ def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray) -> dict:
         top = 2 * n / u
         u /= 2.0
         bands += 1
+    g_abs = base.g
     over = g_abs > math.sqrt(n)
     uncovered = over if top is None else over & ~((g_abs >= n / math.sqrt(n)) & (g_abs <= top))
-    return {"bands": bands, "points_above_tiny": int(over.sum()), "uncovered": int(uncovered.sum())}
+    return {"bands": bands, "points_above_tiny": base.count(over), "uncovered": base.count(uncovered)}
 
 
 def g_envelope_constant(n: int, sup_g: float) -> dict:
     """Empirical C with sup |g| on the base <= C * n^(4/5) * L^4 (reported, not asserted)."""
     scale = n**0.8 * big_l(n) ** 4
     return {"sup_g": sup_g, "scale": scale, "constant": sup_g / scale}
+
+
+# peak bytes per half-grid point in dissection_ledger, reached in the second
+# real FFT: the first family's amplitudes (8), the complex transform (16) and
+# its amplitudes (8), the two masks (2), and pocketfft's scratch copy and
+# cached plan (about 24, allocated outside numpy where tracemalloc cannot see
+# them); per frequency, a spectrum (8) and the prime sieve with its table (< 8)
+_LEDGER_HALF_POINT_BYTES = 64
+_LEDGER_FREQUENCY_BYTES = 16
+
+
+def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
+    """Peak working set of dissection_ledger at scale n on a grid of size m.
+
+    It is the larger of two phases.  First the Farey families are built: K or
+    Kprime, L and N, which stay alive, and the two families of the slice
+    P(Q_slice), which go once its mask is taken.  Then come the spectra, the
+    sieve and the half-grid arrays, beside the three families that stayed.
+    """
+    kept = (major_height("Kprime" if theta == 4 else "K", n, k), major_height("L", n, k),
+            math.log(n) ** CORE_HEIGHT_EXPONENT)
+    orders = [math.floor(height) for height in (*kept, 2 * Q_slice, max(1.0, Q_slice))]
+    arcs = sum(_family_bytes(q_top) for q_top in orders)
+    grid = _LEDGER_HALF_POINT_BYTES * half_size(m) + _LEDGER_FREQUENCY_BYTES * (n + 1)
+    return max(arcs, grid + sum(_family_bytes(q_top, _ARC_LIVE_BYTES) for q_top in orders[:3]))
+
+
+def _band_scale(n: int, sup: float) -> float:
+    """2n/sup, lowered an ulp at a time until 2n/U >= sup in floating point:
+    the band n/U <= |g| <= 2n/U then holds the point |g| = sup however the
+    two divisions round."""
+    scale = 2.0 * n / sup
+    while 2 * n / scale < sup:
+        scale = math.nextafter(scale, 0.0)
+    return scale
 
 
 def dissection_ledger(
@@ -707,11 +839,13 @@ def dissection_ledger(
 ) -> dict:
     """Full arc dissection at scale n with both level-set families.
 
-    Builds the named arc unions, evaluates both generating functions on an
+    Builds the named arc unions, takes |g| and |f| on the half of an
     alias-free grid, partitions the minor arcs and one height slice by the
     size of |g|, runs the dyadic covering check, and reports the empirical
     envelope constants.  Thresholds default to values that keep the bands
-    populated at desk scale; all of them are recorded in the output.
+    populated at desk scale: U = 2n/sup |g| on the minor arcs and V likewise
+    on the slice (clamped to their covered ranges), so the band's top edge
+    holds the largest |g|.  All of them are recorded in the output.
     """
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
@@ -720,33 +854,43 @@ def dissection_ledger(
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
     P = kth_root_floor(n, k)
     check_double_range(P, s, f"P^s * 2n * grid size = {P}^{s} * {2 * n} * {m}", factor=2 * n * m)
-    # the arc unions first: a height past the disjointness bound is refused before the sieve and FFTs
-    wide = build_arc_union("Kprime" if theta == 4 else "K", n, k)
-    minor_label = "k" if theta == 5 else "kprime"
-    pruned = build_arc_union("L", n, k)
-    core = build_arc_union("N", n, k)
-    f_spec, members = build_f_spectrum(n, k, R)
-    g_spec = build_g_spectrum(n)
-    f_vals = evaluate_on_grid(f_spec, m)
-    g_vals = evaluate_on_grid(g_spec, m)
-
-    # |g| and |f| once, at the base points of each family only
-    minor_mask = ~wide.grid_mask(m)
-    g_minor, f_minor = np.abs(g_vals[minor_mask]), np.abs(f_vals[minor_mask])
-    sup_g_minor = float(g_minor.max()) if len(g_minor) else 0.0
-    if U is None:
-        U = min(math.sqrt(n), max(1.0, 2.0 * n / sup_g_minor if sup_g_minor else math.sqrt(n)))
-    part_minor = level_partition(n, k, s, theta, g_minor, f_minor, m, family="minor", U=U)
-
     if Q_slice is None:
         q_hi = 0.5 * n ** (2.0 / theta)
         Q_slice = max(P**PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
+    # the heights, in the order the families are built, then the widest
+    # family's charge and the whole working set's, before anything is built
+    wide_label = "Kprime" if theta == 4 else "K"
+    for label in (wide_label, "L"):
+        _check_major_height(major_height(label, n, k), n)
+    _check_slice_height(n, Q_slice)
+    _charge_family(wide_label, math.floor(major_height(wide_label, n, k)))
+    ensure_memory(ledger_bytes(n, k, theta, m, Q_slice), f"dissection ledger at n = {n} on a grid of {m} points")
+    wide = build_arc_union(wide_label, n, k)
+    minor_label = "k" if theta == 5 else "kprime"
+    pruned = build_arc_union("L", n, k)
+    core = build_arc_union("N", n, k)
     slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
-    g_slice, f_slice = np.abs(g_vals[slice_mask]), np.abs(f_vals[slice_mask])
-    sup_g_slice = float(g_slice.max()) if len(g_slice) else 0.0
+    minor_mask = ~wide.grid_mask(m, half=True)
+
+    # |g| and |f| once on the half grid, kept at the base points of each family only
+    f_spec, members = build_f_spectrum(n, k, R)
+    f_half = grid_amplitudes(f_spec, m)
+    del f_spec
+    g_half = grid_amplitudes(build_g_spectrum(n), m)
+    minor = BasePoints.select(g_half, f_half, minor_mask, m)
+    sliced = BasePoints.select(g_half, f_half, slice_mask, m)
+    f_envelope = f_envelope_constant(n, k, f_half, m, pruned)
+    del f_half, g_half, minor_mask, slice_mask  # the partitions below need only the base points
+
+    sup_g_minor = float(minor.g.max()) if len(minor.g) else 0.0
+    if U is None:
+        U = min(math.sqrt(n), max(1.0, _band_scale(n, sup_g_minor) if sup_g_minor else math.sqrt(n)))
+    part_minor = level_partition(n, k, s, theta, minor, family="minor", U=U)
+
+    sup_g_slice = float(sliced.g.max()) if len(sliced.g) else 0.0
     if V is None:
-        V = min(Q_slice, max(math.sqrt(Q_slice), 2.0 * n / sup_g_slice if sup_g_slice else Q_slice))
-    part_slice = level_partition(n, k, s, theta, g_slice, f_slice, m, family="slice", V=V, Q=Q_slice)
+        V = min(Q_slice, max(math.sqrt(Q_slice), _band_scale(n, sup_g_slice) if sup_g_slice else Q_slice))
+    part_slice = level_partition(n, k, s, theta, sliced, family="slice", V=V, Q=Q_slice)
 
     csv_rows = [["minor/" + row[0], *row[1:]] for row in part_minor.to_csv_rows()]
     csv_rows += [["slice/" + row[0], *row[1:]] for row in part_slice.to_csv_rows()]
@@ -766,25 +910,29 @@ def dissection_ledger(
             pruned.label: pruned.to_json_arcs(),
             core.label: core.to_json_arcs(),
         },
-        "minor_partition": part_minor.to_report(len(g_minor) / m),
-        "slice_partition": part_slice.to_report(len(g_slice) / m),
-        "covering": dyadic_band_cover(n, theta, g_minor),
+        "minor_partition": part_minor.to_report(minor.measure()),
+        "slice_partition": part_slice.to_report(sliced.measure()),
+        "covering": dyadic_band_cover(n, theta, minor),
         "g_envelope": g_envelope_constant(n, sup_g_minor),
-        "f_envelope": f_envelope_constant(n, k, f_vals, pruned),
+        "f_envelope": f_envelope,
         "csv_rows": csv_rows,
     }
 
 
-def f_envelope_constant(n: int, k: int, f_values: np.ndarray, pruned: ArcUnion) -> dict:
-    """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs."""
-    m = len(f_values)
+def f_envelope_constant(n: int, k: int, f_half: np.ndarray, m: int, pruned: ArcUnion) -> dict:
+    """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs.
+
+    f_half is |f| on the half grid j in [0, m/2]; the pruned family and |f|
+    are both symmetric under j -> m - j, so the maximum over the half grid is
+    the maximum over the grid.
+    """
     P = kth_root_floor(n, k)
     scale = P * big_l(n) ** 3
     best = 0.0
-    for q, a, j0, j1 in pruned.grid_spans(m):
+    for q, a, j0, j1 in pruned.grid_spans(m, half=True):
         js = np.arange(j0, j1 + 1)
         alphas = js / m
         ups = 1.0 / (q + n * np.abs(q * alphas - a))
-        ratio = np.abs(f_values[js]) / (scale * ups ** (1.0 / (2 * k)))
+        ratio = f_half[js] / (scale * ups ** (1.0 / (2 * k)))
         best = max(best, float(ratio.max()))
     return {"scale": scale, "constant": best}

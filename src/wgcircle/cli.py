@@ -14,7 +14,7 @@ import sys
 
 from . import arith, circle, counting, exponents, series, specialfn
 from .errors import InternalConsistencyError, WgcircleError
-from .serialize import serialize
+from .serialize import JsonRecords, serialize
 
 _R_ETA_MAX = 1.0 / 7.0
 
@@ -151,7 +151,7 @@ def _cmd_compare(args) -> int:
         "constant_note": rep.constant_note,
     }
     if args.format == "json":
-        report["rows"] = list(zip(*(column.tolist() for column in rep.columns())))
+        report["rows"] = JsonRecords(tuple(rep.columns()))
     _emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=rep.columns(),
           plain_lines=[f"min_ratio = {rep.min_ratio}", f"mean_ratio = {rep.mean_ratio}",
                        f"zero_count = {rep.zero_count}"])

@@ -1,6 +1,7 @@
 """Tests for spectra, arc unions, arc integrals, moments, and level sets."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,18 @@ class TestGridEvaluation:
             circle.evaluate_on_grid(coeffs, 16)
         # any size past the top frequency is alias-free, a power of two or not
         assert np.allclose(circle.evaluate_on_grid(coeffs, 20)[1:], 0.0)
+
+    def test_half_grid_amplitudes(self):
+        # real weights: |value| at i/m and (m - i)/m agree, so i <= m/2 holds them all
+        coeffs = np.random.default_rng(3).random(40)
+        for m in (64, 65):
+            full = np.abs(circle.evaluate_on_grid(coeffs, m))
+            half = circle.grid_amplitudes(coeffs, m)
+            assert len(half) == circle.half_size(m) == m // 2 + 1
+            assert np.allclose(half, full[: len(half)], rtol=1e-13, atol=1e-12)
+            assert np.allclose(half[1:], full[::-1][: len(half) - 1], rtol=1e-13, atol=1e-12)
+        with pytest.raises(AliasingError):
+            circle.grid_amplitudes(coeffs, 39)
 
     def test_grid_validation(self):
         assert circle.alias_free_size(100, 2, 1) == 512  # 2^k > (s+1)*n
@@ -119,9 +132,10 @@ class TestArcUnions:
         inner = circle.major_arcs(y, n)
         label, sl, sl_measure = circle.height_slice(n, y, m)
         assert label == "P(8)"
-        # disjoint from the inner set, together they restore the outer set
-        assert not (sl & inner.grid_mask(m)).any()
-        assert ((sl | inner.grid_mask(m)) == outer.grid_mask(m)).all()
+        # on the half grid: disjoint from the inner set, together they restore the outer set
+        assert len(sl) == circle.half_size(m)
+        assert not (sl & inner.grid_mask(m, half=True)).any()
+        assert ((sl | inner.grid_mask(m, half=True)) == outer.grid_mask(m, half=True)).all()
         exact = measure_minus(major_oracle(2 * y, n), major_oracle(y, n))
         assert exact + inner.measure_exact() == outer.measure_exact()
         assert sl_measure == float(exact)
@@ -165,7 +179,7 @@ class TestArcUnions:
             j = rng.randrange(0, m)
             in_a, in_b = contains(a, Fraction(j, m)), contains(b, Fraction(j, m))
             assert a_mask[j] == in_a and b_mask[j] == in_b
-            assert diff[j] == (in_a and not in_b)
+            assert diff[min(j, m - j)] == (in_a and not in_b)  # the slice's half-grid mask, mirrored
             assert (~a_mask)[j] == (not in_a)
             assert (a_mask | b_mask)[j] == (in_a or in_b)
 
@@ -190,11 +204,11 @@ class TestArcUnions:
         j = int(seam * m)
         assert contains(major_oracle(y, n), seam) and inner.grid_mask(m)[j]
         assert not sl[j]
-        assert not (sl & inner.grid_mask(m)).any()
-        combined = sl | inner.grid_mask(m)
-        assert (combined == outer.grid_mask(m)).all()
+        assert not (sl & inner.grid_mask(m, half=True)).any()
+        combined = sl | inner.grid_mask(m, half=True)
+        assert (combined == outer.grid_mask(m, half=True)).all()
         expected = mask(major_oracle(2 * y, n), m) & ~mask(major_oracle(y, n), m)
-        assert (sl == expected).all()
+        assert (sl == expected[: circle.half_size(m)]).all()
 
     def test_complement_seam_is_single_owner(self):
         n = 1024
@@ -375,27 +389,28 @@ def scene():
     gspec = circle.build_g_spectrum(n)
     return {
         "n": n, "k": k, "s": s, "theta": theta, "m": m,
-        "f": circle.evaluate_on_grid(fspec, m),
-        "g": circle.evaluate_on_grid(gspec, m),
-        # the minor arcs k = [0, 1] minus K, as the ledger builds them
-        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m),
+        "f": circle.grid_amplitudes(fspec, m),
+        "g": circle.grid_amplitudes(gspec, m),
+        # the minor arcs k = [0, 1] minus K on the half grid, as the ledger builds them
+        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m, half=True),
     }
 
 
-def base_amplitudes(scene, mask):
-    """|g| and |f| at the base points, as the ledger computes them."""
-    return np.abs(scene["g"][mask]), np.abs(scene["f"][mask])
+def base_points(scene, mask):
+    """|g| and |f| at the base points of the half grid, as the ledger selects them."""
+    return circle.BasePoints.select(scene["g"], scene["f"], mask, scene["m"])
 
 
 class TestLevelSets:
     def test_minor_partition_is_exact(self, scene):
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            *base_amplitudes(scene, scene["minor"]), scene["m"], family="minor", U=20.0,
+            base_points(scene, scene["minor"]), family="minor", U=20.0,
         )
-        assert (scene["minor"] == ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["m"])).all()
-        base_measure = scene["minor"].mean()
-        assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
+        full_minor = ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["m"])
+        assert (scene["minor"] == full_minor[: circle.half_size(scene["m"])]).all()
+        assert part.measures_sum() == pytest.approx(float(full_minor.mean()), abs=1e-12)
+        assert sum(c.points for c in part.classes) == int(full_minor.sum())
         labels = [c.label for c in part.classes]
         assert labels == ["tiny_g", "band_small_f", "band_large_f", "unbanded"]
 
@@ -405,8 +420,7 @@ class TestLevelSets:
         n, s = scene["n"], scene["s"]
         u = 20.0
         part = circle.level_partition(
-            n, scene["k"], s, scene["theta"], *base_amplitudes(scene, scene["minor"]), scene["m"],
-            family="minor", U=u,
+            n, scene["k"], s, scene["theta"], base_points(scene, scene["minor"]), family="minor", U=u,
         )
         gentle = part.classes[1]
         cap = (2 * n / u) * part.thresholds["f_split"] * gentle.measure
@@ -416,7 +430,7 @@ class TestLevelSets:
         # a band threshold below the covered range forces |g| >= n/U > sup g
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            *base_amplitudes(scene, scene["minor"]), scene["m"], family="minor", U=1e-6,
+            base_points(scene, scene["minor"]), family="minor", U=1e-6,
         )
         assert part.warnings
         assert part.classes[1].points == 0 and part.classes[2].points == 0
@@ -426,30 +440,70 @@ class TestLevelSets:
         q = 8.0
         _, sl, _ = circle.height_slice(n, q, scene["m"])
         part = circle.level_partition(
-            n, scene["k"], scene["s"], scene["theta"], *base_amplitudes(scene, sl), scene["m"],
-            family="slice", V=q / 2, Q=q,
+            n, scene["k"], scene["s"], scene["theta"], base_points(scene, sl), family="slice", V=q / 2, Q=q,
         )
-        base_measure = sl.mean()
+        base_measure = (mask(major_oracle(2 * q, n), scene["m"]) & ~mask(major_oracle(q, n), scene["m"])).mean()
         assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
         assert [c.label for c in part.classes] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_dyadic_cover(self, scene):
-        cover = circle.dyadic_band_cover(
-            scene["n"], scene["theta"], base_amplitudes(scene, scene["minor"])[0],
-        )
+        cover = circle.dyadic_band_cover(scene["n"], scene["theta"], base_points(scene, scene["minor"]))
         assert cover["uncovered"] == 0
         assert cover["bands"] >= 5
 
     def test_envelope_reports(self, scene):
         n = scene["n"]
-        env = circle.g_envelope_constant(n, float(base_amplitudes(scene, scene["minor"])[0].max()))
+        env = circle.g_envelope_constant(n, float(base_points(scene, scene["minor"]).g.max()))
         assert env["constant"] > 0
         assert env["sup_g"] <= env["constant"] * env["scale"] + 1e-9
-        fenv = circle.f_envelope_constant(n, scene["k"], scene["f"], circle.build_arc_union("L", n, scene["k"]))
+        fenv = circle.f_envelope_constant(n, scene["k"], scene["f"], scene["m"],
+                                          circle.build_arc_union("L", n, scene["k"]))
         assert fenv["constant"] > 0
 
 
 class TestDissectionLedger:
+    def test_working_set_estimate_bounds_the_traced_peak(self):
+        # pocketfft's scratch and plan lie outside tracemalloc, so the estimate
+        # sits above the traced peak, but within twice it
+        n, s = 10**5, 3
+        tracemalloc.start()
+        try:
+            rep = circle.dissection_ledger(n, 2, s, 5, R=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = circle.ledger_bytes(n, 2, 5, rep["grid_size"], rep["slice_partition"]["thresholds"]["Q"])
+        assert peak <= estimate <= 2 * peak
+
+    def test_largest_g_lies_in_the_band(self):
+        # the default U puts the band's top edge 2n/U on the largest |g| of the
+        # minor arcs, and that point is banded however 2n/(2n/sup) rounds; at
+        # this shape a full-grid inverse FFT gives the point and its mirror
+        # values one ulp apart, on either side of an unlowered edge
+        rep = circle.dissection_ledger(200000, 3, 4, 5, R=2)
+        sup = rep["g_envelope"]["sup_g"]
+        classes = {label: sup_g for label, _, sup_g, _, _ in rep["minor_partition"]["classes"]}
+        assert rep["minor_partition"]["thresholds"]["U"] < math.sqrt(200000)
+        assert max(classes["band_small_f"], classes["band_large_f"]) == sup
+        assert classes["unbanded"] < sup
+
+    def test_one_real_fft_per_family(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["n"])
+            return rfft(*args, **kwargs)
+
+        def no_complex_grid(*args, **kwargs):
+            raise AssertionError("a complex FFT ran in the ledger")
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        monkeypatch.setattr(np.fft, "ifft", no_complex_grid)
+        monkeypatch.setattr(np.fft, "fft", no_complex_grid)
+        rep = circle.dissection_ledger(10**4, 2, 3, 5, R=2)
+        assert calls == [rep["grid_size"]] * 2
+
     def test_small_scale_ledger(self):
         rep = circle.dissection_ledger(10**4, 2, 3, 5, R=2)
         assert rep["minor_partition"]["measure_sum"] == pytest.approx(rep["minor_partition"]["base_measure"], abs=1e-12)

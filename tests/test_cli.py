@@ -267,9 +267,9 @@ class TestFailureModes:
     def test_dissect_height_checked_before_the_ffts(self, capsys, monkeypatch):
         # at n < 1024 the default theta = 5 puts K = n^0.4 above sqrt(n)/2
         def no_grid(*args, **kwargs):
-            raise AssertionError("evaluate_on_grid ran before the arc check")
+            raise AssertionError("grid_amplitudes ran before the arc check")
 
-        monkeypatch.setattr("wgcircle.circle.evaluate_on_grid", no_grid)
+        monkeypatch.setattr("wgcircle.circle.grid_amplitudes", no_grid)
         code = main(["dissect", "--n", "1000", "--k", "1", "--s", "1"])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -298,6 +298,46 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: Farey family K of order 1584 needs ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget, n", [("1000000000", "30000000"), (None, "20000000")])
+    def test_dissect_grid_charged_before_the_arcs_and_spectra(self, capsys, monkeypatch, budget, n):
+        # the half-grid working set, past 1e9 bytes at n = 3e7 and past the 4 GiB default at 2e7
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the grid charge")
+
+        for name in ("build_g_spectrum", "build_f_spectrum", "_farey_family"):
+            monkeypatch.setattr(f"wgcircle.circle.{name}", no_build)
+        if budget is None:
+            monkeypatch.delenv("WGCIRCLE_MEM_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("WGCIRCLE_MEM_BYTES", budget)
+        start = time.perf_counter()
+        code = main(["dissect", "--n", n, "--k", "2", "--s", "3"])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: dissection ledger at n = {n} on a grid of ") and err.count("\n") == 1
+
+    def test_dissect_charge_counts_the_arc_families(self, capsys, monkeypatch):
+        # at n = 10^7 the half grid takes 2.31 GB and the Kprime family of
+        # order 1581, kept through the FFTs, 0.2 GB more: the grid alone fits a
+        # 2.4 GB budget, the two together do not
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the working-set charge")
+
+        for name in ("build_g_spectrum", "build_f_spectrum", "_farey_family"):
+            monkeypatch.setattr(f"wgcircle.circle.{name}", no_build)
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2400000000")
+        code = main(["dissect", "--n", "10000000", "--k", "2", "--s", "3", "--theta", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: dissection ledger at n = 10000000 on a grid of ") and err.count("\n") == 1
+
+    def test_dissect_slice_height_checked_before_the_charge(self, capsys):
+        # a slice far past sqrt(n)/4 would make a huge family; its range is refused first
+        code = main(["dissect", "--n", "100000", "--k", "2", "--s", "3", "--q-slice", "1e9"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: slice height must lie in [1/2, sqrt(n)/4], got 1000000000.0\n"
 
     def test_dissect_oversample_checked(self, capsys):
         code = main(["dissect", "--n", "100000", "--k", "2", "--s", "3", "--oversample", "0"])

@@ -6,12 +6,13 @@ JSON, plain and strided CSV forms of the comparison report as well; the arc
 variants pin the arc lists and region measures of ``dissect --format json``
 (including slices whose seams land on grid points and an empty slice), the
 level-set ledgers of ``dissect`` with band thresholds inside and outside the
-covered ranges, oversampled and in plain form, and a ``moments`` run over
+covered ranges, oversampled, in plain and CSV form, for k = 3 and at the
+benchmark's shape (n = 1040000, a 2^22-point grid), and a ``moments`` run over
 every integer height up to 8 and one with a single member.  The series
 variants pin truncated q-sums at ascending, unsorted and repeated points.
 Three runs in the paper's regime (s >= ck + 4) pin counts past 2^52, and one
-at s = 40 counts past 2^115.  Refactors that keep behaviour keep these
-digests.
+at s = 40 counts past 2^115; two JSON comparison reports print 50-bit counts
+and counts past int64 exactly.  Refactors that keep behaviour keep these digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -76,6 +77,10 @@ ARC_VARIANTS = {
     "dissect-oversample3": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--oversample", "3",
                             "--format", "json"],
     "model-error-k3": ["model-error", "--n", "16384", "--k", "3"],
+    # the dissect_ledger benchmark shape, a cubic ledger and the CSV form
+    "dissect-ledger": ["dissect", "--n", "1040000", "--k", "2", "--s", "3", "--theta", "5", "--format", "json"],
+    "dissect-k3": ["dissect", "--n", "200000", "--k", "3", "--s", "4", "--format", "json"],
+    "dissect-csv": ["dissect", "--n", "100000", "--k", "2", "--s", "3", "--format", "csv"],
 }
 
 # truncated q-sums at several points: ascending (the benchmark's series_euler
@@ -93,6 +98,11 @@ PAPER_REGIME_VARIANTS = {
     "count-k3-s11": ["count", "--k", "3", "--s", "11", "--n", "100000"],
     "count-k2-s9": ["count", "--k", "2", "--s", "9", "--n", "100000"],
     "compare-k3-s11": ["compare", "--k", "3", "--s", "11", "--lo", "50000", "--hi", "100000", "--format", "csv"],
+    # JSON rows with 50-bit counts, then with counts past int64 (an object column of Python integers)
+    "compare-k3-s11-json": ["compare", "--k", "3", "--s", "11", "--lo", "50000", "--hi", "60000",
+                            "--format", "json"],
+    "compare-k3-s24-json": ["compare", "--k", "3", "--s", "24", "--lo", "5000", "--hi", "5100",
+                            "--format", "json"],
     # entries past 2^115: splits on both operands, several levels deep, over Python integers
     "count-k2-s40": ["count", "--k", "2", "--s", "40", "--n", "20000"],
 }

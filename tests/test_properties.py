@@ -1,6 +1,8 @@
 """Property tests: exact convolution, the power engine, the Farey arc
-families, the level sets and the columnar CSV writer against plain oracles."""
+families, the level sets and the columnar CSV and JSON writers against plain
+oracles."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -166,8 +168,30 @@ def test_grid_spans_match_contains(family, core, slice_at):
     y = 0.5 + slice_at * (0.25 * math.sqrt(denom) - 0.5)
     outer, inner = arc_oracle.major_oracle(2 * y, denom), arc_oracle.major_oracle(max(1.0, y), denom)
     _, sl, sl_measure = circle.height_slice(denom, y, m)
-    assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))).all()
+    assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))[: circle.half_size(m)]).all()
     assert sl_measure == float(arc_oracle.measure_minus(outer, inner))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1024, 20000), s=st.integers(1, 3), oversample=st.integers(1, 4),
+       label=st.sampled_from(("K", "Kprime", "L", "N", "slice")), slice_at=st.floats(0.0, 1.0))
+def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
+    # a/q -> (q - a)/q maps each family onto itself, so its mask is symmetric
+    # under j -> m - j and the half grid j <= m/2 holds all of it
+    m = circle.alias_free_size(n, s, oversample)
+    if label == "slice":
+        y = 0.5 + slice_at * (0.25 * math.sqrt(n) - 0.5)
+        full = circle.major_arcs(2 * y, n).grid_mask(m) & ~circle.major_arcs(max(1.0, y), n).grid_mask(m)
+        half = circle.height_slice(n, y, m)[1]
+    else:
+        union = circle.build_arc_union(label, n, 2)
+        full, half = union.grid_mask(m), union.grid_mask(m, half=True)
+        spans = list(union.grid_spans(m, half=True))
+        assert all(j1 <= m // 2 for _, _, _, j1 in spans)
+        assert spans == [(q, a, j0, min(j1, m // 2)) for q, a, j0, j1 in union.grid_spans(m) if j0 <= m // 2]
+    j = np.arange(m)
+    assert (full == full[(m - j) % m]).all()
+    assert (half == full[: circle.half_size(m)]).all()
 
 
 def _near(values):
@@ -178,23 +202,58 @@ def _near(values):
 _PHASES = np.array([1, -1, 1j, -1j])  # |amplitude * phase| == amplitude exactly
 
 
+def mirror(half, m):
+    """The grid of size m whose points j <= m/2 are `half`, with conj(half[m - j])
+    at j > m/2: for complex values the grid of a real spectrum,
+    conjugate-symmetric exactly; for a mask, a symmetric base set."""
+    tail = half[1 : m - len(half) + 1][::-1]
+    return np.concatenate([half, np.conj(tail) if half.dtype.kind == "c" else tail])
+
+
 @st.composite
-def grid_values(draw, pool, top):
-    """Complex grid values whose amplitudes come from the pool or [0, top],
-    and a base mask over the grid (possibly empty)."""
-    m = draw(st.integers(1, 48))
-    amps = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(0.0, top)), min_size=m, max_size=m))
-    phases = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    base = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    return np.array(amps) * _PHASES[phases], np.array(base, dtype=bool)
+def half_grid(draw, m, pool, top):
+    """The values at j <= m/2 of the grid of a random real spectrum: its real
+    FFT, or values drawn directly (the spectrum is then their inverse real
+    FFT) with amplitudes from the pool or [0, top], so they can sit on a cut;
+    the points j = 0 and j = m/2 of a real spectrum's grid are real."""
+    h = circle.half_size(m)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(-top / m, top / m), min_size=1, max_size=m))
+        return np.fft.rfft(coeffs, n=m)
+    amps = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(0.0, top)), min_size=h, max_size=h))
+    phases = draw(st.lists(st.integers(0, 3), min_size=h, max_size=h))
+    phases[0] %= 2
+    if m % 2 == 0:
+        phases[-1] %= 2
+    return np.array(amps) * _PHASES[phases]
 
 
-def _level_pair(n, k, s, theta, family, scale, Q, g, f, base):
-    """The amplitude-based partition of the base points and the full-grid oracle's."""
+@st.composite
+def half_base(draw, m):
+    """A mask over j <= m/2 (possibly empty), the half of a symmetric base set."""
+    h = circle.half_size(m)
+    return np.array(draw(st.lists(st.booleans(), min_size=h, max_size=h)), dtype=bool)
+
+
+def assert_same_partition(got, expected):
+    """Counts, measures, maxima, thresholds and warnings exactly; sums within 1e-12."""
+    assert (got.family, got.thresholds, got.warnings) == (expected.family, expected.thresholds, expected.warnings)
+    assert len(got.classes) == len(expected.classes)
+    for mine, theirs in zip(got.classes, expected.classes):
+        assert (mine.label, mine.points, mine.measure, mine.sup_g, mine.sup_f) == (
+            theirs.label, theirs.points, theirs.measure, theirs.sup_g, theirs.sup_f)
+        assert mine.contribution_abs == pytest.approx(theirs.contribution_abs, rel=1e-12, abs=0.0)
+
+
+def _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m):
+    """The half-grid partition of the base points and the full-grid oracle's
+    on the mirrored grid."""
     params = {"U": scale} if family == "minor" else {"V": scale, "Q": Q}
-    got = circle.level_partition(n, k, s, theta, np.abs(g[base]), np.abs(f[base]), len(g),
+    got = circle.level_partition(n, k, s, theta, circle.BasePoints.select(np.abs(g), np.abs(f), base, m),
                                  family=family, **params)
-    return got, level_oracle.level_partition(n, k, s, theta, base, g, f, family=family, **params)
+    expected = level_oracle.level_partition(n, k, s, theta, mirror(base, m), mirror(g, m), mirror(f, m),
+                                            family=family, **params)
+    return got, expected
 
 
 @PROPERTY_SETTINGS
@@ -213,13 +272,13 @@ def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale,
     P, L = circle.kth_root_floor(n, k), circle.big_l(n)
     first_cut, log_power = (math.sqrt(n), 3) if family == "minor" else (n / Q, 4)
     split = P**s / (scale * L**log_power)
-    g, base = data.draw(grid_values(_near([first_cut, n / scale, 2 * n / scale]) + [0.0], 3.0 * n))
-    f_pool = _near([split ** (1.0 / s)]) + [0.0, float(P)]
-    f = data.draw(st.lists(st.one_of(st.sampled_from(f_pool), st.floats(0.0, float(P))),
-                           min_size=len(g), max_size=len(g)))
-    got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, np.array(f, dtype=complex), base)
-    assert got == expected
-    assert sum(c.points for c in got.classes) == int(base.sum())
+    m = data.draw(st.integers(1, 48))
+    g = data.draw(half_grid(m, _near([first_cut, n / scale, 2 * n / scale]) + [0.0], 3.0 * n))
+    f = data.draw(half_grid(m, _near([split ** (1.0 / s)]) + [0.0, float(P)], float(P)))
+    base = data.draw(half_base(m))
+    got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m)
+    assert_same_partition(got, expected)
+    assert sum(c.points for c in got.classes) == int(mirror(base, m).sum())
 
 
 def _band_edges(n, theta):
@@ -236,36 +295,53 @@ def _band_edges(n, theta):
        data=st.data())
 def test_dyadic_band_cover_matches_band_by_band_oracle(n, theta, data):
     # huge n reaches the 200-band cap; theta = 1 can leave no band at all
-    g, base = data.draw(grid_values(_near(_band_edges(n, theta)), 4.0 * n))
-    got = circle.dyadic_band_cover(n, theta, np.abs(g[base]))
-    assert got == level_oracle.dyadic_band_cover(n, theta, g, base)
+    m = data.draw(st.integers(1, 48))
+    g, base = data.draw(half_grid(m, _near(_band_edges(n, theta)), 4.0 * n)), data.draw(half_base(m))
+    got = circle.dyadic_band_cover(n, theta, circle.BasePoints.select(np.abs(g), np.abs(g), base, m))
+    assert got == level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
+
+
+def _cover_pair(n, theta, g, m):
+    """The half-grid band cover of every point j <= m/2 and the full-grid oracle's."""
+    base = np.ones(len(g), dtype=bool)
+    got = circle.dyadic_band_cover(n, theta, circle.BasePoints.select(np.abs(g), np.abs(g), base, m))
+    return got, level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 10**15), sup=st.floats(1e-3, 1e15))
+def test_band_scale_puts_the_largest_g_in_the_band(n, sup):
+    # the default band threshold: 2n/sup, lowered only as far as the band needs
+    scale = circle._band_scale(n, sup)
+    assert n / scale <= sup <= 2 * n / scale
+    assert scale == 2.0 * n / sup or 2 * n / math.nextafter(scale, math.inf) < sup
 
 
 def test_level_set_edge_cases_match_oracle():
     n, k, s, theta, scale, Q = 10**5, 2, 1, 5, 50.0, 16.0
     P, L = circle.kth_root_floor(n, k), circle.big_l(n)
     for family, first_cut, log_power in (("minor", math.sqrt(n), 3), ("slice", n / Q, 4)):
-        # every point exactly on a cut (s = 1 puts |f| on the split itself), then an empty base
+        # every point exactly on a cut (s = 1 puts |f| on the split itself), then an
+        # empty base; the grid of size 8 has its points j <= 4 here, j = 0 and 4 counted once
         split = P / (scale * L**log_power)
         g = np.array([first_cut, n / scale, 2 * n / scale, 2 * n / scale, n / scale], dtype=complex)
         f = np.array([split, split, split, 0.0, float(P)], dtype=complex)
         for base in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
-            got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base)
-            assert got == expected
-            assert all(c.points == 0 for c in got.classes) == (not base.any())
+            got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base, 8)
+            assert_same_partition(got, expected)
+            assert sum(c.points for c in got.classes) == (8 if base.any() else 0)
     # the 200-band cap, with points on the top edge and just above it
     n, theta = 2**700, 8
     top = _band_edges(n, theta)[-1]
     g = np.array(_near([top, math.sqrt(n)]), dtype=complex)
-    base = np.ones(len(g), dtype=bool)
-    got = circle.dyadic_band_cover(n, theta, np.abs(g))
-    assert got == level_oracle.dyadic_band_cover(n, theta, g, base)
-    assert got["bands"] == 200 and got["uncovered"] == 1
+    got, expected = _cover_pair(n, theta, g, 2 * len(g) - 2)
+    assert got == expected
+    assert got["bands"] == 200 and got["uncovered"] == 2  # just above the top edge, and its mirror
     # at this n the lowest band starts at n/sqrt(n), a float above sqrt(n): a point there is covered
     n = 100008
     g = np.array(_near([n / math.sqrt(n)]), dtype=complex)
-    got = circle.dyadic_band_cover(n, 5, np.abs(g))
-    assert got == level_oracle.dyadic_band_cover(n, 5, g, np.ones(len(g), dtype=bool))
+    got, expected = _cover_pair(n, 5, g, 2 * len(g) - 1)
+    assert got == expected
     assert n / math.sqrt(n) > math.sqrt(n) and got["points_above_tiny"] >= 2 and got["uncovered"] == 0
 
 
@@ -293,6 +369,43 @@ def test_csv_columns_match_row_writer(rows):
     columns += [np.array(values, dtype=np.float64) for values in floats]
     expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
     assert serialize.to_csv_columns_bytes(header, columns) == expected
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308,
+                     1.5e-29, 1e-4, 9.99999999999e-5, 100.0, 1e11, 1e12 + 0.5, 123456789012345.0, 1e16,
+                     0.1 + 0.2]),
+    st.floats(min_value=1e-40, max_value=1e-25),
+)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(
+    st.tuples(
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**200)),
+        _JSON_FLOATS, _JSON_FLOATS,
+    ),
+    max_size=20,
+), named=st.booleans())
+def test_json_records_match_json_dumps(rows, named):
+    n, r, x, y = (list(column) for column in zip(*rows)) if rows else [[]] * 4
+    # past int64 the integers are an object array of Python integers
+    r_dtype = object if any(v >= 2**63 for v in r) else np.int64
+    columns = (np.array(n, dtype=np.int64), np.array(r, dtype=r_dtype),
+               np.array(x, dtype=np.float64), np.array(y, dtype=np.float64))
+    fields = ("n", "r%d", "x", "y") if named else ()
+    records = serialize.JsonRecords(columns, fields)
+    rows = [dict(zip(fields, row)) if named else list(row) for row in rows]
+    # at the top level, as a value and as a list element, nested at several depths
+    for report, plain in (
+        (records, rows),
+        ({"a": 0.1, "rows": records, "more": [records, {"deep": records}], "z": None},
+         {"a": 0.1, "rows": rows, "more": [rows, {"deep": rows}], "z": None}),
+    ):
+        expected = (json.dumps(serialize.round_floats(plain), indent=2) + "\n").encode()
+        assert serialize.to_json_bytes(report) == expected
 
 
 @PROPERTY_SETTINGS
