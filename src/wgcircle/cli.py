@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import arith, circle, counting, exponents, series, specialfn
-from .errors import InternalConsistencyError, WgcircleError
+from .errors import DomainError, InternalConsistencyError, WgcircleError
 from .serialize import JsonRecords, serialize
 
 _R_ETA_MAX = 1.0 / 7.0
@@ -28,6 +28,15 @@ def _resolve_r(args, P: int) -> int:
     if not 0.0 < eta_exp <= _R_ETA_MAX:
         raise WgcircleError(f"--r-eta must lie in (0, 1/7], got {eta_exp}")
     return max(2, int(max(P, 1) ** eta_exp))  # R = 2 for every P < 2, which callers refuse
+
+
+def _parse_list(text: str, kind, flag: str) -> list:
+    """A comma-separated list of ``kind`` values; a malformed entry is a usage error."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise DomainError(
+            f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}") from None
 
 
 def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None, csv_columns=None) -> None:
@@ -123,7 +132,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    xs = tuple(int(x) for x in args.xs.split(",")) if args.xs else ()
+    xs = tuple(_parse_list(args.xs, int, "--xs")) if args.xs else ()
     rep = series.euler_product(args.n, args.k, args.s, args.cutoff, partial_xs=xs)
     _emit(args, rep.to_json_dict(), plain_lines=[
         f"product({args.cutoff}) = {rep.product_value}",
@@ -176,7 +185,7 @@ def _cmd_dissect(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    qs = [float(x) for x in args.q_values.split(",")] if args.q_values else None
+    qs = _parse_list(args.q_values, float, "--q-values") if args.q_values else None
     R = _resolve_r(args, args.P)
     report = circle.moment_doubling_report(args.P, R, args.k, args.t, qs)
     _emit(args, report,

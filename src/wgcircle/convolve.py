@@ -11,10 +11,10 @@ a = hi * 2^h + lo, each half is convolved the same way, and the two products
 recombine as hi * 2^h + lo.  Every split halves a bit length, so the pieces
 reach the float range.
 
-`power` raises a histogram to the s-th power on this route, truncated
-(representation counts r(n)) or cyclic (local counts M_p(n)).  Results are
-int64 while they fit and Python integers beyond, never wrapped.  All inputs
-are nonnegative integer sequences.
+`power` raises a histogram to the s-th power on this route, truncated at a
+window of n (representation counts r(n)).  Results are int64 while they fit
+and Python integers beyond, never wrapped.  All inputs are nonnegative
+integer sequences.
 """
 
 from __future__ import annotations
@@ -127,43 +127,21 @@ def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = N
     return _convolve(a, b, out_len, stats if stats is not None else ConvStats())
 
 
-def _fold(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Reduce a polynomial modulo x^modulus - 1, exactly."""
-    rows = -(-len(values) // modulus)
-    if values.dtype != object and rows * int(values.max(initial=0)) >= _INT64_LIMIT:
-        values = values.astype(object)
-    wide = np.zeros(rows * modulus, dtype=values.dtype)
-    wide[: len(values)] = values
-    return _exact(wide.reshape(rows, modulus).sum(axis=0))
-
-
-def power(
-    hist,
-    s: int,
-    out_len: int | None = None,
-    modulus: int | None = None,
-    stats: ConvStats | None = None,
-) -> np.ndarray:
+def power(hist, s: int, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:
     """hist^s as a generating function, by binary exponentiation, exact.
 
-    Every product is truncated at out_len (None keeps it whole) and, when a
-    modulus is given, folded modulo x^modulus - 1: the s-fold cyclic
-    self-convolution over Z_modulus.  Entries are int64 when they fit and
-    Python integers otherwise.
+    Every product is truncated at out_len (None keeps it whole).  Entries are
+    int64 when they fit and Python integers otherwise.
     """
     if s < 1:
         raise DomainError(f"power must be >= 1, got {s}")
-
-    def reduce(values: np.ndarray) -> np.ndarray:
-        return values if modulus is None else _fold(values, modulus)
-
-    square = reduce(_exact(hist)[:out_len])
+    square = _exact(hist)[:out_len]
     result = None
     e = s
     while e > 0:
         if e & 1:
-            result = square if result is None else reduce(convolve_exact(result, square, out_len, stats))
+            result = square if result is None else convolve_exact(result, square, out_len, stats)
         e >>= 1
         if e:
-            square = reduce(convolve_exact(square, square, out_len, stats))
+            square = convolve_exact(square, square, out_len, stats)
     return result

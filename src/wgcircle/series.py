@@ -12,10 +12,13 @@ full series factors into local densities
 
 where M_p(n) counts solutions of b + x_1^k + ... + x_s^k = n mod p with b
 coprime to p.  chi_p always evaluates BOTH routes and insists they agree to
-1e-9; this dual route is the module's central self-test.  The Euler product
-over p <= cutoff is the primary evaluation (absolutely convergent for s >= 3,
-sign-stable); the q-sum is the cross-check.  Factors are accumulated in
-ascending p for bit-reproducibility.
+1e-9; this dual route is the module's central self-test.  Both run on the
+cyclotomic classes of p, d = gcd(k, p - 1): the counting route multiplies
+class counts exactly (`arith.mp_count`), the analytic route takes S(p, a)
+from the Gauss periods of the index-d subgroup.  They share only the class
+labelling.  The Euler product over p <= cutoff is the primary evaluation
+(absolutely convergent for s >= 3, sign-stable); the q-sum is the
+cross-check.  Factors are accumulated in ascending p for bit-reproducibility.
 
 For s in {1, 2} every result is computed but flagged: the convergence theory
 backing the tail estimates starts at s = 3.
@@ -29,9 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
-    arith_tables, check_double_range, check_modulus, gauss_sums_all, mp_count, sieve_primes,
+    CLASS_LABEL_BYTES, arith_tables, check_double_range, check_modulus, gauss_sums_all, index_classes,
+    mp_count, sieve_primes,
 )
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, ensure_memory
 
 _DUAL_ROUTE_TOL = 1e-9
 
@@ -97,18 +101,37 @@ def s_n_q(q: int, n: int, k: int, s: int) -> complex:
     if q == 1:
         return 1 + 0j
     sums = gauss_sums_all(q, k)
-    a = np.arange(q)
+    a = np.arange(q, dtype=np.int64)
     coprime = np.gcd(a, q) == 1
-    phases = np.exp((-2j * np.pi * (n % q) / q) * a)
+    phases = np.exp((-2j * np.pi / q) * (a * (n % q) % q))  # a (n mod q) < q^2 fits int64
     value = np.sum(np.where(coprime, sums**s * phases, 0.0))
     return complex(value / q**s)
 
 
 def chi_p(p: int, n: int, k: int, s: int) -> LocalFactorReport:
-    """Local density by both routes; raises if they disagree beyond 1e-9."""
-    snp = s_n_q(p, n, k, s)
+    """Local density by both routes; raises if they disagree beyond 1e-9.
+
+    The analytic route: with d = gcd(k, p - 1) and the Gauss periods
+    eta_c = sum_{ind y = c (mod d)} e(y/p), S(p, a) = 1 + d eta_{ind a}, and
+
+        p^s S_n(p) = sum_c (1 + d eta_c)^s w_c,
+
+    where w_c = eta_{c + ind(-n)} when p does not divide n and (p - 1)/d
+    when it does.  For d = 1 every S(p, a) with p not dividing a is 0.
+    """
+    d = math.gcd(k, p - 1)
+    labels = None
+    snp = 0j
+    if d > 1:
+        labels = index_classes(p, d)
+        angles = np.arange(1, p) * (2 * np.pi / p)
+        classes = labels[1:]
+        eta = np.bincount(classes, np.cos(angles), d) + 1j * np.bincount(classes, np.sin(angles), d)
+        r = n % p
+        weights = np.full(d, (p - 1) / d) if r == 0 else np.roll(eta, -int(labels[p - r]))
+        snp = complex(np.sum((1 + d * eta) ** s * weights) / p**s)
     chi_analytic = 1.0 - snp.real / (p - 1)
-    m = mp_count(p, n, k, s)
+    m = mp_count(p, n, k, s, labels)
     # p^{1-s} M / (p-1) evaluated with an exact integer denominator
     chi_count = m / (p ** (s - 1) * (p - 1))
     return LocalFactorReport(p=int(p), chi_via_snp=chi_analytic, chi_via_mp=chi_count, mp=m, snp=snp)
@@ -125,6 +148,29 @@ class SeriesPartial:
     converges: bool
 
 
+#: Peak bytes per residue of one s_n_q call: the power histogram and its
+#: temporaries, the complex Gauss sums, the phases and their product
+#: (tracemalloc measures 82 at q = 10^5).
+_QSUM_BYTES_PER_RESIDUE = 88
+
+
+def _check_moduli(s: int, top_prime: int, xs) -> None:
+    """Refuse, before any work, s < 1, a truncation point X < 1, and moduli
+    past the int64 ceiling or the double range, or whose per-modulus arrays
+    overrun the memory budget: the index classes of the largest prime and
+    the q-sum arrays of the largest X."""
+    if xs and min(xs) < 1:
+        raise DomainError(f"need X >= 1, got {min(xs)}")
+    if s < 1:
+        raise DomainError(f"need s >= 1, got {s}")
+    top_q = max(xs, default=1)
+    top = max(top_prime, top_q)
+    check_modulus(top)
+    check_double_range(top, s, f"modulus^s = {top}^{s}")  # both routes divide by q^s
+    ensure_memory(CLASS_LABEL_BYTES * top_prime, f"index classes of primes up to {top_prime}")
+    ensure_memory(_QSUM_BYTES_PER_RESIDUE * top_q, f"q-sum arrays of modulus {top_q}")
+
+
 def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
     """Truncated q-sums over q <= X for each X in xs, keyed by X.
 
@@ -133,14 +179,8 @@ def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
     Square-full q vanish through mu(q).
     """
     marks = sorted(set(int(x) for x in xs))
-    if marks and marks[0] < 1:
-        raise DomainError(f"need X >= 1, got {marks[0]}")
-    if s < 1:
-        raise DomainError(f"need s >= 1, got {s}")
-    top = marks[-1] if marks else 1
-    check_modulus(top)  # the largest modulus, checked before any work
-    check_double_range(top, s, f"modulus^s = {top}^{s}")  # s_n_q divides by q^s
-    tables = arith_tables(top)
+    _check_moduli(s, 0, marks)
+    tables = arith_tables(marks[-1] if marks else 1)
     out = {}
     total = 1 + 0j  # q = 1 term
     done = 1
@@ -193,9 +233,7 @@ def euler_product(
     """
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
-    top = max((prime_cutoff, *partial_xs))  # the largest modulus, checked before any work
-    check_modulus(top)
-    check_double_range(top, s, f"modulus^s = {top}^{s}")  # s_n_q divides by q^s
+    _check_moduli(s, prime_cutoff, partial_xs)
     primes = sieve_primes(prime_cutoff).primes
     product = 1.0
     min_factor = math.inf

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import local_oracle
 from wgcircle import arith
-from wgcircle.errors import DomainError
+from wgcircle.errors import DomainError, ResourceError
 
 
 def segmented_prime_count(limit: int, segment: int = 10**5) -> int:
@@ -189,20 +190,6 @@ class TestArithTables:
             assert sum(int(t.phi[d]) for d in range(1, q + 1) if q % d == 0) == q
 
 
-def brute_mp_count(p: int, n: int, k: int, s: int) -> int:
-    count = 0
-    for tup in range(p**s):
-        total = 0
-        v = tup
-        for _ in range(s):
-            total += pow(v % p, k, p)
-            v //= p
-        b = (n - total) % p
-        if b != 0:
-            count += 1
-    return count
-
-
 class TestMpCount:
     def test_hand_value(self):
         assert arith.mp_count(3, 1, 2, 3) == 21
@@ -218,7 +205,7 @@ class TestMpCount:
                     if p**s > 30000:
                         continue
                     for n in range(p):
-                        assert arith.mp_count(p, n, k, s) == brute_mp_count(p, n, k, s)
+                        assert arith.mp_count(p, n, k, s) == local_oracle.brute_mp_count(p, n, k, s)
 
     def test_always_at_least_one(self):
         for p in (2, 5, 13, 31):
@@ -228,6 +215,28 @@ class TestMpCount:
     def test_composite_rejected(self):
         with pytest.raises(DomainError):
             arith.mp_count(9, 1, 2, 2)
+
+    def test_past_the_old_ceiling(self):
+        # p = 46381 > 46341, d = gcd(3, p - 1) = 3: the class route against the cyclic power
+        for n in (0, 1, 123457):
+            assert arith.mp_count(46381, n, 3, 4) == local_oracle.mp_count(46381, n, 3, 4)
+
+
+class TestIndexClasses:
+    @pytest.mark.parametrize("p, d", [(3, 2), (7, 3), (7, 6), (13, 4), (101, 5), (2003, 7)])
+    def test_labels_are_a_homomorphism_onto_z_mod_d(self, p, d):
+        labels = arith.index_classes(p, d)
+        x = np.arange(1, p)
+        y = (x * 5 + 1) % (p - 1) + 1  # a second walk over the nonzero residues
+        assert np.array_equal(labels[x * y % p], (labels[x] + labels[y]) % d)
+        assert np.array_equal(np.bincount(labels[1:], minlength=d), np.full(d, (p - 1) // d))
+        # the k-th powers for gcd(k, p - 1) = d are exactly the class 0
+        assert set(np.nonzero(labels[1:] == 0)[0] + 1) == {pow(int(v), d, p) for v in x}
+
+    def test_budget_checked(self, monkeypatch):
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "1000")
+        with pytest.raises(ResourceError):
+            arith.index_classes(2003, 7)
 
 
 class TestDoubleRange:

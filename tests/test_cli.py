@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgcircle.cli import main
 
@@ -212,14 +217,53 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "WGCIRCLE_MEM_BYTES" in err
 
-    @pytest.mark.parametrize("limit_flag", [("--cutoff", "46400"), ("--xs", "64,46400")])
+    @pytest.mark.parametrize("limit_flag", [("--cutoff", "3100000000"), ("--xs", "64,3100000000")])
     def test_modulus_ceiling_checked_up_front(self, capsys, limit_flag):
+        # past 3,037,000,500 the product of two residues leaves int64
         start = time.perf_counter()
         code = main(["series", "--n", "100", "--k", "3", "--s", "4", *limit_flag])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert "46400" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: modulus 3100000000 outside the supported range [1, 3037000500]\n"
 
+    @pytest.mark.parametrize("limit_flag", [("--cutoff", "200000"), ("--xs", "64,200000")])
+    def test_modulus_budget_checked_up_front(self, capsys, monkeypatch, limit_flag):
+        # the index classes of the largest prime, or the q-sum arrays of the largest q
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "1000000")
+        start = time.perf_counter()
+        code = main(["series", "--n", "100", "--k", "3", "--s", "4", *limit_flag])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "WGCIRCLE_MEM_BYTES" in err
+
+    def test_truncation_point_checked_before_the_product(self, capsys):
+        # X = 0 was once refused only after every local factor up to the cutoff
+        start = time.perf_counter()
+        code = main(["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "20000", "--xs", "64,0"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert capsys.readouterr().err == "error: need X >= 1, got 0\n"
+
+    def test_cutoff_past_the_old_ceiling_runs(self, capsys):
+        code, out = run_cli(capsys, "series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "46400")
+        assert code == 0
+        assert json.loads(out)["product"] > 0
+
+    @pytest.mark.parametrize("command", [
+        ("series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "50", "--xs", "8,x"),
+        ("series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "50", "--xs", "8,,16"),
+        ("series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "50", "--xs", "8.5"),
+        ("moments", "--P", "16", "--k", "3", "--t", "8", "--q-values", "1,abc"),
+        ("moments", "--P", "16", "--k", "3", "--t", "8", "--q-values", "1,"),
+    ])
+    def test_malformed_list_exits_two(self, capsys, command):
+        code = main(list(command))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "comma-separated" in err
 
     @pytest.mark.parametrize("threshold", [("--u", "0"), ("--v", "0"), ("--u", "-1"), ("--u", "nan"),
                                            ("--v", "inf")])
@@ -365,3 +409,67 @@ class TestCountPastInt64:
         code, out = run_cli(capsys, "count", "--k", "2", "--s", "40", "--n", "1000")
         assert code == 0
         assert json.loads(out)["r"] == 30385489528274579244650671984815416064
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: well-formed argv for every subcommand, values in and out of range
+
+
+INTS = st.sampled_from([-3, -1, 0, 1, 2, 3, 5, 8])
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.1", "0.5", "1", "2.5", "8"])
+LISTS = st.sampled_from(["8", "8,16", "16,8,16", "0", "-4", "8,x", "8,,16", "1e3", " 2", ",", "nan,inf"])
+SMALL = st.sampled_from([-5, 0, 1, 2, 10, 100, 1000])
+
+
+def required(name, values):
+    # --flag=value: argparse would take a value such as -inf for an option
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def flag(name, values):
+    """The flag and one drawn value, or nothing: every optional flag is optional."""
+    return st.one_of(st.just([]), required(name, values))
+
+
+def argv_of(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [x for p in ps for x in p])
+
+
+SUBCOMMANDS = st.one_of(
+    argv_of("constants", flag("--theta", st.sampled_from([4, 5]))),
+    argv_of("eta", required("--t", FLOATS)),
+    argv_of("plan", required("--k", st.sampled_from([-1, 0, 1, 2, 3, 17, 20])),
+            flag("--theta", st.sampled_from([4, 5]))),
+    argv_of("sieve", required("--limit", SMALL)),
+    argv_of("series", required("--n", SMALL), required("--k", INTS), required("--s", INTS),
+            flag("--cutoff", SMALL), flag("--xs", LISTS)),
+    argv_of("count", required("--k", INTS), required("--s", INTS), required("--n", SMALL),
+            flag("--method", st.sampled_from(["float_fft_verified", "direct"]))),
+    argv_of("compare", required("--k", INTS), required("--s", INTS), required("--lo", SMALL),
+            required("--hi", SMALL), flag("--stride", INTS), flag("--cutoff", SMALL)),
+    argv_of("dissect", required("--n", st.sampled_from([-1, 0, 1, 100, 2000, 4096])), required("--k", INTS),
+            required("--s", INTS), flag("--theta", st.sampled_from([4, 5])), flag("--R", INTS),
+            flag("--r-eta", FLOATS), flag("--oversample", INTS), flag("--u", FLOATS), flag("--v", FLOATS),
+            flag("--q-slice", FLOATS)),
+    argv_of("moments", required("--P", st.sampled_from([-3, 0, 1, 2, 16, 64])), required("--k", INTS),
+            required("--t", FLOATS), flag("--R", INTS), flag("--r-eta", FLOATS), flag("--q-values", LISTS)),
+    argv_of("model-error", required("--n", st.sampled_from([-1, 0, 1, 100, 1024])), required("--k", INTS),
+            flag("--R", INTS), flag("--r-eta", FLOATS)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=SUBCOMMANDS, fmt=st.sampled_from(["json", "csv", "plain"]),
+       budget=st.sampled_from([None, "1", "100000", "0", "-5", "lots"]))
+def test_cli_contract(argv, fmt, budget):
+    # exit 0, 2 or 3 and, when nonzero, exactly one line on stderr: never a traceback
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        if budget is None:
+            mp.delenv("WGCIRCLE_MEM_BYTES", raising=False)
+        else:
+            mp.setenv("WGCIRCLE_MEM_BYTES", budget)
+        code = main([*argv, "--format", fmt, "--out", os.devnull])
+    assert code in (0, 2, 3), (argv, code)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

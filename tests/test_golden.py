@@ -90,6 +90,13 @@ SERIES_VARIANTS = {
                      "--xs", "512,1024", "--format", "json"],
     "series-xs-unsorted": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000",
                            "--xs", "256,64,256"],
+    # the paper's regime s = 11, local counts past int64 (p^11 > 2^63 from p = 53)
+    "series-k3-s11": ["series", "--n", "100", "--k", "3", "--s", "11", "--cutoff", "3000",
+                      "--xs", "512,1024"],
+    # d = gcd(6, p - 1) takes every value in {1, 2, 3, 6}
+    "series-k6": ["series", "--n", "1000", "--k", "6", "--s", "8", "--cutoff", "2000", "--xs", "64"],
+    # a cutoff close to the old int32-sized modulus ceiling
+    "series-cutoff-40000": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "40000"],
 }
 
 # the paper's regime s >= ck + 4 (s >= 9 for k = 2, s >= 11 for k = 3), where

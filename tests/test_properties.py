@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import arc_oracle
 import level_oracle
-from wgcircle import arith, circle, convolve, serialize
+import local_oracle
+from wgcircle import arith, circle, convolve, serialize, series
 from wgcircle.errors import DomainError
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -110,14 +111,47 @@ def test_float_checked_prefix_is_exact_or_refused(shape):
 )
 def test_power_matches_repeated_convolution(hist, s, cyclic, out_len):
     # entries up to 2^40 to the 6th power reach far past int64
-    modulus = len(hist) if cyclic else None
-    if cyclic:
-        out_len = None
+    # the cyclic branch checks the local-count oracle, which folds the same engine's products
     arr = np.array(hist, dtype=np.int64)
-    got = convolve.power(arr, s, out_len, modulus=modulus)
-    expected = naive_power(hist, s, out_len, modulus)
+    if cyclic:
+        assert local_oracle.cyclic_power(arr, s, len(hist)) == naive_power(hist, s, None, len(hist))
+        return
+    got = convolve.power(arr, s, out_len)
+    expected = naive_power(hist, s, out_len, None)
     assert got.tolist() == expected
     assert got.dtype == (np.int64 if max(expected) < 2**63 else object)
+
+
+SMALL_PRIMES = arith.sieve_primes(2000).primes.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(0, 10**7), k=st.integers(1, 8), s=st.integers(1, 11))
+def test_mp_count_matches_cyclic_power(p, n, k, s):
+    # d = gcd(k, p - 1) runs over {1, 2, 3, 4, 6, 8}; p^s reaches 2^120
+    assert arith.mp_count(p, n, k, s) == local_oracle.mp_count(p, n, k, s)
+
+
+@st.composite
+def tiny_local_cases(draw):
+    """(p, s) with p^s <= 30000, small enough to enumerate every tuple."""
+    p = draw(st.sampled_from([p for p in SMALL_PRIMES if p * p <= 30000]))
+    s = draw(st.integers(1, int(math.log(30000, p) + 1e-9)))
+    return p, s
+
+
+@PROPERTY_SETTINGS
+@given(case=tiny_local_cases(), n=st.integers(0, 10**4), k=st.integers(1, 8))
+def test_mp_count_matches_enumeration(case, n, k):
+    p, s = case
+    assert arith.mp_count(p, n, k, s) == local_oracle.brute_mp_count(p, n, k, s)
+
+
+@PROPERTY_SETTINGS
+@given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(0, 10**7), k=st.integers(1, 8), s=st.integers(1, 11))
+def test_chi_p_sum_route_matches_s_n_q(p, n, k, s):
+    # the Gauss-period sum against the FFT of the power histogram
+    assert abs(series.chi_p(p, n, k, s).snp - series.s_n_q(p, n, k, s)) < 1e-12
 
 
 @st.composite

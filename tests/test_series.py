@@ -71,6 +71,19 @@ class TestLocalFactor:
         c = series.euler_product(10, 3, 3, 500).tail_constant
         assert c < 3.0  # recorded: 1.386 at p <= 1000
 
+    @pytest.mark.parametrize("n", [0, 1, 46380, 123457])
+    def test_past_the_old_ceiling(self, n):
+        # p = 46381 > 46341 and d = gcd(3, p - 1) = 3
+        rep = series.chi_p(46381, n, 3, 4)
+        assert abs(rep.chi_via_snp - rep.chi_via_mp) < 1e-9
+        assert abs(series.s_n_q(46381, n, 3, 4) - rep.snp) < 1e-9
+
+    def test_coprime_power_map_gives_one(self):
+        # d = gcd(3, p - 1) = 1: x -> x^3 permutes the residues and chi_p = 1 exactly
+        for p in (2, 5, 11, 2999):
+            rep = series.chi_p(p, 7, 3, 4)
+            assert rep.snp == 0 and rep.chi_via_snp == rep.chi_via_mp == 1.0
+
     def test_residue_table_matches_pointwise(self):
         for p in (3, 7, 13):
             table = series.chi_residue_table(p, 3, 4)
