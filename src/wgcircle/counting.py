@@ -200,7 +200,7 @@ def compare_report(
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
     counts = count_range(k, s, n_hi, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
-    series_vals = singular_series_many(ns, k, s, prime_cutoff)
+    series_vals = singular_series_many(n_lo, stride, len(ns), k, s, prime_cutoff)
     preds = series_vals * factor * ns ** (s / k) / np.log(ns)
     r = counts[ns]
     # int64 -> float64 and Python int -> float both round to nearest, so each

@@ -18,7 +18,12 @@ class counts exactly (`arith.mp_count`), the analytic route takes S(p, a)
 from the Gauss periods of the index-d subgroup.  They share only the class
 labelling.  The Euler product over p <= cutoff is the primary evaluation
 (absolutely convergent for s >= 3, sign-stable); the q-sum is the
-cross-check.  Factors are accumulated in ascending p for bit-reproducibility.
+cross-check.  It is built from prime moduli as well, but on the other route:
+S_n(p) from the power-histogram Gauss sums of `s_n_q` for each p <= X, and
+mu(q) S_n(q)/phi(q) for squarefree q as the product of -S_n(p)/(p - 1) over
+p | q.  Over many n in a progression, chi_p depends on n only mod p, so the
+product takes one period of each prime's residue table.  Factors are
+accumulated in ascending p for bit-reproducibility.
 
 For s in {1, 2} every result is computed but flagged: the convergence theory
 backing the tail estimates starts at s = 3.
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
-    CLASS_LABEL_BYTES, arith_tables, check_double_range, check_modulus, gauss_sums_all, index_classes,
+    CLASS_LABEL_BYTES, check_double_range, check_modulus, gauss_sums_all, index_classes,
     mp_count, sieve_primes,
 )
 from .errors import DomainError, InternalConsistencyError, ensure_memory
@@ -156,9 +161,10 @@ _QSUM_BYTES_PER_RESIDUE = 88
 
 def _check_moduli(s: int, top_prime: int, xs) -> None:
     """Refuse, before any work, s < 1, a truncation point X < 1, and moduli
-    past the int64 ceiling or the double range, or whose per-modulus arrays
-    overrun the memory budget: the index classes of the largest prime and
-    the q-sum arrays of the largest X."""
+    past the int64 ceiling or the double range, or whose arrays overrun the
+    memory budget: the index classes of the largest prime, and for the
+    largest X the q-sum's complex terms (16 B per q <= X) next to the s_n_q
+    arrays of its largest prime, charged at X itself."""
     if xs and min(xs) < 1:
         raise DomainError(f"need X >= 1, got {min(xs)}")
     if s < 1:
@@ -168,34 +174,39 @@ def _check_moduli(s: int, top_prime: int, xs) -> None:
     check_modulus(top)
     check_double_range(top, s, f"modulus^s = {top}^{s}")  # both routes divide by q^s
     ensure_memory(CLASS_LABEL_BYTES * top_prime, f"index classes of primes up to {top_prime}")
-    ensure_memory(_QSUM_BYTES_PER_RESIDUE * top_q, f"q-sum arrays of modulus {top_q}")
+    ensure_memory(16 * (top_q + 1) + _QSUM_BYTES_PER_RESIDUE * top_q, f"q-sum arrays up to {top_q}")
 
 
 def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
     """Truncated q-sums over q <= X for each X in xs, keyed by X.
 
-    One ascending pass over q records the running total as it reaches each X,
-    so every value is summed in the same order as a pass that stops at its X.
-    Square-full q vanish through mu(q).
+    Only squarefree q survive mu(q), and since S_n is multiplicative,
+    mu(q) S_n(q)/phi(q) is the product of t_p = -S_n(p)/(p - 1) over the
+    primes p | q.  So s_n_q runs on the primes p <= X only, one sieve pass in
+    ascending p multiplies t_p into the terms of the multiples of p and zeroes
+    those of the multiples of p^2, and a running sum over ascending q reads
+    off every X: each value is summed in the same order as a pass stopping at
+    its X.  No local factor or index class enters, so the q-sum stays an
+    independent check of the Euler product.
     """
     marks = sorted(set(int(x) for x in xs))
     _check_moduli(s, 0, marks)
-    tables = arith_tables(marks[-1] if marks else 1)
-    out = {}
-    total = 1 + 0j  # q = 1 term
-    done = 1
-    for x in marks:
-        for q in range(done + 1, x + 1):
-            mu = int(tables.mobius[q])
-            if mu:
-                total += mu / int(tables.phi[q]) * s_n_q(q, n, k, s)
-        done = x
-        out[x] = SeriesPartial(
+    top = marks[-1] if marks else 1
+    terms = np.ones(top + 1, dtype=np.complex128)
+    terms[0] = 0.0
+    if top >= 2:
+        for p in sieve_primes(top).primes.tolist():  # ascending: reproducible products
+            terms[p::p] *= -s_n_q(p, n, k, s) / (p - 1)
+            terms[p * p :: p * p] = 0.0
+    totals = np.cumsum(terms)  # sequential, as q = 1, 2, ... one at a time
+    return {
+        x: SeriesPartial(
             n=int(n), k=int(k), s=int(s), x=x,
-            value=float(total.real), imag_residue=abs(float(total.imag)),
+            value=float(totals[x].real), imag_residue=abs(float(totals[x].imag)),
             converges=s >= 3,
         )
-    return out
+        for x in marks
+    }
 
 
 def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
@@ -277,17 +288,27 @@ def chi_residue_table(p: int, k: int, s: int) -> np.ndarray:
     return 1.0 - inner.real / (p ** s * (p - 1))
 
 
-def singular_series_many(n_values: np.ndarray, k: int, s: int, prime_cutoff: int) -> np.ndarray:
-    """Euler products for an array of n, via per-prime residue tables.
+def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int) -> np.ndarray:
+    """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count.
 
     Uses the analytic route only (the dual route is exercised by chi_p and its
-    tests); intended for sweeps where per-n products would be wasteful.
+    tests).  chi_p(n_lo + i stride) depends on i only mod p, so each prime
+    gathers one period, min(p, count) entries of its residue table, and
+    multiplies it into the whole periods of the output through a
+    (count // p, p) view and then into the tail.  Every n receives its
+    factors in ascending p, so each product is bit for bit the one of a
+    per-n gather.
     """
-    n_values = np.asarray(n_values, dtype=np.int64)
-    out = np.ones(len(n_values), dtype=np.float64)
-    for p in sieve_primes(prime_cutoff).primes:  # ascending: reproducible
-        table = chi_residue_table(int(p), k, s)
-        out *= table[n_values % int(p)]
+    out = np.ones(count, dtype=np.float64)
+    for p in sieve_primes(prime_cutoff).primes.tolist():  # ascending: reproducible
+        table = chi_residue_table(p, k, s)
+        # both residues are below p < MODULUS_LIMIT, so the product fits int64
+        period = table[(n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p]
+        whole = count - count % p
+        if whole:
+            rows = out[:whole].reshape(-1, p)  # a view: one row per whole period
+            rows *= period
+        out[whole:] *= period[: count - whole]
     return out
 
 

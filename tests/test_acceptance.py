@@ -162,7 +162,7 @@ def test_criterion_9_prediction_desk_check():
     with criterion(9, "mean count/prediction ratio inside [0.8, 1.2]", 600.0):
         counts = counting.count_range(2, 2, 10**5)
         ns = np.arange(5 * 10**4, 10**5 + 1, dtype=np.int64)
-        series_vals = series.singular_series_many(ns, 2, 2, 1000)
+        series_vals = series.singular_series_many(int(ns[0]), 1, len(ns), 2, 2, 1000)
         gamma_factor = math.gamma(1.5) ** 2 / math.gamma(2.0)
         preds = series_vals * gamma_factor * ns / np.log(ns)
         ratios = counts[ns] / preds

@@ -221,6 +221,12 @@ class TestMpCount:
         for n in (0, 1, 123457):
             assert arith.mp_count(46381, n, 3, 4) == local_oracle.mp_count(46381, n, 3, 4)
 
+    @pytest.mark.parametrize("p, k, s", [(7, 6, 22), (7, 6, 23), (13, 12, 17), (13, 12, 18), (13, 4, 18)])
+    def test_large_d_and_counts_past_int64(self, p, k, s):
+        # d = p - 1 in all but the k = 4 case; p^s passes 2^63 at s = 23 for p = 7, s = 18 for p = 13
+        for n in range(p):
+            assert arith.mp_count(p, n, k, s) == local_oracle.mp_count(p, n, k, s)
+
 
 class TestIndexClasses:
     @pytest.mark.parametrize("p, d", [(3, 2), (7, 3), (7, 6), (13, 4), (101, 5), (2003, 7)])

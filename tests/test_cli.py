@@ -238,6 +238,19 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "WGCIRCLE_MEM_BYTES" in err
 
+    def test_qsum_terms_charged_up_front(self, capsys, monkeypatch):
+        # X = 10000: the s_n_q arrays (88 B per residue) fit 10^6 bytes, the
+        # complex terms of every q <= X on top of them (16 B each) do not
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "1000000")
+        start = time.perf_counter()
+        code = main(["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "50", "--xs", "64,10000"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: q-sum arrays up to 10000 needs 1040016 bytes; budget is 1000000 "
+            "(set WGCIRCLE_MEM_BYTES to raise it)\n"
+        )
+
     def test_truncation_point_checked_before_the_product(self, capsys):
         # X = 0 was once refused only after every local factor up to the cutoff
         start = time.perf_counter()

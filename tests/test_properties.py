@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import arc_oracle
 import level_oracle
 import local_oracle
+import series_oracle
 from wgcircle import arith, circle, convolve, serialize, series
 from wgcircle.errors import DomainError
 
@@ -152,6 +153,19 @@ def test_mp_count_matches_enumeration(case, n, k):
 def test_chi_p_sum_route_matches_s_n_q(p, n, k, s):
     # the Gauss-period sum against the FFT of the power histogram
     assert abs(series.chi_p(p, n, k, s).snp - series.s_n_q(p, n, k, s)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(0, 10**7), k=st.integers(1, 6), s=st.integers(1, 6),
+       xs=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_series_partials_match_q_by_q_sum(n, k, s, xs):
+    # the prime-moduli q-sum against one s_n_q call per squarefree q
+    partials = series.series_partials(n, k, s, xs)
+    expected = series_oracle.qsum_partials(n, k, s, xs)
+    assert sorted(partials) == sorted(expected)
+    for x, sp in partials.items():
+        assert abs(sp.value - expected[x].real) < 1e-12
+        assert abs(sp.imag_residue - abs(expected[x].imag)) < 1e-12
 
 
 @st.composite

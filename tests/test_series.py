@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import series_oracle
 from wgcircle import series
-from wgcircle.arith import arith_tables, sieve_primes
+from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError
 
 
@@ -33,6 +34,13 @@ class TestNormalizedSum:
                 for n in (1, 4, 9):
                     lhs = series.s_n_q(q1 * q2, n, 3, 3)
                     rhs = series.s_n_q(q1, n, 3, 3) * series.s_n_q(q2, n, 3, 3)
+                    assert lhs == pytest.approx(rhs, abs=1e-9)
+        # three primes, with d = gcd(k, p - 1) > 1 on every odd p for k = 2 and up to 6 for k = 6
+        for k in (2, 6):
+            for primes in ((2, 3, 5), (3, 5, 7), (2, 7, 13), (5, 7, 13)):
+                for n in (0, 1, 4, 9, 1000):
+                    lhs = series.s_n_q(math.prod(primes), n, k, 3)
+                    rhs = math.prod(series.s_n_q(p, n, k, 3) for p in primes)
                     assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_prime_decay_trend(self):
@@ -109,17 +117,17 @@ class TestSeriesPartial:
         assert series.series_partials(50, 2, 3, (8,))[8].converges is True
 
     def test_one_pass_matches_separate_sums(self):
-        # each running total is summed in the order of a pass stopping at its X
+        # each running total is summed in the order of a pass stopping at its X,
+        # and the products over p | q round apart from one s_n_q call per q
         n, k, s = 100, 3, 4
-        t = arith_tables(40)
         partials = series.series_partials(n, k, s, (40, 7, 1, 7, 24))
         assert sorted(partials) == [1, 7, 24, 40]
+        expected = series_oracle.qsum_partials(n, k, s, (1, 7, 24, 40))
         for x, sp in partials.items():
-            total = 1 + 0j
-            for q in range(2, x + 1):
-                if t.mobius[q]:
-                    total += int(t.mobius[q]) / int(t.phi[q]) * series.s_n_q(q, n, k, s)
-            assert (sp.x, sp.value, sp.imag_residue) == (x, total.real, abs(total.imag))
+            assert series.series_partials(n, k, s, (x,))[x] == sp
+            assert sp.x == x
+            assert abs(sp.value - expected[x].real) < 1e-12
+            assert abs(sp.imag_residue - abs(expected[x].imag)) < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -158,16 +166,28 @@ class TestEulerProduct:
 
     def test_positivity_sample(self):
         rng = np.random.default_rng(11)
-        ns = rng.integers(1, 10**6, 100)
-        vals = series.singular_series_many(ns, 3, 4, 100)
+        n_lo, stride = (int(v) for v in rng.integers(1, 10**6, 2))
+        vals = series.singular_series_many(n_lo, stride, 100, 3, 4, 100)
         assert (vals > 0).all()
 
     def test_many_matches_single(self):
-        ns = np.array([100, 101, 999])
-        many = series.singular_series_many(ns, 3, 4, 200)
-        for n, v in zip(ns.tolist(), many.tolist()):
-            rep = series.euler_product(n, 3, 4, 200)
-            assert v == pytest.approx(rep.product_value, abs=1e-9)
+        # k = 2: d = 2 on every odd p, so chi_p(n) varies with n mod p; counts
+        # below, equal to and above p = 7, 11, 13
+        for k, s in ((2, 3), (3, 4)):
+            for n_lo, stride in ((100, 1), (100, 7), (999, 1), (10**6 + 3, 7)):
+                for count in (1, 6, 7, 11, 13, 40):
+                    many = series.singular_series_many(n_lo, stride, count, k, s, 13)
+                    ns = n_lo + stride * np.arange(count)
+                    assert np.array_equal(many, series_oracle.gather_product(ns, k, s, 13))
+        # against the Euler product at cutoff 200, at n = 100, 107, ..., 128 and 100, 101, 999
+        for k, s in ((2, 3), (3, 4)):
+            for n_lo, stride, count in ((100, 7, 5), (100, 1, 2), (999, 1, 1)):
+                many = series.singular_series_many(n_lo, stride, count, k, s, 200)
+                ns = n_lo + stride * np.arange(count)
+                assert np.array_equal(many, series_oracle.gather_product(ns, k, s, 200))
+                for n, v in zip(ns.tolist(), many.tolist()):
+                    rep = series.euler_product(n, k, s, 200)
+                    assert v == pytest.approx(rep.product_value, abs=1e-9)
 
     def test_report_schema(self):
         rep = series.euler_product(100, 3, 4, 50, partial_xs=(8,))
