@@ -55,10 +55,10 @@ from .arith import SmoothSet, check_double_range, gauss_sum, kth_root_floor, sie
 from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
 from .serialize import JsonRecords
-from .specialfn import eta_value
+from .specialfn import check_theta, eta_value
 
-#: Exponent of the core-arc height (log n)^CORE_HEIGHT_EXPONENT; configurable,
-#: tiny by design: at desk scale only q = 1 arcs survive.
+#: Exponent of the core-arc height (log n)^CORE_HEIGHT_EXPONENT; tiny by
+#: design: at desk scale only q = 1 arcs survive.
 CORE_HEIGHT_EXPONENT = 1.0 / 99.0
 
 #: Exponent e in the pruned-arc height P^e; any small power works.
@@ -203,14 +203,19 @@ class ArcUnion:
         hit = j0 <= j1
         return q[hit], a[hit], j0[hit], j1[hit]
 
-    def grid_spans(self, m: int, half: bool = False):
-        """(q, a, j0, j1) for each arc holding grid points j/m, j0 <= j <= j1.
+    def grid_points(self, m: int, half: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat int64 arrays (j, q, a): each grid point j/m of the family, in
+        ascending j, with the centre a/q of its arc.
 
         The point alpha = 1 is the grid point 0 by periodicity, so the arc at
-        1 stops at j = m - 1 (the arc at 0 covers it).  With half, spans stop
-        at j = m/2.
+        1 stops at j = m - 1 (the arc at 0 covers it).  With half, the points
+        stop at j = m/2.
         """
-        return zip(*(col.tolist() for col in self._spans(m, half)))
+        q, a, j0, j1 = self._spans(m, half)
+        lengths = j1 - j0 + 1
+        # the points of arc i are j0[i] + (position in the flat run - where arc i starts)
+        j = np.arange(lengths.sum()) + np.repeat(j0 - (np.cumsum(lengths) - lengths), lengths)
+        return j, np.repeat(q, lengths), np.repeat(a, lengths)
 
     def grid_mask(self, m: int, half: bool = False) -> np.ndarray:
         """Boolean membership of the grid points j/m, j in [0, m), or of the
@@ -276,7 +281,7 @@ def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
 
 
 def _check_major_height(Q: float, denom: int) -> None:
-    if Q < 1:
+    if not Q >= 1:  # refuses NaN too
         raise DomainError(f"height must be >= 1, got {Q}")
     # 1e-9 slack: callers pass Q = sqrt(denom)/2 as a float, which may round a
     # hair above the irrational bound; disjointness genuinely needs only
@@ -286,23 +291,23 @@ def _check_major_height(Q: float, denom: int) -> None:
         raise DomainError(f"height {Q} above the disjointness bound sqrt({denom})/2")
 
 
-def core_arcs(n: int, height: float | None = None, label: str = "N") -> ArcUnion:
-    """Fixed-width arcs |alpha - a/q| <= Qcal/n for q <= Qcal.
+def core_arcs(n: int, height: float) -> ArcUnion:
+    """Fixed-width arcs |alpha - a/q| <= Qcal/n for q <= Qcal = height."""
+    if not height >= 1:
+        raise DomainError(f"core height must be >= 1, got {height}")
+    return _farey_family("N", int(math.floor(height)), Fraction(height) / n, reach_is_q=True)
 
-    Default Qcal = (log n)^(1/99): at n <= 1e6 only q = 1 survives.
+
+def major_height(label: str, n: int, k: int) -> float:
+    """The height of the named family at scale n: the core arcs N, the pruned
+    arcs L, and the wide major arcs K and Kprime.
+
+    The core height (log n)^(1/99) leaves only q = 1 at n <= 1e6.
     """
-    q_cal = (math.log(n)) ** CORE_HEIGHT_EXPONENT if height is None else height
-    if q_cal < 1:
-        raise DomainError(f"core height must be >= 1, got {q_cal}")
-    return _farey_family(label, int(math.floor(q_cal)), Fraction(q_cal) / n, reach_is_q=True)
-
-
-def major_height(label: str, n: int, k: int, **params) -> float:
-    """The height Q of the named major-arc family M(Q), L, K or Kprime at scale n."""
-    if label == "M":
-        return params["Q"]
+    if label == "N":
+        return math.log(n) ** CORE_HEIGHT_EXPONENT
     if label == "L":
-        return max(1.0, kth_root_floor(n, k) ** params.get("height_exponent", PRUNED_HEIGHT_EXPONENT))
+        return max(1.0, kth_root_floor(n, k) ** PRUNED_HEIGHT_EXPONENT)
     if label == "K":
         return n**0.4
     if label == "Kprime":
@@ -310,12 +315,12 @@ def major_height(label: str, n: int, k: int, **params) -> float:
     raise DomainError(f"unknown arc-union label {label!r}")
 
 
-def build_arc_union(label: str, n: int, k: int, **params) -> ArcUnion:
-    """Named dissections: M(Q), N, L, K, Kprime, all at scale n."""
+def build_arc_union(label: str, n: int, k: int) -> ArcUnion:
+    """The named family N, L, K or Kprime at scale n."""
+    height = major_height(label, n, k)
     if label == "N":
-        return core_arcs(n, params.get("height"))
-    height = major_height(label, n, k, **params)
-    return major_arcs(height, n, label=f"M({height:g})" if label == "M" else label)
+        return core_arcs(n, height)
+    return major_arcs(height, n, label=label)
 
 
 def _check_slice_height(n: int, Y: float) -> None:
@@ -424,16 +429,17 @@ def integrate_over_set(
         prod = prod * np.exp((-2j * np.pi * twist / m) * np.arange(m))
     if region is None:
         return IntegralResult(value=complex(prod.mean()), boundary_error=0.0, points=m, measure=1.0)
-    mask = region.grid_mask(m)
-    pts = int(mask.sum())
-    value = complex(prod[mask].sum() / m)
-    sup = float(np.abs(prod).max()) if m else 0.0
-    return IntegralResult(
-        value=value,
-        boundary_error=region.endpoint_count() * sup / m,
-        points=pts,
-        measure=pts / m,
-    )
+    picked, boundary_error = _on_arcs(region, prod, float(np.abs(prod).max()))
+    return IntegralResult(value=complex(picked.sum() / m), boundary_error=boundary_error,
+                          points=len(picked), measure=len(picked) / m)
+
+
+def _on_arcs(region: ArcUnion, values: np.ndarray, sup: float) -> tuple[np.ndarray, float]:
+    """The values at the region's points of the grid of size m = len(values),
+    and the endpoint-error bound endpoint_count * sup / m of a Riemann sum
+    over them, sup bounding the integrand on the grid."""
+    m = len(values)
+    return values[region.grid_mask(m)], region.endpoint_count() * sup / m
 
 
 @lru_cache(maxsize=64)
@@ -505,20 +511,16 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     rho_hat = len(members) / P
     m = alias_free_size(n, 1, 1)
     f_vals = evaluate_on_grid(spectrum, m)
-    arcs_union = core_arcs(n)
+    core = build_arc_union("N", n, k)
+    j, q, a = (col.tolist() for col in core.grid_points(m))
     sup_err = 0.0
-    points = 0
-    for q, a, j0, j1 in arcs_union.grid_spans(m):
-        center = a / q
-        for j in range(j0, j1 + 1):
-            alpha = j / m
-            model = rho_hat * gauss_sum(q, a, k) / q * v_poly(alpha - center, n, k)
-            sup_err = max(sup_err, abs(f_vals[j] - model))
-            points += 1
+    for jj, qq, aa in zip(j, q, a):
+        model = rho_hat * gauss_sum(qq, aa, k) / qq * v_poly(jj / m - aa / qq, n, k)
+        sup_err = max(sup_err, abs(f_vals[jj] - model))
     return ModelErrorReport(
         n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
         sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=points, arcs=len(arcs_union.intervals),
+        points=len(j), arcs=len(core.intervals),
     )
 
 
@@ -536,32 +538,25 @@ class MomentResult:
     below_guaranteed_range: bool  # t < k + 1: outside the guaranteed regime
 
 
-def _moment_values(P: int, R: int, k: int, t: float) -> tuple[int, np.ndarray]:
-    """The grid size and f on the grid at denominator P^k, refused before the
-    FFT when the sums of |f|^t <= P^t over the grid could leave the double range."""
+def _moment_values(P: int, R: int, k: int, t: float) -> np.ndarray:
+    """f on the grid at denominator P^k, refused before the FFT when the sums
+    of |f|^t <= P^t over the grid could leave the double range."""
     m = alias_free_size(P**k, 0, 2)
     check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {m}", factor=m)
-    return m, evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], m)
+    return evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], m)
 
 
-def _check_height(Q: float, denom: int) -> None:
-    if not 1 <= Q <= 0.5 * math.sqrt(denom) * (1.0 + 1e-9):
-        raise DomainError(f"need 1 <= Q <= P^(k/2)/2, got Q={Q}")
-
-
-def _moment_row(P: int, R: int, Q: float, t: float, k: int, m: int, f_values: np.ndarray,
-                sup_t: float) -> MomentResult:
-    """moment_v on f values computed on the grid of size m, given max |f|^t over it."""
-    union = major_arcs(Q, P**k)
-    mask = union.grid_mask(m)
-    amps = np.abs(f_values[mask]) ** t
-    value = float(amps.sum() / m)
+def _moment_row(P: int, R: int, Q: float, t: float, k: int, f_values: np.ndarray, sup_t: float) -> MomentResult:
+    """moment_v on f values computed on the grid of size m = len(f_values),
+    given max |f|^t over it."""
+    m = len(f_values)
+    picked, boundary_error = _on_arcs(major_arcs(Q, P**k), f_values, sup_t)
     return MomentResult(
         P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
-        value=value,
-        boundary_error=union.endpoint_count() * sup_t / m,
-        measure=float(mask.sum()) / m,
-        points=int(mask.sum()),
+        value=float((np.abs(picked) ** t).sum() / m),
+        boundary_error=boundary_error,
+        measure=len(picked) / m,
+        points=len(picked),
         below_guaranteed_range=t < k + 1,
     )
 
@@ -571,10 +566,10 @@ def moment_v(P: int, R: int, Q: float, t: float, k: int) -> MomentResult:
 
     Arc geometry lives at denominator P^k here.  Fractional t is fine.
     """
-    _check_height(Q, P**k)
-    m, f_values = _moment_values(P, R, k, t)
+    _check_major_height(Q, P**k)
+    f_values = _moment_values(P, R, k, t)
     # the grid max, not f_values[0] = f(0): the two differ by rounding when |f| is flat
-    return _moment_row(P, R, Q, t, k, m, f_values, float(np.abs(f_values).max() ** t))
+    return _moment_row(P, R, Q, t, k, f_values, float(np.abs(f_values).max() ** t))
 
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
@@ -589,13 +584,13 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
             q_values.append(q)
             q *= 2.0
     for q in q_values:
-        _check_height(q, denom)
-    m, f_vals = _moment_values(P, R, k, t)
+        _check_major_height(q, denom)
+    f_vals = _moment_values(P, R, k, t)
     sup_t = float(np.abs(f_vals).max() ** t)  # one grid pass for the whole ladder
     rows = []
     prev = None
     for q in q_values:
-        res = _moment_row(P, R, q, t, k, m, f_vals, sup_t)
+        res = _moment_row(P, R, q, t, k, f_vals, sup_t)
         slope = math.log2(res.value / prev) if prev and prev > 0 and res.value > 0 else None
         rows.append({"Q": q, "V": res.value, "measure": res.measure,
                      "boundary_error": res.boundary_error, "log2_ratio": slope})
@@ -800,6 +795,12 @@ _LEDGER_HALF_POINT_BYTES = 64
 _LEDGER_FREQUENCY_BYTES = 16
 
 
+def _theta_families(theta: int) -> tuple[str, str]:
+    """The labels of the wide major arcs and of the minor arcs, their
+    complement, for theta = 4 or 5."""
+    return {4: ("Kprime", "kprime"), 5: ("K", "k")}[check_theta(theta)]
+
+
 def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
     """Peak working set of dissection_ledger at scale n on a grid of size m.
 
@@ -808,8 +809,7 @@ def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
     P(Q_slice), which go once its mask is taken.  Then come the spectra, the
     sieve and the half-grid arrays, beside the three families that stayed.
     """
-    kept = (major_height("Kprime" if theta == 4 else "K", n, k), major_height("L", n, k),
-            math.log(n) ** CORE_HEIGHT_EXPONENT)
+    kept = [major_height(label, n, k) for label in (_theta_families(theta)[0], "L", "N")]
     orders = [math.floor(height) for height in (*kept, 2 * Q_slice, max(1.0, Q_slice))]
     arcs = sum(_family_bytes(q_top) for q_top in orders)
     grid = _LEDGER_HALF_POINT_BYTES * half_size(m) + _LEDGER_FREQUENCY_BYTES * (n + 1)
@@ -849,6 +849,7 @@ def dissection_ledger(
     """
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
+    wide_label, minor_label = _theta_families(theta)
     _check_thresholds(U=U, V=V)
     m = alias_free_size(n, s, oversample)
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
@@ -859,14 +860,12 @@ def dissection_ledger(
         Q_slice = max(P**PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
     # the heights, in the order the families are built, then the widest
     # family's charge and the whole working set's, before anything is built
-    wide_label = "Kprime" if theta == 4 else "K"
     for label in (wide_label, "L"):
         _check_major_height(major_height(label, n, k), n)
     _check_slice_height(n, Q_slice)
     _charge_family(wide_label, math.floor(major_height(wide_label, n, k)))
     ensure_memory(ledger_bytes(n, k, theta, m, Q_slice), f"dissection ledger at n = {n} on a grid of {m} points")
     wide = build_arc_union(wide_label, n, k)
-    minor_label = "k" if theta == 5 else "kprime"
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
     slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
@@ -926,13 +925,8 @@ def f_envelope_constant(n: int, k: int, f_half: np.ndarray, m: int, pruned: ArcU
     are both symmetric under j -> m - j, so the maximum over the half grid is
     the maximum over the grid.
     """
-    P = kth_root_floor(n, k)
-    scale = P * big_l(n) ** 3
-    best = 0.0
-    for q, a, j0, j1 in pruned.grid_spans(m, half=True):
-        js = np.arange(j0, j1 + 1)
-        alphas = js / m
-        ups = 1.0 / (q + n * np.abs(q * alphas - a))
-        ratio = f_half[js] / (scale * ups ** (1.0 / (2 * k)))
-        best = max(best, float(ratio.max()))
-    return {"scale": scale, "constant": best}
+    scale = kth_root_floor(n, k) * big_l(n) ** 3
+    j, q, a = pruned.grid_points(m, half=True)
+    ups = 1.0 / (q + n * np.abs(q * (j / m) - a))
+    ratio = f_half[j] / (scale * ups ** (1.0 / (2 * k)))
+    return {"scale": scale, "constant": float(ratio.max(initial=0.0))}

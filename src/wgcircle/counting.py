@@ -28,15 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_double_range, kth_root_floor, sieve_primes
-from .convolve import ConvStats, convolve_exact, fft_working_bytes, power
+from .convolve import ConvStats, convolve_exact, fft_working_bytes, next_pow2, power
 from .errors import DomainError, ResourceError, ensure_memory
 from .series import singular_series_many
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
-
-
-def _bucket(limit: int) -> int:
-    return 1 << max(4, (limit - 1).bit_length())
 
 
 @lru_cache(maxsize=32)
@@ -61,35 +57,31 @@ def _prime_mask_cached(bucket: int) -> np.ndarray:
     return mask
 
 
+def _solution_terms(k: int, s: int, n: int, table: np.ndarray | None = None) -> np.ndarray:
+    """table[n - (x_1^k + ... + x_s^k)] for every ordered tuple of x_j >= 1
+    leaving a complement >= 2; table defaults to the prime indicator."""
+    if k < 1 or s < 1:
+        raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
+    if n < s + 2:  # smallest representable value is 2 + s
+        return np.zeros(0, dtype=np.int64)
+    bucket = max(16, next_pow2(n))
+    sums = _power_sums(k, s, bucket)
+    sums = sums[: int(np.searchsorted(sums, n - 2, side="right"))]
+    return (_prime_mask_cached(bucket) if table is None else table)[n - sums]
+
+
 def count_direct(k: int, s: int, n: int) -> int:
     """Exhaustive count of n = p + (s-fold k-th power sum), ordered tuples.
 
     Enumerates every power-sum value with multiplicity and tests the prime
     complement; independent of the convolution route.
     """
-    if k < 1 or s < 1:
-        raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
-    if n < s + 2:  # smallest representable value is 2 + s
-        return 0
-    bucket = _bucket(n)
-    sums = _power_sums(k, s, bucket)
-    sums = sums[: int(np.searchsorted(sums, n - 2, side="right"))]
-    if len(sums) == 0:
-        return 0
-    mask = _prime_mask_cached(bucket)
-    return int(mask[n - sums].sum())
+    return int(_solution_terms(k, s, n).sum())
 
 
 def count_direct_weighted(k: int, s: int, n: int, log_weights: np.ndarray) -> float:
     """Like count_direct but summing log p over solutions (quadrature oracle)."""
-    if n < s + 2:
-        return 0.0
-    bucket = _bucket(n)
-    sums = _power_sums(k, s, bucket)
-    sums = sums[: int(np.searchsorted(sums, n - 2, side="right"))]
-    if len(sums) == 0:
-        return 0.0
-    return float(log_weights[n - sums].sum())
+    return float(_solution_terms(k, s, n, log_weights).sum())
 
 
 def _power_indicator(k: int, n_max: int) -> np.ndarray:
@@ -98,18 +90,19 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
     return ind
 
 
-def _check_budget(n_max: int) -> None:
-    """Refuse up front when the FFT working set for z^0..z^n_max overruns the budget."""
+def _power_part(k: int, s: int, n_max: int, stats: ConvStats | None) -> np.ndarray:
+    """z^0..z^n_max of the s-th power of the k-th power indicator, refused up
+    front when the FFT working set overruns the budget."""
     ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
+    # exact: summands are >= 1, so truncating every product at z^n_max is safe
+    return power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
 
 
 def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> np.ndarray:
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
     if k < 1 or s < 1 or n_max < 2:
         raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
-    _check_budget(n_max)
-    # exact: summands are >= 1, so truncating every product at z^n_max is safe
-    power_part = power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
+    power_part = _power_part(k, s, n_max, stats)
     prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
     return convolve_exact(power_part, prime_ind, n_max + 1, stats)
 
@@ -118,10 +111,7 @@ def count_conjugate(k: int, s: int, N: int, stats: ConvStats | None = None) -> i
     """Solutions of p = x_1^k + ... + x_s^k with p <= N prime (ordered tuples)."""
     if N < 2:
         return 0
-    _check_budget(N)
-    power_part = power(_power_indicator(k, N), s, N + 1, stats=stats)
-    mask = sieve_primes(N).is_prime_mask()
-    return int(power_part[mask].sum())
+    return int(_power_part(k, s, N, stats)[sieve_primes(N).is_prime_mask()].sum())
 
 
 def gamma_factor(k: int, s: int) -> float:

@@ -187,11 +187,19 @@ class TestArcUnions:
         n, m = 3000, 2048
         union = circle.major_arcs(9.0, n)
         assert (union.grid_mask(m) == mask(major_oracle(9.0, n), m)).all()
-        for q, a, j0, j1 in union.grid_spans(m):
-            arc = [(lo, hi) for lo, hi, q2, a2 in major_oracle(9.0, n) if (q2, a2) == (q, a)]
-            (lo, hi), = arc
+        j, q, a = union.grid_points(m)
+        placed = 0
+        for lo, hi, q2, a2 in major_oracle(9.0, n):
+            run = j[(q == q2) & (a == a2)]
+            placed += len(run)
+            if not len(run):
+                continue
+            # each arc's points are one run j0..j1, and the run is the whole arc
+            j0, j1 = int(run[0]), int(run[-1])
+            assert (run == np.arange(j0, j1 + 1)).all()
             assert lo <= Fraction(j0, m) and Fraction(j1, m) <= hi
             assert Fraction(j0 - 1, m) < lo and (Fraction(j1 + 1, m) > hi or j1 == m - 1)
+        assert placed == len(j)  # no point on an arc the oracle lacks
 
     def test_difference_excludes_seam_points(self):
         # choose scales so the inner arc's endpoint lands exactly on a grid
@@ -460,6 +468,20 @@ class TestLevelSets:
                                           circle.build_arc_union("L", n, scene["k"]))
         assert fenv["constant"] > 0
 
+    @pytest.mark.parametrize("n, k", [(10**4, 2), (10**4, 3), (30011, 2)])
+    def test_f_envelope_matches_pointwise_upsilon(self, n, k):
+        # every pruned arc a/q, q <= P^(1/5), lies inside the covering arc of
+        # height sqrt(n)/2 around the same a/q, so upsilon gives its weight
+        m = circle.alias_free_size(n, 3, 1)
+        f_half = circle.grid_amplitudes(circle.build_f_spectrum(n, k, 2)[0], m)
+        pruned = circle.build_arc_union("L", n, k)
+        scale = circle.kth_root_floor(n, k) * math.log(n) ** 3
+        expected = max(f_half[j] / (scale * circle.upsilon(j / m, n) ** (1.0 / (2 * k)))
+                       for j in np.flatnonzero(pruned.grid_mask(m, half=True)))
+        fenv = circle.f_envelope_constant(n, k, f_half, m, pruned)
+        assert fenv["scale"] == scale
+        assert fenv["constant"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestDissectionLedger:
     def test_working_set_estimate_bounds_the_traced_peak(self):
@@ -503,6 +525,15 @@ class TestDissectionLedger:
         monkeypatch.setattr(np.fft, "fft", no_complex_grid)
         rep = circle.dissection_ledger(10**4, 2, 3, 5, R=2)
         assert calls == [rep["grid_size"]] * 2
+
+    @pytest.mark.parametrize("theta", [3, 6])
+    def test_theta_outside_four_and_five_refused(self, theta):
+        # the wide family and the minor arcs once took their labels from two
+        # tests of theta, so theta = 3 ran as K beside the minor arcs kprime
+        with pytest.raises(DomainError, match="theta must be 4 or 5"):
+            circle.dissection_ledger(4096, 2, 3, theta, R=2)
+        with pytest.raises(DomainError, match="theta must be 4 or 5"):
+            circle.ledger_bytes(4096, 2, theta, 1 << 15, 4.0)
 
     def test_small_scale_ledger(self):
         rep = circle.dissection_ledger(10**4, 2, 3, 5, R=2)

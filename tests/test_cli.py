@@ -321,6 +321,18 @@ class TestFailureModes:
         assert code == 2
         assert err == f"error: need k, s >= 1, got k=2, s={s}\n"
 
+    @pytest.mark.parametrize("height", ["nan", "0.5", "2000"])
+    def test_moment_height_checked_before_the_fft(self, capsys, monkeypatch, height):
+        # a NaN height fails every comparison, so the check must refuse it, not pass it
+        def no_grid(*args, **kwargs):
+            raise AssertionError("evaluate_on_grid ran before the height check")
+
+        monkeypatch.setattr("wgcircle.circle.evaluate_on_grid", no_grid)
+        code = main(["moments", "--P", "16", "--k", "3", "--t", "8", "--q-values", f"1,{height}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: height ") and err.count("\n") == 1
+
     def test_dissect_height_checked_before_the_ffts(self, capsys, monkeypatch):
         # at n < 1024 the default theta = 5 puts K = n^0.4 above sqrt(n)/2
         def no_grid(*args, **kwargs):

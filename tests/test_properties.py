@@ -185,7 +185,7 @@ def families(draw):
 
 @PROPERTY_SETTINGS
 @given(family=families(), core=st.booleans(), slice_at=st.floats(0.0, 1.0))
-def test_grid_spans_match_contains(family, core, slice_at):
+def test_grid_points_match_contains(family, core, slice_at):
     denom, m, height = family
     if core:
         oracle = arc_oracle.core_oracle(height, denom)
@@ -198,15 +198,19 @@ def test_grid_spans_match_contains(family, core, slice_at):
         oracle = arc_oracle.major_oracle(height, denom)
         union = circle.major_arcs(height, denom)
     expected = arc_oracle.mask(oracle, m)
-    spans = np.zeros(m, dtype=bool)
     arcs = {(q, a): (lo, hi) for lo, hi, q, a in oracle}
-    for q, a, j0, j1 in union.grid_spans(m):
-        lo, hi = arcs[q, a]
-        assert 0 <= j0 <= j1 < m
-        assert not spans[j0 : j1 + 1].any()
-        assert all(lo <= Fraction(j, m) <= hi for j in range(j0, j1 + 1))
-        spans[j0 : j1 + 1] = True
-    assert (spans == expected).all()
+    j, q, a = union.grid_points(m)
+    # ascending j within [0, m): no point twice; each arc's points one run of consecutive j
+    assert (np.diff(j) > 0).all() and (len(j) == 0 or 0 <= j[0] <= j[-1] < m)
+    starts = np.flatnonzero(np.diff(q, prepend=0) | np.diff(a, prepend=-1))
+    assert len(set(zip(q[starts].tolist(), a[starts].tolist()))) == len(starts)
+    assert (np.diff(j)[(np.diff(q) == 0) & (np.diff(a) == 0)] == 1).all()
+    for jj, qq, aa in zip(j.tolist(), q.tolist(), a.tolist()):
+        lo, hi = arcs[qq, aa]
+        assert lo <= Fraction(jj, m) <= hi
+    points = np.zeros(m, dtype=bool)
+    points[j] = True
+    assert (points == expected).all()
     assert (union.grid_mask(m) == expected).all()
     assert union.measure_exact() == arc_oracle.measure(oracle)
     # its complement: the minor-arc mask and measure
@@ -234,9 +238,10 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
     else:
         union = circle.build_arc_union(label, n, 2)
         full, half = union.grid_mask(m), union.grid_mask(m, half=True)
-        spans = list(union.grid_spans(m, half=True))
-        assert all(j1 <= m // 2 for _, _, _, j1 in spans)
-        assert spans == [(q, a, j0, min(j1, m // 2)) for q, a, j0, j1 in union.grid_spans(m) if j0 <= m // 2]
+        half_points, points = union.grid_points(m, half=True), union.grid_points(m)
+        assert (half_points[0] <= m // 2).all()
+        kept = points[0] <= m // 2
+        assert all((h == p[kept]).all() for h, p in zip(half_points, points))
     j = np.arange(m)
     assert (full == full[(m - j) % m]).all()
     assert (half == full[: circle.half_size(m)]).all()
