@@ -82,10 +82,6 @@ class SmoothSet:
     def __len__(self) -> int:
         return int(len(self.members))
 
-    def contains(self, x: int) -> bool:
-        i = int(np.searchsorted(self.members, x))
-        return i < len(self.members) and int(self.members[i]) == x
-
 
 def smooth_set(P: int, R: int) -> SmoothSet:
     if P < 1:
@@ -186,15 +182,6 @@ def power_residue_counts(q: int, k: int) -> np.ndarray:
     counts = np.bincount(_modpow_all(q, k), minlength=q)
     counts.setflags(write=False)
     return counts
-
-
-def gauss_sum(q: int, a: int, k: int) -> complex:
-    """S(q, a) = sum_{x=1..q} e(a x^k / q), powers reduced mod q in integers."""
-    if q < 1:
-        raise DomainError(f"modulus must be positive, got {q}")
-    counts = power_residue_counts(q, k)
-    phases = np.exp((2j * np.pi * (a % q) / q) * np.arange(q))
-    return complex(np.dot(counts, phases))
 
 
 def gauss_sums_all(q: int, k: int) -> np.ndarray:

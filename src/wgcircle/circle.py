@@ -3,39 +3,34 @@
 The two generating functions share one representation: an integer-frequency
 spectrum with real weights.  The smooth-power sum places weight 1 at the
 frequencies x^k for x in A(P, R); the prime sum places weight log p at each
-prime p <= n.  Values at the uniform grid alpha_j = j/M come from one inverse
-FFT, and a Riemann sum over the grid integrates g * f^s * e(-alpha n) exactly
-on the full circle whenever M exceeds the bandwidth (trig-polynomial
-orthogonality); on arc subsets the endpoint error is reported, never hidden.
-Where only |g| and |f| matter, the real weights give g(1 - alpha) = conj
-g(alpha), so one real FFT yields the amplitudes on the half grid
-j in [0, M/2], and the mirror point M - j carries the same amplitude.
+prime p <= n.  Real weights give g(1 - alpha) = conj g(alpha), so with an
+integer n the integrand g * f^s * e(-alpha n) at 1 - alpha is the conjugate
+of its value at alpha.  Every grid consumer therefore reads one real FFT per
+spectrum on the half grid alpha_j = j/M, j in [0, M/2], where a point stands
+for itself and its mirror M - j: it counts twice, except j = 0 and j = M/2,
+which are their own mirrors (`HalfPoints`).  A Riemann sum over the grid
+integrates g * f^s * e(-alpha n) exactly on the full circle whenever M
+exceeds the bandwidth (trig-polynomial orthogonality); on arc subsets the
+endpoint error is reported, never hidden.
 
 An arc union is one closed Farey family: the reduced fractions a/q <= 1
 with q <= q_top, in ascending order from the Farey next-term recurrence, each
 with an integer reach r, and one exact width W shared by the whole family (a
 float height is a dyadic rational, so W = num/den is exact).  The arc around
 a/q is |q*alpha - a| <= r*W, with integer-ratio endpoints, so grid masks,
-measures and the disjointness check are exact integer arithmetic.  The major
-arcs of height Q have reach 1 and W = Q/denom, q <= Q; the core arcs have
-reach q and the fixed width W = Qcal/n.  The minor arcs and the height slices
-are not unions of their own: they are mask expressions (complement,
-difference) over these families, with exact measures.  The weight
+measures and the disjointness check are exact integer arithmetic.  Every
+family is symmetric under a/q -> (q - a)/q, so the half grid holds its mask.
+The major arcs of height Q have reach 1 and W = Q/denom, q <= Q; the core
+arcs have reach q and the fixed width W = Qcal/n.  The minor arcs and the
+height slices are mask expressions (complement, difference) over these
+families, with exact measures.  The weight
 
     upsilon(alpha) = 1/(q + n*|q*alpha - a|)
 
 is attached to the unique covering arc of height sqrt(n)/2, located through
-continued-fraction convergents rather than a linear scan.
-
-The dissection ledger works on the half grid.  Every Farey family is
-symmetric under a/q -> (q - a)/q, so its grid mask is symmetric under
-j -> M - j, and a half-grid point stands for itself and its mirror: it counts
-twice, except j = 0 and j = M/2, which are their own mirrors.  The ledger
-takes |g| and |f| once, by one real FFT per spectrum, and keeps them at the
-base points of the minor arcs and of the height slice only; the level
-partitions, the band cover and the envelope constant work on those
-compressed arrays with these weights, so counts and measures are those of
-the full grid and maxima are unchanged.
+continued-fraction convergents rather than a linear scan.  The dissection
+ledger keeps |g| and |f| at the base points of the minor arcs and of one
+height slice only, so its level partitions work on compressed arrays.
 
 Grid evaluation and classification are data-parallel over grid indices;
 reductions use numpy's fixed-order pairwise sums, so results are reproducible.
@@ -44,6 +39,7 @@ reductions use numpy's fixed-order pairwise sums, so results are reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import SmoothSet, check_double_range, gauss_sum, kth_root_floor, sieve_primes, smooth_set
+from .arith import SmoothSet, check_double_range, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set
 from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
 from .serialize import JsonRecords
@@ -103,30 +99,68 @@ def alias_free_size(n: int, s: int, oversample: int) -> int:
     return next_pow2((s + 1) * n + 1) * next_pow2(oversample)
 
 
-def evaluate_on_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Values sum_j c_j e(j * i/m) at the m grid points i/m, by inverse FFT."""
-    if m < len(coeffs):
-        raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
-    ensure_memory(16 * m, "grid evaluation")
-    return np.fft.ifft(coeffs, n=m) * m
+def half_grid_conj(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The conjugates of the values sum_j c_j e(j * i/m) at the grid points
+    i/m, 0 <= i <= m/2, by one real FFT.
 
-
-def grid_amplitudes(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """|sum_j c_j e(j * i/m)| at the grid points i/m, 0 <= i <= m/2, by one
-    real FFT.
-
-    With real weights, rfft's sum of c_j e(-j * i/m) is the conjugate of the
-    value at i/m, and so is the value at (m - i)/m: these m//2 + 1 amplitudes
-    are every amplitude on the grid.
+    rfft sums c_j e(-j * i/m): with real weights that is the conjugate of the
+    value at i/m, and it is the value itself at the mirror point (m - i)/m.
+    Callers that want values take np.conj; amplitudes need no conjugate.
     """
     if m < len(coeffs):
         raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
-    return np.abs(np.fft.rfft(coeffs, n=m))
+    # the complex half grid, and rfft's zero-padded copy of the input
+    ensure_memory(16 * half_size(m) + 8 * m, "half-grid evaluation")
+    return np.fft.rfft(coeffs, n=m)
 
 
 def half_size(m: int) -> int:
     """Points j in [0, m/2] of the grid of size m."""
     return m // 2 + 1
+
+
+@dataclass(frozen=True)
+class HalfPoints:
+    """A set of grid points j/m symmetric under j -> m - j, held as its
+    `size` points on the half grid j in [0, m/2], in grid order.
+
+    Each point stands for itself and its mirror m - j, so it counts twice;
+    `once` holds the positions, among the points, of j = 0 and j = m/2, which
+    are their own mirrors and count once.  Values given at the points, and
+    masks over them, then count and sum as on the full grid.
+    """
+
+    size: int
+    once: np.ndarray
+    m: int
+
+    @classmethod
+    def of_mask(cls, mask: np.ndarray, m: int) -> HalfPoints:
+        """The points of a boolean mask over the half grid."""
+        if len(mask) != half_size(m):
+            raise DomainError(f"half-grid arrays need {half_size(m)} points for a grid of size {m}")
+        size = int(np.count_nonzero(mask))
+        once = [0] if mask[0] else []
+        if m % 2 == 0 and mask[-1]:
+            once.append(size - 1)
+        return cls(size=size, once=np.array(once, dtype=np.int64), m=m)
+
+    def count(self, mask: np.ndarray | None = None) -> int:
+        """Full-grid points of the set, or of the class given by a mask over its points."""
+        if mask is None:
+            return 2 * self.size - len(self.once)
+        return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[self.once]))
+
+    def total(self, values: np.ndarray, mask: np.ndarray | None = None) -> float:
+        """Sum over the full-grid points of the set, or of a class, of real
+        values given at the points."""
+        if mask is None:
+            return float(2.0 * values.sum() - values[self.once].sum())
+        ends = self.once[mask[self.once]]
+        return float(2.0 * values[mask].sum() - values[ends].sum())
+
+    def measure(self) -> float:
+        return self.count() / self.m
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +449,30 @@ def integrate_over_set(
     """Riemann sum of prod spectra * e(-alpha*twist) over the region's points
     of the grid of size m.
 
-    On the full circle (region None) with an alias-free grid this equals the
-    true integral exactly; on subsets the reported boundary error bounds the
-    endpoint effect.
+    Real spectra and an integer twist make the integrand at 1 - alpha the
+    conjugate of its value at alpha, and every region is mirror-symmetric,
+    so the sum is real and is taken over the half grid.  On the full circle
+    (region None) with an alias-free grid this equals the true integral
+    exactly; on subsets the reported boundary error bounds the endpoint
+    effect.
     """
     if len(spectra) != len(conjugate_flags):
         raise DomainError("one conjugate flag per spectrum required")
-    prod = np.ones(m, dtype=np.complex128)
+    if not all(np.isrealobj(coeffs) for coeffs in spectra):
+        raise DomainError("spectra must have real weights")
+    if twist is not None and not isinstance(twist, numbers.Integral):
+        raise DomainError(f"twist must be an integer, got {twist!r}")
+    prod = np.ones(half_size(m), dtype=np.complex128)
     for coeffs, conj in zip(spectra, conjugate_flags):
-        vals = evaluate_on_grid(coeffs, m)
-        prod = prod * (np.conj(vals) if conj else vals)
+        vals = half_grid_conj(coeffs, m)  # already conjugated
+        prod *= vals if conj else np.conj(vals)
     if twist:
-        prod = prod * np.exp((-2j * np.pi * twist / m) * np.arange(m))
-    if region is None:
-        return IntegralResult(value=complex(prod.mean()), boundary_error=0.0, points=m, measure=1.0)
-    picked, boundary_error = _on_arcs(region, prod, float(np.abs(prod).max()))
-    return IntegralResult(value=complex(picked.sum() / m), boundary_error=boundary_error,
-                          points=len(picked), measure=len(picked) / m)
-
-
-def _on_arcs(region: ArcUnion, values: np.ndarray, sup: float) -> tuple[np.ndarray, float]:
-    """The values at the region's points of the grid of size m = len(values),
-    and the endpoint-error bound endpoint_count * sup / m of a Riemann sum
-    over them, sup bounding the integrand on the grid."""
-    m = len(values)
-    return values[region.grid_mask(m)], region.endpoint_count() * sup / m
+        prod *= np.exp((-2j * np.pi * twist / m) * np.arange(half_size(m)))
+    mask = np.ones(half_size(m), dtype=bool) if region is None else region.grid_mask(m, half=True)
+    bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
+    points = HalfPoints.of_mask(mask, m)
+    return IntegralResult(value=complex(points.total(prod.real[mask]) / m), boundary_error=bound,
+                          points=points.count(), measure=points.measure())
 
 
 @lru_cache(maxsize=64)
@@ -510,17 +543,19 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     P = kth_root_floor(n, k)
     rho_hat = len(members) / P
     m = alias_free_size(n, 1, 1)
-    f_vals = evaluate_on_grid(spectrum, m)
+    f_conj = half_grid_conj(spectrum, m)
     core = build_arc_union("N", n, k)
-    j, q, a = (col.tolist() for col in core.grid_points(m))
+    j, q, a = (col.tolist() for col in core.grid_points(m, half=True))
+    # the half grid holds the sup: at the mirror point f, S(q, q - a) and
+    # v_k(-beta) are all conjugated, so |f - model| repeats
     sup_err = 0.0
     for jj, qq, aa in zip(j, q, a):
-        model = rho_hat * gauss_sum(qq, aa, k) / qq * v_poly(jj / m - aa / qq, n, k)
-        sup_err = max(sup_err, abs(f_vals[jj] - model))
+        model = rho_hat * gauss_sums_all(qq, k)[aa % qq] / qq * v_poly(jj / m - aa / qq, n, k)
+        sup_err = max(sup_err, abs(f_conj[jj].conjugate() - model))
     return ModelErrorReport(
         n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
         sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=len(j), arcs=len(core.intervals),
+        points=HalfPoints.of_mask(core.grid_mask(m, half=True), m).count(), arcs=len(core.intervals),
     )
 
 
@@ -538,25 +573,28 @@ class MomentResult:
     below_guaranteed_range: bool  # t < k + 1: outside the guaranteed regime
 
 
-def _moment_values(P: int, R: int, k: int, t: float) -> np.ndarray:
-    """f on the grid at denominator P^k, refused before the FFT when the sums
-    of |f|^t <= P^t over the grid could leave the double range."""
+def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, int, float]:
+    """|f| on the half grid j in [0, m/2] at denominator P^k, the grid size m
+    and max |f|^t over the grid; refused before the FFT when the sums of
+    |f|^t <= P^t over the grid could leave the double range."""
     m = alias_free_size(P**k, 0, 2)
     check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {m}", factor=m)
-    return evaluate_on_grid(build_f_spectrum(P**k, k, R)[0], m)
+    f_half = np.abs(half_grid_conj(build_f_spectrum(P**k, k, R)[0], m))
+    # the grid max, not f_half[0] = |f(0)|: the two differ by rounding when |f| is flat
+    return f_half, m, float(f_half.max() ** t)
 
 
-def _moment_row(P: int, R: int, Q: float, t: float, k: int, f_values: np.ndarray, sup_t: float) -> MomentResult:
-    """moment_v on f values computed on the grid of size m = len(f_values),
-    given max |f|^t over it."""
-    m = len(f_values)
-    picked, boundary_error = _on_arcs(major_arcs(Q, P**k), f_values, sup_t)
+def _moment_row(P: int, R: int, Q: float, t: float, k: int, f_half: np.ndarray, m: int, sup_t: float) -> MomentResult:
+    """moment_v on |f| on the half grid of size m, given max |f|^t over it."""
+    arcs = major_arcs(Q, P**k)
+    mask = arcs.grid_mask(m, half=True)
+    points = HalfPoints.of_mask(mask, m)
     return MomentResult(
         P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
-        value=float((np.abs(picked) ** t).sum() / m),
-        boundary_error=boundary_error,
-        measure=len(picked) / m,
-        points=len(picked),
+        value=points.total(f_half[mask] ** t) / m,
+        boundary_error=arcs.endpoint_count() * sup_t / m,
+        measure=points.measure(),
+        points=points.count(),
         below_guaranteed_range=t < k + 1,
     )
 
@@ -566,16 +604,16 @@ def moment_v(P: int, R: int, Q: float, t: float, k: int) -> MomentResult:
 
     Arc geometry lives at denominator P^k here.  Fractional t is fine.
     """
+    _check_positive(t=t)
     _check_major_height(Q, P**k)
-    f_values = _moment_values(P, R, k, t)
-    # the grid max, not f_values[0] = f(0): the two differ by rounding when |f| is flat
-    return _moment_row(P, R, Q, t, k, f_values, float(np.abs(f_values).max() ** t))
+    return _moment_row(P, R, Q, t, k, *_moment_amplitudes(P, R, k, t))
 
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
     """V(Q) over a dyadic ladder with log2 slopes and the reference 2*Delta_t/k."""
     if P < 2 or k < 1:
         raise DomainError(f"need P >= 2 and k >= 1, got P={P}, k={k}")
+    _check_positive(t=t)
     reference = 2.0 * eta_value(t / k)  # 2*Delta_t/k with Delta_t = k*eta(t/k)
     denom = P**k
     if q_values is None:
@@ -585,12 +623,11 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
             q *= 2.0
     for q in q_values:
         _check_major_height(q, denom)
-    f_vals = _moment_values(P, R, k, t)
-    sup_t = float(np.abs(f_vals).max() ** t)  # one grid pass for the whole ladder
+    grid = _moment_amplitudes(P, R, k, t)  # one grid pass for the whole ladder
     rows = []
     prev = None
     for q in q_values:
-        res = _moment_row(P, R, q, t, k, f_vals, sup_t)
+        res = _moment_row(P, R, q, t, k, *grid)
         slope = math.log2(res.value / prev) if prev and prev > 0 and res.value > 0 else None
         rows.append({"Q": q, "V": res.value, "measure": res.measure,
                      "boundary_error": res.boundary_error, "log2_ratio": slope})
@@ -640,8 +677,9 @@ class LevelSetPartition:
         }
 
 
-def _check_thresholds(**values: float | None) -> None:
-    """The band thresholds U and V divide n, so each must be finite and positive."""
+def _check_positive(**values: float | None) -> None:
+    """Each named value (the band thresholds U and V, which divide n, and the
+    moment order t) must be finite and positive."""
     for name, value in values.items():
         if value is not None and not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and positive, got {value}")
@@ -649,53 +687,29 @@ def _check_thresholds(**values: float | None) -> None:
 
 @dataclass(frozen=True)
 class BasePoints:
-    """|g| and |f| at the points of a symmetric base set on the half grid
-    j in [0, m/2] of the grid of size m, in grid order.
+    """|g| and |f| at the points of a symmetric base set on the half grid,
+    in grid order."""
 
-    Each point stands for itself and its mirror m - j, so it counts twice;
-    `once` holds the positions, in g and f, of the points j = 0 and j = m/2,
-    which are their own mirrors and count once.
-    """
-
+    points: HalfPoints
     g: np.ndarray
     f: np.ndarray
-    once: np.ndarray
-    m: int
 
     @classmethod
     def select(cls, g_half: np.ndarray, f_half: np.ndarray, mask: np.ndarray, m: int) -> BasePoints:
         """The points of the half-grid mask, from the half-grid amplitudes."""
-        if not len(g_half) == len(f_half) == len(mask) == half_size(m):
-            raise DomainError(f"half-grid arrays need {half_size(m)} points for a grid of size {m}")
-        g, f = g_half[mask], f_half[mask]
-        once = [0] if mask[0] else []
-        if m % 2 == 0 and mask[-1]:
-            once.append(len(g) - 1)
-        return cls(g=g, f=f, once=np.array(once, dtype=np.int64), m=m)
-
-    def count(self, mask: np.ndarray) -> int:
-        """Full-grid points of the class given by a mask over the base points."""
-        return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[self.once]))
-
-    def total(self, values: np.ndarray, mask: np.ndarray) -> float:
-        """Sum of values over the full-grid points of the class."""
-        ends = self.once[mask[self.once]]
-        return float(2.0 * values[mask].sum() - values[ends].sum())
-
-    def measure(self) -> float:
-        return (2 * len(self.g) - len(self.once)) / self.m
+        return cls(points=HalfPoints.of_mask(mask, m), g=g_half[mask], f=f_half[mask])
 
 
 def _class_from_mask(label: str, mask: np.ndarray, base: BasePoints, weight: np.ndarray) -> LevelClass:
-    pts = base.count(mask)
+    pts = base.points.count(mask)
     return LevelClass(
         label=label,
         points=pts,
-        measure=pts / base.m,
+        measure=pts / base.points.m,
         # amplitudes are >= 0, so an empty class has sup 0.0
         sup_g=float(np.max(base.g, where=mask, initial=0.0)),
         sup_f=float(np.max(base.f, where=mask, initial=0.0)),
-        contribution_abs=base.total(weight, mask) / base.m if pts else 0.0,
+        contribution_abs=base.points.total(weight, mask) / base.points.m if pts else 0.0,
     )
 
 
@@ -721,7 +735,7 @@ def level_partition(
     "unbanded", so the classes partition the base exactly.  Thresholds outside
     the ranges the theory covers produce warnings, not errors.
     """
-    _check_thresholds(U=U, V=V)
+    _check_positive(U=U, V=V)
     L = big_l(n)
     if family == "minor":
         if U is None:
@@ -757,8 +771,9 @@ def level_partition(
     )
 
 
-def dyadic_band_cover(n: int, theta: int, base: BasePoints) -> dict:
-    """Check that O(log n) dyadic bands cover the base points with |g| > sqrt(n).
+def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray, points: HalfPoints) -> dict:
+    """Check that O(log n) dyadic bands cover the base points with |g| > sqrt(n),
+    given |g| at the points.
 
     Bands are n/U <= |g| <= 2n/U for U halving from sqrt(n) down to
     n^(1/theta)/L^5 (at most 200 bands).
@@ -774,10 +789,9 @@ def dyadic_band_cover(n: int, theta: int, base: BasePoints) -> dict:
         top = 2 * n / u
         u /= 2.0
         bands += 1
-    g_abs = base.g
     over = g_abs > math.sqrt(n)
     uncovered = over if top is None else over & ~((g_abs >= n / math.sqrt(n)) & (g_abs <= top))
-    return {"bands": bands, "points_above_tiny": base.count(over), "uncovered": base.count(uncovered)}
+    return {"bands": bands, "points_above_tiny": points.count(over), "uncovered": points.count(uncovered)}
 
 
 def g_envelope_constant(n: int, sup_g: float) -> dict:
@@ -850,7 +864,7 @@ def dissection_ledger(
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
     wide_label, minor_label = _theta_families(theta)
-    _check_thresholds(U=U, V=V)
+    _check_positive(U=U, V=V)
     m = alias_free_size(n, s, oversample)
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
     P = kth_root_floor(n, k)
@@ -873,9 +887,11 @@ def dissection_ledger(
 
     # |g| and |f| once on the half grid, kept at the base points of each family only
     f_spec, members = build_f_spectrum(n, k, R)
-    f_half = grid_amplitudes(f_spec, m)
+    f_half = np.abs(half_grid_conj(f_spec, m))
     del f_spec
-    g_half = grid_amplitudes(build_g_spectrum(n), m)
+    g_spec = build_g_spectrum(n)
+    g_half = np.abs(half_grid_conj(g_spec, m))
+    del g_spec
     minor = BasePoints.select(g_half, f_half, minor_mask, m)
     sliced = BasePoints.select(g_half, f_half, slice_mask, m)
     f_envelope = f_envelope_constant(n, k, f_half, m, pruned)
@@ -909,9 +925,9 @@ def dissection_ledger(
             pruned.label: pruned.to_json_arcs(),
             core.label: core.to_json_arcs(),
         },
-        "minor_partition": part_minor.to_report(minor.measure()),
-        "slice_partition": part_slice.to_report(sliced.measure()),
-        "covering": dyadic_band_cover(n, theta, minor),
+        "minor_partition": part_minor.to_report(minor.points.measure()),
+        "slice_partition": part_slice.to_report(sliced.points.measure()),
+        "covering": dyadic_band_cover(n, theta, minor.g, minor.points),
         "g_envelope": g_envelope_constant(n, sup_g_minor),
         "f_envelope": f_envelope,
         "csv_rows": csv_rows,
@@ -919,12 +935,8 @@ def dissection_ledger(
 
 
 def f_envelope_constant(n: int, k: int, f_half: np.ndarray, m: int, pruned: ArcUnion) -> dict:
-    """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs.
-
-    f_half is |f| on the half grid j in [0, m/2]; the pruned family and |f|
-    are both symmetric under j -> m - j, so the maximum over the half grid is
-    the maximum over the grid.
-    """
+    """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs,
+    from f_half = |f| on the half grid, which holds the maximum over the grid."""
     scale = kth_root_floor(n, k) * big_l(n) ** 3
     j, q, a = pruned.grid_points(m, half=True)
     ups = 1.0 / (q + n * np.abs(q * (j / m) - a))

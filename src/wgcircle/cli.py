@@ -9,6 +9,7 @@ plain; identical invocations produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -200,10 +201,7 @@ def _cmd_moments(args) -> int:
 def _cmd_model_error(args) -> int:
     P = circle.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
-    rep = circle.major_arc_model_error(args.n, args.k, R)
-    report = {"n": rep.n, "k": rep.k, "R": rep.R, "rho_hat": rep.rho_hat,
-              "sup_abs_error": rep.sup_abs_error, "normalized": rep.normalized,
-              "points": rep.points, "arcs": rep.arcs}
+    report = dataclasses.asdict(circle.major_arc_model_error(args.n, args.k, R))
     _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
     return 0
 

@@ -183,6 +183,8 @@ def compare_report(
         raise DomainError(f"stride must be >= 1, got {stride}")
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
+    if prime_cutoff < 2:
+        raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     # the float routes divide by Gamma(s/k + 1) and p^s (p - 1) and scale by n^(s/k): refuse before any count
     factor = gamma_factor(k, s)
     check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",

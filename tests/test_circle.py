@@ -11,6 +11,7 @@ from arc_oracle import (
     contains, core_oracle, disjoint, family_endpoints, gaps_measure, major_oracle, mask, measure,
     measure_minus,
 )
+from grid_oracle import grid_values
 from wgcircle import circle, counting
 from wgcircle.arith import sieve_primes, smooth_set
 from wgcircle.errors import AliasingError, DomainError
@@ -34,40 +35,48 @@ class TestSpectra:
 
 class TestGridEvaluation:
     def test_constant_spectrum(self):
-        vals = circle.evaluate_on_grid(np.array([3.5]), 8)
+        vals = circle.half_grid_conj(np.array([3.5]), 8)
+        assert len(vals) == 5
         assert np.allclose(vals, 3.5)
 
     def test_single_frequency_gives_roots_of_unity(self):
-        vals = circle.evaluate_on_grid(np.array([0.0, 1.0]), 8)
-        expected = np.exp(2j * np.pi * np.arange(8) / 8)
-        assert np.allclose(vals, expected)
+        # the primitive gives the conjugates: e(-i/8) at i/8
+        vals = circle.half_grid_conj(np.array([0.0, 1.0]), 8)
+        expected = np.exp(2j * np.pi * np.arange(5) / 8)
+        assert np.allclose(np.conj(vals), expected)
+        assert np.allclose(np.conj(vals), grid_values(np.array([0.0, 1.0]), 8)[:5])
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         coeffs = rng.random(33)
-        vals = circle.evaluate_on_grid(coeffs, 64)
-        lhs = float((np.abs(vals) ** 2).mean())
-        rhs = float((coeffs**2).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+        for m in (64, 65):
+            vals = circle.half_grid_conj(coeffs, m)
+            everywhere = circle.HalfPoints.of_mask(np.ones(circle.half_size(m), dtype=bool), m)
+            lhs = everywhere.total(np.abs(vals) ** 2) / m
+            assert lhs == pytest.approx(float((coeffs**2).sum()), rel=1e-12)
+            assert lhs == pytest.approx(float((np.abs(grid_values(coeffs, m)) ** 2).mean()), rel=1e-12)
 
     def test_aliasing_guard(self):
         coeffs = np.ones(20)
         with pytest.raises(AliasingError):
-            circle.evaluate_on_grid(coeffs, 16)
+            circle.half_grid_conj(coeffs, 16)
         # any size past the top frequency is alias-free, a power of two or not
-        assert np.allclose(circle.evaluate_on_grid(coeffs, 20)[1:], 0.0)
+        assert np.allclose(circle.half_grid_conj(coeffs, 20)[1:], 0.0)
+        assert np.allclose(circle.half_grid_conj(coeffs, 20), np.conj(grid_values(coeffs, 20)[:11]))
 
     def test_half_grid_amplitudes(self):
-        # real weights: |value| at i/m and (m - i)/m agree, so i <= m/2 holds them all
+        # real weights: the value at (m - i)/m is the conjugate of the value at
+        # i/m, so i <= m/2 holds them all, and rfft gives the conjugates
         coeffs = np.random.default_rng(3).random(40)
         for m in (64, 65):
-            full = np.abs(circle.evaluate_on_grid(coeffs, m))
-            half = circle.grid_amplitudes(coeffs, m)
+            full = grid_values(coeffs, m)
+            half = circle.half_grid_conj(coeffs, m)
             assert len(half) == circle.half_size(m) == m // 2 + 1
-            assert np.allclose(half, full[: len(half)], rtol=1e-13, atol=1e-12)
+            assert np.allclose(np.conj(half), full[: len(half)], rtol=1e-13, atol=1e-12)
             assert np.allclose(half[1:], full[::-1][: len(half) - 1], rtol=1e-13, atol=1e-12)
+            assert np.allclose(np.abs(half), np.abs(full[: len(half)]), rtol=1e-13, atol=1e-12)
         with pytest.raises(AliasingError):
-            circle.grid_amplitudes(coeffs, 39)
+            circle.half_grid_conj(coeffs, 39)
 
     def test_grid_validation(self):
         assert circle.alias_free_size(100, 2, 1) == 512  # 2^k > (s+1)*n
@@ -289,6 +298,18 @@ class TestIntegration:
         assert abs(res.value.imag) < 1e-9
 
 
+    def test_complex_spectra_and_fractional_twist_refused(self):
+        # the half-grid sum needs the integrand at 1 - alpha to be the
+        # conjugate of its value at alpha: real weights and an integer twist
+        real = np.ones(4)
+        with pytest.raises(DomainError, match="real weights"):
+            circle.integrate_over_set([real, real * 1j], [False, False], None, None, 16)
+        for twist in (2.5, 2.0, Fraction(1, 2)):
+            with pytest.raises(DomainError, match="twist must be an integer"):
+                circle.integrate_over_set([real], [False], twist, None, 16)
+        hit = circle.integrate_over_set([np.eye(1, 4, 3)[0]], [False], np.int64(3), None, 16)
+        assert hit.value == 1.0
+
 class TestVPoly:
     def test_zero_values(self):
         assert circle.v_poly(0.0, 100, 2).real == pytest.approx(9.2948019124, abs=1e-9)
@@ -356,7 +377,7 @@ class TestMoments:
         P, k, t, R = 32, 3, 8.0, 2
         denom = P**k
         coeffs, _ = circle.build_f_spectrum(denom, k, R)
-        vals = circle.evaluate_on_grid(coeffs, circle.alias_free_size(denom, 0, 2))
+        vals = grid_values(coeffs, circle.alias_free_size(denom, 0, 2))
         full = float((np.abs(vals) ** t).mean())
         res = circle.moment_v(P, R, 0.5 * math.sqrt(denom), t, k)
         assert res.value <= full
@@ -397,8 +418,8 @@ def scene():
     gspec = circle.build_g_spectrum(n)
     return {
         "n": n, "k": k, "s": s, "theta": theta, "m": m,
-        "f": circle.grid_amplitudes(fspec, m),
-        "g": circle.grid_amplitudes(gspec, m),
+        "f": np.abs(circle.half_grid_conj(fspec, m)),
+        "g": np.abs(circle.half_grid_conj(gspec, m)),
         # the minor arcs k = [0, 1] minus K on the half grid, as the ledger builds them
         "minor": ~circle.build_arc_union("K", n, k).grid_mask(m, half=True),
     }
@@ -455,7 +476,8 @@ class TestLevelSets:
         assert [c.label for c in part.classes] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_dyadic_cover(self, scene):
-        cover = circle.dyadic_band_cover(scene["n"], scene["theta"], base_points(scene, scene["minor"]))
+        base = base_points(scene, scene["minor"])
+        cover = circle.dyadic_band_cover(scene["n"], scene["theta"], base.g, base.points)
         assert cover["uncovered"] == 0
         assert cover["bands"] >= 5
 
@@ -473,7 +495,7 @@ class TestLevelSets:
         # every pruned arc a/q, q <= P^(1/5), lies inside the covering arc of
         # height sqrt(n)/2 around the same a/q, so upsilon gives its weight
         m = circle.alias_free_size(n, 3, 1)
-        f_half = circle.grid_amplitudes(circle.build_f_spectrum(n, k, 2)[0], m)
+        f_half = np.abs(circle.half_grid_conj(circle.build_f_spectrum(n, k, 2)[0], m))
         pruned = circle.build_arc_union("L", n, k)
         scale = circle.kth_root_floor(n, k) * math.log(n) ** 3
         expected = max(f_half[j] / (scale * circle.upsilon(j / m, n) ** (1.0 / (2 * k)))

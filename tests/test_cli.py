@@ -325,9 +325,9 @@ class TestFailureModes:
     def test_moment_height_checked_before_the_fft(self, capsys, monkeypatch, height):
         # a NaN height fails every comparison, so the check must refuse it, not pass it
         def no_grid(*args, **kwargs):
-            raise AssertionError("evaluate_on_grid ran before the height check")
+            raise AssertionError("half_grid_conj ran before the height check")
 
-        monkeypatch.setattr("wgcircle.circle.evaluate_on_grid", no_grid)
+        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
         code = main(["moments", "--P", "16", "--k", "3", "--t", "8", "--q-values", f"1,{height}"])
         err = capsys.readouterr().err
         assert code == 2
@@ -336,9 +336,9 @@ class TestFailureModes:
     def test_dissect_height_checked_before_the_ffts(self, capsys, monkeypatch):
         # at n < 1024 the default theta = 5 puts K = n^0.4 above sqrt(n)/2
         def no_grid(*args, **kwargs):
-            raise AssertionError("grid_amplitudes ran before the arc check")
+            raise AssertionError("half_grid_conj ran before the arc check")
 
-        monkeypatch.setattr("wgcircle.circle.grid_amplitudes", no_grid)
+        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
         code = main(["dissect", "--n", "1000", "--k", "1", "--s", "1"])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -419,6 +419,27 @@ class TestFailureModes:
         code = main(["moments", "--P", P, "--k", "3", "--t", "4.5"])
         assert code == 2
         assert capsys.readouterr().err == f"error: need P >= 2 and k >= 1, got P={P}, k=3\n"
+
+    @pytest.mark.parametrize("t", ["-1", "0", "nan", "inf"])
+    def test_moments_t_checked_before_the_fft(self, capsys, monkeypatch, t):
+        # the message once named t/k: "eta is defined for t > 0, got -0.5"
+        def no_grid(*args, **kwargs):
+            raise AssertionError("half_grid_conj ran before the t check")
+
+        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
+        code = main(["moments", "--P", "8", "--k", "2", "--t", t])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: t must be finite and positive, got {float(t)}\n"
+
+    def test_compare_cutoff_checked_before_the_counts(self, capsys, monkeypatch):
+        # a cutoff below 2 once failed in the sieve, after every exact count
+        def no_counts(*args, **kwargs):
+            raise AssertionError("count_range ran before the cutoff check")
+
+        monkeypatch.setattr("wgcircle.counting.count_range", no_counts)
+        code = main(["compare", "--k", "3", "--s", "11", "--lo", "500000", "--hi", "999999", "--cutoff", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need prime_cutoff >= 2, got 1\n"
 
     def test_eta_past_the_solver_range_is_solved(self, capsys):
         # t = 300 lies where the bisection-Newton solver once ran out of iterations

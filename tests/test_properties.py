@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arc_oracle
+import grid_oracle
 import level_oracle
 import local_oracle
 import series_oracle
@@ -247,6 +248,35 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
     assert (half == full[: circle.half_size(m)]).all()
 
 
+@PROPERTY_SETTINGS
+@given(m=st.one_of(st.sampled_from((256, 512, 777, 1000, 1024)), st.integers(1, 300)),
+       count=st.integers(0, 3), twist=st.one_of(st.none(), st.integers(-3000, 3000)),
+       region=st.one_of(st.none(), st.tuples(st.integers(4, 2000), st.floats(0.0, 1.0))), data=st.data())
+def test_integral_matches_full_grid_oracle(m, count, twist, region, data):
+    # twice the real part of the half-grid sum, less j = 0 and j = m/2,
+    # against the plain sum over the full grid; odd m has no point m/2
+    spectra = [np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=m))) for _ in range(count)]
+    flags = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    union = full_mask = None
+    if region is not None:
+        denom, at = region
+        Q = 1.0 + at * (0.5 * math.sqrt(denom) - 1.0)
+        union = circle.major_arcs(Q, denom)
+        full_mask = arc_oracle.mask(arc_oracle.major_oracle(Q, denom), m)
+    got = circle.integrate_over_set(spectra, flags, twist, union, m)
+    value, points, sup = grid_oracle.integral(spectra, flags, twist, full_mask, m)
+    # the product of the l1 norms bounds |integrand| and scales the FFT rounding
+    scale = math.prod(float(np.abs(c).sum()) for c in spectra)
+    assert type(got.value) is complex and got.value.imag == 0.0
+    assert abs(got.value - value) <= 1e-12 * scale
+    assert got.points == points and got.measure == points / m
+    if union is None:
+        assert (got.boundary_error, got.points, got.measure) == (0.0, m, 1.0)
+    else:
+        expected = union.endpoint_count() * sup / m
+        assert got.boundary_error == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+
+
 def _near(values):
     """Each value with its two float neighbours: on a cut and just either side."""
     return [x for v in values for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
@@ -350,14 +380,14 @@ def test_dyadic_band_cover_matches_band_by_band_oracle(n, theta, data):
     # huge n reaches the 200-band cap; theta = 1 can leave no band at all
     m = data.draw(st.integers(1, 48))
     g, base = data.draw(half_grid(m, _near(_band_edges(n, theta)), 4.0 * n)), data.draw(half_base(m))
-    got = circle.dyadic_band_cover(n, theta, circle.BasePoints.select(np.abs(g), np.abs(g), base, m))
+    got = circle.dyadic_band_cover(n, theta, np.abs(g)[base], circle.HalfPoints.of_mask(base, m))
     assert got == level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
 
 
 def _cover_pair(n, theta, g, m):
     """The half-grid band cover of every point j <= m/2 and the full-grid oracle's."""
     base = np.ones(len(g), dtype=bool)
-    got = circle.dyadic_band_cover(n, theta, circle.BasePoints.select(np.abs(g), np.abs(g), base, m))
+    got = circle.dyadic_band_cover(n, theta, np.abs(g), circle.HalfPoints.of_mask(base, m))
     return got, level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
 
 
