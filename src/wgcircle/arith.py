@@ -1,7 +1,7 @@
 """Sieves and multiplicative-function primitives.
 
 PrimeTable gives primes with natural-log weights and the partial sums needed
-for the prime exponential sum; SmoothSet materializes the sets A(P, R) of
+for the prime exponential sum; smooth_set materializes the sets A(P, R) of
 integers in [1, P] whose prime divisors are all at most R; ArithTables holds
 Moebius and totient arrays.  On top of these sit the complete exponential sum
 S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums, and the local count
@@ -67,23 +67,13 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=int(limit), primes=primes, log_weights=logs, _cum_logs=np.cumsum(logs))
 
 
-@dataclass(frozen=True)
-class SmoothSet:
-    """A(P, R): integers in [1, P] whose prime divisors are all <= R.
+def smooth_set(P: int, R: int) -> np.ndarray:
+    """A(P, R): the integers in [1, P] whose prime divisors are all <= R, as
+    an ascending int64 array.
 
     1 belongs vacuously.  Membership is derived from a greatest-prime-factor
     sieve, so it is exact.
     """
-
-    p_limit: int
-    r_limit: int
-    members: np.ndarray  # int64, ascending
-
-    def __len__(self) -> int:
-        return int(len(self.members))
-
-
-def smooth_set(P: int, R: int) -> SmoothSet:
     if P < 1:
         raise DomainError(f"smooth sets need P >= 1, got {P}")
     if not 1 <= R <= P:
@@ -94,8 +84,7 @@ def smooth_set(P: int, R: int) -> SmoothSet:
     for p in range(2, P + 1):
         if gpf[p] == 0:  # p prime: stamp it on all multiples, ascending p wins last
             gpf[p::p] = p
-    members = np.nonzero((gpf >= 1) & (gpf <= R))[0].astype(np.int64)
-    return SmoothSet(p_limit=int(P), r_limit=int(R), members=members)
+    return np.nonzero((gpf >= 1) & (gpf <= R))[0].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,7 +199,7 @@ def ramanujan_sum(q: int, a: int, tables: ArithTables) -> int:
 
 #: Peak bytes per residue of the index classes of one prime: the labels, the
 #: table of powers and two index temporaries, all int64 (tracemalloc
-#: measures 32.1 at p = 10^6); the Gauss periods of chi_p peak no higher.
+#: measures 32.1 at p = 10^6); the Gauss periods of `series.class_factors` peak no higher.
 CLASS_LABEL_BYTES = 32
 
 
@@ -260,14 +249,23 @@ def index_classes(p: int, d: int) -> np.ndarray:
     return labels
 
 
-def mp_count(p: int, n: int, k: int, s: int, labels: np.ndarray | None = None) -> int:
-    """Solutions of b + x_1^k + ... + x_s^k = n (mod p) with 1 <= b <= p-1.
+def check_prime(p: int) -> None:
+    """Reject a p that is not prime, by trial division."""
+    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        raise DomainError(f"p must be prime, got {p}")
+
+
+def mp_classes(p: int, k: int, s: int, labels: np.ndarray | None) -> list[int]:
+    """M_p(n) for the prime p (not checked) on its d + 1 cyclotomic classes,
+    d = gcd(k, p - 1): the value at n = 0 mod p, then the value at ind n = c
+    (mod d) for c = 0..d-1.  ``labels`` are the index classes of p modulo d,
+    or None when d = 1.
 
     For every x-tuple the value b = n - sum x_i^k mod p is forced, and it is
     acceptable unless it is 0 mod p; hence M_p(n) = p^s - N_s(n mod p).
-    With d = gcd(k, p - 1), the count N_1 of x^k is 1 at 0 and d on the
-    subgroup H of index d, so N_s = N_1 * ... * N_1 is a class function: one
-    value at 0 and one on each coset of H.  A class function u times N_1 is
+    The count N_1 of x^k is 1 at 0 and d on the subgroup H of index d, so
+    N_s = N_1 * ... * N_1 is a class function: one value at 0 and one on
+    each coset of H.  A class function u times N_1 is
 
         (u*N_1)(0) = u(0) + (p - 1) u_{ind(-1)},
         (u*N_1)(r) = u_m + d u(0) [m = 0] + d sum_i A[i][-m] u_{m+i},  ind r = m,
@@ -275,18 +273,11 @@ def mp_count(p: int, n: int, k: int, s: int, labels: np.ndarray | None = None) -
     with the cyclotomic numbers A[i][j] = #{t != 0, 1 : ind t = i,
     ind(1 - t) = j (mod d)} (write a = r t, r - a = r (1 - t) in H).  The
     s - 1 steps run in Python integers, exact past int64.  For d = 1 the
-    powers are a permutation and N_s = p^(s-1).  ``labels``, the index
-    classes of p modulo d, may be passed when the caller already has them.
+    powers are a permutation and N_s = p^(s-1) on every class.
     """
-    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
-        raise DomainError(f"p must be prime, got {p}")
-    if s < 1 or k < 1:
-        raise DomainError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
     d = math.gcd(k, p - 1)
     if d == 1:
-        return p**s - p ** (s - 1)
-    if labels is None:
-        labels = index_classes(p, d)
+        return [p**s - p ** (s - 1)] * 2
     ensure_memory(CYCLOTOMIC_BYTES * d * d, f"cyclotomic numbers of {p} modulo {d}")
     t = labels[2:]  # ind t for t = 2..p-1, and ind(1 - t) = ind(p + 1 - t) reversed
     cyclotomic = np.bincount(t * d + t[::-1], minlength=d * d).reshape(d, d)
@@ -298,5 +289,19 @@ def mp_count(p: int, n: int, k: int, s: int, labels: np.ndarray | None = None) -
         nxt = classes + d * step.dot(classes)
         nxt[0] += d * zero
         zero, classes = zero + (p - 1) * classes[neg], nxt
+    return [p**s - v for v in [zero, *classes.tolist()]]
+
+
+def mp_count(p: int, n: int, k: int, s: int, labels: np.ndarray | None = None) -> int:
+    """Solutions of b + x_1^k + ... + x_s^k = n (mod p) with 1 <= b <= p-1:
+    the entry of `mp_classes` for the class of n.  ``labels``, the index
+    classes of p modulo d = gcd(k, p - 1), may be passed when the caller
+    already has them."""
+    check_prime(p)
+    if s < 1 or k < 1:
+        raise DomainError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
+    d = math.gcd(k, p - 1)
+    if d > 1 and labels is None:
+        labels = index_classes(p, d)
     r = n % p
-    return p**s - (zero if r == 0 else classes[labels[r]])
+    return mp_classes(p, k, s, labels)[0 if r == 0 or d == 1 else 1 + int(labels[r])]

@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import SmoothSet, check_double_range, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set
+from .arith import check_double_range, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set
 from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
 from .serialize import JsonRecords
@@ -69,16 +69,16 @@ def big_l(n: int) -> float:
 # Spectra and grids
 
 
-def build_f_spectrum(n: int, k: int, R: int) -> tuple[np.ndarray, SmoothSet]:
+def build_f_spectrum(n: int, k: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     """Indicator spectrum of the smooth k-th powers x^k <= n, x in A(P, R):
-    float64 weights on the frequencies 0..n."""
+    float64 weights on the frequencies 0..n, and the members of A(P, R)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     P = kth_root_floor(n, k)
     members = smooth_set(P, R)
     ensure_memory(8 * (n + 1), "smooth-power spectrum")
     coeffs = np.zeros(n + 1, dtype=np.float64)
-    coeffs[members.members**k] = 1.0
+    coeffs[members**k] = 1.0
     return coeffs, members
 
 
@@ -221,9 +221,8 @@ class ArcUnion:
     def measure(self) -> float:
         return float(self.measure_exact())
 
-    def _spans(self, m: int, half: bool) -> tuple[np.ndarray, ...]:
-        """q, a, j0, j1 of the arcs holding grid points j/m, j0 <= j <= j1,
-        for j < m, or for j <= m/2 when half.
+    def _spans(self, m: int) -> tuple[np.ndarray, ...]:
+        """q, a, j0, j1 of the arcs holding half-grid points j/m, j0 <= j <= j1 <= m/2.
 
         With F = floor(m*r*W) the arc's grid points are exactly
         ceil((m*a - F)/q) <= j <= floor((m*a + F)/q): m*a is an integer, so
@@ -233,31 +232,25 @@ class ArcUnion:
         reaches, which = np.unique(r, return_inverse=True)
         F = np.array([m * int(x) * self.num // self.den for x in reaches], dtype=np.int64)[which]
         j0 = np.maximum(-((F - m * a) // q), 0)
-        j1 = np.minimum((m * a + F) // q, half_size(m) - 1 if half else m - 1)
+        j1 = np.minimum((m * a + F) // q, half_size(m) - 1)
         hit = j0 <= j1
         return q[hit], a[hit], j0[hit], j1[hit]
 
-    def grid_points(self, m: int, half: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat int64 arrays (j, q, a): each grid point j/m of the family, in
-        ascending j, with the centre a/q of its arc.
-
-        The point alpha = 1 is the grid point 0 by periodicity, so the arc at
-        1 stops at j = m - 1 (the arc at 0 covers it).  With half, the points
-        stop at j = m/2.
-        """
-        q, a, j0, j1 = self._spans(m, half)
+    def grid_points(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat int64 arrays (j, q, a): each point j/m of the family on the
+        half grid j in [0, m/2], in ascending j, with the centre a/q of its arc."""
+        q, a, j0, j1 = self._spans(m)
         lengths = j1 - j0 + 1
         # the points of arc i are j0[i] + (position in the flat run - where arc i starts)
         j = np.arange(lengths.sum()) + np.repeat(j0 - (np.cumsum(lengths) - lengths), lengths)
         return j, np.repeat(q, lengths), np.repeat(a, lengths)
 
-    def grid_mask(self, m: int, half: bool = False) -> np.ndarray:
-        """Boolean membership of the grid points j/m, j in [0, m), or of the
-        half grid j in [0, m/2] when half: the family is symmetric under
-        a/q -> (q - a)/q, so the mask is symmetric under j -> m - j."""
-        _, _, j0, j1 = self._spans(m, half)
-        size = half_size(m) if half else m
-        edges = np.zeros(size + 1, dtype=np.int8)
+    def grid_mask(self, m: int) -> np.ndarray:
+        """Boolean membership of the half-grid points j/m, j in [0, m/2]: the
+        family is symmetric under a/q -> (q - a)/q, so its mask on the full
+        grid is symmetric under j -> m - j and the half grid holds all of it."""
+        _, _, j0, j1 = self._spans(m)
+        edges = np.zeros(half_size(m) + 1, dtype=np.int8)
         edges[j0] = 1
         edges[j1 + 1] -= 1  # disjoint spans: no index repeats within j0 or within j1 + 1
         return np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
@@ -374,7 +367,7 @@ def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
     _check_slice_height(n, Y)
     outer = major_arcs(2 * Y, n)
     inner = major_arcs(max(1.0, Y), n)
-    mask = outer.grid_mask(m, half=True) & ~inner.grid_mask(m, half=True)
+    mask = outer.grid_mask(m) & ~inner.grid_mask(m)
     return f"P({Y:g})", mask, float(outer.measure_exact() - inner.measure_exact())
 
 
@@ -468,7 +461,7 @@ def integrate_over_set(
         prod *= vals if conj else np.conj(vals)
     if twist:
         prod *= np.exp((-2j * np.pi * twist / m) * np.arange(half_size(m)))
-    mask = np.ones(half_size(m), dtype=bool) if region is None else region.grid_mask(m, half=True)
+    mask = np.ones(half_size(m), dtype=bool) if region is None else region.grid_mask(m)
     bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
     points = HalfPoints.of_mask(mask, m)
     return IntegralResult(value=complex(points.total(prod.real[mask]) / m), boundary_error=bound,
@@ -545,7 +538,7 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     m = alias_free_size(n, 1, 1)
     f_conj = half_grid_conj(spectrum, m)
     core = build_arc_union("N", n, k)
-    j, q, a = (col.tolist() for col in core.grid_points(m, half=True))
+    j, q, a = (col.tolist() for col in core.grid_points(m))
     # the half grid holds the sup: at the mirror point f, S(q, q - a) and
     # v_k(-beta) are all conjugated, so |f - model| repeats
     sup_err = 0.0
@@ -555,7 +548,7 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     return ModelErrorReport(
         n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
         sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=HalfPoints.of_mask(core.grid_mask(m, half=True), m).count(), arcs=len(core.intervals),
+        points=HalfPoints.of_mask(core.grid_mask(m), m).count(), arcs=len(core.intervals),
     )
 
 
@@ -587,7 +580,7 @@ def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, in
 def _moment_row(P: int, R: int, Q: float, t: float, k: int, f_half: np.ndarray, m: int, sup_t: float) -> MomentResult:
     """moment_v on |f| on the half grid of size m, given max |f|^t over it."""
     arcs = major_arcs(Q, P**k)
-    mask = arcs.grid_mask(m, half=True)
+    mask = arcs.grid_mask(m)
     points = HalfPoints.of_mask(mask, m)
     return MomentResult(
         P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
@@ -883,7 +876,7 @@ def dissection_ledger(
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
     slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
-    minor_mask = ~wide.grid_mask(m, half=True)
+    minor_mask = ~wide.grid_mask(m)
 
     # |g| and |f| once on the half grid, kept at the base points of each family only
     f_spec, members = build_f_spectrum(n, k, R)
@@ -938,7 +931,7 @@ def f_envelope_constant(n: int, k: int, f_half: np.ndarray, m: int, pruned: ArcU
     """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs,
     from f_half = |f| on the half grid, which holds the maximum over the grid."""
     scale = kth_root_floor(n, k) * big_l(n) ** 3
-    j, q, a = pruned.grid_points(m, half=True)
+    j, q, a = pruned.grid_points(m)
     ups = 1.0 / (q + n * np.abs(q * (j / m) - a))
     ratio = f_half[j] / (scale * ups ** (1.0 / (2 * k)))
     return {"scale": scale, "constant": float(ratio.max(initial=0.0))}

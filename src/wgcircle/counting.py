@@ -123,15 +123,18 @@ def gamma_factor(k: int, s: int) -> float:
     return math.gamma(1.0 + 1.0 / k) ** s / denominator
 
 
-def hl_prediction(k: int, s: int, n: int, series_value: float) -> float:
-    """series(n) * Gamma(1+1/k)^s / Gamma(s/k+1) * n^(s/k) / log n.
+def hl_prediction(k: int, s: int, n, series_value):
+    """series(n) * Gamma(1+1/k)^s / Gamma(s/k+1) * n^(s/k) / log n, elementwise
+    over arrays of n and series values, or scalars: the same numpy operations,
+    so a scalar call gives bit for bit the matching element of an array call.
 
     The Gamma factor is the standard heuristic constant (labelled as such in
     reports); only the order of magnitude is backed by theory.
     """
-    if n < 3:
-        raise DomainError(f"prediction needs n >= 3, got {n}")
-    return series_value * gamma_factor(k, s) * n ** (s / k) / math.log(n)
+    ns = np.asarray(n, dtype=np.int64)
+    if ns.size and ns.min() < 3:
+        raise DomainError(f"prediction needs n >= 3, got {int(ns.min())}")
+    return series_value * gamma_factor(k, s) * ns ** (s / k) / np.log(ns)
 
 
 #: Column names of a comparison report, in CSV order.
@@ -186,14 +189,14 @@ def compare_report(
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     # the float routes divide by Gamma(s/k + 1) and p^s (p - 1) and scale by n^(s/k): refuse before any count
-    factor = gamma_factor(k, s)
+    gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",
                        factor=prime_cutoff - 1)
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
     counts = count_range(k, s, n_hi, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     series_vals = singular_series_many(n_lo, stride, len(ns), k, s, prime_cutoff)
-    preds = series_vals * factor * ns ** (s / k) / np.log(ns)
+    preds = hl_prediction(k, s, ns, series_vals)
     r = counts[ns]
     # int64 -> float64 and Python int -> float both round to nearest, so each
     # ratio is bit for bit the scalar r / pred

@@ -11,19 +11,19 @@ full series factors into local densities
     chi_p(n) = 1 - S_n(p)/(p - 1) = p^{1-s} M_p(n) / (p - 1),
 
 where M_p(n) counts solutions of b + x_1^k + ... + x_s^k = n mod p with b
-coprime to p.  chi_p always evaluates BOTH routes and insists they agree to
-1e-9; this dual route is the module's central self-test.  Both run on the
-cyclotomic classes of p, d = gcd(k, p - 1): the counting route multiplies
-class counts exactly (`arith.mp_count`), the analytic route takes S(p, a)
-from the Gauss periods of the index-d subgroup.  They share only the class
-labelling.  The Euler product over p <= cutoff is the primary evaluation
-(absolutely convergent for s >= 3, sign-stable); the q-sum is the
-cross-check.  It is built from prime moduli as well, but on the other route:
-S_n(p) from the power-histogram Gauss sums of `s_n_q` for each p <= X, and
-mu(q) S_n(q)/phi(q) for squarefree q as the product of -S_n(p)/(p - 1) over
-p | q.  Over many n in a progression, chi_p depends on n only mod p, so the
-product takes one period of each prime's residue table.  Factors are
-accumulated in ascending p for bit-reproducibility.
+coprime to p.  chi_p depends on n only through its cyclotomic class, n = 0
+mod p or ind n mod d = gcd(k, p - 1).  `class_factors` computes chi_p on all
+d + 1 classes by BOTH routes and insists they agree to 1e-9 on every class;
+this dual route is the module's central self-test, and every chi_p reads
+it.  The counting route multiplies class counts exactly (`arith.mp_classes`),
+the analytic route takes S(p, a) from the Gauss periods of the index-d
+subgroup.  They share only the class labelling.  The Euler product over
+p <= cutoff is the primary evaluation (absolutely convergent for s >= 3,
+sign-stable); the q-sum is the cross-check.  It is built from prime moduli
+as well, but on the other route: S_n(p) from the power-histogram Gauss sums
+of `s_n_q` for each p <= X, and mu(q) S_n(q)/phi(q) for squarefree q as the
+product of -S_n(p)/(p - 1) over p | q.  Factors are accumulated in ascending
+p for bit-reproducibility.
 
 For s in {1, 2} every result is computed but flagged: the convergence theory
 backing the tail estimates starts at s = 3.
@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import (
-    CLASS_LABEL_BYTES, check_double_range, check_modulus, gauss_sums_all, index_classes,
-    mp_count, sieve_primes,
+    CLASS_LABEL_BYTES, check_double_range, check_modulus, check_prime, gauss_sums_all,
+    index_classes, mp_classes, sieve_primes,
 )
 from .errors import DomainError, InternalConsistencyError, ensure_memory
 
@@ -47,23 +48,13 @@ _DUAL_ROUTE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LocalFactorReport:
-    """chi_p by two independent routes plus the raw ingredients."""
+    """chi_p at one n by two independent routes plus the raw ingredients."""
 
     p: int
     chi_via_snp: float
     chi_via_mp: float
     mp: int
     snp: complex  # imaginary part is a float-noise diagnostic
-
-    def __post_init__(self) -> None:
-        if abs(self.chi_via_snp - self.chi_via_mp) >= _DUAL_ROUTE_TOL:
-            raise InternalConsistencyError(
-                f"local factor routes disagree at p={self.p}: "
-                f"{self.chi_via_snp!r} (sum route) vs {self.chi_via_mp!r} (count route)"
-            )
-        # at least one residue class always survives, so chi >= p^-s > 0
-        if self.mp < 1:
-            raise InternalConsistencyError(f"empty congruence count at p={self.p}")
 
     @property
     def chi(self) -> float:
@@ -81,7 +72,6 @@ class SeriesReport:
     tail_constant: float
     partials: list[tuple[int, float]] = field(default_factory=list)
     converges: bool = True  # False marks the no-guarantee regime s in {1, 2}
-    min_factor: float = 1.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,33 +103,68 @@ def s_n_q(q: int, n: int, k: int, s: int) -> complex:
     return complex(value / q**s)
 
 
-def chi_p(p: int, n: int, k: int, s: int) -> LocalFactorReport:
-    """Local density by both routes; raises if they disagree beyond 1e-9.
+class ClassFactors(NamedTuple):
+    """chi_p on the d + 1 cyclotomic classes of p, d = gcd(k, p - 1), by both
+    routes, in slots: 0 for n = 0 mod p, 1 + c for ind n = c (mod d).
+    `labels` are the index classes of p modulo d, None when d = 1."""
 
-    The analytic route: with d = gcd(k, p - 1) and the Gauss periods
-    eta_c = sum_{ind y = c (mod d)} e(y/p), S(p, a) = 1 + d eta_{ind a}, and
+    labels: np.ndarray | None
+    mp: list[int]       # count route: M_p, exact
+    snp: list[complex]  # analytic route: S_n(p)
+    chi: list[float]    # chi_p = M_p / (p^(s-1) (p - 1))
 
-        p^s S_n(p) = sum_c (1 + d eta_c)^s w_c,
+    def chi_at(self, residues: np.ndarray) -> np.ndarray:
+        """chi_p at each residue mod p."""
+        classes = 0 if self.labels is None else self.labels[residues]  # d = 1: both slots hold 1
+        return np.array(self.chi)[np.where(residues == 0, 0, classes + 1)]
 
-    where w_c = eta_{c + ind(-n)} when p does not divide n and (p - 1)/d
-    when it does.  For d = 1 every S(p, a) with p not dividing a is 0.
+
+def class_factors(p: int, k: int, s: int) -> ClassFactors:
+    """chi_p for the prime p (not checked) on every class, by both routes.
+    Refuses k < 1 or s < 1; raises unless the routes agree to 1e-9 and
+    M_p >= 1 on all d + 1 classes.
+
+    The count route is `mp_classes`.  The analytic route: with the Gauss
+    periods eta_c = sum_{ind y = c (mod d)} e(y/p), S(p, a) = 1 + d eta_{ind a}
+    and p^s S_n(p) = sum_c (1 + d eta_c)^s w_c, where w_c = (p - 1)/d when p
+    divides n and w_c = eta_{c + m + ind(-1)} when ind n = m.  For d = 1
+    every S(p, a) with p not dividing a is 0, and chi_p = 1 on both routes.
     """
+    if s < 1 or k < 1:
+        raise DomainError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
     d = math.gcd(k, p - 1)
-    labels = None
-    snp = 0j
+    labels = index_classes(p, d) if d > 1 else None
+    mp = mp_classes(p, k, s, labels)
+    snp = [0j] * (d + 1)
     if d > 1:
-        labels = index_classes(p, d)
         angles = np.arange(1, p) * (2 * np.pi / p)
         classes = labels[1:]
         eta = np.bincount(classes, np.cos(angles), d) + 1j * np.bincount(classes, np.sin(angles), d)
-        r = n % p
-        weights = np.full(d, (p - 1) / d) if r == 0 else np.roll(eta, -int(labels[p - r]))
-        snp = complex(np.sum((1 + d * eta) ** s * weights) / p**s)
-    chi_analytic = 1.0 - snp.real / (p - 1)
-    m = mp_count(p, n, k, s, labels)
+        powers = (1 + d * eta) ** s
+        cycle = np.concatenate((eta, eta))  # cycle[j : j + d][c] = eta_{c + j}, j < d
+        neg = int(labels[p - 1])
+        sums = [powers.sum() * ((p - 1) / d)] + [cycle[(m + neg) % d :][:d] @ powers for m in range(d)]
+        snp = (np.array(sums) / p**s).tolist()
     # p^{1-s} M / (p-1) evaluated with an exact integer denominator
-    chi_count = m / (p ** (s - 1) * (p - 1))
-    return LocalFactorReport(p=int(p), chi_via_snp=chi_analytic, chi_via_mp=chi_count, mp=m, snp=snp)
+    denominator = p ** (s - 1) * (p - 1)
+    chi = [m / denominator for m in mp]
+    gap = max(abs(1.0 - v.real / (p - 1) - c) for v, c in zip(snp, chi))
+    if not gap < _DUAL_ROUTE_TOL:
+        raise InternalConsistencyError(f"local factor routes disagree at p={p} by {gap!r} (sum against count route)")
+    # at least one residue class always survives, so chi >= p^-s > 0
+    if min(mp) < 1:
+        raise InternalConsistencyError(f"empty congruence count at p={p}")
+    return ClassFactors(labels, mp, snp, chi)
+
+
+def chi_p(p: int, n: int, k: int, s: int) -> LocalFactorReport:
+    """Local density at n by both routes: the slot of n in `class_factors`."""
+    check_prime(p)
+    factors, r = class_factors(p, k, s), n % p
+    i = 0 if r == 0 or factors.labels is None else 1 + int(factors.labels[r])
+    snp = factors.snp[i]
+    return LocalFactorReport(p=int(p), chi_via_snp=1.0 - snp.real / (p - 1), chi_via_mp=factors.chi[i],
+                             mp=factors.mp[i], snp=snp)
 
 
 @dataclass(frozen=True)
@@ -237,24 +262,18 @@ def euler_product(
     partial_xs optionally attaches truncated q-sum values to the report, in
     the given order.  The tail bound combines the measured decay constant,
     max |chi_p - 1| p^(3/2) over ascending p <= _TAIL_PROBE (reported as
-    tail_constant), with the
-    integral estimate beyond the cutoff.  Raises if any factor is
-    nonpositive (only float catastrophe could cause that; the theory gives
-    chi_p >= p^{-s} > 0).
+    tail_constant), with the integral estimate beyond the cutoff.  Every
+    factor is positive: `class_factors` checks M_p >= 1.
     """
     if prime_cutoff < 2:
         raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     _check_moduli(s, prime_cutoff, partial_xs)
     primes = sieve_primes(prime_cutoff).primes
     product = 1.0
-    min_factor = math.inf
     tail_constant = 0.0
     for p in primes:  # ascending order: reproducible accumulation
         rep = chi_p(int(p), n, k, s)
-        if rep.chi <= 0.0:
-            raise InternalConsistencyError(f"nonpositive local factor {rep.chi!r} at p={p}")
         product *= rep.chi
-        min_factor = min(min_factor, rep.chi)
         if p <= _TAIL_PROBE:
             tail_constant = max(tail_constant, abs(rep.chi - 1.0) * float(p) ** 1.5)
     report = SeriesReport(
@@ -263,7 +282,6 @@ def euler_product(
         tail_bound=_product_tail_estimate(prime_cutoff, tail_constant) * abs(product),
         tail_constant=tail_constant,
         converges=s >= 3,
-        min_factor=float(min_factor),
     )
     if partial_xs:
         partials = series_partials(n, k, s, partial_xs)
@@ -275,35 +293,20 @@ def euler_product(
 # Vectorized evaluation over many n (used by the counting comparisons)
 
 
-def chi_residue_table(p: int, k: int, s: int) -> np.ndarray:
-    """chi_p(r) for every residue r mod p, via one DFT of the masked sums.
-
-    sum_{(a,p)=1} S(p,a)^s e(-ar/p) over all r at once is the forward FFT of
-    the array W[a] = S(p,a)^s restricted to coprime a.
-    """
-    sums = gauss_sums_all(p, k)
-    w = sums**s
-    w[0] = 0.0  # a = p is the only non-coprime residue for prime p
-    inner = np.fft.fft(w)  # index r: sum_a w[a] e(-2 pi i a r / p)
-    return 1.0 - inner.real / (p ** s * (p - 1))
-
-
 def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int) -> np.ndarray:
-    """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count.
+    """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count,
+    each bit for bit `euler_product(n, ...).product_value`: the same checked
+    class values of `class_factors`, multiplied in ascending p.
 
-    Uses the analytic route only (the dual route is exercised by chi_p and its
-    tests).  chi_p(n_lo + i stride) depends on i only mod p, so each prime
-    gathers one period, min(p, count) entries of its residue table, and
-    multiplies it into the whole periods of the output through a
-    (count // p, p) view and then into the tail.  Every n receives its
-    factors in ascending p, so each product is bit for bit the one of a
-    per-n gather.
+    chi_p(n_lo + i stride) depends on i only mod p, so each prime gathers one
+    period, min(p, count) class values, and multiplies it into the whole
+    periods of the output through a (count // p, p) view and then the tail.
     """
     out = np.ones(count, dtype=np.float64)
     for p in sieve_primes(prime_cutoff).primes.tolist():  # ascending: reproducible
-        table = chi_residue_table(p, k, s)
         # both residues are below p < MODULUS_LIMIT, so the product fits int64
-        period = table[(n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p]
+        residues = (n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p
+        period = class_factors(p, k, s).chi_at(residues)
         whole = count - count % p
         if whole:
             rows = out[:whole].reshape(-1, p)  # a view: one row per whole period
@@ -311,18 +314,3 @@ def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, pri
         out[whole:] *= period[: count - whole]
     return out
 
-
-def smallest_good_prime(n_values: np.ndarray, k: int, s: int, prime_cutoff: int = 200) -> int | None:
-    """Empirical p0: the least p such that chi_q(n) >= 1 - q^(-5/4) holds for
-    all sampled n and all primes q in [p, cutoff].  None if no such p exists
-    within the cutoff."""
-    primes = [int(p) for p in sieve_primes(prime_cutoff).primes]
-    ok_from = None
-    for p in reversed(primes):
-        table = chi_residue_table(p, k, s)
-        chis = table[np.asarray(n_values, dtype=np.int64) % p]
-        if np.all(chis >= 1.0 - p ** (-1.25)):
-            ok_from = p
-        else:
-            break
-    return ok_from

@@ -60,6 +60,16 @@ def mask(arcs: list[tuple], m: int) -> np.ndarray:
     return out
 
 
+def span_mask(arcs: list[tuple], m: int) -> np.ndarray:
+    """Membership of j/m for j in [0, m), arc by arc: the points of [lo, hi]
+    are ceil(lo*m) <= j <= floor(hi*m).  The same mask as `mask`, fast on
+    large grids."""
+    out = np.zeros(m, dtype=bool)
+    for lo, hi, _, _ in arcs:
+        out[math.ceil(lo * m) : min(math.floor(hi * m), m - 1) + 1] = True
+    return out
+
+
 def measure(arcs: list[tuple]) -> Fraction:
     return sum((hi - lo for lo, hi, _, _ in arcs), Fraction(0))
 

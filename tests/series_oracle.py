@@ -3,15 +3,20 @@
 `qsum_partials` is the q-by-q construction of the truncated series: one
 `s_n_q` call for every squarefree q <= X, weighted by mu(q)/phi(q) and added
 in ascending q.  It knows nothing of multiplicativity, so the tests compare
-the prime-moduli q-sum against it.  `gather_product` multiplies the residue
+the prime-moduli q-sum against it.  `gather_product` multiplies a residue
 table of each prime into an arbitrary array of n, one gather per prime, with
-no assumption that the n form a progression.
+no assumption that the n form a progression.  Each table comes from the
+cyclic power of `local_oracle`, which knows no index classes, through the
+same exact division as the package's count route.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from wgcircle.arith import arith_tables, sieve_primes
-from wgcircle.series import chi_residue_table, s_n_q
+import local_oracle
+from wgcircle.arith import arith_tables, power_residue_counts, sieve_primes
+from wgcircle.series import s_n_q
 
 
 def qsum_partials(n: int, k: int, s: int, xs) -> dict[int, complex]:
@@ -30,10 +35,18 @@ def qsum_partials(n: int, k: int, s: int, xs) -> dict[int, complex]:
     return out
 
 
+@lru_cache(maxsize=None)
+def residue_table(p: int, k: int, s: int) -> np.ndarray:
+    """chi_p(r) = (p^s - N_s(r)) / (p^(s-1) (p - 1)) for r mod p, N_s the
+    s-fold cyclic power of the k-th power histogram."""
+    powers = local_oracle.cyclic_power(power_residue_counts(p, k), s, p)
+    return np.array([(p**s - v) / (p ** (s - 1) * (p - 1)) for v in powers])
+
+
 def gather_product(ns: np.ndarray, k: int, s: int, prime_cutoff: int) -> np.ndarray:
     """Euler products over p <= prime_cutoff at every n in ns, in ascending p."""
     ns = np.asarray(ns, dtype=np.int64)
     out = np.ones(len(ns), dtype=np.float64)
     for p in sieve_primes(prime_cutoff).primes.tolist():
-        out *= chi_residue_table(p, k, s)[ns % p]
+        out *= residue_table(p, k, s)[ns % p]
     return out

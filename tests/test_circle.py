@@ -143,8 +143,8 @@ class TestArcUnions:
         assert label == "P(8)"
         # on the half grid: disjoint from the inner set, together they restore the outer set
         assert len(sl) == circle.half_size(m)
-        assert not (sl & inner.grid_mask(m, half=True)).any()
-        assert ((sl | inner.grid_mask(m, half=True)) == outer.grid_mask(m, half=True)).all()
+        assert not (sl & inner.grid_mask(m)).any()
+        assert ((sl | inner.grid_mask(m)) == outer.grid_mask(m)).all()
         exact = measure_minus(major_oracle(2 * y, n), major_oracle(y, n))
         assert exact + inner.measure_exact() == outer.measure_exact()
         assert sl_measure == float(exact)
@@ -156,7 +156,7 @@ class TestArcUnions:
         assert 1 - union.measure_exact() == gaps_measure(oracle)
         m = 4096
         minor = ~union.grid_mask(m)
-        assert (minor == ~mask(oracle, m)).all()
+        assert (minor == ~mask(oracle, m)[: circle.half_size(m)]).all()
         assert not (union.grid_mask(m) & minor).any() and (union.grid_mask(m) | minor).all()
 
     def test_named_unions(self):
@@ -187,15 +187,16 @@ class TestArcUnions:
         for _ in range(3000):
             j = rng.randrange(0, m)
             in_a, in_b = contains(a, Fraction(j, m)), contains(b, Fraction(j, m))
-            assert a_mask[j] == in_a and b_mask[j] == in_b
-            assert diff[min(j, m - j)] == (in_a and not in_b)  # the slice's half-grid mask, mirrored
-            assert (~a_mask)[j] == (not in_a)
-            assert (a_mask | b_mask)[j] == (in_a or in_b)
+            h = min(j, m - j)  # the half-grid masks, mirrored
+            assert a_mask[h] == in_a and b_mask[h] == in_b
+            assert diff[h] == (in_a and not in_b)
+            assert (~a_mask)[h] == (not in_a)
+            assert (a_mask | b_mask)[h] == (in_a or in_b)
 
     def test_grid_mask_matches_contains(self):
         n, m = 3000, 2048
         union = circle.major_arcs(9.0, n)
-        assert (union.grid_mask(m) == mask(major_oracle(9.0, n), m)).all()
+        assert (union.grid_mask(m) == mask(major_oracle(9.0, n), m)[: circle.half_size(m)]).all()
         j, q, a = union.grid_points(m)
         placed = 0
         for lo, hi, q2, a2 in major_oracle(9.0, n):
@@ -207,7 +208,7 @@ class TestArcUnions:
             j0, j1 = int(run[0]), int(run[-1])
             assert (run == np.arange(j0, j1 + 1)).all()
             assert lo <= Fraction(j0, m) and Fraction(j1, m) <= hi
-            assert Fraction(j0 - 1, m) < lo and (Fraction(j1 + 1, m) > hi or j1 == m - 1)
+            assert Fraction(j0 - 1, m) < lo and (Fraction(j1 + 1, m) > hi or j1 == m // 2)
         assert placed == len(j)  # no point on an arc the oracle lacks
 
     def test_difference_excludes_seam_points(self):
@@ -221,9 +222,9 @@ class TestArcUnions:
         j = int(seam * m)
         assert contains(major_oracle(y, n), seam) and inner.grid_mask(m)[j]
         assert not sl[j]
-        assert not (sl & inner.grid_mask(m, half=True)).any()
-        combined = sl | inner.grid_mask(m, half=True)
-        assert (combined == outer.grid_mask(m, half=True)).all()
+        assert not (sl & inner.grid_mask(m)).any()
+        combined = sl | inner.grid_mask(m)
+        assert (combined == outer.grid_mask(m)).all()
         expected = mask(major_oracle(2 * y, n), m) & ~mask(major_oracle(y, n), m)
         assert (sl == expected[: circle.half_size(m)]).all()
 
@@ -235,7 +236,7 @@ class TestArcUnions:
         j = int(edge * m)
         assert contains(major_oracle(2.0, n), edge)
         assert union.grid_mask(m)[j] and not (~union.grid_mask(m))[j]
-        assert (union.grid_mask(m) == mask(major_oracle(2.0, n), m)).all()
+        assert (union.grid_mask(m) == mask(major_oracle(2.0, n), m)[: circle.half_size(m)]).all()
 
     def test_locate_matches_linear_scan(self):
         import random
@@ -421,7 +422,7 @@ def scene():
         "f": np.abs(circle.half_grid_conj(fspec, m)),
         "g": np.abs(circle.half_grid_conj(gspec, m)),
         # the minor arcs k = [0, 1] minus K on the half grid, as the ledger builds them
-        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m, half=True),
+        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m),
     }
 
 
@@ -499,7 +500,7 @@ class TestLevelSets:
         pruned = circle.build_arc_union("L", n, k)
         scale = circle.kth_root_floor(n, k) * math.log(n) ** 3
         expected = max(f_half[j] / (scale * circle.upsilon(j / m, n) ** (1.0 / (2 * k)))
-                       for j in np.flatnonzero(pruned.grid_mask(m, half=True)))
+                       for j in np.flatnonzero(pruned.grid_mask(m)))
         fenv = circle.f_envelope_constant(n, k, f_half, m, pruned)
         assert fenv["scale"] == scale
         assert fenv["constant"] == pytest.approx(expected, rel=1e-12)

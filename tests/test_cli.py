@@ -185,6 +185,14 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_series_nonpositive_k_exits_two(self, capsys, k):
+        # gcd(k, p - 1) would give a class count for k = 0 and the k = 3 numbers for k = -3
+        code = main(["series", "--n", "10", "--k", k, "--s", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: need s >= 1 and k >= 1, got s=3, k={k}\n"
+
     def test_eta_past_underflow_exits_two(self, capsys):
         code = main(["eta", "--t", "800"])
         err = capsys.readouterr().err
@@ -446,6 +454,43 @@ class TestFailureModes:
         code, out = run_cli(capsys, "eta", "--t", "300")
         assert code == 0
         assert json.loads(out)["eta"] == pytest.approx(math.exp(-299.0), rel=1e-15)
+
+
+class TestLocalFactorCheck:
+    """The dual-route check of the local factors covers every class of every
+    prime, not only the class of the n being evaluated."""
+
+    @staticmethod
+    def tamper(monkeypatch):
+        # one extra solution in the count route, on the last index class of every p with d > 1
+        from wgcircle import series
+
+        honest = series.mp_classes
+
+        def tampered(p, k, s, labels):
+            counts = honest(p, k, s, labels)
+            if labels is not None:
+                counts[-1] += 1
+            return counts
+
+        monkeypatch.setattr(series, "mp_classes", tampered)
+
+    def test_compare_exits_three(self, capsys, monkeypatch):
+        self.tamper(monkeypatch)
+        code = main(["compare", "--k", "2", "--s", "2", "--lo", "100", "--hi", "200"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("internal-consistency failure: local factor routes disagree at p=3 ")
+        assert err.count("\n") == 1
+
+    def test_series_exits_three_when_n_lies_in_another_class(self, capsys, monkeypatch):
+        # n = 100 is 1 mod 3, a square: class 0, while the tamper hits class 1
+        self.tamper(monkeypatch)
+        code = main(["series", "--n", "100", "--k", "2", "--s", "2", "--cutoff", "50"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("internal-consistency failure: local factor routes disagree at p=3 ")
+        assert err.count("\n") == 1
 
 
 class TestCountPastInt64:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wgcircle import counting
+from wgcircle import counting, series
 from wgcircle.arith import sieve_primes
 from wgcircle.convolve import ConvStats
 from wgcircle.errors import DomainError
@@ -181,3 +181,16 @@ class TestCompareReport:
     def test_validation(self):
         with pytest.raises(DomainError):
             counting.compare_report(2, 2, 100, 50)
+
+    @pytest.mark.parametrize("k, s, lo, hi", [(2, 2, 61190, 61200), (3, 11, 5000, 5030)])
+    def test_series_column_is_the_euler_product(self, k, s, lo, hi):
+        # both multiply the same checked class values in ascending p; the
+        # column once came from a DFT and differed at n = 61194 in the last bit
+        rep = counting.compare_report(k, s, lo, hi, prime_cutoff=1000)
+        assert rep.series.tolist() == [series.euler_product(n, k, s, 1000).product_value for n in rep.n.tolist()]
+
+    def test_prediction_column_is_hl_prediction(self):
+        rep = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)
+        assert np.array_equal(counting.hl_prediction(3, 11, rep.n, rep.series), rep.prediction)
+        for i in (0, 17, 233, 400):
+            assert counting.hl_prediction(3, 11, int(rep.n[i]), float(rep.series[i])) == rep.prediction[i]

@@ -198,18 +198,20 @@ def test_grid_points_match_contains(family, core, slice_at):
     else:
         oracle = arc_oracle.major_oracle(height, denom)
         union = circle.major_arcs(height, denom)
-    expected = arc_oracle.mask(oracle, m)
+    full = arc_oracle.mask(oracle, m)
+    assert (arc_oracle.span_mask(oracle, m) == full).all()
+    expected = full[: circle.half_size(m)]
     arcs = {(q, a): (lo, hi) for lo, hi, q, a in oracle}
     j, q, a = union.grid_points(m)
-    # ascending j within [0, m): no point twice; each arc's points one run of consecutive j
-    assert (np.diff(j) > 0).all() and (len(j) == 0 or 0 <= j[0] <= j[-1] < m)
+    # ascending j within [0, m/2]: no point twice; each arc's points one run of consecutive j
+    assert (np.diff(j) > 0).all() and (len(j) == 0 or 0 <= j[0] <= j[-1] <= m // 2)
     starts = np.flatnonzero(np.diff(q, prepend=0) | np.diff(a, prepend=-1))
     assert len(set(zip(q[starts].tolist(), a[starts].tolist()))) == len(starts)
     assert (np.diff(j)[(np.diff(q) == 0) & (np.diff(a) == 0)] == 1).all()
     for jj, qq, aa in zip(j.tolist(), q.tolist(), a.tolist()):
         lo, hi = arcs[qq, aa]
         assert lo <= Fraction(jj, m) <= hi
-    points = np.zeros(m, dtype=bool)
+    points = np.zeros(circle.half_size(m), dtype=bool)
     points[j] = True
     assert (points == expected).all()
     assert (union.grid_mask(m) == expected).all()
@@ -234,15 +236,16 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
     m = circle.alias_free_size(n, s, oversample)
     if label == "slice":
         y = 0.5 + slice_at * (0.25 * math.sqrt(n) - 0.5)
-        full = circle.major_arcs(2 * y, n).grid_mask(m) & ~circle.major_arcs(max(1.0, y), n).grid_mask(m)
+        full = (arc_oracle.span_mask(arc_oracle.major_oracle(2 * y, n), m)
+                & ~arc_oracle.span_mask(arc_oracle.major_oracle(max(1.0, y), n), m))
         half = circle.height_slice(n, y, m)[1]
     else:
+        height = circle.major_height(label, n, 2)
+        oracle = arc_oracle.core_oracle(height, n) if label == "N" else arc_oracle.major_oracle(height, n)
+        full = arc_oracle.span_mask(oracle, m)
         union = circle.build_arc_union(label, n, 2)
-        full, half = union.grid_mask(m), union.grid_mask(m, half=True)
-        half_points, points = union.grid_points(m, half=True), union.grid_points(m)
-        assert (half_points[0] <= m // 2).all()
-        kept = points[0] <= m // 2
-        assert all((h == p[kept]).all() for h, p in zip(half_points, points))
+        half = union.grid_mask(m)
+        assert np.array_equal(union.grid_points(m)[0], np.flatnonzero(half))
     j = np.arange(m)
     assert (full == full[(m - j) % m]).all()
     assert (half == full[: circle.half_size(m)]).all()

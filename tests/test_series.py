@@ -61,6 +61,13 @@ class TestLocalFactor:
         assert rep.chi_via_mp == pytest.approx(7 / 6, abs=1e-12)
         assert rep.mp == 21
 
+    @pytest.mark.parametrize("k, s", [(0, 3), (-3, 4), (3, 0), (2, -1)])
+    def test_nonpositive_k_or_s_refused(self, k, s):
+        with pytest.raises(DomainError, match="need s >= 1 and k >= 1"):
+            series.chi_p(7, 1, k, s)
+        with pytest.raises(DomainError, match="need s >= 1 and k >= 1"):
+            series.class_factors(7, k, s)
+
     def test_dual_route_grid(self):
         for p in (2, 3, 5, 7, 11, 13):
             for k in (1, 2, 3):
@@ -94,9 +101,17 @@ class TestLocalFactor:
 
     def test_residue_table_matches_pointwise(self):
         for p in (3, 7, 13):
-            table = series.chi_residue_table(p, 3, 4)
+            table = series.class_factors(p, 3, 4).chi_at(np.arange(p))
             for r in range(p):
-                assert table[r] == pytest.approx(series.chi_p(p, r, 3, 4).chi, abs=1e-10)
+                assert table[r] == series.chi_p(p, r, 3, 4).chi
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
+    def test_residue_table_matches_cyclic_power(self, k):
+        # the class values against the residue-wide oracle, with the same exact division
+        for p in (2, 3, 5, 7, 13, 37, 61):
+            for s in (1, 4, 11):
+                table = series.class_factors(p, k, s).chi_at(np.arange(p))
+                assert np.array_equal(table, series_oracle.residue_table(p, k, s))
 
 
 class TestSeriesPartial:
@@ -186,8 +201,7 @@ class TestEulerProduct:
                 ns = n_lo + stride * np.arange(count)
                 assert np.array_equal(many, series_oracle.gather_product(ns, k, s, 200))
                 for n, v in zip(ns.tolist(), many.tolist()):
-                    rep = series.euler_product(n, k, s, 200)
-                    assert v == pytest.approx(rep.product_value, abs=1e-9)
+                    assert v == series.euler_product(n, k, s, 200).product_value
 
     def test_report_schema(self):
         rep = series.euler_product(100, 3, 4, 50, partial_xs=(8,))
@@ -198,8 +212,10 @@ class TestEulerProduct:
     def test_empirical_smallest_good_prime(self):
         rng = np.random.default_rng(5)
         ns = rng.integers(1, 10**6, 30)
-        p0 = series.smallest_good_prime(ns, 3, 4, 200)
-        assert p0 is not None and p0 <= 13
+        # an empirical p0 <= 13: chi_q(n) >= 1 - q^(-5/4) at every sampled n for all primes 13 <= q <= 200
+        for q in sieve_primes(200).primes.tolist():
+            if q >= 13:
+                assert np.all(series.class_factors(q, 3, 4).chi_at(ns % q) >= 1.0 - q ** (-1.25))
 
     def test_bad_cutoff(self):
         with pytest.raises(DomainError):
