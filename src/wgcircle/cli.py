@@ -82,8 +82,8 @@ def _cmd_plan(args) -> int:
         "cond_half_ok": plan.cond1_ok, "cond_omega_ok": plan.cond2_ok,
         "source": plan.source,
     }
-    if args.k >= 17:
-        sp = specialfn.sigma_even_plan(args.k, args.theta)
+    sp = plan.optimizer
+    if sp is not None:
         report["sigma"] = sp.sigma
         report["tau"] = sp.tau
         report["even_target"] = sp.even_target
@@ -107,12 +107,7 @@ def _cmd_verify_tables(args) -> int:
         lines.append(f"cross-check {status}: {desc}")
     lines.append(f"summary: {'all checks passed' if all_ok else 'FAILURES PRESENT'}")
     report = {
-        "blocks": [
-            {"k": c.k, "theta": c.theta, "ok": c.ok, "blank": c.blank,
-             "omega_recomputed": c.omega_recomputed, "omega_table": c.omega_table,
-             "cond1_margin": c.cond1_margin, "cond2_margin": c.cond2_margin}
-            for c in checks
-        ],
+        "blocks": [{key: v for key, v in dataclasses.asdict(c).items() if key != "detail"} for c in checks],
         "table1_cross_checks": [{"k": k, "detail": d, "ok": ok} for k, d, ok in cross],
         "all_ok": all_ok,
     }

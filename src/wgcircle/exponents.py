@@ -9,29 +9,31 @@ of P.  Two sources are implemented:
     Delta_u = lambda_{u/2} - u + k for even u and by the average of the two
     neighbouring lambda values for odd u.
 
+Every exponent pair (s, t) is an AdmissiblePlan from check_conditions, the one
+home of the two side conditions 2*Delta_s < k and Omega < 1, where
+
+    Omega_theta = t/s + theta * Delta_{s+t} / k.
+
 The shipped CSV tables (data/table1.csv, data/table2.csv) record, per k in
 [5, 20] and theta in {4, 5}, a pair (s_theta, t_theta) with its exponents and
-the quantity
-
-    Omega_theta = t/s + theta * Delta_{s+t} / k,
-
-rounded up in the fourth decimal place.  verify_table2 recomputes every Omega
-and the two side conditions 2*Delta_s < k and Omega < 1.  plan_for_k selects a
-working (s, t) pair for any k >= 3: the table rows for 5 <= k <= 16, the
-sigma_even_plan optimizer for k >= 17, and literal externally-known pairs for
-k in {3, 4}.
+Omega rounded up in the fourth decimal place (a plan's omega_table).
+verify_table2 checks every tabulated Omega and both conditions.  plan_for_k
+selects a working (s, t) pair for 3 <= k <= 2**40: the table blocks for
+5 <= k <= 16, the sigma_even_plan optimizer above (it refuses k > 2**40, where
+doubles no longer place its even target), and literal externally-known pairs
+for k in {3, 4}.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, TableLookupError, TableParseError
-from .specialfn import check_theta, critical_ratio, eta_value, sigma_even_plan
+from .specialfn import SigmaPlan, check_theta, critical_ratio, eta_value, sigma_even_plan
 
 #: Guard subtracted before ceiling at the fourth decimal; absorbs binary
 #: representation fuzz of decimal inputs without masking real mismatches.
@@ -52,7 +54,8 @@ class AdmissiblePlan:
 
     cond1_ok: 2*Delta_s < k.  cond2_ok: Omega = t/s + theta*Delta_{s+t}/k < 1.
     Both are None for plans whose validity rests on external results rather
-    than on these conditions.
+    than on these conditions.  omega_table is the rounded-up Omega of a
+    shipped table block; optimizer is the SigmaPlan a k >= 17 plan came from.
     """
 
     k: int
@@ -65,6 +68,8 @@ class AdmissiblePlan:
     cond1_ok: bool | None
     cond2_ok: bool | None
     source: str = "computed"
+    omega_table: float | None = None
+    optimizer: SigmaPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -167,21 +172,8 @@ def round_up_4dp(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Shipped tables
 
-
-@dataclass(frozen=True)
-class Table2Block:
-    theta: int
-    s: int
-    t: int
-    delta_s: float
-    delta_st: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class Table2Row:
-    k: int
-    blocks: dict[int, Table2Block]  # keyed by theta; a missing key is a blank block
+#: (k, theta) -> the table block's plan, None for a blank block, in file order.
+PlanTable = dict[tuple[int, int], AdmissiblePlan | None]
 
 
 @dataclass(frozen=True)
@@ -217,121 +209,106 @@ def load_table1(path: str | Path | None = None) -> dict[int, tuple[int | None, i
     return out
 
 
-def load_table2(path: str | Path | None = None) -> list[Table2Row]:
+def load_table2(path: str | Path | None = None) -> PlanTable:
+    """Every block of table 2 as a checked plan carrying its tabulated Omega."""
     text = Path(path).read_text() if path is not None else _data_text("table2.csv")
-    rows: list[Table2Row] = []
+    plans: PlanTable = {}
     reader = csv.DictReader(text.splitlines())
     for lineno, row in enumerate(reader, start=2):
         try:
             k = int(row["k"])
-            blocks: dict[int, Table2Block] = {}
             for theta in (4, 5):
                 cells = [row[f"s{theta}"], row[f"t{theta}"], row[f"d_s{theta}"], row[f"d_s{theta}t{theta}"], row[f"om{theta}"]]
                 if all(not c for c in cells):
+                    plans[(k, theta)] = None
                     continue
                 if any(not c for c in cells):
                     raise TableParseError(f"table2.csv line {lineno}: partially blank theta={theta} block")
-                blocks[theta] = Table2Block(
-                    theta=theta,
-                    s=int(cells[0]),
-                    t=int(cells[1]),
-                    delta_s=float(cells[2]),
-                    delta_st=float(cells[3]),
-                    omega=float(cells[4]),
+                plan = check_conditions(
+                    k, theta, int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
+                    source="table2_literal",
                 )
+                plans[(k, theta)] = replace(plan, omega_table=float(cells[4]))
         except TableParseError:
             raise
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:  # DomainError from check_conditions is a ValueError
             raise TableParseError(f"table2.csv line {lineno}: {exc}") from None
-        rows.append(Table2Row(k=k, blocks=blocks))
-    return rows
+    return plans
 
 
-def verify_table2(rows: list[Table2Row] | None = None) -> list[BlockCheck]:
-    """Recompute Omega for every (k, theta) block and check both conditions.
+def verify_table2(plans: PlanTable | None = None) -> list[BlockCheck]:
+    """Compare every block's recomputed Omega with the tabulated one and check both conditions.
 
     A blank block (only k=5, theta=5 in the shipped data) yields a vacuous
     passing entry so that every k contributes one check per theta.
     """
-    rows = load_table2() if rows is None else rows
+    plans = load_table2() if plans is None else plans
     checks: list[BlockCheck] = []
-    for row in rows:
-        for theta in (4, 5):
-            block = row.blocks.get(theta)
-            if block is None:
-                checks.append(
-                    BlockCheck(
-                        k=row.k, theta=theta, ok=True, blank=True,
-                        omega_recomputed=None, omega_table=None,
-                        cond1_margin=None, cond2_margin=None,
-                        detail="blank entry",
-                    )
-                )
-                continue
-            omega_raw = block.t / block.s + theta * block.delta_st / row.k
-            omega_up = round_up_4dp(omega_raw)
-            table_units = round(block.omega * 10**4)
-            recomputed_units = round(omega_up * 10**4)
-            match = recomputed_units == table_units
-            slack_note = ""
-            if not match and recomputed_units == table_units + 1:
-                # The tabulated delta is itself rounded up by < 1e-4, which
-                # inflates the recomputed omega by at most theta*1e-4/k; a
-                # one-ulp overshoot within that slack is consistent.
-                slack = theta * 1e-4 / row.k
-                if omega_raw - slack < block.omega + 1e-12:
-                    match = True
-                    slack_note = " (within delta-rounding slack)"
-            cond1_margin = row.k - 2.0 * block.delta_s
-            cond2_margin = 1.0 - omega_up
-            ok = match and cond1_margin > 0.0 and cond2_margin > 0.0
-            detail = f"omega {omega_raw:.6f} -> {omega_up:.4f} vs {block.omega:.4f}{slack_note}"
-            if not match:
-                detail += " MISMATCH"
+    for (k, theta), plan in plans.items():
+        if plan is None:
             checks.append(
                 BlockCheck(
-                    k=row.k, theta=theta, ok=ok, blank=False,
-                    omega_recomputed=omega_up, omega_table=block.omega,
-                    cond1_margin=cond1_margin, cond2_margin=cond2_margin,
-                    detail=detail,
+                    k=k, theta=theta, ok=True, blank=True,
+                    omega_recomputed=None, omega_table=None,
+                    cond1_margin=None, cond2_margin=None,
+                    detail="blank entry",
                 )
             )
+            continue
+        omega_up = round_up_4dp(plan.omega)
+        table_units = round(plan.omega_table * 10**4)
+        recomputed_units = round(omega_up * 10**4)
+        match = recomputed_units == table_units
+        slack_note = ""
+        if not match and recomputed_units == table_units + 1:
+            # The tabulated delta is itself rounded up by < 1e-4, which
+            # inflates the recomputed omega by at most theta*1e-4/k; a
+            # one-ulp overshoot within that slack is consistent.
+            slack = theta * 1e-4 / k
+            if plan.omega - slack < plan.omega_table + 1e-12:
+                match = True
+                slack_note = " (within delta-rounding slack)"
+        cond2_margin = 1.0 - omega_up
+        detail = f"omega {plan.omega:.6f} -> {omega_up:.4f} vs {plan.omega_table:.4f}{slack_note}"
+        if not match:
+            detail += " MISMATCH"
+        checks.append(
+            BlockCheck(
+                k=k, theta=theta, ok=match and plan.cond1_ok and cond2_margin > 0.0, blank=False,
+                omega_recomputed=omega_up, omega_table=plan.omega_table,
+                cond1_margin=k - 2.0 * plan.delta_s, cond2_margin=cond2_margin,
+                detail=detail,
+            )
+        )
     return checks
 
 
 def cross_check_table1(
     table1: dict[int, tuple[int | None, int | None]] | None = None,
-    rows: list[Table2Row] | None = None,
+    plans: PlanTable | None = None,
 ) -> list[tuple[int, str, bool]]:
     """S0(k) must equal s5(k) and S1(k) must equal s4(k) wherever both exist."""
     table1 = load_table1() if table1 is None else table1
-    rows = load_table2() if rows is None else rows
-    by_k = {row.k: row for row in rows}
+    plans = load_table2() if plans is None else plans
     results: list[tuple[int, str, bool]] = []
     for k, (s0, s1) in sorted(table1.items()):
-        row = by_k.get(k)
-        if row is None:
-            continue
-        if s0 is not None and 5 in row.blocks:
-            results.append((k, f"S0({k})={s0} vs s5={row.blocks[5].s}", s0 == row.blocks[5].s))
-        if s1 is not None and 4 in row.blocks:
-            results.append((k, f"S1({k})={s1} vs s4={row.blocks[4].s}", s1 == row.blocks[4].s))
+        for name, s_ref, theta in (("S0", s0, 5), ("S1", s1, 4)):
+            plan = plans.get((k, theta))
+            if s_ref is not None and plan is not None:
+                results.append((k, f"{name}({k})={s_ref} vs s{theta}={plan.s}", s_ref == plan.s))
     return results
 
 
-def table_plan(k: int, theta: int, rows: list[Table2Row] | None = None) -> AdmissiblePlan:
-    """The shipped table row for (k, theta) as a checked plan."""
+def table_plan(k: int, theta: int, plans: PlanTable | None = None) -> AdmissiblePlan:
+    """The shipped table block for (k, theta) as a checked plan."""
     check_theta(theta)
-    rows = load_table2() if rows is None else rows
-    for row in rows:
-        if row.k == k:
-            block = row.blocks.get(theta)
-            if block is None:
-                raise TableLookupError(f"table has a blank block for k={k}, theta={theta}")
-            return check_conditions(
-                k, theta, block.s, block.t, block.delta_s, block.delta_st, source="table2_literal"
-            )
-    raise TableLookupError(f"table has no row for k={k}")
+    plans = load_table2() if plans is None else plans
+    if (k, theta) not in plans:
+        raise TableLookupError(f"table has no row for k={k}")
+    plan = plans[(k, theta)]
+    if plan is None:
+        raise TableLookupError(f"table has a blank block for k={k}, theta={theta}")
+    return plan
 
 
 _EXTERNAL_SMALL_K = {3: 4, 4: 6}  # k -> s known from the literature
@@ -340,11 +317,11 @@ _EXTERNAL_SMALL_K = {3: 4, 4: 6}  # k -> s known from the literature
 def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
     """Select a working (s, t) pair for exponent k.
 
-    k >= 17 runs the even-target optimizer: s = ceil(k*sigma), t = target - s,
+    17 <= k <= 2**40 runs the even-target optimizer: s = ceil(k*sigma), t = target - s,
     Delta_{s+t} = k*eta(target/k) (target is even by construction) and Delta_s
     from the smallest even s' >= s.  Taking the ceiling keeps t/s <= tau/sigma,
     so Omega <= E(sigma) < 1 survives the rounding to integers.  For
-    5 <= k <= 16 the shipped table row is returned; k in {3, 4} yields the
+    5 <= k <= 16 the shipped table block is returned; k in {3, 4} yields the
     literal externally-known pairs with no condition data.
     """
     check_theta(theta)
@@ -362,10 +339,10 @@ def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
     sp = sigma_even_plan(k, theta)
     s = math.ceil(k * sp.sigma)
     t = sp.even_target - s
-    delta_st = k * eta_value(sp.even_target / k)
+    delta_st = delta_from_eta(k, sp.even_target).delta
     s_even = s if s % 2 == 0 else s + 1
-    delta_s = k * eta_value(s_even / k)
-    return check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula")
+    delta_s = delta_from_eta(k, s_even).delta
+    return replace(check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula"), optimizer=sp)
 
 
 def plan_bound_ok(plan: AdmissiblePlan) -> bool:

@@ -18,9 +18,9 @@ On top of eta sit the transcendental constants used by the arc dissections
     E(sigma) = tau(sigma)/sigma + theta/(theta*sigma - 1),
 
 where tau(sigma) is the interior stationary point of h and E its minimum.
-For k >= 17, sigma_even_plan locates sigma in (c, c + 4/k) such that
-k*(sigma + tau(sigma)) is an even integer, which is what makes the even-moment
-machinery applicable while keeping E(sigma) < 1.
+For 17 <= k <= 2**40, sigma_even_plan locates sigma in (c, c + 4/k) such
+that k*(sigma + tau(sigma)) is an even integer, which is what makes the
+even-moment machinery applicable while keeping E(sigma) < 1.
 
 All functions are pure; no shared mutable state.
 """
@@ -49,6 +49,9 @@ _ETA_ASYMPTOTIC_T = 140.0
 _ABS_TOL = 1e-12
 _MAX_ITER = 200
 _COARSE_WIDTH = 1e-3
+
+# eta's root bracket; for t below ~2e-12 the root lies above it.
+_ETA_BRACKET = (1e-300, 1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -132,22 +135,22 @@ def eta(t: float) -> EtaPoint:
     a strictly decreasing bijection of (0, inf) onto (0, 1).  For t > 140 the
     asymptotic form e^(1-t) is used (relative error below 1e-60).  Beyond
     t ~ 709.4, where e^(1-t) drops below the smallest normal double and would
-    keep ever fewer significant bits, DomainError is raised.
+    keep ever fewer significant bits, DomainError is raised.  For t below
+    ~2e-12, whose root lies above the solver's bracket, the series
+    1 - t/2 + t^2/16 is used (error O(t^3), far below one ulp of 1).
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"eta is defined for t > 0, got {t!r}")
+    f = lambda x: x + math.log(x) - (1.0 - t)
     if t > _ETA_ASYMPTOTIC_T:
         u = math.exp(1.0 - t)
         if u < sys.float_info.min:
             raise DomainError(f"eta({t!r}) underflows double precision (t must stay below ~709.4)")
+    elif f(_ETA_BRACKET[1]) < 0.0:
+        u = 1.0 - t / 2.0 + t * t / 16.0
     else:
-        u = _bisect_newton(
-            lambda x: x + math.log(x) - (1.0 - t),
-            lambda x: 1.0 + 1.0 / x,
-            1e-300,
-            1.0 - 1e-12,
-        )
+        u = _bisect_newton(f, lambda x: 1.0 + 1.0 / x, *_ETA_BRACKET)
     return EtaPoint(t=t, eta=u, eta_prime=-u / (1.0 + u))
 
 
@@ -296,6 +299,12 @@ def sigma_even_plan(k: int, theta: int) -> SigmaPlan:
     check_theta(theta)
     if k < 17:
         raise DomainError(f"sigma_even_plan requires k >= 17, got {k}")
+    if k > 2**40:
+        # The ends of the target interval are k*(...) in doubles: from k ~ 2**48
+        # on they lose the bits that place an even integer inside, and from
+        # 2**52 every k fails.  Refused before any float arithmetic on k.
+        raise DomainError(
+            f"sigma_even_plan supports k <= 2**40, where doubles still place the even target; got k={k}")
     c = critical_ratio(theta)
     hi_sigma = c + 4.0 / k
     lo_target = k * (c + tau_of_sigma(c, theta))

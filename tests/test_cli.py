@@ -211,6 +211,19 @@ class TestFailureModes:
         assert code == 0
         assert json.loads(out)["residual"] < 1e-9
 
+    @pytest.mark.parametrize("t", ["1.5e-12", "1e-13", "1e-320"])
+    def test_eta_root_above_the_bracket_exits_zero(self, capsys, t):
+        code, out = run_cli(capsys, "eta", "--t", t)
+        assert code == 0
+        assert json.loads(out)["residual"] < 1e-15
+
+    @pytest.mark.parametrize("k", [2**40 + 1, 10**400], ids=["2**40+1", "10**400"])
+    def test_plan_past_the_k_limit_exits_two(self, capsys, k):
+        code = main(["plan", "--k", str(k)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: sigma_even_plan supports k <= 2**40") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [
         ("compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "1000000"),
         ("count", "--k", "2", "--s", "2", "--n", "1000000"),
@@ -529,7 +542,7 @@ def argv_of(command, *parts):
 SUBCOMMANDS = st.one_of(
     argv_of("constants", flag("--theta", st.sampled_from([4, 5]))),
     argv_of("eta", required("--t", FLOATS)),
-    argv_of("plan", required("--k", st.sampled_from([-1, 0, 1, 2, 3, 17, 20])),
+    argv_of("plan", required("--k", st.sampled_from([-1, 0, 1, 2, 3, 17, 20, 10**400])),
             flag("--theta", st.sampled_from([4, 5]))),
     argv_of("sieve", required("--limit", SMALL)),
     argv_of("series", required("--n", SMALL), required("--k", INTS), required("--s", INTS),

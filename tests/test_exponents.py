@@ -1,5 +1,6 @@
 """Tests for admissible exponents, the shipped tables, and plan selection."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ class TestDeltaFromEta:
         assert ex.delta_from_eta(10, 22).delta < ex.delta_from_eta(10, 20).delta
 
     def test_range(self):
-        for k in (3, 7, 20):
+        for k in (3, 7, 20, 2**41):  # t/k = 2**-40 puts eta's root above its solver bracket
             for t in (2, 8, 40):
                 d = ex.delta_from_eta(k, t).delta
                 assert 0.0 < d < k
@@ -141,6 +142,55 @@ class TestShippedTables:
         p.write_text("k,s4,t4,d_s4,d_s4t4,om4,s5,t5,d_s5,d_s5t5,om5\n5,8,x,1,1,1,,,,,\n")
         with pytest.raises(TableParseError, match="line 2"):
             ex.load_table2(p)
+        p.write_text("k,s4,t4,d_s4,d_s4t4,om4,s5,t5,d_s5,d_s5t5,om5\n5,8,4,1,1,1,,,,,\n6,3,4,1,1,1,,,,,\n")
+        with pytest.raises(TableParseError, match="line 3: need 0 <= t <= s"):
+            ex.load_table2(p)
+
+    def test_blocks_are_checked_plans(self):
+        plans = ex.load_table2()
+        assert list(plans)[:3] == [(5, 4), (5, 5), (6, 4)]
+        assert plans[(5, 5)] is None
+        plan = plans[(8, 5)]
+        expected = ex.check_conditions(8, 5, 16, 8, 1.8429, 0.6562, source="table2_literal")
+        assert plan == dataclasses.replace(expected, omega_table=0.9102)
+
+
+class TestTamperedTable:
+    """A table2.csv with k = 8, theta = 5 Omega moved two units and k = 9, theta = 4 Delta_s >= k/2."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        text = ex._data_text("table2.csv")
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            if cells[0] == "8":
+                assert cells[10] == "0.9102"
+                cells[10] = "0.9104"
+            if cells[0] == "9":
+                cells[3] = "4.5"
+            lines[i] = ",".join(cells)
+        p = tmp_path / "table2.csv"
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    def test_verify_reports_both_faults(self, path):
+        checks = {(c.k, c.theta): c for c in ex.verify_table2(ex.load_table2(path))}
+        moved, half = checks[(8, 5)], checks[(9, 4)]
+        assert not moved.ok and moved.detail.endswith(" MISMATCH")
+        assert not half.ok and half.cond1_margin <= 0.0
+        assert [key for key, c in checks.items() if not c.ok] == [(8, 5), (9, 4)]
+
+    def test_cli_exits_three(self, path, monkeypatch, capsys):
+        from wgcircle.cli import main
+
+        load = ex.load_table2
+        monkeypatch.setattr(ex, "load_table2", lambda: load(path))
+        code = main(["verify-tables"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "FAIL k=8 theta=5 " in out and "FAIL k=9 theta=4 " in out
+        assert out.splitlines()[-1] == "summary: FAILURES PRESENT"
 
 
 class TestPlanForK:
@@ -149,11 +199,19 @@ class TestPlanForK:
         assert plan.s + plan.t == 54
         assert plan.cond1_ok and plan.cond2_ok
         assert plan.source == "eta_formula"
+        assert plan.optimizer == sf.sigma_even_plan(17, 5)
+        assert plan.delta_st == ex.delta_from_eta(17, 54).delta
+
+    @pytest.mark.parametrize("theta", [4, 5])
+    def test_largest_k_meets_both_conditions(self, theta):
+        plan = ex.plan_for_k(2**40, theta)
+        assert plan.cond1_ok and plan.cond2_ok
 
     def test_k8_theta4_is_table_row(self):
         plan = ex.plan_for_k(8, 4)
         assert (plan.s, plan.t) == (14, 6)
         assert plan.source == "table2_literal"
+        assert plan.optimizer is None
 
     def test_k25_bound(self):
         plan = ex.plan_for_k(25, 5)

@@ -91,6 +91,14 @@ class TestEta:
         assert 0.999 < u < 1.0
         assert abs(u + math.log(u) - (1.0 - 1e-9)) < 1e-10
 
+    def test_root_above_the_bracket_uses_the_series(self):
+        # below t ~ 2e-12 the root lies above the solver's bracket [1e-300, 1 - 1e-12]
+        tiny = [1.5e-12, 1e-13, 1e-320]
+        values = [sf.eta(t).eta for t in [1e-11] + tiny]
+        for t, u in zip(tiny, values[1:]):
+            assert abs(u + math.log(u) - (1.0 - t)) < 1e-15
+        assert values[0] < values[1] < values[2] <= values[3] == 1.0
+
 
 class TestRootConfig:
     """The root finder's fixed tolerance and step budget."""
@@ -224,3 +232,10 @@ class TestSigmaEvenPlan:
     def test_small_k_rejected(self):
         with pytest.raises(DomainError):
             sf.sigma_even_plan(16, 5)
+
+    @pytest.mark.parametrize("k", [2**40 + 1, 10**16, 10**400], ids=["2**40+1", "10**16", "10**400"])
+    def test_k_past_double_resolution_rejected(self, k):
+        # past 2**40 the float interval ends lose the bits that place the even
+        # target, and 10**400 would overflow 4.0 / k
+        with pytest.raises(DomainError, match=r"k <= 2\*\*40"):
+            sf.sigma_even_plan(k, 5)
