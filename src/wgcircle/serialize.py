@@ -5,15 +5,25 @@ to 12 significant digits before encoding, CSV uses RFC-style minimal quoting.
 Identical reports serialize to identical bytes.
 
 CSV comes from rows (`to_csv_bytes`, through `csv.writer`, for the small
-mixed-type tables) or from numeric columns (`to_csv_columns_bytes`, one
-printf template for every row, for the comparison report's hundreds of
-thousands of rows).  Both write the same bytes for the same numbers: integers
-as str(int), floats as f"{v:.12g}", and no numeric field ever needs quoting.
+mixed-type tables) or from numeric columns (`to_csv_columns_bytes`, for the
+comparison report's hundreds of thousands of rows).  Both write the same
+bytes for the same numbers: integers as str(int), floats as f"{v:.12g}", and
+no numeric field ever needs quoting.
 
 JSON goes through json.dumps, except for long record lists held as numeric
 columns (`JsonRecords`: the comparison rows, the Farey arc lists), which are
-written with one %-template per record into the place json.dumps leaves for
-them, with the bytes json.dumps would give for their rows.
+written into the place json.dumps leaves for them, with the bytes json.dumps
+would give for their rows.
+
+Both column writers take each column's text from one numpy kernel
+(`_column_text`).  A float x with decimal exponent X is scaled once,
+|x| * 10^(11 - X) by one multiply or divide by an exact power 10^j with
+|j| <= 22, so the scaled value is off by at most 2^-14 below 2^40.  Its
+rounding D is taken as the 12 digits of x only when the scaled value lies in
+[10^11 + 1, 10^12 - 1] (so X is the exponent and no carry is possible) and
+its fraction is more than 2^-12 from 1/2 (so the rounding is the exact one).
+Every other value (zero, non-finite, subnormal, |j| > 22, near a tie) is
+formatted by Python itself, so every field is exact by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +34,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -60,6 +72,128 @@ def _json_float(x: float) -> str:
     return "null" if rounded is None else repr(rounded)
 
 
+class _Layout(NamedTuple):
+    """How a float with 12 significant digits D and decimal exponent X is written:
+    fixed notation for -4 <= X < fixed_below, else d.ddd e+XX; integral fixed
+    values end in ".0" when point_zero; `fallback` writes the values the kernel
+    does not certify."""
+
+    fixed_below: int
+    point_zero: bool
+    fallback: Callable[[float], str]
+
+
+_CSV = _Layout(12, False, lambda v: f"{v:.12g}")  # %.12g
+_JSON = _Layout(16, True, _json_float)  # repr(float(%.12g)): the digits of %.12g, placed as repr does
+_NUMBER_KINDS = "iOf"  # int64, object arrays of Python integers, float64
+_POW10 = np.array([float(10**j) for j in range(23)])  # every one an exact double
+_TIE_MARGIN = 2.0**-12
+_ROW_BLOCK = 1 << 16
+# "0000" .. "9999": the four ASCII digits of i as the bytes of one uint32, built
+# from 10 kB columns so that importing leaves no large temporaries behind
+_DIGIT_BYTES = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack([np.tile(np.repeat(_DIGIT_BYTES, 10 ** (3 - k)), 10**k) for k in range(4)],
+                    axis=1).view(np.uint32).ravel()
+
+
+def _digit_cells(values: np.ndarray, width: int) -> np.ndarray:
+    """The nonnegative integers `values` < 10^(4 width) as rows of 4 width ASCII
+    digits, zero-padded: a uint8 matrix."""
+    words = np.empty((len(values), width), dtype=np.uint32)
+    rest = values.copy()
+    for i in range(width - 1, -1, -1):
+        words[:, i] = _DIGITS4[rest % 10_000]
+        rest //= 10_000
+    return words.view(np.uint8)
+
+
+def _text(*pieces) -> np.ndarray:
+    """The rows of uint8 matrices and constant bytes, `pieces` side by side, as an S array."""
+    rows = next(len(piece) for piece in pieces if isinstance(piece, np.ndarray))
+    cells = np.concatenate([np.broadcast_to(np.frombuffer(piece, np.uint8), (rows, len(piece)))
+                            if isinstance(piece, bytes) else piece for piece in pieces], axis=1)
+    return cells.view(f"S{cells.shape[1]}").ravel()
+
+
+def _int_text(column: np.ndarray) -> np.ndarray:
+    if column.dtype.kind == "O":
+        return np.array([str(v) for v in column.tolist()], dtype="S")
+    column = column.astype(np.int64, copy=False)
+    negative = column < 0
+    magnitude = column.view(np.uint64)
+    magnitude = np.where(negative, -magnitude, magnitude)  # -2^63 wraps to its magnitude 2^63
+    width = len(str(int(magnitude.max(initial=0))))
+    text = np.strings.lstrip(_text(_digit_cells(magnitude, -(-width // 4))[:, -width:]), b"0")
+    text = np.where(magnitude == 0, b"0", text)
+    return np.strings.add(np.where(negative, b"-", b""), text) if negative.any() else text
+
+
+def _place(digits: np.ndarray, exp: int, layout: _Layout) -> np.ndarray:
+    """The text of D * 10^(exp - 11), for the 12-digit D in the rows of the uint8 matrix `digits`."""
+    if not -4 <= exp < layout.fixed_below:
+        mantissa = np.strings.rstrip(_text(digits[:, :1], b".", digits[:, 1:]), b"0")
+        return np.strings.add(np.strings.rstrip(mantissa, b"."), f"e{exp:+03d}".encode())
+    if exp < 0:
+        text = _text(b"0." + b"0" * (-1 - exp), digits)
+    else:
+        text = _text(digits[:, :exp + 1], b"0" * max(0, exp - 11) + b".", digits[:, exp + 1:])
+    text = np.strings.rstrip(text, b"0")
+    if layout.point_zero:
+        return np.strings.add(text, np.where(np.strings.endswith(text, b"."), b"0", b""))
+    return np.strings.rstrip(text, b".")
+
+
+def _float_text(column: np.ndarray, layout: _Layout) -> np.ndarray:
+    x = column.astype(np.float64, copy=False)
+    certifiable = np.isfinite(x) & (x != 0)
+    magnitude = np.where(certifiable, np.abs(x), 1.0)
+    exp = np.floor(np.log10(magnitude)).astype(np.int64)
+    j = np.clip(11 - exp, -22, 22)
+    certifiable &= j == 11 - exp
+    # one correctly rounded multiply or divide by an exact power of ten: off by at most 2^-14
+    scaled = np.where(j >= 0, magnitude * _POW10[np.maximum(j, 0)], magnitude / _POW10[np.maximum(-j, 0)])
+    whole = np.floor(scaled)
+    fraction = scaled - whole
+    certifiable &= (scaled >= 1e11 + 1) & (scaled <= 1e12 - 1) & (np.abs(fraction - 0.5) > _TIE_MARGIN)
+    digits = np.where(certifiable, whole, 0).astype(np.int64) + (fraction > 0.5)
+    # one group per exponent X in [-11, 33] (slots 0..44), and slot 45 for the fallback
+    slot = np.where(certifiable, exp + 11, 45).astype(np.int8)
+    order = np.argsort(slot, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(slot, minlength=46))[:-1])
+    parts = [(groups[45], np.array([layout.fallback(v) for v in x[groups[45]].tolist()], dtype="S"))]
+    parts += [(group, _place(_digit_cells(digits[group], 3), e - 11, layout))
+              for e, group in enumerate(groups[:45]) if len(group)]
+    text = np.empty(len(x), dtype=f"S{max(np.strings.str_len(part).max(initial=1) for _, part in parts)}")
+    for group, part in parts:
+        text[group] = part
+    negative = certifiable & (x < 0)
+    return np.strings.add(np.where(negative, b"-", b""), text) if negative.any() else text
+
+
+def _column_text(column: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The exact text of every entry of a numeric column, as an S-dtype array:
+    integers as str(int), floats as `layout` writes them."""
+    return _float_text(column, layout) if column.dtype.kind == "f" else _int_text(column)
+
+
+def _check_kinds(columns, what: str) -> None:
+    kinds = [column.dtype.kind for column in columns]
+    if not set(kinds) <= set(_NUMBER_KINDS):
+        raise DomainError(f"{what} must be integer or float arrays, got dtype kinds {kinds}")
+
+
+def _row_blocks(columns, layout: _Layout, pieces: list[bytes], sep: bytes):
+    """sep.join of the rows pieces[0] + columns[0] + pieces[1] + ... + columns[-1] + pieces[-1],
+    the columns as `layout` writes them, one bytes object per block of _ROW_BLOCK rows."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        row = pieces[0]
+        for column, piece in zip(columns, pieces[1:]):
+            row = np.strings.add(row, _column_text(column[start:start + _ROW_BLOCK], layout))
+            if piece:
+                row = np.strings.add(row, piece)
+        yield sep.join(row.tolist())
+
+
 @dataclass(frozen=True)
 class JsonRecords:
     """A list of JSON records held as equal-length numeric numpy columns: one
@@ -76,19 +210,16 @@ class JsonRecords:
     def to_json(self, indent: int) -> str:
         """What json.dumps(round_floats(rows), indent=2) writes for the list of
         the records as lists or dicts, on a line that starts `indent` spaces in."""
-        kinds = [column.dtype.kind for column in self.columns]
-        if not set(kinds) <= _COLUMN_FORMATS.keys():
-            raise DomainError(f"JSON record columns must be integer or float arrays, got dtype kinds {kinds}")
+        _check_kinds(self.columns, "JSON record columns")
         if not len(self.columns[0]):
             return "[]"
-        values = [list(map(_json_float, column.tolist())) if kind == "f" else column.tolist()
-                  for column, kind in zip(self.columns, kinds)]
         outer, inner = " " * (indent + 2), " " * (indent + 4)
-        keys = [json.dumps(name).replace("%", "%%") + ": " for name in self.fields] or [""] * len(kinds)
-        items = f",\n{inner}".join(key + ("%s" if kind == "f" else "%d") for key, kind in zip(keys, kinds))
+        keys = [json.dumps(name) + ": " for name in self.fields] or [""] * len(self.columns)
         opening, closing = "{}" if self.fields else "[]"
-        template = f"{outer}{opening}\n{inner}{items}\n{outer}{closing}"
-        return "[\n" + ",\n".join(map(template.__mod__, zip(*values))) + "\n" + " " * indent + "]"
+        pieces = [f"{outer}{opening}\n{inner}{keys[0]}"] + [f",\n{inner}{key}" for key in keys[1:]]
+        pieces.append(f"\n{outer}{closing}")
+        rows = b",\n".join(_row_blocks(self.columns, _JSON, [piece.encode() for piece in pieces], b",\n"))
+        return "[\n" + rows.decode() + "\n" + " " * indent + "]"
 
 
 # json.dumps writes the i-th JsonRecords of a report as the string "\0i"
@@ -118,21 +249,18 @@ def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-_COLUMN_FORMATS = {"i": "%d", "O": "%d", "f": "%.12g"}
-
-
 def to_csv_columns_bytes(header: list[str], columns: list) -> bytes:
     """CSV of numeric numpy columns, the bytes to_csv_bytes gives for their rows.
 
-    Integer columns (int64, or object arrays of Python integers) print with
-    %d, float columns with %.12g.
+    Integer columns (int64, or object arrays of Python integers) print as
+    str(int), float columns as f"{v:.12g}".
     """
-    kinds = [column.dtype.kind for column in columns]
-    if not set(kinds) <= _COLUMN_FORMATS.keys():
-        raise DomainError(f"CSV columns must be integer or float arrays, got dtype kinds {kinds}")
-    template = ",".join(_COLUMN_FORMATS[kind] for kind in kinds) + "\n"
-    body = "".join(map(template.__mod__, zip(*(column.tolist() for column in columns))))
-    return to_csv_bytes(header, []) + body.encode()
+    _check_kinds(columns, "CSV columns")
+    head = to_csv_bytes(header, []).removesuffix(b"\n")
+    if not len(columns):
+        return head + b"\n"
+    blocks = _row_blocks(columns, _CSV, [b""] + [b","] * (len(columns) - 1) + [b""], b"\n")
+    return b"\n".join([head, *blocks, b""])  # one copy: the header, every row, each ending in a newline
 
 
 def to_plain_bytes(lines: list[str]) -> bytes:

@@ -1,6 +1,7 @@
 """Tests for the exact convolution route and the power engine."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,33 @@ class TestFloatChecked:
         assert len(calls) == 1
         assert convolve.fft_convolve_checked(a, a.copy(), 5).tolist() == [1, 4, 10, 12, 9]
         assert len(calls) == 3
+
+    def test_next_smooth_is_least_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = 5120  # the least 5-smooth number past 5000
+        for n in range(5000, 0, -1):
+            if smooth(n):
+                expected = n
+            assert convolve.next_smooth(n) == expected
+
+    # 2 out_len - 1 is 98415 = 3^9 * 5 itself (the inputs fill the transform), or 100001, padded to 101250
+    @pytest.mark.parametrize("out_len", [49208, 50001])
+    def test_traced_peak_within_working_bytes(self, out_len):
+        rng = np.random.default_rng(out_len)
+        a, b = (rng.integers(0, 50, out_len) for _ in range(2))
+        for x, y in ((a, a), (a, b)):
+            tracemalloc.start()
+            try:
+                assert convolve.fft_convolve_checked(x, y, out_len) is not None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= convolve.fft_working_bytes(out_len)
 
 
 class TestConvolveExact:

@@ -2,7 +2,9 @@
 
 Each command runs in-process with ``--out`` and the digest of the written
 bytes must match ``golden_readme.json``.  The ``compare`` variants pin the
-JSON, plain and strided CSV forms of the comparison report as well; the arc
+JSON, plain and strided CSV forms of the comparison report as well, and its
+CSV at the benchmark's shape (500k rows, float columns over several decimal
+exponents); the arc
 variants pin the arc lists and region measures of ``dissect --format json``
 (including slices whose seams land on grid points and an empty slice), the
 level-set ledgers of ``dissect`` with band thresholds inside and outside the
@@ -52,6 +54,9 @@ COMPARE_VARIANTS = {
     "compare-plain": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000", "--format", "plain"],
     "compare-stride7": ["compare", "--k", "2", "--s", "2", "--lo", "50000", "--hi", "100000",
                         "--stride", "7", "--format", "csv"],
+    # the compare_sweep benchmark shape: 2,039,999-entry products (on 2^21 points before
+    # 5-smooth lengths), and float columns that span several decimal exponents
+    "compare-500k": ["compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999", "--format", "csv"],
 }
 
 ARC_VARIANTS = {
