@@ -4,8 +4,8 @@ PrimeTable gives primes with natural-log weights and the partial sums needed
 for the prime exponential sum; smooth_set materializes the sets A(P, R) of
 integers in [1, P] whose prime divisors are all at most R; ArithTables holds
 Moebius and totient arrays.  On top of these sit the complete exponential sum
-S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums, and the local count
-M_p(n) of solutions of b + x_1^k + ... + x_s^k = n mod p with b coprime to p.
+S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums, and the local counts
+M_p(n) of b + x_1^k + ... + x_s^k = n mod p, b coprime to p (`mp_classes`).
 M_p(n) is counted on the cyclotomic classes of p: with d = gcd(k, p - 1) the
 k-th powers mod p are 0 once and each element of the index-d subgroup of
 F_p^* d times, so every count is constant on 0 and on each coset and the
@@ -40,10 +40,8 @@ class PrimeTable:
         idx = int(np.searchsorted(self.primes, x, side="right"))
         return float(self._cum_logs[idx - 1]) if idx > 0 else 0.0
 
-    def prime_count(self, x: float | None = None) -> int:
-        if x is None:
-            return int(len(self.primes))
-        return int(np.searchsorted(self.primes, x, side="right"))
+    def prime_count(self) -> int:
+        return int(len(self.primes))
 
     def is_prime_mask(self) -> np.ndarray:
         """Boolean indicator array of length limit + 1."""
@@ -203,7 +201,7 @@ def ramanujan_sum(q: int, a: int, tables: ArithTables) -> int:
 CLASS_LABEL_BYTES = 32
 
 
-#: Peak bytes per entry of the d x d cyclotomic table of mp_count: the
+#: Peak bytes per entry of the d x d cyclotomic table of mp_classes: the
 #: int64 counts and index temporaries, and one Python integer per entry.
 CYCLOTOMIC_BYTES = 64
 
@@ -291,17 +289,3 @@ def mp_classes(p: int, k: int, s: int, labels: np.ndarray | None) -> list[int]:
         zero, classes = zero + (p - 1) * classes[neg], nxt
     return [p**s - v for v in [zero, *classes.tolist()]]
 
-
-def mp_count(p: int, n: int, k: int, s: int, labels: np.ndarray | None = None) -> int:
-    """Solutions of b + x_1^k + ... + x_s^k = n (mod p) with 1 <= b <= p-1:
-    the entry of `mp_classes` for the class of n.  ``labels``, the index
-    classes of p modulo d = gcd(k, p - 1), may be passed when the caller
-    already has them."""
-    check_prime(p)
-    if s < 1 or k < 1:
-        raise DomainError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
-    d = math.gcd(k, p - 1)
-    if d > 1 and labels is None:
-        labels = index_classes(p, d)
-    r = n % p
-    return mp_classes(p, k, s, labels)[0 if r == 0 or d == 1 else 1 + int(labels[r])]

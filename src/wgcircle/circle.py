@@ -23,14 +23,9 @@ family is symmetric under a/q -> (q - a)/q, so the half grid holds its mask.
 The major arcs of height Q have reach 1 and W = Q/denom, q <= Q; the core
 arcs have reach q and the fixed width W = Qcal/n.  The minor arcs and the
 height slices are mask expressions (complement, difference) over these
-families, with exact measures.  The weight
-
-    upsilon(alpha) = 1/(q + n*|q*alpha - a|)
-
-is attached to the unique covering arc of height sqrt(n)/2, located through
-continued-fraction convergents rather than a linear scan.  The dissection
-ledger keeps |g| and |f| at the base points of the minor arcs and of one
-height slice only, so its level partitions work on compressed arrays.
+families, with exact measures.  The dissection ledger keeps |g| and |f| at
+the base points of the minor arcs and of one height slice only, so its level
+partitions work on compressed arrays.
 
 Grid evaluation and classification are data-parallel over grid indices;
 reductions use numpy's fixed-order pairwise sums, so results are reproducible.
@@ -59,10 +54,6 @@ CORE_HEIGHT_EXPONENT = 1.0 / 99.0
 
 #: Exponent e in the pruned-arc height P^e; any small power works.
 PRUNED_HEIGHT_EXPONENT = 1.0 / 5.0
-
-
-def big_l(n: int) -> float:
-    return math.log(n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,55 +363,6 @@ def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# The covering-arc weight
-
-
-def _convergents(alpha: float, q_cap: int):
-    """Continued-fraction convergents a/q of alpha with q <= q_cap."""
-    a0 = math.floor(alpha)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
-    yield p_cur, q_cur
-    frac = alpha - a0
-    for _ in range(64):
-        if frac <= 1e-18:
-            return
-        x = 1.0 / frac
-        digit = math.floor(x)
-        frac = x - digit
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, digit * p_cur + p_prev, digit * q_cur + q_prev
-        if q_cur > q_cap:
-            return
-        yield p_cur, q_cur
-
-
-def locate_farey_arc(alpha: float, Q: float, denom: int) -> tuple[int, int] | None:
-    """The (q, a) with q <= Q and |q*alpha - a| <= Q/denom covering alpha, or None.
-
-    Any covering center is a continued-fraction convergent of alpha (the arcs
-    are narrower than the Legendre threshold for q <= Q <= sqrt(denom)/2), so
-    only convergents need checking; disjointness makes the hit unique.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    bound = Q / denom
-    for a, q in _convergents(alpha, int(math.floor(Q))):
-        if abs(q * alpha - a) <= bound:
-            return q, a
-    return None
-
-
-def upsilon(alpha: float, n: int) -> float:
-    """1/(q + n*|q*alpha - a|) on the covering arc of height sqrt(n)/2, else 0."""
-    q0 = 0.5 * math.sqrt(n)
-    hit = locate_farey_arc(alpha, q0, n)
-    if hit is None:
-        return 0.0
-    q, a = hit
-    return 1.0 / (q + n * abs(q * alpha - a))
-
-
-# ---------------------------------------------------------------------------
 # Arc integrals
 
 
@@ -552,20 +494,6 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     )
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    P: int
-    R: int
-    Q: float
-    t: float
-    k: int
-    value: float
-    boundary_error: float
-    measure: float
-    points: int
-    below_guaranteed_range: bool  # t < k + 1: outside the guaranteed regime
-
-
 def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, int, float]:
     """|f| on the half grid j in [0, m/2] at denominator P^k, the grid size m
     and max |f|^t over the grid; refused before the FFT when the sums of
@@ -577,29 +505,15 @@ def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, in
     return f_half, m, float(f_half.max() ** t)
 
 
-def _moment_row(P: int, R: int, Q: float, t: float, k: int, f_half: np.ndarray, m: int, sup_t: float) -> MomentResult:
-    """moment_v on |f| on the half grid of size m, given max |f|^t over it."""
-    arcs = major_arcs(Q, P**k)
+def _moment_row(Q: float, t: float, denom: int, f_half: np.ndarray, m: int, sup_t: float) -> dict:
+    """The report row of V(Q), the Riemann sum of |f|^t over the major arcs of
+    height Q at denominator P^k, from |f| on the half grid of size m and
+    max |f|^t over it; the caller adds the slope."""
+    arcs = major_arcs(Q, denom)
     mask = arcs.grid_mask(m)
     points = HalfPoints.of_mask(mask, m)
-    return MomentResult(
-        P=int(P), R=int(R), Q=float(Q), t=float(t), k=int(k),
-        value=points.total(f_half[mask] ** t) / m,
-        boundary_error=arcs.endpoint_count() * sup_t / m,
-        measure=points.measure(),
-        points=points.count(),
-        below_guaranteed_range=t < k + 1,
-    )
-
-
-def moment_v(P: int, R: int, Q: float, t: float, k: int) -> MomentResult:
-    """Restricted Riemann sum of |f|^t over the major arcs of height Q.
-
-    Arc geometry lives at denominator P^k here.  Fractional t is fine.
-    """
-    _check_positive(t=t)
-    _check_major_height(Q, P**k)
-    return _moment_row(P, R, Q, t, k, *_moment_amplitudes(P, R, k, t))
+    return {"Q": Q, "V": points.total(f_half[mask] ** t) / m, "measure": points.measure(),
+            "boundary_error": arcs.endpoint_count() * sup_t / m}
 
 
 def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[float] | None = None) -> dict:
@@ -620,11 +534,11 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
     rows = []
     prev = None
     for q in q_values:
-        res = _moment_row(P, R, q, t, k, *grid)
-        slope = math.log2(res.value / prev) if prev and prev > 0 and res.value > 0 else None
-        rows.append({"Q": q, "V": res.value, "measure": res.measure,
-                     "boundary_error": res.boundary_error, "log2_ratio": slope})
-        prev = res.value
+        row = _moment_row(q, t, denom, *grid)
+        value = row["V"]
+        row["log2_ratio"] = math.log2(value / prev) if prev and prev > 0 and value > 0 else None
+        rows.append(row)
+        prev = value
     return {
         "P": P, "R": R, "k": k, "t": t,
         "reference_slope": reference,
@@ -729,7 +643,7 @@ def level_partition(
     the ranges the theory covers produce warnings, not errors.
     """
     _check_positive(U=U, V=V)
-    L = big_l(n)
+    L = math.log(n)
     if family == "minor":
         if U is None:
             raise DomainError("minor-family partition needs U")
@@ -776,7 +690,7 @@ def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray, points: HalfPoints)
     (a point would contradict the prime-sum envelope at scale; at desk scale
     it simply reports).
     """
-    u_min = n ** (1.0 / theta) / big_l(n) ** 5
+    u_min = n ** (1.0 / theta) / math.log(n) ** 5
     bands, u, top = 0, math.sqrt(n), None
     while u >= u_min and bands < 200:
         top = 2 * n / u
@@ -789,7 +703,7 @@ def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray, points: HalfPoints)
 
 def g_envelope_constant(n: int, sup_g: float) -> dict:
     """Empirical C with sup |g| on the base <= C * n^(4/5) * L^4 (reported, not asserted)."""
-    scale = n**0.8 * big_l(n) ** 4
+    scale = n**0.8 * math.log(n) ** 4
     return {"sup_g": sup_g, "scale": scale, "constant": sup_g / scale}
 
 
@@ -930,7 +844,7 @@ def dissection_ledger(
 def f_envelope_constant(n: int, k: int, f_half: np.ndarray, m: int, pruned: ArcUnion) -> dict:
     """Empirical C with |f| <= C * P * L^3 * upsilon^(1/2k) on the pruned arcs,
     from f_half = |f| on the half grid, which holds the maximum over the grid."""
-    scale = kth_root_floor(n, k) * big_l(n) ** 3
+    scale = kth_root_floor(n, k) * math.log(n) ** 3
     j, q, a = pruned.grid_points(m)
     ups = 1.0 / (q + n * np.abs(q * (j / m) - a))
     ratio = f_half[j] / (scale * ups ** (1.0 / (2 * k)))

@@ -1,8 +1,7 @@
 """Exact representation counts and the order-of-magnitude prediction.
 
 r(n) counts ordered solutions of n = p + x_1^k + ... + x_s^k in primes p and
-natural numbers x_j >= 1; the conjugate count R(N) totals solutions of
-p = x_1^k + ... + x_s^k with p <= N prime.  Two independent routes:
+natural numbers x_j >= 1.  Two independent routes:
 
   * count_direct enumerates the s-fold power sums outright and looks up the
     prime complement (no convolution algorithm involved);
@@ -105,13 +104,6 @@ def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> n
     power_part = _power_part(k, s, n_max, stats)
     prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
     return convolve_exact(power_part, prime_ind, n_max + 1, stats)
-
-
-def count_conjugate(k: int, s: int, N: int, stats: ConvStats | None = None) -> int:
-    """Solutions of p = x_1^k + ... + x_s^k with p <= N prime (ordered tuples)."""
-    if N < 2:
-        return 0
-    return int(_power_part(k, s, N, stats)[sieve_primes(N).is_prime_mask()].sum())
 
 
 def gamma_factor(k: int, s: int) -> float:

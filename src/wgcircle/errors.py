@@ -29,8 +29,9 @@ class ResourceError(WgcircleError, MemoryError):
     """Requested computation exceeds the configured memory budget."""
 
 
-class TableLookupError(WgcircleError, KeyError):
-    """A required table entry is absent."""
+class TableLookupError(WgcircleError, LookupError):
+    """A required table entry is absent (a LookupError, not a KeyError, whose
+    str() would quote the message)."""
 
 
 class TableParseError(WgcircleError, ValueError):

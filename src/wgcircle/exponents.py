@@ -2,12 +2,7 @@
 
 An exponent Delta_t is admissible for the smooth Weyl sum of degree k when the
 t-th moment over the full circle is O(P^(t-k+Delta_t+eps)) for R a small power
-of P.  Two sources are implemented:
-
-  * the eta formula: for even t, Delta_t = k * eta(t/k);
-  * user-supplied tables of permissible exponents lambda_u, related by
-    Delta_u = lambda_{u/2} - u + k for even u and by the average of the two
-    neighbouring lambda values for odd u.
+of P.  For even t the eta formula gives one: Delta_t = k * eta(t/k).
 
 Every exponent pair (s, t) is an AdmissiblePlan from check_conditions, the one
 home of the two side conditions 2*Delta_s < k and Omega < 1, where
@@ -33,19 +28,11 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, TableLookupError, TableParseError
-from .specialfn import SigmaPlan, check_theta, critical_ratio, eta_value, sigma_even_plan
+from .specialfn import SigmaPlan, check_theta, eta_value, sigma_even_plan
 
 #: Guard subtracted before ceiling at the fourth decimal; absorbs binary
 #: representation fuzz of decimal inputs without masking real mismatches.
 _ROUND_UP_GUARD = 5e-7
-
-
-@dataclass(frozen=True)
-class AdmissibleExponent:
-    k: int
-    t: float
-    delta: float
-    source: str
 
 
 @dataclass(frozen=True)
@@ -72,63 +59,13 @@ class AdmissiblePlan:
     optimizer: SigmaPlan | None = None
 
 
-@dataclass(frozen=True)
-class LambdaTable:
-    """Immutable map (k, u) -> lambda_u from a user-supplied TSV file."""
-
-    entries: dict[tuple[int, int], float]
-
-    def get(self, k: int, u: int) -> float:
-        try:
-            return self.entries[(k, u)]
-        except KeyError:
-            raise TableLookupError(f"lambda table has no entry for (k={k}, u={u})") from None
-
-    @classmethod
-    def load_tsv(cls, path: str | Path) -> "LambdaTable":
-        """Read tab-separated rows ``k<TAB>u<TAB>lambda``; '#' starts a comment."""
-        entries: dict[tuple[int, int], float] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TableParseError(f"{path}:{lineno}: expected 'k<TAB>u<TAB>lambda', got {raw!r}")
-            try:
-                k, u, lam = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise TableParseError(f"{path}:{lineno}: {exc}") from None
-            if lam < u:
-                raise TableParseError(f"{path}:{lineno}: lambda_u = {lam} below the diagonal bound u = {u}")
-            entries[(k, u)] = lam
-        return cls(entries=entries)
-
-
-def delta_from_eta(k: int, t: int) -> AdmissibleExponent:
+def delta_from_eta(k: int, t: int) -> float:
     """Admissible exponent k * eta(t/k) for even t >= 2, k >= 3."""
     if k < 3:
         raise DomainError(f"eta-formula exponents need k >= 3, got {k}")
     if t < 2 or t % 2 != 0:
-        raise DomainError(f"eta-formula exponents need even t >= 2, got {t} (odd t goes through a lambda table)")
-    return AdmissibleExponent(k=int(k), t=float(t), delta=k * eta_value(t / k), source="eta_formula")
-
-
-def delta_from_lambda(k: int, u: int, tbl: LambdaTable) -> AdmissibleExponent:
-    """Admissible exponent from tabulated lambda values.
-
-    Even u: lambda_{u/2} - u + k.  Odd u: the mean of the two neighbouring
-    lambda values minus u plus k (Hoelder interpolation between even moments).
-    """
-    if u < 1:
-        raise DomainError(f"moment order must be positive, got {u}")
-    if u % 2 == 0:
-        delta = tbl.get(k, u // 2) - u + k
-        source = "lambda_even"
-    else:
-        delta = 0.5 * (tbl.get(k, (u + 1) // 2) + tbl.get(k, (u - 1) // 2)) - u + k
-        source = "lambda_odd_interp"
-    return AdmissibleExponent(k=int(k), t=float(u), delta=delta, source=source)
+        raise DomainError(f"eta-formula exponents need even t >= 2, got {t}")
+    return k * eta_value(t / k)
 
 
 def check_conditions(
@@ -339,12 +276,8 @@ def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
     sp = sigma_even_plan(k, theta)
     s = math.ceil(k * sp.sigma)
     t = sp.even_target - s
-    delta_st = delta_from_eta(k, sp.even_target).delta
+    delta_st = delta_from_eta(k, sp.even_target)
     s_even = s if s % 2 == 0 else s + 1
-    delta_s = delta_from_eta(k, s_even).delta
+    delta_s = delta_from_eta(k, s_even)
     return replace(check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula"), optimizer=sp)
 
-
-def plan_bound_ok(plan: AdmissiblePlan) -> bool:
-    """Sanity bound for optimizer plans: s <= c_theta * k + 5."""
-    return plan.s <= critical_ratio(plan.theta) * plan.k + 5.0

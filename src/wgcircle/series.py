@@ -113,10 +113,14 @@ class ClassFactors(NamedTuple):
     snp: list[complex]  # analytic route: S_n(p)
     chi: list[float]    # chi_p = M_p / (p^(s-1) (p - 1))
 
+    def slot(self, residues):
+        """The slot of each residue mod p (an int or an array of them)."""
+        classes = 0 if self.labels is None else self.labels[residues]  # d = 1: both slots hold 1
+        return np.where(residues == 0, 0, classes + 1)
+
     def chi_at(self, residues: np.ndarray) -> np.ndarray:
         """chi_p at each residue mod p."""
-        classes = 0 if self.labels is None else self.labels[residues]  # d = 1: both slots hold 1
-        return np.array(self.chi)[np.where(residues == 0, 0, classes + 1)]
+        return np.array(self.chi)[self.slot(residues)]
 
 
 def class_factors(p: int, k: int, s: int) -> ClassFactors:
@@ -160,8 +164,8 @@ def class_factors(p: int, k: int, s: int) -> ClassFactors:
 def chi_p(p: int, n: int, k: int, s: int) -> LocalFactorReport:
     """Local density at n by both routes: the slot of n in `class_factors`."""
     check_prime(p)
-    factors, r = class_factors(p, k, s), n % p
-    i = 0 if r == 0 or factors.labels is None else 1 + int(factors.labels[r])
+    factors = class_factors(p, k, s)
+    i = int(factors.slot(n % p))
     snp = factors.snp[i]
     return LocalFactorReport(p=int(p), chi_via_snp=1.0 - snp.real / (p - 1), chi_via_mp=factors.chi[i],
                              mp=factors.mp[i], snp=snp)

@@ -3,12 +3,14 @@
 This is the naive construction: loops over q and a with a gcd test, one
 Fraction interval per arc, clipped to [0, 1] and sorted by left endpoint.
 Membership of a point is tested arc by arc.  The tests compare the integer
-(q, a, r) families, their masks and exact measures against it.
+(q, a, r) families, their masks and exact measures against it, and the
+f-envelope constant against the covering-arc weight `upsilon`.
 """
 
 import bisect
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,10 +45,31 @@ def disjoint(arcs: list[tuple]) -> bool:
     return all(hi1 < lo2 for (_, hi1, _, _), (lo2, _, _, _) in zip(arcs, arcs[1:]))
 
 
+def holder(arcs: list[tuple], x: Fraction) -> tuple | None:
+    """The arc that holds x, or None (arcs disjoint and sorted by lo)."""
+    i = bisect.bisect_right([lo for lo, _, _, _ in arcs], x) - 1
+    return arcs[i] if i >= 0 and x <= arcs[i][1] else None
+
+
 def contains(arcs: list[tuple], x: Fraction) -> bool:
     """x lies in some arc (arcs disjoint and sorted by lo)."""
-    i = bisect.bisect_right([lo for lo, _, _, _ in arcs], x) - 1
-    return i >= 0 and x <= arcs[i][1]
+    return holder(arcs, x) is not None
+
+
+@lru_cache(maxsize=8)
+def _covering_arcs(n: int) -> list[tuple]:
+    return major_oracle(math.sqrt(n) / 2, n)
+
+
+def upsilon(alpha, n: int) -> float:
+    """1/(q + n*|q*alpha - a|) on the arc around a/q of height sqrt(n)/2 that
+    holds alpha, else 0; alpha is taken exactly, as a Fraction."""
+    x = Fraction(alpha)
+    arc = holder(_covering_arcs(n), x)
+    if arc is None:
+        return 0.0
+    q, a = arc[2], arc[3]
+    return float(1 / (q + n * abs(q * x - a)))
 
 
 def mask(arcs: list[tuple], m: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from wgcircle.circle import LevelClass, LevelSetPartition, big_l, kth_root_floor
+from wgcircle.circle import LevelClass, LevelSetPartition, kth_root_floor
 
 
 def class_from_mask(label, mask, g_abs, f_abs, weight, m):
@@ -29,7 +29,7 @@ def class_from_mask(label, mask, g_abs, f_abs, weight, m):
 def level_partition(n, k, s, theta, base_mask, g_values, f_values, *, family, U=None, V=None, Q=None):
     m = len(g_values)
     P = kth_root_floor(n, k)
-    L = big_l(n)
+    L = math.log(n)
     g_abs = np.abs(g_values)
     f_abs = np.abs(f_values)
     weight = g_abs * f_abs**s
@@ -64,7 +64,7 @@ def level_partition(n, k, s, theta, base_mask, g_values, f_values, *, family, U=
 
 
 def dyadic_band_cover(n, theta, g_values, base_mask):
-    L = big_l(n)
+    L = math.log(n)
     u_min = n ** (1.0 / theta) / L**5
     g_abs = np.abs(g_values)
     over = base_mask & (g_abs > math.sqrt(n))

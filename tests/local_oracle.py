@@ -4,8 +4,8 @@ This is the residue-wide construction: the k-th power histogram over a
 complete residue system mod p is raised to the s-th power by binary
 exponentiation on the exact convolution engine, each product folded modulo
 x^p - 1.  It knows nothing of primitive roots or cyclotomic classes, so the
-tests compare the class route of `mp_count` against it exactly.  For the
-smallest cases `brute_mp_count` enumerates all p^s tuples.
+tests compare the class counts of `series.class_factors` against it exactly.
+For the smallest cases `brute_mp_count` enumerates all p^s tuples.
 """
 
 import numpy as np

@@ -224,6 +224,11 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error: sigma_even_plan supports k <= 2**40") and err.count("\n") == 1
 
+    def test_plan_blank_block_message_is_unquoted(self, capsys):
+        code = main(["plan", "--k", "5", "--theta", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: table has a blank block for k=5, theta=5\n"
+
     @pytest.mark.parametrize("command", [
         ("compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "1000000"),
         ("count", "--k", "2", "--s", "2", "--n", "1000000"),

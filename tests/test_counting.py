@@ -102,33 +102,6 @@ class TestCountRange:
         assert int(counts.sum()) == direct
 
 
-class TestConjugate:
-    def test_hand_value(self):
-        # 2 = 1 + 1 and 5 = 1 + 4 = 4 + 1
-        assert counting.count_conjugate(2, 2, 10) == 3
-
-    def test_below_minimum(self):
-        assert counting.count_conjugate(3, 4, 3) == 0
-
-    def test_monotone(self):
-        values = [counting.count_conjugate(2, 2, N) for N in (10, 50, 100, 500)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_double_loop_oracle(self):
-        N = 10**4
-        mask = sieve_primes(N).is_prime_mask()
-        direct = 0
-        x = 1
-        while x * x + 1 <= N:
-            y = 1
-            while x * x + y * y <= N:
-                if mask[x * x + y * y]:
-                    direct += 1
-                y += 1
-            x += 1
-        assert counting.count_conjugate(2, 2, N) == direct
-
-
 class TestPrediction:
     def test_linear_case_has_unit_constant(self):
         n = 1000

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -16,70 +15,29 @@ class TestDeltaFromEta:
         # smallest even t with t/k above the ratio where eta = 1/2
         k = 5
         t = 2 * math.ceil((0.5 + math.log(2)) * k / 2)
-        delta = ex.delta_from_eta(k, t).delta
+        delta = ex.delta_from_eta(k, t)
         assert delta < k / 2
 
     def test_tracks_eta_level(self):
         # t/k near the ratio where eta = 1/5 gives delta/k near 1/5
         k, t = 100, 242
-        delta = ex.delta_from_eta(k, t).delta
+        delta = ex.delta_from_eta(k, t)
         assert abs(delta / k - 0.2) < 0.01
 
     def test_monotone_in_t(self):
-        assert ex.delta_from_eta(10, 22).delta < ex.delta_from_eta(10, 20).delta
+        assert ex.delta_from_eta(10, 22) < ex.delta_from_eta(10, 20)
 
     def test_range(self):
         for k in (3, 7, 20, 2**41):  # t/k = 2**-40 puts eta's root above its solver bracket
             for t in (2, 8, 40):
-                d = ex.delta_from_eta(k, t).delta
+                d = ex.delta_from_eta(k, t)
                 assert 0.0 < d < k
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ex.delta_from_eta(2, 4)
         with pytest.raises(DomainError):
-            ex.delta_from_eta(5, 7)  # odd t goes through a lambda table
-
-
-class TestDeltaFromLambda:
-    def test_odd_interpolation(self):
-        tbl = ex.LambdaTable(entries={(7, 5): 3.0, (7, 6): 4.0})
-        assert ex.delta_from_lambda(7, 11, tbl).delta == pytest.approx(-0.5)
-
-    def test_even_round_trip_exact(self):
-        # reconstruct lambda_8 from the tabulated delta for k=8, u=16 and
-        # check the inversion in exact decimal arithmetic
-        delta_table = Fraction("1.8429")
-        lam = delta_table + 16 - 8
-        assert lam == Fraction("9.8429")
-        tbl = ex.LambdaTable(entries={(8, 8): float(lam)})
-        assert ex.delta_from_lambda(8, 16, tbl).delta == pytest.approx(1.8429, abs=1e-12)
-
-    def test_zero_case(self):
-        # lambda_{u/2} = u - k makes the exponent vanish
-        tbl = ex.LambdaTable(entries={(6, 5): 4.0})
-        assert ex.delta_from_lambda(6, 10, tbl).delta == pytest.approx(0.0, abs=0)
-
-    def test_missing_entry_names_the_key(self):
-        tbl = ex.LambdaTable(entries={})
-        with pytest.raises(TableLookupError, match=r"k=9, u=4"):
-            ex.delta_from_lambda(9, 8, tbl)
-
-    def test_tsv_loader(self, tmp_path):
-        p = tmp_path / "lam.tsv"
-        p.write_text("# comment line\n5\t3\t4.5\n5\t4\t6.25  # trailing comment\n")
-        tbl = ex.LambdaTable.load_tsv(p)
-        assert tbl.get(5, 3) == 4.5
-        assert tbl.get(5, 4) == 6.25
-
-    def test_tsv_loader_rejects_bad_rows(self, tmp_path):
-        p = tmp_path / "bad.tsv"
-        p.write_text("5\t3\n")
-        with pytest.raises(TableParseError, match="bad.tsv:1"):
-            ex.LambdaTable.load_tsv(p)
-        p.write_text("5\t4\t3.0\n")  # lambda below the diagonal bound
-        with pytest.raises(TableParseError):
-            ex.LambdaTable.load_tsv(p)
+            ex.delta_from_eta(5, 7)  # odd t has no eta-formula exponent
 
 
 class TestCheckConditions:
@@ -200,7 +158,7 @@ class TestPlanForK:
         assert plan.cond1_ok and plan.cond2_ok
         assert plan.source == "eta_formula"
         assert plan.optimizer == sf.sigma_even_plan(17, 5)
-        assert plan.delta_st == ex.delta_from_eta(17, 54).delta
+        assert plan.delta_st == ex.delta_from_eta(17, 54)
 
     @pytest.mark.parametrize("theta", [4, 5])
     def test_largest_k_meets_both_conditions(self, theta):
@@ -238,5 +196,5 @@ class TestPlanForK:
             for theta in (4, 5):
                 plan = ex.plan_for_k(k, theta)
                 assert plan.cond1_ok and plan.cond2_ok
-                assert ex.plan_bound_ok(plan)
+                assert plan.s <= sf.critical_ratio(theta) * k + 5.0
                 assert 0 <= plan.t <= plan.s

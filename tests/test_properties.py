@@ -131,7 +131,8 @@ SMALL_PRIMES = arith.sieve_primes(2000).primes.tolist()
 @given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(0, 10**7), k=st.integers(1, 8), s=st.integers(1, 11))
 def test_mp_count_matches_cyclic_power(p, n, k, s):
     # d = gcd(k, p - 1) runs over {1, 2, 3, 4, 6, 8}; p^s reaches 2^120
-    assert arith.mp_count(p, n, k, s) == local_oracle.mp_count(p, n, k, s)
+    factors = series.class_factors(p, k, s)
+    assert factors.mp[factors.slot(n % p)] == local_oracle.mp_count(p, n, k, s)
 
 
 @st.composite
@@ -146,7 +147,8 @@ def tiny_local_cases(draw):
 @given(case=tiny_local_cases(), n=st.integers(0, 10**4), k=st.integers(1, 8))
 def test_mp_count_matches_enumeration(case, n, k):
     p, s = case
-    assert arith.mp_count(p, n, k, s) == local_oracle.brute_mp_count(p, n, k, s)
+    factors = series.class_factors(p, k, s)
+    assert factors.mp[factors.slot(n % p)] == local_oracle.brute_mp_count(p, n, k, s)
 
 
 @PROPERTY_SETTINGS
@@ -355,7 +357,7 @@ def _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m):
 )
 def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale, Q, data):
     # U or V inside and outside the covered range; |g| on every g cut, |f|^s on the f split
-    P, L = circle.kth_root_floor(n, k), circle.big_l(n)
+    P, L = circle.kth_root_floor(n, k), math.log(n)
     first_cut, log_power = (math.sqrt(n), 3) if family == "minor" else (n / Q, 4)
     split = P**s / (scale * L**log_power)
     m = data.draw(st.integers(1, 48))
@@ -368,7 +370,7 @@ def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale,
 
 
 def _band_edges(n, theta):
-    u_min = n ** (1.0 / theta) / circle.big_l(n) ** 5
+    u_min = n ** (1.0 / theta) / math.log(n) ** 5
     us, u = [], math.sqrt(n)
     while u >= u_min and len(us) < 200:
         us.append(u)
@@ -405,7 +407,7 @@ def test_band_scale_puts_the_largest_g_in_the_band(n, sup):
 
 def test_level_set_edge_cases_match_oracle():
     n, k, s, theta, scale, Q = 10**5, 2, 1, 5, 50.0, 16.0
-    P, L = circle.kth_root_floor(n, k), circle.big_l(n)
+    P, L = circle.kth_root_floor(n, k), math.log(n)
     for family, first_cut, log_power in (("minor", math.sqrt(n), 3), ("slice", n / Q, 4)):
         # every point exactly on a cut (s = 1 puts |f| on the split itself), then an
         # empty base; the grid of size 8 has its points j <= 4 here, j = 0 and 4 counted once
