@@ -111,9 +111,11 @@ def arith_tables(limit: int) -> ArithTables:
 
 
 def kth_root_floor(n: int, k: int) -> int:
-    """Largest integer P with P^k <= n, by integer Newton steps (any size of n)."""
+    """Largest integer P with P^k <= n, by integer Newton steps (any size of n or k)."""
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if k >= n.bit_length():  # n < 2^k: no Newton step, whose x^(k - 1) would be huge
+        return 1
     x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
     while True:
         # from above the root, Newton steps fall strictly until they reach it
@@ -160,6 +162,19 @@ def check_double_range(base: int, exponent: float, what: str, factor: int = 1) -
         except OverflowError:
             pass
     raise DomainError(f"{what} leaves the double range")
+
+
+#: k and s must not pass this: the float routes take 1/k and s/k, and a
+#: double holds every integer only up to 2^53 (numpy's int64 powers stop at
+#: 2^63).
+EXPONENT_LIMIT = 2**53
+
+
+def check_exponents(k: int, s: int = 1) -> None:
+    """Reject a k or s past EXPONENT_LIMIT, before any work."""
+    for name, value in (("k", k), ("s", s)):
+        if value > EXPONENT_LIMIT:
+            raise DomainError(f"need {name} <= 2**53, got {name}={value}")
 
 
 @lru_cache(maxsize=512)
@@ -245,12 +260,6 @@ def index_classes(p: int, d: int) -> np.ndarray:
     labels = np.zeros(p, dtype=np.int64)
     labels[powers[: p - 1]] = np.tile(np.arange(d), (p - 1) // d)  # ind g^e = e
     return labels
-
-
-def check_prime(p: int) -> None:
-    """Reject a p that is not prime, by trial division."""
-    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
-        raise DomainError(f"p must be prime, got {p}")
 
 
 def mp_classes(p: int, k: int, s: int, labels: np.ndarray | None) -> list[int]:

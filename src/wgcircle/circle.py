@@ -42,7 +42,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import check_double_range, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set
+from .arith import (
+    check_double_range, check_exponents, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set,
+)
 from .convolve import next_pow2
 from .errors import AliasingError, DomainError, ensure_memory
 from .serialize import JsonRecords
@@ -65,6 +67,7 @@ def build_f_spectrum(n: int, k: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     float64 weights on the frequencies 0..n, and the members of A(P, R)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    check_exponents(k)
     P = kth_root_floor(n, k)
     members = smooth_set(P, R)
     ensure_memory(8 * (n + 1), "smooth-power spectrum")
@@ -520,6 +523,7 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
     """V(Q) over a dyadic ladder with log2 slopes and the reference 2*Delta_t/k."""
     if P < 2 or k < 1:
         raise DomainError(f"need P >= 2 and k >= 1, got P={P}, k={k}")
+    check_double_range(P, k, f"P^k = {P}^{k}")  # the heights and the ladder take P^k as a double
     _check_positive(t=t)
     reference = 2.0 * eta_value(t / k)  # 2*Delta_t/k with Delta_t = k*eta(t/k)
     denom = P**k
@@ -770,6 +774,7 @@ def dissection_ledger(
     """
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
+    check_exponents(k, s)
     wide_label, minor_label = _theta_families(theta)
     _check_positive(U=U, V=V)
     m = alias_free_size(n, s, oversample)

@@ -26,22 +26,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import check_double_range, kth_root_floor, sieve_primes
+from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
 from .convolve import ConvStats, convolve_exact, fft_working_bytes, next_pow2, power
 from .errors import DomainError, ResourceError, ensure_memory
-from .series import singular_series_many
+from .series import check_limits, singular_series_many
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
+
+#: Peak bytes per tuple of one step of the brute-force route: the int64 sums,
+#: the mask of those <= bucket and the int64 copy kept.
+_TUPLE_BYTES = 17
 
 
 @lru_cache(maxsize=32)
 def _power_sums(k: int, s: int, bucket: int) -> np.ndarray:
     """Sorted s-fold sums x_1^k + ... + x_s^k <= bucket (ordered tuples kept)."""
-    powers = np.arange(1, kth_root_floor(bucket, k) + 1, dtype=np.int64) ** k
+    top = kth_root_floor(bucket, k)
+    ensure_memory(8 * top, f"the direct count's {top} k-th powers")
+    powers = np.arange(1, top + 1, dtype=np.int64) ** k
     sums = powers
     for _ in range(s - 1):
-        if len(sums) * len(powers) > _DIRECT_BUDGET:
+        tuples = len(sums) * len(powers)
+        if tuples > _DIRECT_BUDGET:
             raise ResourceError(f"direct enumeration would exceed {_DIRECT_BUDGET} tuples")
+        ensure_memory(_TUPLE_BYTES * tuples, f"direct enumeration of {tuples} tuples")
         sums = (sums[:, None] + powers[None, :]).ravel()
         sums = sums[sums <= bucket]
     out = np.sort(sums)
@@ -61,6 +69,7 @@ def _solution_terms(k: int, s: int, n: int, table: np.ndarray | None = None) -> 
     leaving a complement >= 2; table defaults to the prime indicator."""
     if k < 1 or s < 1:
         raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
+    check_exponents(k, s)
     if n < s + 2:  # smallest representable value is 2 + s
         return np.zeros(0, dtype=np.int64)
     bucket = max(16, next_pow2(n))
@@ -101,6 +110,7 @@ def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> n
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
     if k < 1 or s < 1 or n_max < 2:
         raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
+    check_exponents(k, s)
     power_part = _power_part(k, s, n_max, stats)
     prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
     return convolve_exact(power_part, prime_ind, n_max + 1, stats)
@@ -178,12 +188,10 @@ def compare_report(
         raise DomainError(f"stride must be >= 1, got {stride}")
     if k < 1 or s < 1:
         raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
-    if prime_cutoff < 2:
-        raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
-    # the float routes divide by Gamma(s/k + 1) and p^s (p - 1) and scale by n^(s/k): refuse before any count
+    check_exponents(k, s)
+    # refuse before any count: the series' limits, and the prediction's Gamma(s/k + 1) and n^(s/k)
+    check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
-    check_double_range(prime_cutoff, s, f"cutoff^s (cutoff - 1) = {prime_cutoff}^{s} ({prime_cutoff} - 1)",
-                       factor=prime_cutoff - 1)
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
     counts = count_range(k, s, n_hi, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)

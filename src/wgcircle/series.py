@@ -14,8 +14,9 @@ where M_p(n) counts solutions of b + x_1^k + ... + x_s^k = n mod p with b
 coprime to p.  chi_p depends on n only through its cyclotomic class, n = 0
 mod p or ind n mod d = gcd(k, p - 1).  `class_factors` computes chi_p on all
 d + 1 classes by BOTH routes and insists they agree to 1e-9 on every class;
-this dual route is the module's central self-test, and every chi_p reads
-it.  The counting route multiplies class counts exactly (`arith.mp_classes`),
+this dual route is the module's central self-test.  One loop over the
+primes reads it, in ascending p, for the Euler product at one n and over a
+progression of n alike (`_euler_periods`).  The counting route multiplies class counts exactly (`arith.mp_classes`),
 the analytic route takes S(p, a) from the Gauss periods of the index-d
 subgroup.  They share only the class labelling.  The Euler product over
 p <= cutoff is the primary evaluation (absolutely convergent for s >= 3,
@@ -38,27 +39,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    CLASS_LABEL_BYTES, check_double_range, check_modulus, check_prime, gauss_sums_all,
+    CLASS_LABEL_BYTES, check_double_range, check_modulus, gauss_sums_all,
     index_classes, mp_classes, sieve_primes,
 )
 from .errors import DomainError, InternalConsistencyError, ensure_memory
 
 _DUAL_ROUTE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LocalFactorReport:
-    """chi_p at one n by two independent routes plus the raw ingredients."""
-
-    p: int
-    chi_via_snp: float
-    chi_via_mp: float
-    mp: int
-    snp: complex  # imaginary part is a float-noise diagnostic
-
-    @property
-    def chi(self) -> float:
-        return self.chi_via_mp
 
 
 @dataclass
@@ -161,16 +147,6 @@ def class_factors(p: int, k: int, s: int) -> ClassFactors:
     return ClassFactors(labels, mp, snp, chi)
 
 
-def chi_p(p: int, n: int, k: int, s: int) -> LocalFactorReport:
-    """Local density at n by both routes: the slot of n in `class_factors`."""
-    check_prime(p)
-    factors = class_factors(p, k, s)
-    i = int(factors.slot(n % p))
-    snp = factors.snp[i]
-    return LocalFactorReport(p=int(p), chi_via_snp=1.0 - snp.real / (p - 1), chi_via_mp=factors.chi[i],
-                             mp=factors.mp[i], snp=snp)
-
-
 @dataclass(frozen=True)
 class SeriesPartial:
     n: int
@@ -188,16 +164,20 @@ class SeriesPartial:
 _QSUM_BYTES_PER_RESIDUE = 88
 
 
-def _check_moduli(s: int, top_prime: int, xs) -> None:
-    """Refuse, before any work, s < 1, a truncation point X < 1, and moduli
-    past the int64 ceiling or the double range, or whose arrays overrun the
-    memory budget: the index classes of the largest prime, and for the
-    largest X the q-sum's complex terms (16 B per q <= X) next to the s_n_q
-    arrays of its largest prime, charged at X itself."""
+def check_limits(s: int, prime_cutoff: int | None, xs=()) -> None:
+    """Refuse, before any work, a prime cutoff below 2, s < 1, a truncation
+    point X < 1, and moduli past the int64 ceiling or the double range, or
+    whose arrays overrun the memory budget: the index classes of the primes
+    up to the cutoff, and for the largest X the q-sum's complex terms (16 B
+    per q <= X) next to the s_n_q arrays of its largest prime, charged at X
+    itself.  prime_cutoff is None for a q-sum alone."""
+    if prime_cutoff is not None and prime_cutoff < 2:
+        raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
     if xs and min(xs) < 1:
         raise DomainError(f"need X >= 1, got {min(xs)}")
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
+    top_prime = prime_cutoff or 0
     top_q = max(xs, default=1)
     top = max(top_prime, top_q)
     check_modulus(top)
@@ -219,7 +199,7 @@ def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
     independent check of the Euler product.
     """
     marks = sorted(set(int(x) for x in xs))
-    _check_moduli(s, 0, marks)
+    check_limits(s, None, marks)
     top = marks[-1] if marks else 1
     terms = np.ones(top + 1, dtype=np.complex128)
     terms[0] = 0.0
@@ -254,6 +234,20 @@ def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
 _TAIL_PROBE = 1000
 
 
+def _euler_periods(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int, xs=()):
+    """The one loop over the primes of the Euler product: after `check_limits`
+    (xs are the truncation points of the caller's q-sums), yield for each
+    prime p <= prime_cutoff in ascending order p and one period of chi_p at
+    n = n_lo + i stride, i < min(p, count), read from `class_factors`.
+    chi_p(n_lo + i stride) depends on i only mod p, so the period holds every
+    value of the progression."""
+    check_limits(s, prime_cutoff, xs)
+    for p in sieve_primes(prime_cutoff).primes.tolist():  # ascending: reproducible products
+        # both residues are below p < MODULUS_LIMIT, so the product fits int64
+        residues = (n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p
+        yield p, class_factors(p, k, s).chi_at(residues)
+
+
 def euler_product(
     n: int,
     k: int,
@@ -269,17 +263,13 @@ def euler_product(
     tail_constant), with the integral estimate beyond the cutoff.  Every
     factor is positive: `class_factors` checks M_p >= 1.
     """
-    if prime_cutoff < 2:
-        raise DomainError(f"need prime_cutoff >= 2, got {prime_cutoff}")
-    _check_moduli(s, prime_cutoff, partial_xs)
-    primes = sieve_primes(prime_cutoff).primes
     product = 1.0
     tail_constant = 0.0
-    for p in primes:  # ascending order: reproducible accumulation
-        rep = chi_p(int(p), n, k, s)
-        product *= rep.chi
+    for p, period in _euler_periods(n, 1, 1, k, s, prime_cutoff, partial_xs):
+        chi = float(period[0])
+        product *= chi
         if p <= _TAIL_PROBE:
-            tail_constant = max(tail_constant, abs(rep.chi - 1.0) * float(p) ** 1.5)
+            tail_constant = max(tail_constant, abs(chi - 1.0) * float(p) ** 1.5)
     report = SeriesReport(
         n=int(n), k=int(k), s=int(s), prime_cutoff=int(prime_cutoff),
         product_value=product,
@@ -293,28 +283,17 @@ def euler_product(
     return report
 
 
-# ---------------------------------------------------------------------------
-# Vectorized evaluation over many n (used by the counting comparisons)
-
-
 def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int) -> np.ndarray:
     """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count,
-    each bit for bit `euler_product(n, ...).product_value`: the same checked
-    class values of `class_factors`, multiplied in ascending p.
-
-    chi_p(n_lo + i stride) depends on i only mod p, so each prime gathers one
-    period, min(p, count) class values, and multiplies it into the whole
-    periods of the output through a (count // p, p) view and then the tail.
+    each bit for bit `euler_product(n, ...).product_value`: the same periods,
+    multiplied in ascending p.  Each period goes into the whole periods of the
+    output through a (count // p, p) view and then into the tail.
     """
     out = np.ones(count, dtype=np.float64)
-    for p in sieve_primes(prime_cutoff).primes.tolist():  # ascending: reproducible
-        # both residues are below p < MODULUS_LIMIT, so the product fits int64
-        residues = (n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p
-        period = class_factors(p, k, s).chi_at(residues)
+    for p, period in _euler_periods(n_lo, stride, count, k, s, prime_cutoff):
         whole = count - count % p
         if whole:
             rows = out[:whole].reshape(-1, p)  # a view: one row per whole period
             rows *= period
         out[whole:] *= period[: count - whole]
     return out
-

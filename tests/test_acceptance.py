@@ -103,14 +103,15 @@ def test_criterion_4_tables():
 
 def test_criterion_5_local_factors():
     with criterion(5, "dual-route local factors over the full grid", 30.0):
-        rep = series.chi_p(3, 1, 2, 3)
-        assert abs(rep.chi - 7 / 6) < 1e-12
-        for p in sieve_primes(50).primes:
+        factors = series.class_factors(3, 2, 3)
+        assert abs(factors.chi[factors.slot(1)] - 7 / 6) < 1e-12
+        for p in sieve_primes(50).primes.tolist():
             for k in range(1, 6):
                 for s in range(3, 7):
+                    factors = series.class_factors(p, k, s)
                     for n in range(1, 31):
-                        r = series.chi_p(int(p), n, k, s)
-                        assert abs(r.chi_via_snp - r.chi_via_mp) < 1e-9
+                        i = factors.slot(n % p)
+                        assert abs(1.0 - factors.snp[i].real / (p - 1) - factors.chi[i]) < 1e-9
 
 
 def test_criterion_6_series_convergence():

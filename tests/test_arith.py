@@ -222,10 +222,6 @@ class TestMpCount:
             for n in (0, 1, 17):
                 assert class_count(p, n, 3, 4) >= 1
 
-    def test_composite_rejected(self):
-        with pytest.raises(DomainError):
-            series.chi_p(9, 1, 2, 2)
-
     def test_past_the_old_ceiling(self):
         # p = 46381 > 46341, d = gcd(3, p - 1) = 3: the class route against the cyclic power
         for n in (0, 1, 123457):

@@ -36,6 +36,14 @@ class TestSpectra:
         assert circle.kth_root_floor(99, 2) == 9
         assert circle.kth_root_floor(2**45 - 1, 3) == 32767
 
+    def test_kth_root_floor_of_huge_k(self):
+        # k >= bit length of n: the root is 1 with no Newton step, whose x^(k - 1) would not finish
+        assert circle.kth_root_floor(10, 2**64) == 1
+        assert circle.kth_root_floor(2**64 - 1, 64) == 1
+        assert circle.kth_root_floor(2**64, 64) == 2
+        assert circle.kth_root_floor(3**100, 100) == 3
+        assert circle.kth_root_floor(3**100 - 1, 100) == 2
+
 
 class TestGridEvaluation:
     def test_constant_spectrum(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgcircle import counting, series
 from wgcircle.cli import main
 
 
@@ -374,9 +375,25 @@ class TestFailureModes:
         ("dissect", "--n", str(10**400), "--k", "2", "--s", "3"),
         ("model-error", "--n", str(10**400), "--k", "2"),
         ("moments", "--P", str(2**1030), "--k", "1", "--t", "2"),
+        ("count", "--k", str(2**64), "--s", "2", "--n", "10"),
+        ("count", "--k", str(2**64), "--s", "2", "--n", "10", "--method", "direct"),
+        ("count", "--k", "2", "--s", str(10**400), "--n", "100"),
+        ("count", "--k", str(2**53 + 1), "--s", "2", "--n", "7"),
+        ("compare", "--k", str(10**400), "--s", "3", "--lo", "10", "--hi", "20"),
+        ("compare", "--k", "2", "--s", str(10**400), "--lo", "10", "--hi", "20"),
+        ("dissect", "--n", "4096", "--k", str(2**64), "--s", "3"),
+        ("dissect", "--n", "4096", "--k", str(2**64), "--s", "3", "--R", "1"),
+        ("model-error", "--n", "1024", "--k", str(2**64)),
+        ("model-error", "--n", "1024", "--k", str(2**64), "--R", "1"),
+        ("moments", "--P", "16", "--k", str(2**64), "--t", "3"),
+        ("moments", "--P", "16", "--k", str(10**400), "--t", "3"),
+        ("moments", "--P", "2", "--k", "1100", "--t", "3"),
     ])
     def test_huge_inputs_exit_two(self, capsys, command):
-        # n or P past the double range: a float k-th root or P^eta once raised OverflowError
+        # n or P past the double range: a float k-th root or P^eta once raised
+        # OverflowError.  k or s: a Newton step of the k-th root once built
+        # x^(k - 1); 1/k, s/k, t/k and P^k once left the doubles, and numpy
+        # once took k as an int64
         start = time.perf_counter()
         code = main(list(command))
         assert time.perf_counter() - start < 1.0
@@ -467,6 +484,45 @@ class TestFailureModes:
         assert code == 2
         assert capsys.readouterr().err == "error: need prime_cutoff >= 2, got 1\n"
 
+    def test_compare_cutoff_budget_is_the_series_check(self, capsys, monkeypatch):
+        # the index classes of the primes up to 2*10^8 need 6.4 GB: compare once
+        # found out only inside its product, at p ~ 1.3*10^8, after every count
+        def no_counts(*args, **kwargs):
+            raise AssertionError("count_range ran before the series check")
+
+        monkeypatch.delenv("WGCIRCLE_MEM_BYTES", raising=False)
+        assert main(["series", "--n", "1000", "--k", "3", "--s", "4", "--cutoff", "200000000"]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("error: index classes of primes up to 200000000 needs 6400000000 bytes")
+        monkeypatch.setattr("wgcircle.counting.count_range", no_counts)
+        start = time.perf_counter()
+        code = main(["compare", "--k", "3", "--s", "4", "--lo", "1000", "--hi", "1010", "--cutoff", "200000000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert capsys.readouterr().err == expected
+
+    def test_compare_takes_every_s_the_series_takes(self, capsys):
+        # 1000^102 fits a double; compare once refused 1000^102 (1000 - 1), a number no route computes
+        code, out = run_cli(capsys, "compare", "--k", "2", "--s", "102", "--lo", "200", "--hi", "203",
+                            "--cutoff", "1000", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[0] for row in rows] == [200, 201, 202, 203]
+        for n, _, _, _, value in rows:
+            code, out = run_cli(capsys, "series", "--n", str(n), "--k", "2", "--s", "102", "--cutoff", "1000")
+            assert code == 0
+            assert json.loads(out)["product"] == value
+        # and unrounded, in process: the series column is the one-n product bit for bit
+        column = counting.compare_report(2, 102, 200, 203, 1, 1000).series
+        assert column.tolist() == [series.euler_product(n, 2, 102, 1000).product_value for n in range(200, 204)]
+
+    @pytest.mark.parametrize("k", [100, 2**53])
+    def test_count_with_one_power_runs(self, capsys, k):
+        # n < 2^k leaves x = 1 only: 7 = 5 + 1 + 1
+        code, out = run_cli(capsys, "count", "--k", str(k), "--s", "2", "--n", "7")
+        assert code == 0
+        assert json.loads(out)["r"] == 1
+
     def test_eta_past_the_solver_range_is_solved(self, capsys):
         # t = 300 lies where the bisection-Newton solver once ran out of iterations
         code, out = run_cli(capsys, "eta", "--t", "300")
@@ -481,8 +537,6 @@ class TestLocalFactorCheck:
     @staticmethod
     def tamper(monkeypatch):
         # one extra solution in the count route, on the last index class of every p with d > 1
-        from wgcircle import series
-
         honest = series.mp_classes
 
         def tampered(p, k, s, labels):
@@ -524,7 +578,9 @@ class TestCountPastInt64:
 # Contract fuzz: well-formed argv for every subcommand, values in and out of range
 
 
-INTS = st.sampled_from([-3, -1, 0, 1, 2, 3, 5, 8])
+INT_VALUES = [-3, -1, 0, 1, 2, 3, 5, 8]
+INTS = st.sampled_from(INT_VALUES)
+EXPONENTS = st.sampled_from(INT_VALUES + [2**64, 10**400])  # --k and --s: past int64 and past the doubles too
 FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.1", "0.5", "1", "2.5", "8"])
 LISTS = st.sampled_from(["8", "8,16", "16,8,16", "0", "-4", "8,x", "8,,16", "1e3", " 2", ",", "nan,inf"])
 SMALL = st.sampled_from([-5, 0, 1, 2, 10, 100, 1000])
@@ -550,19 +606,19 @@ SUBCOMMANDS = st.one_of(
     argv_of("plan", required("--k", st.sampled_from([-1, 0, 1, 2, 3, 17, 20, 10**400])),
             flag("--theta", st.sampled_from([4, 5]))),
     argv_of("sieve", required("--limit", SMALL)),
-    argv_of("series", required("--n", SMALL), required("--k", INTS), required("--s", INTS),
+    argv_of("series", required("--n", SMALL), required("--k", EXPONENTS), required("--s", EXPONENTS),
             flag("--cutoff", SMALL), flag("--xs", LISTS)),
-    argv_of("count", required("--k", INTS), required("--s", INTS), required("--n", SMALL),
+    argv_of("count", required("--k", EXPONENTS), required("--s", EXPONENTS), required("--n", SMALL),
             flag("--method", st.sampled_from(["float_fft_verified", "direct"]))),
-    argv_of("compare", required("--k", INTS), required("--s", INTS), required("--lo", SMALL),
+    argv_of("compare", required("--k", EXPONENTS), required("--s", EXPONENTS), required("--lo", SMALL),
             required("--hi", SMALL), flag("--stride", INTS), flag("--cutoff", SMALL)),
-    argv_of("dissect", required("--n", st.sampled_from([-1, 0, 1, 100, 2000, 4096])), required("--k", INTS),
-            required("--s", INTS), flag("--theta", st.sampled_from([4, 5])), flag("--R", INTS),
+    argv_of("dissect", required("--n", st.sampled_from([-1, 0, 1, 100, 2000, 4096])), required("--k", EXPONENTS),
+            required("--s", EXPONENTS), flag("--theta", st.sampled_from([4, 5])), flag("--R", INTS),
             flag("--r-eta", FLOATS), flag("--oversample", INTS), flag("--u", FLOATS), flag("--v", FLOATS),
             flag("--q-slice", FLOATS)),
-    argv_of("moments", required("--P", st.sampled_from([-3, 0, 1, 2, 16, 64])), required("--k", INTS),
+    argv_of("moments", required("--P", st.sampled_from([-3, 0, 1, 2, 16, 64])), required("--k", EXPONENTS),
             required("--t", FLOATS), flag("--R", INTS), flag("--r-eta", FLOATS), flag("--q-values", LISTS)),
-    argv_of("model-error", required("--n", st.sampled_from([-1, 0, 1, 100, 1024])), required("--k", INTS),
+    argv_of("model-error", required("--n", st.sampled_from([-1, 0, 1, 100, 1024])), required("--k", EXPONENTS),
             flag("--R", INTS), flag("--r-eta", FLOATS)),
 )
 

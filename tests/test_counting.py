@@ -1,6 +1,7 @@
 """Tests for exact counting and the prediction comparisons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from wgcircle import counting, series
 from wgcircle.arith import sieve_primes
 from wgcircle.convolve import ConvStats
-from wgcircle.errors import DomainError
+from wgcircle.errors import DomainError, ResourceError
 
 
 class TestCountDirect:
@@ -35,6 +36,21 @@ class TestCountDirect:
                       lambda: counting.count_direct_weighted(k, s, 50, log_weights)):
             with pytest.raises(DomainError, match="need k >= 1 and s >= 1"):
                 route()
+
+    @pytest.mark.parametrize("k, s, n, budget", [(1, 1, 10**7, 1_000_000), (2, 3, 10**5, 10_000_000)])
+    def test_direct_arrays_charged_before_they_are_built(self, monkeypatch, k, s, n, budget):
+        # the 2^24 powers of k = 1 (134 MB), or a step of 37 million tuples
+        # (k = 2, s = 3), were once allocated with no charge
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(budget))
+        counting._power_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                counting.count_direct(k, s, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_pure_python_oracle(self):
         # tiny independent double loop

@@ -155,7 +155,8 @@ def test_mp_count_matches_enumeration(case, n, k):
 @given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(0, 10**7), k=st.integers(1, 8), s=st.integers(1, 11))
 def test_chi_p_sum_route_matches_s_n_q(p, n, k, s):
     # the Gauss-period sum against the FFT of the power histogram
-    assert abs(series.chi_p(p, n, k, s).snp - series.s_n_q(p, n, k, s)) < 1e-12
+    factors = series.class_factors(p, k, s)
+    assert abs(factors.snp[factors.slot(n % p)] - series.s_n_q(p, n, k, s)) < 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -54,17 +54,24 @@ class TestNormalizedSum:
         assert worst < 2.0
 
 
+def local_factor(p, n, k, s):
+    """(chi_p by the sum route, chi_p by the count route, M_p, S_n(p)) at the
+    slot of n in `series.class_factors`."""
+    factors = series.class_factors(p, k, s)
+    i = factors.slot(n % p)
+    snp = factors.snp[i]
+    return 1.0 - snp.real / (p - 1), factors.chi[i], factors.mp[i], snp
+
+
 class TestLocalFactor:
     def test_dual_route_hand_value(self):
-        rep = series.chi_p(3, 1, 2, 3)
-        assert rep.chi_via_snp == pytest.approx(7 / 6, abs=1e-12)
-        assert rep.chi_via_mp == pytest.approx(7 / 6, abs=1e-12)
-        assert rep.mp == 21
+        via_snp, chi, mp, _ = local_factor(3, 1, 2, 3)
+        assert via_snp == pytest.approx(7 / 6, abs=1e-12)
+        assert chi == pytest.approx(7 / 6, abs=1e-12)
+        assert mp == 21
 
     @pytest.mark.parametrize("k, s", [(0, 3), (-3, 4), (3, 0), (2, -1)])
     def test_nonpositive_k_or_s_refused(self, k, s):
-        with pytest.raises(DomainError, match="need s >= 1 and k >= 1"):
-            series.chi_p(7, 1, k, s)
         with pytest.raises(DomainError, match="need s >= 1 and k >= 1"):
             series.class_factors(7, k, s)
 
@@ -73,14 +80,13 @@ class TestLocalFactor:
             for k in (1, 2, 3):
                 for s in (3, 4):
                     for n in (0, 1, 2, 9):
-                        rep = series.chi_p(p, n, k, s)
-                        assert abs(rep.chi_via_snp - rep.chi_via_mp) < 1e-9
+                        via_snp, chi, _, _ = local_factor(p, n, k, s)
+                        assert abs(via_snp - chi) < 1e-9
 
     def test_lower_bound(self):
         for p in (2, 3, 5, 11):
             for n in range(6):
-                rep = series.chi_p(p, n, 2, 3)
-                assert rep.chi >= p ** (-3) - 1e-12
+                assert local_factor(p, n, 2, 3)[1] >= p ** (-3) - 1e-12
 
     def test_large_p_trend(self):
         c = series.euler_product(10, 3, 3, 500).tail_constant
@@ -89,21 +95,23 @@ class TestLocalFactor:
     @pytest.mark.parametrize("n", [0, 1, 46380, 123457])
     def test_past_the_old_ceiling(self, n):
         # p = 46381 > 46341 and d = gcd(3, p - 1) = 3
-        rep = series.chi_p(46381, n, 3, 4)
-        assert abs(rep.chi_via_snp - rep.chi_via_mp) < 1e-9
-        assert abs(series.s_n_q(46381, n, 3, 4) - rep.snp) < 1e-9
+        via_snp, chi, _, snp = local_factor(46381, n, 3, 4)
+        assert abs(via_snp - chi) < 1e-9
+        assert abs(series.s_n_q(46381, n, 3, 4) - snp) < 1e-9
 
     def test_coprime_power_map_gives_one(self):
         # d = gcd(3, p - 1) = 1: x -> x^3 permutes the residues and chi_p = 1 exactly
         for p in (2, 5, 11, 2999):
-            rep = series.chi_p(p, 7, 3, 4)
-            assert rep.snp == 0 and rep.chi_via_snp == rep.chi_via_mp == 1.0
+            via_snp, chi, _, snp = local_factor(p, 7, 3, 4)
+            assert snp == 0 and via_snp == chi == 1.0
 
     def test_residue_table_matches_pointwise(self):
+        # the slot of a whole residue array against the slot of each residue alone
         for p in (3, 7, 13):
-            table = series.class_factors(p, 3, 4).chi_at(np.arange(p))
+            factors = series.class_factors(p, 3, 4)
+            table = factors.chi_at(np.arange(p))
             for r in range(p):
-                assert table[r] == series.chi_p(p, r, 3, 4).chi
+                assert table[r] == factors.chi_at(r) == local_factor(p, r, 3, 4)[1]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
     def test_residue_table_matches_cyclic_power(self, k):
@@ -165,7 +173,7 @@ class TestSeriesPartial:
 class TestEulerProduct:
     def test_cutoff_two_is_single_factor(self):
         rep = series.euler_product(10, 3, 4, 2)
-        assert rep.product_value == pytest.approx(series.chi_p(2, 10, 3, 4).chi, abs=1e-12)
+        assert rep.product_value == pytest.approx(local_factor(2, 10, 3, 4)[1], abs=1e-12)
 
     @pytest.mark.parametrize("k,s,n", [(3, 4, 100), (2, 3, 50), (3, 5, 999)])
     def test_agrees_with_partial_within_tails(self, k, s, n):
