@@ -1,15 +1,15 @@
 """Sieves and multiplicative-function primitives.
 
-PrimeTable gives primes with natural-log weights and the partial sums needed
-for the prime exponential sum; smooth_set materializes the sets A(P, R) of
-integers in [1, P] whose prime divisors are all at most R; ArithTables holds
-Moebius and totient arrays.  On top of these sit the complete exponential sum
-S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums, and the local counts
-M_p(n) of b + x_1^k + ... + x_s^k = n mod p, b coprime to p (`mp_classes`).
-M_p(n) is counted on the cyclotomic classes of p: with d = gcd(k, p - 1) the
-k-th powers mod p are 0 once and each element of the index-d subgroup of
-F_p^* d times, so every count is constant on 0 and on each coset and the
-s-fold count is d + 1 exact integers.
+sieve_primes gives the prime flags up to a limit, which callers read as the
+prime indicator or turn into primes and log weights; smooth_set materializes
+the sets A(P, R) of integers in [1, P] whose prime divisors are all at most R;
+ArithTables holds Moebius and totient arrays.  On top of these sit the
+complete exponential sum S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums,
+and the local counts M_p(n) of b + x_1^k + ... + x_s^k = n mod p, b coprime
+to p (`mp_classes`).  M_p(n) is counted on the cyclotomic classes of p: with
+d = gcd(k, p - 1) the k-th powers mod p are 0 once and each element of the
+index-d subgroup of F_p^* d times, so every count is constant on 0 and on
+each coset and the s-fold count is d + 1 exact integers.
 
 Tables are build-once, read-many; every query is pure.
 """
@@ -26,32 +26,9 @@ import numpy as np
 from .errors import DomainError, ensure_memory
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primes up to ``limit`` with log weights and cumulative log sums."""
-
-    limit: int
-    primes: np.ndarray       # int64, ascending
-    log_weights: np.ndarray  # float64, log of each prime
-    _cum_logs: np.ndarray    # float64, cumulative sum of log_weights
-
-    def chebyshev_theta(self, x: float) -> float:
-        """Sum of log p over primes p <= x."""
-        idx = int(np.searchsorted(self.primes, x, side="right"))
-        return float(self._cum_logs[idx - 1]) if idx > 0 else 0.0
-
-    def prime_count(self) -> int:
-        return int(len(self.primes))
-
-    def is_prime_mask(self) -> np.ndarray:
-        """Boolean indicator array of length limit + 1."""
-        mask = np.zeros(self.limit + 1, dtype=bool)
-        mask[self.primes] = True
-        return mask
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Plain Eratosthenes up to ``limit`` inclusive."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """Plain Eratosthenes up to ``limit`` inclusive: bool flags of length
+    limit + 1, True exactly at the primes."""
     if limit < 2:
         raise DomainError(f"sieve needs limit >= 2, got {limit}")
     ensure_memory(limit + 1, "prime sieve")
@@ -60,9 +37,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
-    logs = np.log(primes.astype(np.float64))
-    return PrimeTable(limit=int(limit), primes=primes, log_weights=logs, _cum_logs=np.cumsum(logs))
+    return flags
 
 
 def smooth_set(P: int, R: int) -> np.ndarray:
@@ -171,10 +146,10 @@ EXPONENT_LIMIT = 2**53
 
 
 def check_exponents(k: int, s: int = 1) -> None:
-    """Reject a k or s past EXPONENT_LIMIT, before any work."""
+    """Reject a k or s below 1 or past EXPONENT_LIMIT, before any work."""
     for name, value in (("k", k), ("s", s)):
-        if value > EXPONENT_LIMIT:
-            raise DomainError(f"need {name} <= 2**53, got {name}={value}")
+        if not 1 <= value <= EXPONENT_LIMIT:
+            raise DomainError(f"need 1 <= {name} <= 2**53, got {name}={value}")
 
 
 @lru_cache(maxsize=512)

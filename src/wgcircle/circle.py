@@ -80,10 +80,10 @@ def build_g_spectrum(n: int) -> np.ndarray:
     """log p at each prime frequency p <= n: float64 weights on 0..n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    table = sieve_primes(n)
+    primes = np.flatnonzero(sieve_primes(n))
     ensure_memory(8 * (n + 1), "prime spectrum")
     coeffs = np.zeros(n + 1, dtype=np.float64)
-    coeffs[table.primes] = table.log_weights
+    coeffs[primes] = np.log(primes)
     return coeffs
 
 
@@ -772,8 +772,6 @@ def dissection_ledger(
     on the slice (clamped to their covered ranges), so the band's top edge
     holds the largest |g|.  All of them are recorded in the output.
     """
-    if k < 1 or s < 1:
-        raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
     check_exponents(k, s)
     wide_label, minor_label = _theta_families(theta)
     _check_positive(U=U, V=V)

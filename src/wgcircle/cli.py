@@ -13,6 +13,8 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
+
 from . import arith, circle, counting, exponents, series, specialfn
 from .errors import DomainError, InternalConsistencyError, WgcircleError
 from .serialize import JsonRecords, serialize
@@ -116,12 +118,13 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    table = arith.sieve_primes(args.limit)
+    primes = np.flatnonzero(arith.sieve_primes(args.limit))
     report = {
         "limit": args.limit,
-        "prime_count": table.prime_count(),
-        "chebyshev_theta": table.chebyshev_theta(args.limit),
-        "largest_prime": int(table.primes[-1]),
+        "prime_count": len(primes),
+        # the last running sum, not np.sum or math.fsum: they round theta differently
+        "chebyshev_theta": float(np.cumsum(np.log(primes))[-1]),
+        "largest_prime": int(primes[-1]),
     }
     _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
     return 0
@@ -201,8 +204,16 @@ def _cmd_model_error(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line on stderr, exit 2;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgcircle",
         description="Desk-scale circle-method toolkit for n = p + x_1^k + ... + x_s^k",
     )

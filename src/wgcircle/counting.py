@@ -59,7 +59,7 @@ def _power_sums(k: int, s: int, bucket: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _prime_mask_cached(bucket: int) -> np.ndarray:
-    mask = sieve_primes(bucket).is_prime_mask()
+    mask = sieve_primes(bucket)
     mask.setflags(write=False)
     return mask
 
@@ -67,8 +67,6 @@ def _prime_mask_cached(bucket: int) -> np.ndarray:
 def _solution_terms(k: int, s: int, n: int, table: np.ndarray | None = None) -> np.ndarray:
     """table[n - (x_1^k + ... + x_s^k)] for every ordered tuple of x_j >= 1
     leaving a complement >= 2; table defaults to the prime indicator."""
-    if k < 1 or s < 1:
-        raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     check_exponents(k, s)
     if n < s + 2:  # smallest representable value is 2 + s
         return np.zeros(0, dtype=np.int64)
@@ -108,12 +106,11 @@ def _power_part(k: int, s: int, n_max: int, stats: ConvStats | None) -> np.ndarr
 
 def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> np.ndarray:
     """Exact r(n) for all n <= n_max, via generating-function convolution."""
-    if k < 1 or s < 1 or n_max < 2:
-        raise DomainError(f"need k, s >= 1 and n_max >= 2, got k={k}, s={s}, n_max={n_max}")
     check_exponents(k, s)
+    if n_max < 2:
+        raise DomainError(f"need n_max >= 2, got {n_max}")
     power_part = _power_part(k, s, n_max, stats)
-    prime_ind = sieve_primes(n_max).is_prime_mask().astype(np.int64)
-    return convolve_exact(power_part, prime_ind, n_max + 1, stats)
+    return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats)
 
 
 def gamma_factor(k: int, s: int) -> float:
@@ -186,8 +183,6 @@ def compare_report(
         raise DomainError(f"need 3 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    if k < 1 or s < 1:
-        raise DomainError(f"need k, s >= 1, got k={k}, s={s}")
     check_exponents(k, s)
     # refuse before any count: the series' limits, and the prediction's Gamma(s/k + 1) and n^(s/k)
     check_limits(s, prime_cutoff)

@@ -23,8 +23,9 @@ p <= cutoff is the primary evaluation (absolutely convergent for s >= 3,
 sign-stable); the q-sum is the cross-check.  It is built from prime moduli
 as well, but on the other route: S_n(p) from the power-histogram Gauss sums
 of `s_n_q` for each p <= X, and mu(q) S_n(q)/phi(q) for squarefree q as the
-product of -S_n(p)/(p - 1) over p | q.  Factors are accumulated in ascending
-p for bit-reproducibility.
+product of -S_n(p)/(p - 1) over p | q; `series_partials` returns each running
+sum as a complex number, whose imaginary part is rounding residue.  Factors
+are accumulated in ascending p for bit-reproducibility.
 
 For s in {1, 2} every result is computed but flagged: the convergence theory
 backing the tail estimates starts at s = 3.
@@ -147,17 +148,6 @@ def class_factors(p: int, k: int, s: int) -> ClassFactors:
     return ClassFactors(labels, mp, snp, chi)
 
 
-@dataclass(frozen=True)
-class SeriesPartial:
-    n: int
-    k: int
-    s: int
-    x: int
-    value: float
-    imag_residue: float
-    converges: bool
-
-
 #: Peak bytes per residue of one s_n_q call: the power histogram and its
 #: temporaries, the complex Gauss sums, the phases and their product
 #: (tracemalloc measures 82 at q = 10^5).
@@ -186,8 +176,9 @@ def check_limits(s: int, prime_cutoff: int | None, xs=()) -> None:
     ensure_memory(16 * (top_q + 1) + _QSUM_BYTES_PER_RESIDUE * top_q, f"q-sum arrays up to {top_q}")
 
 
-def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
-    """Truncated q-sums over q <= X for each X in xs, keyed by X.
+def series_partials(n: int, k: int, s: int, xs) -> dict[int, complex]:
+    """Truncated q-sums over q <= X for each X in xs, keyed by X; the
+    imaginary part is rounding residue.
 
     Only squarefree q survive mu(q), and since S_n is multiplicative,
     mu(q) S_n(q)/phi(q) is the product of t_p = -S_n(p)/(p - 1) over the
@@ -204,18 +195,11 @@ def series_partials(n: int, k: int, s: int, xs) -> dict[int, SeriesPartial]:
     terms = np.ones(top + 1, dtype=np.complex128)
     terms[0] = 0.0
     if top >= 2:
-        for p in sieve_primes(top).primes.tolist():  # ascending: reproducible products
+        for p in np.flatnonzero(sieve_primes(top)).tolist():  # ascending: reproducible products
             terms[p::p] *= -s_n_q(p, n, k, s) / (p - 1)
             terms[p * p :: p * p] = 0.0
     totals = np.cumsum(terms)  # sequential, as q = 1, 2, ... one at a time
-    return {
-        x: SeriesPartial(
-            n=int(n), k=int(k), s=int(s), x=x,
-            value=float(totals[x].real), imag_residue=abs(float(totals[x].imag)),
-            converges=s >= 3,
-        )
-        for x in marks
-    }
+    return {x: complex(totals[x]) for x in marks}
 
 
 def _product_tail_estimate(cutoff: int, tail_constant: float) -> float:
@@ -242,7 +226,7 @@ def _euler_periods(n_lo: int, stride: int, count: int, k: int, s: int, prime_cut
     chi_p(n_lo + i stride) depends on i only mod p, so the period holds every
     value of the progression."""
     check_limits(s, prime_cutoff, xs)
-    for p in sieve_primes(prime_cutoff).primes.tolist():  # ascending: reproducible products
+    for p in np.flatnonzero(sieve_primes(prime_cutoff)).tolist():  # ascending: reproducible products
         # both residues are below p < MODULUS_LIMIT, so the product fits int64
         residues = (n_lo % p + stride % p * np.arange(min(p, count), dtype=np.int64)) % p
         yield p, class_factors(p, k, s).chi_at(residues)
@@ -279,7 +263,7 @@ def euler_product(
     )
     if partial_xs:
         partials = series_partials(n, k, s, partial_xs)
-        report.partials = [(int(x), partials[int(x)].value) for x in partial_xs]
+        report.partials = [(int(x), partials[int(x)].real) for x in partial_xs]
     return report
 
 

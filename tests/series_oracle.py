@@ -47,6 +47,6 @@ def gather_product(ns: np.ndarray, k: int, s: int, prime_cutoff: int) -> np.ndar
     """Euler products over p <= prime_cutoff at every n in ns, in ascending p."""
     ns = np.asarray(ns, dtype=np.int64)
     out = np.ones(len(ns), dtype=np.float64)
-    for p in sieve_primes(prime_cutoff).primes.tolist():
+    for p in np.flatnonzero(sieve_primes(prime_cutoff)).tolist():
         out *= residue_table(p, k, s)[ns % p]
     return out

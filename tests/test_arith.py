@@ -1,6 +1,7 @@
 """Tests for sieves, smooth sets, complete sums, and local counts."""
 
 import cmath
+import json
 import math
 import random
 import sys
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 import local_oracle
-from wgcircle import arith, series
+from wgcircle import arith, circle, series
+from wgcircle.cli import main
 from wgcircle.errors import DomainError, ResourceError
 
 
 def segmented_prime_count(limit: int, segment: int = 10**5) -> int:
     """Independent oracle: segmented sieve recount."""
-    base = arith.sieve_primes(int(math.isqrt(limit)) + 1).primes.tolist()
+    base = np.flatnonzero(arith.sieve_primes(int(math.isqrt(limit)) + 1)).tolist()
     count = 0
     lo = 2
     while lo <= limit:
@@ -31,24 +33,29 @@ def segmented_prime_count(limit: int, segment: int = 10**5) -> int:
 
 
 class TestPrimeTable:
-    def test_small(self):
-        table = arith.sieve_primes(10)
-        assert table.primes.tolist() == [2, 3, 5, 7]
+    """The prime flags of sieve_primes and what the callers make of them."""
 
-    def test_chebyshev_theta_ten(self):
-        # log 2 + log 3 + log 5 + log 7
-        table = arith.sieve_primes(10)
-        assert table.chebyshev_theta(10) == pytest.approx(5.3471075307, abs=1e-9)
-        assert table.chebyshev_theta(1.5) == 0.0
+    def test_small(self):
+        flags = arith.sieve_primes(10)
+        assert flags.dtype == bool and len(flags) == 11
+        assert np.flatnonzero(flags).tolist() == [2, 3, 5, 7]
+
+    def test_chebyshev_theta_ten(self, capsys):
+        # log 2 + log 3 + log 5 + log 7, as the sieve command reports it
+        assert main(["sieve", "--limit", "10", "--format", "json"]) == 0
+        theta = json.loads(capsys.readouterr().out)["chebyshev_theta"]
+        assert theta == pytest.approx(5.3471075307, abs=1e-9)
 
     def test_log_weights(self):
-        table = arith.sieve_primes(1000)
-        for p, w in zip(table.primes.tolist()[:20], table.log_weights.tolist()[:20]):
-            assert abs(w - math.log(p)) < 1e-12
+        # the prime spectrum of g: log p at each prime, 0 elsewhere
+        flags = arith.sieve_primes(1000)
+        weights = circle.build_g_spectrum(1000)
+        assert np.array_equal(weights != 0, flags)
+        for p in np.flatnonzero(flags).tolist()[:20]:
+            assert abs(weights[p] - math.log(p)) < 1e-12
 
     def test_pi_of_one_million(self):
-        table = arith.sieve_primes(10**6)
-        assert table.prime_count() == 78498
+        assert int(arith.sieve_primes(10**6).sum()) == 78498
         assert segmented_prime_count(10**6) == 78498
 
     def test_domain(self):

@@ -17,7 +17,7 @@ from arc_oracle import (
 )
 from grid_oracle import grid_values
 from wgcircle import circle, counting
-from wgcircle.arith import sieve_primes, smooth_set
+from wgcircle.arith import smooth_set
 from wgcircle.errors import AliasingError, DomainError
 
 

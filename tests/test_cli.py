@@ -114,6 +114,14 @@ class TestSubcommands:
         assert payload["prime_count"] == 25
         assert payload["largest_prime"] == 97
 
+    def test_sieve_plain_text(self, capsys):
+        # all digits of theta: the JSON digest rounds to 12, so it would miss a
+        # change of summation order (np.sum and math.fsum end in ...6342)
+        code, out = run_cli(capsys, "sieve", "--limit", "1000000", "--format", "plain")
+        assert code == 0
+        assert out == ("limit = 1000000\nprime_count = 78498\n"
+                       "chebyshev_theta = 998484.1750256323\nlargest_prime = 999983\n")
+
     def test_series(self, capsys):
         code, out = run_cli(capsys, "series", "--n", "100", "--k", "3", "--s", "4",
                             "--cutoff", "100", "--xs", "16")
@@ -158,6 +166,18 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--k", "2", "--s", "2"], "wgcircle count: the following arguments are required: --n"),
+        (["constants", "--theta", "3"], "wgcircle constants: argument --theta: invalid choice: 3 (choose from 4, 5)"),
+        (["count", "--k", "x", "--s", "2", "--n", "10"], "wgcircle count: argument --k: invalid int value: 'x'"),
+    ])
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        # argparse's own usage block would take two or three lines
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_domain_error_exit_two(self, capsys):
         code = main(["eta", "--t", "-3"])
@@ -346,7 +366,7 @@ class TestFailureModes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: need k, s >= 1, got k=2, s={s}\n"
+        assert err == f"error: need 1 <= s <= 2**53, got s={s}\n"
 
     @pytest.mark.parametrize("height", ["nan", "0.5", "2000"])
     def test_moment_height_checked_before_the_fft(self, capsys, monkeypatch, height):
@@ -623,8 +643,20 @@ SUBCOMMANDS = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(argv=SUBCOMMANDS, fmt=st.sampled_from(["json", "csv", "plain"]),
+def malformed(argv):
+    """The argv with the command or one flag dropped, the command or one value
+    made unparsable, or an unknown flag added: usage errors for argparse."""
+    spots = st.integers(0, len(argv) - 1)
+    return st.one_of(
+        spots.map(lambda i: argv[:i] + argv[i + 1:]),
+        spots.map(lambda i: argv[:i] + [argv[i].partition("=")[0] + "=x" if i else "x"] + argv[i + 1:]),
+        st.just(argv + ["--bogus"]),
+    )
+
+
+# about half the draws are malformed: 500 keeps the well-formed ones near 300
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(argv=st.one_of(SUBCOMMANDS, SUBCOMMANDS.flatmap(malformed)), fmt=st.sampled_from(["json", "csv", "plain"]),
        budget=st.sampled_from([None, "1", "100000", "0", "-5", "lots"]))
 def test_cli_contract(argv, fmt, budget):
     # exit 0, 2 or 3 and, when nonzero, exactly one line on stderr: never a traceback
@@ -634,7 +666,10 @@ def test_cli_contract(argv, fmt, budget):
             mp.delenv("WGCIRCLE_MEM_BYTES", raising=False)
         else:
             mp.setenv("WGCIRCLE_MEM_BYTES", budget)
-        code = main([*argv, "--format", fmt, "--out", os.devnull])
+        try:
+            code = main([*argv, "--format", fmt, "--out", os.devnull])
+        except SystemExit as exc:  # argparse refuses the argv before main's handlers
+            code = exc.code
     assert code in (0, 2, 3), (argv, code)
     if code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

@@ -136,7 +136,7 @@ class TestConvolveExact:
         n = 10**4
         a = np.zeros(n + 1, dtype=np.int64)
         a[np.arange(1, 101) ** 2] = 1
-        b = sieve_primes(n).is_prime_mask().astype(np.int64)
+        b = sieve_primes(n).astype(np.int64)
         window = n + 1
         left = convolve.convolve_exact(convolve.convolve_exact(a, a, window), b, window)
         right = convolve.convolve_exact(a, convolve.convolve_exact(a, b, window), window)

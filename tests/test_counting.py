@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wgcircle import counting, series
+from wgcircle import circle, counting, series
 from wgcircle.arith import sieve_primes
 from wgcircle.convolve import ConvStats
 from wgcircle.errors import DomainError, ResourceError
@@ -29,12 +29,10 @@ class TestCountDirect:
     @pytest.mark.parametrize("k, s", [(2, 0), (0, 2), (2, -1)])
     def test_direct_routes_refuse_k_or_s_below_one(self, k, s):
         # s = 0 once gave the weighted oracle the one-fold sums: 3.7136 at n = 50
-        table = sieve_primes(63)
-        log_weights = np.zeros(64)
-        log_weights[table.primes] = table.log_weights
+        log_weights = circle.build_g_spectrum(63)
         for route in (lambda: counting.count_direct(k, s, 50),
                       lambda: counting.count_direct_weighted(k, s, 50, log_weights)):
-            with pytest.raises(DomainError, match="need k >= 1 and s >= 1"):
+            with pytest.raises(DomainError, match=r"need 1 <= [ks] <= 2\*\*53, got [ks]=(0|-1)$"):
                 route()
 
     @pytest.mark.parametrize("k, s, n, budget", [(1, 1, 10**7, 1_000_000), (2, 3, 10**5, 10_000_000)])
@@ -89,7 +87,7 @@ class TestCountRange:
     def test_past_int64_every_method_is_exact(self):
         # r(1000) for k = 2, s = 40 is ~3e37; a Python-int oracle fixes it
         n, k, s = 1000, 2, 40
-        mask = sieve_primes(n).is_prime_mask()
+        mask = sieve_primes(n)
         poly = [1] + [0] * n
         for _ in range(s):
             poly = [sum(poly[m - x * x] for x in range(1, math.isqrt(m) + 1)) for m in range(n + 1)]
@@ -105,8 +103,7 @@ class TestCountRange:
         # sum_{n <= N} r(n) counts triples with p + x^2 + y^2 <= N
         N = 10**4
         counts = counting.count_range(2, 2, N)
-        mask = sieve_primes(N).is_prime_mask()
-        primes = np.nonzero(mask)[0]
+        primes = np.flatnonzero(sieve_primes(N))
         direct = 0
         x = 1
         while x * x + 3 <= N:

@@ -124,7 +124,20 @@ def test_power_matches_repeated_convolution(hist, s, cyclic, out_len):
     assert got.dtype == (np.int64 if max(expected) < 2**63 else object)
 
 
-SMALL_PRIMES = arith.sieve_primes(2000).primes.tolist()
+#: m is prime, by trial division, for m = 0..5000.
+TRIAL_DIVISION = [m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1)) for m in range(5001)]
+
+
+@PROPERTY_SETTINGS
+@given(limit=st.integers(2, 5000))
+def test_sieve_flags_match_trial_division(limit):
+    # limit itself is sieved too, also when it is prime
+    flags = arith.sieve_primes(limit)
+    assert flags.dtype == bool and len(flags) == limit + 1
+    assert flags.tolist() == TRIAL_DIVISION[: limit + 1]
+
+
+SMALL_PRIMES = np.flatnonzero(arith.sieve_primes(2000)).tolist()
 
 
 @PROPERTY_SETTINGS
@@ -167,9 +180,9 @@ def test_series_partials_match_q_by_q_sum(n, k, s, xs):
     partials = series.series_partials(n, k, s, xs)
     expected = series_oracle.qsum_partials(n, k, s, xs)
     assert sorted(partials) == sorted(expected)
-    for x, sp in partials.items():
-        assert abs(sp.value - expected[x].real) < 1e-12
-        assert abs(sp.imag_residue - abs(expected[x].imag)) < 1e-12
+    for x, value in partials.items():
+        assert abs(value.real - expected[x].real) < 1e-12
+        assert abs(abs(value.imag) - abs(expected[x].imag)) < 1e-12
 
 
 @st.composite
