@@ -14,14 +14,14 @@ exceeds the bandwidth (trig-polynomial orthogonality); on arc subsets the
 endpoint error is reported, never hidden.
 
 An arc union is one closed Farey family: the reduced fractions a/q <= 1
-with q <= q_top, in ascending order from the Farey next-term recurrence, each
-with an integer reach r, and one exact width W shared by the whole family (a
-float height is a dyadic rational, so W = num/den is exact).  The arc around
-a/q is |q*alpha - a| <= r*W, with integer-ratio endpoints, so grid masks,
-measures and the disjointness check are exact integer arithmetic.  Every
-family is symmetric under a/q -> (q - a)/q, so the half grid holds its mask.
-The major arcs of height Q have reach 1 and W = Q/denom, q <= Q; the core
-arcs have reach q and the fixed width W = Qcal/n.  The minor arcs and the
+with q <= q_top, in ascending order from the Farey next-term recurrence, held
+as int64 rows (q, a), with one exact width W (a float height is a dyadic
+rational, so W = num/den is exact).  The arc around a/q is
+|q*alpha - a| <= W, with integer-ratio endpoints, so grid masks, measures
+and the disjointness check are exact integer arithmetic.  Every family is
+symmetric under a/q -> (q - a)/q, so the half grid holds its mask.  The
+major arcs of height Q have W = Q/denom, q <= Q; the core arcs, of height
+Qcal < 2, are the order-1 family with W = Qcal/n.  The minor arcs and the
 height slices are mask expressions (complement, difference) over these
 families, with exact measures.  The dissection ledger keeps |g| and |f| at
 the base points of the minor arcs and of one height slice only, so its level
@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +50,8 @@ from .serialize import JsonRecords
 from .specialfn import check_theta, eta_value
 
 #: Exponent of the core-arc height (log n)^CORE_HEIGHT_EXPONENT; tiny by
-#: design: at desk scale only q = 1 arcs survive.
+#: design: the height stays below 2 unless log n >= 2^99, so the core arcs
+#: are the two q = 1 arcs at every n.
 CORE_HEIGHT_EXPONENT = 1.0 / 99.0
 
 #: Exponent e in the pruned-arc height P^e; any small power works.
@@ -160,56 +160,51 @@ class HalfPoints:
 # ---------------------------------------------------------------------------
 # Farey arcs
 
-# peak bytes per arc while a family is built (the (q, a, r) tuples, their
-# integer columns and the exact disjointness check); tracemalloc measures up
-# to ~420 for the K family at n = 10^8; per arc of a built family that stays
-# alive (the tuples and their int64 columns), up to ~150
-_ARC_BYTES = 480
-_ARC_LIVE_BYTES = 160
+# peak bytes per arc while a family is built (the int64 rows and the exact
+# disjointness check on object integers); tracemalloc measures up to ~226 for
+# the K family at n = 10^8; per arc of a built family that stays alive (its
+# int64 row), 16
+_ARC_BYTES = 256
+_ARC_LIVE_BYTES = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcUnion:
-    """A closed Farey family: the arcs |q*alpha - a| <= r*W around each reduced
+    """A closed Farey family: the arcs |q*alpha - a| <= W around each reduced
     a/q in [0, 1] with q <= q_top, clipped to [0, 1].
 
-    `intervals` holds one (q, a, r) triple per arc, in ascending a/q, with the
-    integer reach r.  The family shares one exact width W = num/den, so the
-    arc around a/q runs from (a*den - r*num)/(q*den) to (a*den + r*num)/(q*den)
-    and everything below is integer arithmetic on those ratios.
+    `intervals` is an int64 array with one row (q, a) per arc, in ascending
+    a/q.  The family shares one exact width W = num/den, so the arc around a/q
+    runs from (a*den - num)/(q*den) to (a*den + num)/(q*den) and everything
+    below is integer arithmetic on those ratios.
     """
 
     label: str
-    intervals: tuple[tuple[int, int, int], ...]
+    intervals: np.ndarray
     num: int
     den: int
 
     def __post_init__(self) -> None:
         # neighbouring arcs are disjoint iff hi_i < lo_{i+1}; cross-multiplied
         # by q_i*q_{i+1}*den that is an exact integer comparison
-        q, a, r = (col.astype(object) for col in self._columns)
-        hi = (a[:-1] * self.den + r[:-1] * self.num) * q[1:]
-        lo = (a[1:] * self.den - r[1:] * self.num) * q[:-1]
+        q, a = self.intervals.astype(object).T
+        hi = (a[:-1] * self.den + self.num) * q[1:]
+        lo = (a[1:] * self.den - self.num) * q[:-1]
         overlaps = np.flatnonzero(hi >= lo)
         if len(overlaps):
-            q1, a1, r1 = self.intervals[overlaps[0] + 1]
-            seam = max(0, a1 * self.den - r1 * self.num) / (q1 * self.den)
+            q1, a1 = self.intervals[overlaps[0] + 1].tolist()
+            seam = max(0, a1 * self.den - self.num) / (q1 * self.den)
             raise DomainError(f"{self.label}: overlapping intervals at {seam:.6g}")
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        q, a, r = np.array(self.intervals, dtype=np.int64).reshape(-1, 3).T
-        return q, a, r
-
     def measure_exact(self) -> Fraction:
-        """Exact length inside [0, 1]: each arc is 2*r*W/q long, summed per
+        """Exact length inside [0, 1]: each arc is 2*W/q long, summed per
         distinct q, less what the arcs at 0 and 1 reach past [0, 1] (the family
         is disjoint, so no other arc can)."""
-        counts = Counter((q, r) for q, _, r in self.intervals)
-        per_width = sum((Fraction(count * r, q) for (q, r), count in counts.items()), Fraction(0))
-        (q0, a0, r0), (q1, a1, r1) = self.intervals[0], self.intervals[-1]
-        past_zero = Fraction(max(0, r0 * self.num - a0 * self.den), q0 * self.den)
-        past_one = Fraction(max(0, (a1 - q1) * self.den + r1 * self.num), q1 * self.den)
+        counts = np.bincount(self.intervals[:, 0]).tolist()
+        per_width = sum((Fraction(count, q) for q, count in enumerate(counts) if count), Fraction(0))
+        (q0, a0), (q1, a1) = self.intervals[[0, -1]].tolist()
+        past_zero = Fraction(max(0, self.num - a0 * self.den), q0 * self.den)
+        past_one = Fraction(max(0, (a1 - q1) * self.den + self.num), q1 * self.den)
         return Fraction(2 * self.num, self.den) * per_width - past_zero - past_one
 
     def measure(self) -> float:
@@ -218,13 +213,12 @@ class ArcUnion:
     def _spans(self, m: int) -> tuple[np.ndarray, ...]:
         """q, a, j0, j1 of the arcs holding half-grid points j/m, j0 <= j <= j1 <= m/2.
 
-        With F = floor(m*r*W) the arc's grid points are exactly
+        With F = floor(m*W) the arc's grid points are exactly
         ceil((m*a - F)/q) <= j <= floor((m*a + F)/q): m*a is an integer, so
-        the fractional part of m*r*W never moves either bound.
+        the fractional part of m*W never moves either bound.
         """
-        q, a, r = self._columns
-        reaches, which = np.unique(r, return_inverse=True)
-        F = np.array([m * int(x) * self.num // self.den for x in reaches], dtype=np.int64)[which]
+        q, a = self.intervals.T
+        F = m * self.num // self.den
         j0 = np.maximum(-((F - m * a) // q), 0)
         j1 = np.minimum((m * a + F) // q, half_size(m) - 1)
         hit = j0 <= j1
@@ -254,14 +248,12 @@ class ArcUnion:
 
     def to_json_arcs(self) -> JsonRecords:
         """One record q, a, center, half_width per arc, as float64 columns
-        holding the correctly rounded a/q and r*W/q."""
-        q, a, r = self._columns
+        holding the correctly rounded a/q and W/q."""
+        q, a = self.intervals.T
         # a and q are below 2^53, so the float quotient is the rounded a/q; each
-        # distinct (q, r) gets its r*num/(q*den) from exact integer division
-        pairs, which = np.unique(np.stack((q, r), axis=1), axis=0, return_inverse=True)
-        widths = np.array([int(rr) * self.num / (int(qq) * self.den) for qq, rr in pairs.tolist()])
-        return JsonRecords(columns=(q, a, a / q, widths[which.reshape(-1)]),
-                           fields=("q", "a", "center", "half_width"))
+        # q gets its num/(q*den) from exact integer division
+        widths = np.array([self.num / (qq * self.den) for qq in range(1, int(q.max()) + 1)])
+        return JsonRecords(columns=(q, a, a / q, widths[q - 1]), fields=("q", "a", "center", "half_width"))
 
 
 def _family_bytes(q_top: int, per_arc: int = _ARC_BYTES) -> int:
@@ -274,22 +266,23 @@ def _charge_family(label: str, q_top: int) -> None:
     ensure_memory(_family_bytes(q_top), f"Farey family {label} of order {q_top}")
 
 
-def _farey_family(label: str, q_top: int, width: Fraction, reach_is_q: bool) -> ArcUnion:
-    """The arcs |q*alpha - a| <= r*width around the Farey fractions of order
-    q_top, with reach r = q or r = 1.
+def _farey_family(label: str, q_top: int, width: Fraction) -> ArcUnion:
+    """The arcs |q*alpha - a| <= width around the Farey fractions of order q_top.
 
     The next-term recurrence yields every reduced a/q in [0, 1] with q <= q_top
     in ascending order, so there is no gcd test and no sort.  The family is
     charged against the budget first.
     """
     _charge_family(label, q_top)
-    arcs = [(1, 0, 1)]
+    rows = [1, 0]
     a, b, c, d = 0, 1, 1, q_top
     while c <= q_top:
         step = (q_top + b) // d
         a, b, c, d = c, d, step * c - a, step * d - b
-        arcs.append((b, a, b if reach_is_q else 1))
-    return ArcUnion(label=label, intervals=tuple(arcs), num=width.numerator, den=width.denominator)
+        rows += (b, a)
+    intervals = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    del rows  # its int objects go before the exact check makes its own
+    return ArcUnion(label=label, intervals=intervals, num=width.numerator, den=width.denominator)
 
 
 def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
@@ -298,7 +291,7 @@ def major_arcs(Q: float, denom: int, label: str | None = None) -> ArcUnion:
     Disjoint when Q <= sqrt(denom)/2 (enforced); the width is exact.
     """
     _check_major_height(Q, denom)
-    return _farey_family(label or f"M({Q:g})", int(math.floor(Q)), Fraction(Q) / denom, reach_is_q=False)
+    return _farey_family(label or f"M({Q:g})", int(math.floor(Q)), Fraction(Q) / denom)
 
 
 def _check_major_height(Q: float, denom: int) -> None:
@@ -312,18 +305,11 @@ def _check_major_height(Q: float, denom: int) -> None:
         raise DomainError(f"height {Q} above the disjointness bound sqrt({denom})/2")
 
 
-def core_arcs(n: int, height: float) -> ArcUnion:
-    """Fixed-width arcs |alpha - a/q| <= Qcal/n for q <= Qcal = height."""
-    if not height >= 1:
-        raise DomainError(f"core height must be >= 1, got {height}")
-    return _farey_family("N", int(math.floor(height)), Fraction(height) / n, reach_is_q=True)
-
-
 def major_height(label: str, n: int, k: int) -> float:
     """The height of the named family at scale n: the core arcs N, the pruned
     arcs L, and the wide major arcs K and Kprime.
 
-    The core height (log n)^(1/99) leaves only q = 1 at n <= 1e6.
+    The core height (log n)^(1/99) stays below 2 unless log n >= 2^99.
     """
     if label == "N":
         return math.log(n) ** CORE_HEIGHT_EXPONENT
@@ -337,11 +323,14 @@ def major_height(label: str, n: int, k: int) -> float:
 
 
 def build_arc_union(label: str, n: int, k: int) -> ArcUnion:
-    """The named family N, L, K or Kprime at scale n."""
+    """The named family N, L, K or Kprime at scale n.  N, of height Qcal < 2, is
+    the order-1 family with W = Qcal/n, free of the major arcs' sqrt(n)/2 bound."""
     height = major_height(label, n, k)
-    if label == "N":
-        return core_arcs(n, height)
-    return major_arcs(height, n, label=label)
+    if label != "N":
+        return major_arcs(height, n, label=label)
+    if not height >= 1:
+        raise DomainError(f"core height must be >= 1, got {height}")
+    return _farey_family("N", 1, Fraction(height) / n)
 
 
 def _check_slice_height(n: int, Y: float) -> None:
@@ -779,9 +768,9 @@ def dissection_ledger(
     # |g| <= theta(n) < 2n and |f| <= P: the m-point sums of |g| |f|^s stay below P^s * 2n * m
     P = kth_root_floor(n, k)
     check_double_range(P, s, f"P^s * 2n * grid size = {P}^{s} * {2 * n} * {m}", factor=2 * n * m)
-    if Q_slice is None:
-        q_hi = 0.5 * n ** (2.0 / theta)
-        Q_slice = max(P**PRUNED_HEIGHT_EXPONENT, min(16.0, q_hi))
+    if Q_slice is None:  # within [1/2, sqrt(n)/4] wherever n >= 4
+        q_hi = min(16.0, 0.5 * n ** (2.0 / theta))
+        Q_slice = min(max(P**PRUNED_HEIGHT_EXPONENT, q_hi), 0.25 * math.sqrt(n))
     # the heights, in the order the families are built, then the widest
     # family's charge and the whole working set's, before anything is built
     for label in (wide_label, "L"):

@@ -2,9 +2,9 @@
 
 This is the naive construction: loops over q and a with a gcd test, one
 Fraction interval per arc, clipped to [0, 1] and sorted by left endpoint.
-Membership of a point is tested arc by arc.  The tests compare the integer
-(q, a, r) families, their masks and exact measures against it, and the
-f-envelope constant against the covering-arc weight `upsilon`.
+Membership of a point is tested arc by arc.  The tests compare the int64
+(q, a) rows of the families, their masks and exact measures against it, and
+the f-envelope constant against the covering-arc weight `upsilon`.
 """
 
 import bisect
@@ -114,10 +114,10 @@ def measure_minus(outer: list[tuple], inner: list[tuple]) -> Fraction:
 
 
 def family_endpoints(union) -> list[tuple]:
-    """(lo, hi, q, a) read off a family's integers: (a*den -+ r*num)/(q*den), clipped."""
+    """(lo, hi, q, a) read off a family's (q, a) rows: (a*den -+ num)/(q*den), clipped."""
     out = []
-    for q, a, r in union.intervals:
-        lo = Fraction(a * union.den - r * union.num, q * union.den)
-        hi = Fraction(a * union.den + r * union.num, q * union.den)
+    for q, a in union.intervals.tolist():
+        lo = Fraction(a * union.den - union.num, q * union.den)
+        hi = Fraction(a * union.den + union.num, q * union.den)
         out.append((max(Fraction(0), lo), min(Fraction(1), hi), q, a))
     return out

@@ -13,7 +13,7 @@ import pytest
 
 from arc_oracle import (
     contains, core_oracle, disjoint, family_endpoints, gaps_measure, major_oracle, mask, measure,
-    measure_minus, upsilon,
+    measure_minus, oracle_arcs, upsilon,
 )
 from grid_oracle import grid_values
 from wgcircle import circle, counting
@@ -120,7 +120,7 @@ class TestArcUnions:
         assert family_endpoints(union) == major_oracle(1.0, 100)
         assert [(float(lo), float(hi)) for lo, hi, _, _ in family_endpoints(union)] == [(0.0, 0.01), (0.99, 1.0)]
         assert union.measure() == pytest.approx(0.02)
-        assert [(q, a) for q, a, _ in union.intervals] == [(1, 0), (1, 1)]
+        assert union.intervals.tolist() == [[1, 0], [1, 1]] and union.intervals.dtype == np.int64
 
     def test_measure_bound(self):
         for n, q in ((10**4, 4.0), (10**4, 16.0), (10**5, 50.0), (4 * 10**4, 9.0)):
@@ -134,10 +134,10 @@ class TestArcUnions:
         assert arcs == major_oracle(40.0, 10**4)
         for (_, hi1, _, _), (lo2, _, _, _) in zip(arcs, arcs[1:]):
             assert hi1 < lo2  # Fractions: exact comparison of closed arcs
-        for n, height in ((100, 30.0), (8, 2.0)):  # (8, 2): 0/1 and 1/2 share the point 1/4
-            with pytest.raises(DomainError, match="overlapping"):
-                circle.core_arcs(n, height=height)
-            assert not disjoint(core_oracle(height, n))
+        # the arcs |2*alpha - 1| <= 1/3 and |alpha| <= 1/3 share the point 1/3
+        with pytest.raises(DomainError, match=r"overlapping intervals at 0\.333333$"):
+            circle._farey_family("x", 2, Fraction(1, 3))
+        assert not disjoint(oracle_arcs(2, Fraction(1, 3), reach_is_q=False))
 
     def test_height_bound_enforced(self):
         with pytest.raises(DomainError):
@@ -176,12 +176,8 @@ class TestArcUnions:
 
     def test_core_arcs_desk_scale(self):
         union = circle.build_arc_union("N", 10**5, 2)
-        assert [(q, a) for q, a, _ in union.intervals] == [(1, 0), (1, 1)]
+        assert union.intervals.tolist() == [[1, 0], [1, 1]]
         assert family_endpoints(union) == core_oracle(math.log(10**5) ** circle.CORE_HEIGHT_EXPONENT, 10**5)
-        wider = circle.core_arcs(10**5, height=5.5)
-        assert all(r == q for q, _, r in wider.intervals)
-        assert family_endpoints(wider) == core_oracle(5.5, 10**5)
-        assert wider.measure_exact() == measure(core_oracle(5.5, 10**5))
 
     def test_set_algebra_against_pointwise_oracle(self):
         import random

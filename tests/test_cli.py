@@ -422,7 +422,7 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dissect_arcs_charged_before_they_are_built(self, capsys, monkeypatch):
-        # the K family of order 1584 would take ~300 MB; the spectra are never reached
+        # the K family of order 1584 would take ~320 MB; the spectra are never reached
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "10000000")
         start = time.perf_counter()
         code = main(["dissect", "--n", "100000000", "--k", "2", "--s", "3"])
@@ -451,19 +451,31 @@ class TestFailureModes:
         assert err.startswith(f"error: dissection ledger at n = {n} on a grid of ") and err.count("\n") == 1
 
     def test_dissect_charge_counts_the_arc_families(self, capsys, monkeypatch):
-        # at n = 10^7 the half grid takes 2.31 GB and the Kprime family of
-        # order 1581, kept through the FFTs, 0.2 GB more: the grid alone fits a
-        # 2.4 GB budget, the two together do not
+        # at n = 10^7 the half grid takes 2,307,483,728 bytes and the Kprime,
+        # L and N families, kept through the FFTs, 30 MB more: the grid alone
+        # fits a 2.32 GB budget, the two together do not
         def no_build(*args, **kwargs):
             raise AssertionError("built before the working-set charge")
 
         for name in ("build_g_spectrum", "build_f_spectrum", "_farey_family"):
             monkeypatch.setattr(f"wgcircle.circle.{name}", no_build)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2400000000")
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2320000000")
         code = main(["dissect", "--n", "10000000", "--k", "2", "--s", "3", "--theta", "4"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: dissection ledger at n = 10000000 on a grid of ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "2000", "--k", "2", "--s", "3", "--theta", "4"),
+        ("--n", "1024", "--k", "2", "--s", "3", "--theta", "4"),
+        ("--n", "4095", "--k", "2", "--s", "3", "--theta", "4"),
+        ("--n", "1024", "--k", "2", "--s", "3"),
+    ])
+    def test_dissect_default_slice_height_lies_in_range(self, capsys, argv):
+        # the default slice height once passed sqrt(n)/4 with no --q-slice given:
+        # 16.0 at theta = 4 for n in [1024, 4096), 8.000000000000002 at n = 1024
+        code = main(["dissect", *argv])
+        assert code == 0 and capsys.readouterr().err == ""
 
     def test_dissect_slice_height_checked_before_the_charge(self, capsys):
         # a slice far past sqrt(n)/4 would make a huge family; its range is refused first

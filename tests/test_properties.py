@@ -17,7 +17,6 @@ import level_oracle
 import local_oracle
 import series_oracle
 from wgcircle import arith, circle, convolve, serialize, series
-from wgcircle.errors import DomainError
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -201,19 +200,11 @@ def families(draw):
 
 
 @PROPERTY_SETTINGS
-@given(family=families(), core=st.booleans(), slice_at=st.floats(0.0, 1.0))
-def test_grid_points_match_contains(family, core, slice_at):
+@given(family=families(), slice_at=st.floats(0.0, 1.0))
+def test_grid_points_match_contains(family, slice_at):
     denom, m, height = family
-    if core:
-        oracle = arc_oracle.core_oracle(height, denom)
-        if not arc_oracle.disjoint(oracle):
-            with pytest.raises(DomainError, match="overlapping"):
-                circle.core_arcs(denom, height)
-            return
-        union = circle.core_arcs(denom, height)
-    else:
-        oracle = arc_oracle.major_oracle(height, denom)
-        union = circle.major_arcs(height, denom)
+    oracle = arc_oracle.major_oracle(height, denom)
+    union = circle.major_arcs(height, denom)
     full = arc_oracle.mask(oracle, m)
     assert (arc_oracle.span_mask(oracle, m) == full).all()
     expected = full[: circle.half_size(m)]
@@ -241,6 +232,18 @@ def test_grid_points_match_contains(family, core, slice_at):
     _, sl, sl_measure = circle.height_slice(denom, y, m)
     assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))[: circle.half_size(m)]).all()
     assert sl_measure == float(arc_oracle.measure_minus(outer, inner))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 10**30), k=st.integers(1, 5))
+def test_core_arcs_are_the_two_q_one_arcs(n, k):
+    # the core height (log n)^(1/99) stays below 2, so the fixed-width core
+    # arcs |alpha - a/q| <= Qcal/n, q <= Qcal, are the order-1 family
+    height = circle.major_height("N", n, k)
+    union = circle.build_arc_union("N", n, k)
+    assert union.intervals.tolist() == [[1, 0], [1, 1]]
+    assert Fraction(union.num, union.den) == Fraction(height) / n
+    assert union.measure_exact() == arc_oracle.measure(arc_oracle.core_oracle(height, n))
 
 
 @PROPERTY_SETTINGS
