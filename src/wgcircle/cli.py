@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -45,8 +46,11 @@ def _parse_list(text: str, kind, flag: str) -> list:
 def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None, csv_columns=None) -> None:
     payload = serialize(report, args.format, csv_header, csv_rows, plain_lines, csv_columns)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise WgcircleError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.buffer.write(payload)
 
@@ -311,10 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that cannot be written before any work is done."""
+    if not path:  # no --out, or an empty one: stdout
+        return
+    parent = Path(path).absolute().parent
+    if Path(path).is_dir():
+        raise WgcircleError(f"--out {path} is a directory")
+    if not parent.is_dir():
+        raise WgcircleError(f"--out {path}: no directory {parent}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except InternalConsistencyError as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)

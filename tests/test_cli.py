@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcircle import counting, series
+from wgcircle import cli, counting, series
 from wgcircle.cli import main
 
 
@@ -192,6 +192,21 @@ class TestFailureModes:
         code = main(["constants", "--theta", "5", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["theta"] == 5
+
+    @pytest.mark.parametrize("where, message", [
+        ("missing", "error: --out {path}: no directory {parent}\n"),
+        ("directory", "error: --out {path} is a directory\n"),
+    ])
+    def test_unwritable_out_refused_before_the_work(self, capsys, tmp_path, monkeypatch, where, message):
+        path = tmp_path / "no" / "such" / "x" if where == "missing" else tmp_path
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)  # the sieve would fail: it must not run
+        assert main(["sieve", "--limit", "100", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == message.format(path=path, parent=path.parent)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_out_write_is_one_line(self, capsys):
+        assert main(["sieve", "--limit", "100", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == "error: cannot write --out /dev/full: No space left on device\n"
 
     @pytest.mark.parametrize("flag", ["--R", "--r-eta"])
     @pytest.mark.parametrize("command", [

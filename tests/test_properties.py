@@ -5,6 +5,7 @@ oracles."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,6 +451,7 @@ def test_level_set_edge_cases_match_oracle():
     assert n / math.sqrt(n) > math.sqrt(n) and got["points_above_tiny"] >= 2 and got["uncovered"] == 0
 
 
+MANY_BLOCKS = (1, 3, 7)  # row-block lengths; patched inside the test body, not by a fixture
 _CSV_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1.5e-310, 2.0**-1022, 1e300]),
@@ -474,6 +476,10 @@ def test_csv_columns_match_row_writer(rows):
     columns += [np.array(values, dtype=np.float64) for values in floats]
     expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
     assert serialize.to_csv_columns_bytes(header, columns) == expected
+    # with blocks this short, 20 rows span many blocks, on two threads where two CPUs are free
+    for block in MANY_BLOCKS:
+        with mock.patch.object(serialize, "_ROW_BLOCK", block):
+            assert serialize.to_csv_columns_bytes(header, columns) == expected
 
 
 _JSON_FLOATS = st.one_of(
@@ -511,6 +517,9 @@ def test_json_records_match_json_dumps(rows, named):
     ):
         expected = (json.dumps(serialize.round_floats(plain), indent=2) + "\n").encode()
         assert serialize.to_json_bytes(report) == expected
+        for block in MANY_BLOCKS:
+            with mock.patch.object(serialize, "_ROW_BLOCK", block):
+                assert serialize.to_json_bytes(report) == expected
 
 
 @PROPERTY_SETTINGS

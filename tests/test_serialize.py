@@ -1,11 +1,21 @@
-"""Serializer determinism, the number-text kernel of the column writers, and the memory-budget guard."""
+"""Serializer determinism, the number-text kernel of the column writers, their
+row blocks on threads, and the memory-budget guard."""
 
+import functools
+import importlib
+import importlib.util
+import inspect
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wgcircle import serialize
+from wgcircle import cli, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
@@ -122,6 +132,86 @@ class TestNumberText:
         plain = [dict(zip(("n", "r", "x"), row)) for row in zip(n.tolist(), r.tolist(), x.tolist())]
         expected = (json.dumps(serialize.round_floats({"rows": plain}), indent=2) + "\n").encode()
         assert serialize.to_json_bytes({"rows": serialize.JsonRecords(tuple(columns), ("n", "r", "x"))}) == expected
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# 149,998 rows: three row blocks of at most 2^16
+COMPARE_THREE_BLOCKS = ["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000"]
+
+
+def traced_modules() -> tuple[str, ...]:
+    """The modules whose public functions the benchmark's span tracer wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED_MODULES
+
+
+class TestRowBlocksOnThreads:
+    @pytest.fixture
+    def two_workers_and_text_threads(self, monkeypatch):
+        """Two workers for any two or more blocks, whatever the CPUs, and the
+        thread of every `_column_text` call."""
+        threads = []
+        column_text = serialize._column_text
+
+        def recorded(column, layout):
+            threads.append(threading.get_ident())
+            return column_text(column, layout)
+
+        monkeypatch.setattr(serialize, "_column_text", recorded)
+        monkeypatch.setattr(serialize, "_workers", lambda blocks: min(2, blocks))
+        return threads
+
+    @staticmethod
+    def compare_bytes(tmp_path, fmt: str) -> bytes:
+        out = tmp_path / f"compare.{fmt}"
+        assert cli.main([*COMPARE_THREE_BLOCKS, "--format", fmt, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, two_workers_and_text_threads):
+        threads = two_workers_and_text_threads
+        on_two = [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")]
+        assert on_two[0].count(b"\n") == 149_999 > 2 * serialize._ROW_BLOCK
+        assert threads and threading.get_ident() not in threads  # every block ran on a worker
+        threads.clear()
+        monkeypatch.setattr(serialize, "_workers", lambda blocks: 1)
+        assert [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")] == on_two
+        assert set(threads) == {threading.get_ident()}
+
+    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, two_workers_and_text_threads):
+        # a public function called from a worker would interleave the tracer's one span stack
+        modules = [importlib.import_module(f"wgcircle.{name}") for name in traced_modules()]
+        public = {id(obj): obj for mod in modules for attr, obj in vars(mod).items()
+                  if not attr.startswith("_") and callable(obj) and not inspect.isclass(obj)
+                  and getattr(obj, "__module__", None) == mod.__name__}
+        calls = []
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                calls.append((fn.__qualname__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        wrappers = {key: wrap(fn) for key, fn in public.items()}
+        # every binding, as `from .serialize import serialize` in cli is a second one
+        for name, mod in list(sys.modules.items()):
+            if name == "wgcircle" or name.startswith("wgcircle."):
+                for attr, obj in list(vars(mod).items()):
+                    if id(obj) in public and public[id(obj)] is obj:
+                        monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+        for fmt in ("csv", "json"):
+            self.compare_bytes(tmp_path, fmt)
+        assert {"main", "serialize", "count_range", "singular_series_many"} <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert two_workers_and_text_threads and threading.get_ident() not in two_workers_and_text_threads
+
+    def test_cli_import_loads_no_thread_pool(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        code = "import sys, wgcircle.cli; print('concurrent.futures' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "False\n"
 
 
 class TestMemoryBudget:
