@@ -7,7 +7,8 @@ natural numbers x_j >= 1.  Two independent routes:
     prime complement (no convolution algorithm involved);
   * count_range raises the power-indicator polynomial to the s-th power by
     repeated convolution and convolves with the prime indicator; every entry
-    is an exact integer (verified float FFT, splitting operands it rejects),
+    is an exact integer (pair sums of sparse operands or a checked float FFT,
+    splitting operands it rejects),
     held as a Python integer once it outgrows int64.
 
 The prediction compared against is

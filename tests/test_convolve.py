@@ -61,19 +61,32 @@ class TestFloatChecked:
                 expected = n
             assert convolve.next_smooth(n) == expected
 
-    # 2 out_len - 1 is 98415 = 3^9 * 5 itself (the inputs fill the transform), or 100001, padded to 101250
-    @pytest.mark.parametrize("out_len", [49208, 50001])
-    def test_traced_peak_within_working_bytes(self, out_len):
-        rng = np.random.default_rng(out_len)
-        a, b = (rng.integers(0, 50, out_len) for _ in range(2))
-        for x, y in ((a, a), (a, b)):
+    # 2 out_len - 1 is 98415 = 3^9 * 5 itself (the inputs fill the transform), or 100001,
+    # padded to 101250; the sparse case squares the square indicator up to 10^5 by pair sums
+    @pytest.mark.parametrize("out_len, sparse", [pytest.param(49208, False, id="49208"),
+                                                 pytest.param(50001, False, id="50001"),
+                                                 pytest.param(100001, True, id="100001-sparse")])
+    def test_traced_peak_within_working_bytes(self, out_len, sparse):
+        if sparse:
+            ind = np.zeros(out_len, dtype=np.int64)
+            ind[np.arange(1, 317) ** 2] = 1
+            pairs = [(ind, ind)]
+        else:
+            rng = np.random.default_rng(out_len)
+            a, b = (rng.integers(0, 50, out_len) for _ in range(2))
+            pairs = [(a, a), (a, b)]
+        for x, y in pairs:
+            stats = convolve.ConvStats()
             tracemalloc.start()
             try:
-                assert convolve.fft_convolve_checked(x, y, out_len) is not None
+                out = (convolve.convolve_exact(x, y, out_len, stats) if sparse
+                       else convolve.fft_convolve_checked(x, y, out_len))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= convolve.fft_working_bytes(out_len)
+            assert stats == convolve.ConvStats(direct=int(sparse))
+            assert out.tolist() == convolve.fft_convolve_checked(x, y, out_len).tolist()
 
 
 class TestConvolveExact:
@@ -87,16 +100,26 @@ class TestConvolveExact:
                                       stats=stats)
         assert out.tolist() == [m * m * min(i + 1, 2 * size - 1 - i) for i in range(2 * size - 1)]
         assert out.dtype == np.int64
-        assert stats == convolve.ConvStats(float_ok=2, float_rejected=1, splits=1)
+        assert stats == convolve.ConvStats(float_ok=2, float_rejected=1, direct=0, splits=1)
 
     def test_bound_past_float_splits_at_once(self):
-        # the entry bound 3 * 2^60 is past 2^52: a is split at 15 bits with no float try
+        # the entry bound 3 * (2^30 + 1)^2 is past 2^52: a is split at 15 bits with no
+        # float try; both halves have 9 nonzero pairs with a, past the 5-point transform
+        stats = convolve.ConvStats()
+        a = np.array([2**30 + 1, 2**30 + 1, 2**15 + 1], dtype=np.int64)
+        out = convolve.convolve_exact(a, a, stats=stats)
+        assert out.tolist() == naive_conv(a.tolist(), a.tolist())
+        assert out.dtype == np.int64
+        assert stats == convolve.ConvStats(float_ok=2, float_rejected=0, direct=0, splits=1)
+
+    def test_sparse_half_takes_pair_sums(self):
+        # split at 15 bits as above: the high half [2^15, 2^15, 0] has 6 nonzero pairs
+        # with a, past the 5-point transform, and the low half [0, 0, 1] has 3
         stats = convolve.ConvStats()
         a = np.array([2**30, 2**30, 1], dtype=np.int64)
         out = convolve.convolve_exact(a, a, stats=stats)
         assert out.tolist() == naive_conv(a.tolist(), a.tolist())
-        assert out.dtype == np.int64
-        assert stats == convolve.ConvStats(float_ok=2, float_rejected=0, splits=1)
+        assert stats == convolve.ConvStats(float_ok=1, float_rejected=0, direct=1, splits=1)
 
     def test_small_matches_naive(self):
         rng = random.Random(3)
@@ -117,10 +140,13 @@ class TestConvolveExact:
             convolve.convolve_exact([1, -2], [3])
 
     def test_split_needs_progress(self, monkeypatch):
-        # 0/1 operands cannot be split further: a rejection there is a fault, not a loop
+        # 0/1 operands cannot be split further: a rejection there is a fault, not a loop;
+        # 3 * 2 nonzero pairs are past the 4-point transform, so the float route is tried
         monkeypatch.setattr(convolve, "fft_convolve_checked", lambda a, b, out_len: None)
+        stats = convolve.ConvStats()
         with pytest.raises(InternalConsistencyError):
-            convolve.convolve_exact(np.array([1, 0, 1]), np.array([1, 1]))
+            convolve.convolve_exact(np.array([1, 1, 1]), np.array([1, 1]), stats=stats)
+        assert stats == convolve.ConvStats(float_ok=0, float_rejected=1, direct=0, splits=0)
 
     def test_truncation(self):
         a = np.arange(1, 6, dtype=np.int64)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arc_oracle
@@ -102,6 +102,67 @@ def test_float_checked_prefix_is_exact_or_refused(shape):
     arr = np.array(values, dtype=np.int64)
     got = convolve.fft_convolve_checked(arr, arr, prefix_len)
     assert got is None or got.tolist() == naive_conv(values, values)[:prefix_len]
+
+
+@st.composite
+def sparse_or_dense(draw, max_size=96):
+    """An all-zero, single-entry, sparse (about sqrt(size) nonzeros) or dense
+    operand of entries up to 2^bits."""
+    size = draw(st.integers(1, max_size))
+    shape = draw(st.sampled_from(["dense", "dense", "sparse", "single", "zero"]))
+    if shape == "zero":
+        return [0] * size
+    if shape == "single":
+        support = [draw(st.integers(0, size - 1))]
+    elif shape == "sparse":
+        support = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=max(1, math.isqrt(size))))
+    else:
+        support = range(size)
+    top = 2 ** draw(st.integers(0, 20))
+    values = [0] * size
+    for i in support:
+        values[i] = draw(st.integers(1, top))
+    return values
+
+
+@PROPERTY_SETTINGS
+@given(a=sparse_or_dense(), b=sparse_or_dense(), square=st.booleans(), near_bound=st.sampled_from([None, None, -1, 0]),
+       truncate=st.none() | st.integers(1, 200))
+# one example per route, whatever the draws: the float FFT, pair sums just below the
+# entry bound with truncation, and a split of a square at the bound
+@example(a=[7] * 40, b=[5] * 30, square=False, near_bound=None, truncate=None)
+@example(a=[1, 0, 0, 0, 0, 3], b=[0, 2, 0, 0, 0, 0, 0], square=False, near_bound=-1, truncate=4)
+@example(a=[9] * 20, b=[9] * 20, square=True, near_bound=0, truncate=None)
+def test_convolve_routes_follow_the_pair_rule(a, b, square, near_bound, truncate):
+    # pair sums when nnz(a) nnz(b) <= the transform length, else the checked float FFT,
+    # both only while the entry bound max(a) max(b) min(len) is below 2^52
+    if square:
+        b = a
+    if near_bound is not None and max(a) and max(b):
+        # raise a's largest entry to put the entry bound just below (-1) or at (0) 2^52
+        m = min(len(a), len(b))
+        top = math.isqrt((2**52 - 1) // m) if square else (2**52 - 1) // (max(b) * m)
+        i = a.index(max(a))
+        a[i] = max(a[i], top + 1 + near_bound)
+    x = np.array(a, dtype=np.int64)
+    y = x if square else np.array(b, dtype=np.int64)
+    n_out = len(a) + len(b) - 1
+    out_len = n_out if truncate is None else min(truncate, n_out)
+    expected = naive_conv(a, b)[:out_len]
+    stats = convolve.ConvStats()
+    got = convolve.convolve_exact(x, y, out_len, stats)
+    assert got.tolist() == expected
+    float_try = convolve.fft_convolve_checked(x, y, out_len)
+    if float_try is not None:
+        assert float_try.tolist() == expected
+    pairs = np.count_nonzero(x) * np.count_nonzero(y)
+    in_range = max(a) * max(b) * min(len(a), len(b)) < 2**52
+    if in_range and pairs <= convolve.next_smooth(n_out):
+        assert stats == convolve.ConvStats(direct=1)
+    elif in_range and float_try is not None:
+        assert stats == convolve.ConvStats(float_ok=1)
+    else:
+        assert stats.splits >= 1 and stats.float_rejected >= in_range
 
 
 @PROPERTY_SETTINGS
