@@ -17,6 +17,13 @@ The prediction compared against is
 
 whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
+
+`compare_report` refuses the count's FFT working set before any local factor.
+On two CPUs a worker thread multiplies the series periods of an ascending
+prefix of the primes, at most one float per row of them (every prime up to the
+default cutoff of 1000), while the count runs; the primes past the prefix
+follow after it.  On one CPU no thread starts and the series follows the count.
+Every product keeps its ascending order, so the column is the same either way.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ import numpy as np
 
 from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
 from .convolve import ConvStats, convolve_exact, fft_working_bytes, next_pow2, power
-from .errors import DomainError, ResourceError, ensure_memory
-from .series import check_limits, singular_series_many
+from .errors import DomainError, ResourceError, _usable_cpus, ensure_memory
+from .series import _euler_periods, _multiply_periods, check_limits, singular_series_many
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
 
@@ -97,10 +104,15 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
     return ind
 
 
+def _charge_count(n_max: int) -> None:
+    """Refuse a count up to n_max whose FFT working set overruns the budget."""
+    ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
+
+
 def _power_part(k: int, s: int, n_max: int, stats: ConvStats | None) -> np.ndarray:
     """z^0..z^n_max of the s-th power of the k-th power indicator, refused up
     front when the FFT working set overruns the budget."""
-    ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
+    _charge_count(n_max)
     # exact: summands are >= 1, so truncating every product at z^n_max is safe
     return power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
 
@@ -170,6 +182,30 @@ class CompareReport:
         return [getattr(self, name) for name in COMPARE_COLUMNS]
 
 
+def _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats):
+    """count_range(k, s, n_hi) and bit for bit singular_series_many's column of
+    `rows` rows.  The periods are computed on this thread and only their product
+    runs on the worker, so every public function stays on this thread."""
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
+
+    out = np.ones(rows, dtype=np.float64)
+    periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)
+    prefix, past, held = [], [], 0
+    for pair in periods:  # an ascending prefix whose periods hold at most `rows` floats
+        held += len(pair[1])
+        if held > rows:
+            past = [pair]  # the first pair past the prefix
+            break
+        prefix.append(pair)
+    with ThreadPoolExecutor(1) as pool:
+        product = pool.submit(_multiply_periods, out, prefix)
+        counts = count_range(k, s, n_hi, stats)
+        product.result()
+    _multiply_periods(out, past)
+    _multiply_periods(out, periods)  # the primes after it, still ascending
+    return counts, out
+
+
 def compare_report(
     k: int,
     s: int,
@@ -189,9 +225,14 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    counts = count_range(k, s, n_hi, stats)
+    _charge_count(n_hi)  # here, not only in count_range: on two CPUs the series periods come first
+    rows = len(range(n_lo, n_hi + 1, stride))
+    if _usable_cpus() < 2:
+        counts = count_range(k, s, n_hi, stats)
+        series_vals = singular_series_many(n_lo, stride, rows, k, s, prime_cutoff)
+    else:
+        counts, series_vals = _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
-    series_vals = singular_series_many(n_lo, stride, len(ns), k, s, prime_cutoff)
     preds = hl_prediction(k, s, ns, series_vals)
     r = counts[ns]
     # int64 -> float64 and Python int -> float both round to nearest, so each

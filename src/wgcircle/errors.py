@@ -1,4 +1,5 @@
-"""Exception types and the process-wide memory budget guard."""
+"""Exception types, the process-wide memory budget guard and the CPU count
+that decides whether a worker thread starts."""
 
 from __future__ import annotations
 
@@ -60,3 +61,9 @@ def ensure_memory(nbytes: int, what: str) -> None:
     budget = memory_budget_bytes()
     if nbytes > budget:
         raise ResourceError(f"{what} needs {nbytes} bytes; budget is {budget} (set {MEMORY_BUDGET_ENV} to raise it)")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on.  Every worker thread of the package
+    starts only when this is at least 2."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -40,14 +40,13 @@ import csv
 import io
 import json
 import math
-import os
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _usable_cpus
 
 FORMATS = ("json", "csv", "plain")
 
@@ -198,8 +197,7 @@ def _check_kinds(columns, what: str) -> None:
 
 def _workers(blocks: int) -> int:
     """Threads for `blocks` row blocks: at most two, and no more than the CPUs this process may use."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(2, blocks, cpus)
+    return min(2, blocks, _usable_cpus())
 
 
 def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> list[bytes]:

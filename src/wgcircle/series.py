@@ -270,14 +270,21 @@ def euler_product(
 def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int) -> np.ndarray:
     """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count,
     each bit for bit `euler_product(n, ...).product_value`: the same periods,
-    multiplied in ascending p.  Each period goes into the whole periods of the
-    output through a (count // p, p) view and then into the tail.
+    multiplied in ascending p.
     """
     out = np.ones(count, dtype=np.float64)
-    for p, period in _euler_periods(n_lo, stride, count, k, s, prime_cutoff):
+    _multiply_periods(out, _euler_periods(n_lo, stride, count, k, s, prime_cutoff))
+    return out
+
+
+def _multiply_periods(out: np.ndarray, periods) -> None:
+    """Multiply each (p, period) of `_euler_periods`, in the order given, into
+    `out`: into its whole periods through a (len(out) // p, p) view, then into
+    the tail.  Pure numpy, so it may run on a worker thread."""
+    count = len(out)
+    for p, period in periods:
         whole = count - count % p
         if whole:
             rows = out[:whole].reshape(-1, p)  # a view: one row per whole period
             rows *= period
         out[whole:] *= period[: count - whole]
-    return out

@@ -548,6 +548,23 @@ class TestFailureModes:
         assert code == 2
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch, cpus):
+        # 1 MB passes the series' charges (32 kB of index classes to 1000) but not the
+        # count's 14.6 MB: on two CPUs the periods are computed before the count runs
+        calls = []
+        class_factors = series.class_factors
+        monkeypatch.setattr(series, "class_factors", lambda *args: calls.append(args) or class_factors(*args))
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(10**6))
+        code = main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000", "--format", "csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the exact-count FFT up to n = 150000 needs 14580000 bytes")
+        assert calls == []
+        monkeypatch.delenv("WGCIRCLE_MEM_BYTES")
+        assert main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150", "--format", "csv"]) == 0
+        assert len(calls) == 168  # the patch is on the path the series takes
+
     def test_compare_takes_every_s_the_series_takes(self, capsys):
         # 1000^102 fits a double; compare once refused 1000^102 (1000 - 1), a number no route computes
         code, out = run_cli(capsys, "compare", "--k", "2", "--s", "102", "--lo", "200", "--hi", "203",

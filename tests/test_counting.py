@@ -8,7 +8,7 @@ import pytest
 
 from wgcircle import circle, counting, series
 from wgcircle.arith import sieve_primes
-from wgcircle.convolve import ConvStats
+from wgcircle.convolve import ConvStats, fft_working_bytes
 from wgcircle.errors import DomainError, ResourceError
 
 
@@ -169,11 +169,29 @@ class TestCompareReport:
             counting.compare_report(2, 2, 100, 50)
 
     @pytest.mark.parametrize("k, s, lo, hi", [(2, 2, 61190, 61200), (3, 11, 5000, 5030)])
-    def test_series_column_is_the_euler_product(self, k, s, lo, hi):
+    def test_series_column_is_the_euler_product(self, monkeypatch, k, s, lo, hi):
         # both multiply the same checked class values in ascending p; the
         # column once came from a DFT and differed at n = 61194 in the last bit
-        rep = counting.compare_report(k, s, lo, hi, prime_cutoff=1000)
-        assert rep.series.tolist() == [series.euler_product(n, k, s, 1000).product_value for n in rep.n.tolist()]
+        expected = [series.euler_product(n, k, s, 1000).product_value for n in range(lo, hi + 1)]
+        # on one CPU the series follows the count; on two the primes whose periods fit
+        # the 11 or 31 rows (2..5 or 2..11) are multiplied beside it and the rest after
+        for cpus in (1, 2):
+            monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+            assert counting.compare_report(k, s, lo, hi, prime_cutoff=1000).series.tolist() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_traced_peak_within_the_charge(self, monkeypatch, cpus):
+        # the count's FFT charge, plus 8 B per row each for n, the series column and
+        # the period prefix that the series worker holds while the count runs
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+        lo, hi = 10**5, 2 * 10**5
+        tracemalloc.start()
+        try:
+            counting.compare_report(2, 2, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fft_working_bytes(hi + 1) + 24 * (hi - lo + 1)
 
     def test_prediction_column_is_hl_prediction(self):
         rep = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)

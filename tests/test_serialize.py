@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgcircle import cli, serialize
+from wgcircle import cli, counting, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
@@ -137,6 +137,10 @@ class TestNumberText:
 ROOT = Path(__file__).resolve().parent.parent
 # 149,998 rows: three row blocks of at most 2^16
 COMPARE_THREE_BLOCKS = ["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000"]
+# 1,001 rows: the periods of the primes up to 89 hold 963 floats and with 97 they
+# would pass 1,001, so the series worker takes 2..89 and 97..199 follow after the count
+COMPARE_STRICT_PREFIX = ["compare", "--k", "3", "--s", "5", "--lo", "1000", "--hi", "8000",
+                         "--stride", "7", "--cutoff", "200"]
 
 
 def traced_modules() -> tuple[str, ...]:
@@ -149,7 +153,18 @@ def traced_modules() -> tuple[str, ...]:
 
 class TestRowBlocksOnThreads:
     @pytest.fixture
-    def two_workers_and_text_threads(self, monkeypatch):
+    def use_cpus(self, monkeypatch):
+        """Set the CPU count that every worker thread of the package reads, in
+        each module that reads it; two to start with, whatever the machine."""
+        def use(cpus: int) -> None:
+            for mod in (serialize, counting):
+                monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
+
+        use(2)
+        return use
+
+    @pytest.fixture
+    def two_workers_and_text_threads(self, monkeypatch, use_cpus):
         """Two workers for any two or more blocks, whatever the CPUs, and the
         thread of every `_column_text` call."""
         threads = []
@@ -160,26 +175,56 @@ class TestRowBlocksOnThreads:
             return column_text(column, layout)
 
         monkeypatch.setattr(serialize, "_column_text", recorded)
-        monkeypatch.setattr(serialize, "_workers", lambda blocks: min(2, blocks))
         return threads
 
+    @pytest.fixture
+    def series_products(self, monkeypatch):
+        """(thread, primes) of every `_multiply_periods` call of `compare`."""
+        products = []
+        multiply = counting._multiply_periods
+
+        def recorded(out, periods):
+            periods = list(periods)
+            products.append((threading.get_ident(), [p for p, _ in periods]))
+            multiply(out, periods)
+
+        monkeypatch.setattr(counting, "_multiply_periods", recorded)
+        return products
+
     @staticmethod
-    def compare_bytes(tmp_path, fmt: str) -> bytes:
+    def compare_bytes(tmp_path, fmt: str, argv=COMPARE_THREE_BLOCKS) -> bytes:
         out = tmp_path / f"compare.{fmt}"
-        assert cli.main([*COMPARE_THREE_BLOCKS, "--format", fmt, "--out", str(out)]) == 0
+        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, two_workers_and_text_threads):
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, use_cpus, two_workers_and_text_threads):
         threads = two_workers_and_text_threads
         on_two = [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")]
         assert on_two[0].count(b"\n") == 149_999 > 2 * serialize._ROW_BLOCK
         assert threads and threading.get_ident() not in threads  # every block ran on a worker
         threads.clear()
-        monkeypatch.setattr(serialize, "_workers", lambda blocks: 1)
+        use_cpus(1)
         assert [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")] == on_two
         assert set(threads) == {threading.get_ident()}
 
-    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, two_workers_and_text_threads):
+    @pytest.mark.parametrize("argv", [COMPARE_THREE_BLOCKS, COMPARE_STRICT_PREFIX], ids=["all-primes", "strict-prefix"])
+    def test_bytes_do_not_depend_on_the_series_worker(self, tmp_path, use_cpus, series_products, argv):
+        on_two = [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")]
+        # per format: the prefix on the worker, then here the first prime past it and the rest
+        assert len(series_products) == 6
+        threads, primes = zip(*series_products[:3])
+        assert threads[0] != threading.get_ident() and threads[1:] == (threading.get_ident(),) * 2
+        prefix, rest = primes[0], primes[1] + primes[2]
+        cutoff = int(argv[argv.index("--cutoff") + 1]) if "--cutoff" in argv else 1000
+        assert prefix + rest == np.flatnonzero(sieve_primes(cutoff)).tolist()
+        assert (prefix[-1], rest[:1]) == ((89, [97]) if argv is COMPARE_STRICT_PREFIX else (997, []))
+        series_products.clear()
+        use_cpus(1)
+        assert [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")] == on_two
+        assert not series_products  # one CPU: the series follows the count, with no worker
+
+    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, two_workers_and_text_threads,
+                                                     series_products):
         # a public function called from a worker would interleave the tracer's one span stack
         modules = [importlib.import_module(f"wgcircle.{name}") for name in traced_modules()]
         public = {id(obj): obj for mod in modules for attr, obj in vars(mod).items()
@@ -203,9 +248,11 @@ class TestRowBlocksOnThreads:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
         for fmt in ("csv", "json"):
             self.compare_bytes(tmp_path, fmt)
-        assert {"main", "serialize", "count_range", "singular_series_many"} <= {name for name, _ in calls}
+        # on two CPUs the series column is multiplied beside the count, not by singular_series_many
+        assert {"main", "serialize", "count_range", "class_factors"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert two_workers_and_text_threads and threading.get_ident() not in two_workers_and_text_threads
+        assert series_products and series_products[0][0] != threading.get_ident()
 
     def test_cli_import_loads_no_thread_pool(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
