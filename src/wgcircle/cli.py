@@ -148,7 +148,7 @@ def _cmd_count(args) -> int:
     if args.method == "direct":
         r = counting.count_direct(args.k, args.s, args.n)
     else:
-        r = int(counting.count_range(args.k, args.s, args.n)[args.n])
+        r = int(counting.count_range(args.k, args.s, args.n, n_min=args.n)[0])
     report = {"k": args.k, "s": args.s, "n": args.n, "r": r, "method": args.method}
     _emit(args, report, plain_lines=[f"r = {r}"])
     return 0

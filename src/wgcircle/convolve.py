@@ -7,23 +7,37 @@ entries, is below 2^52:
 
   * when the nonzero pairs are few, nnz(a) * nnz(b) <= the transform length,
     the product is a sum over those pairs: an `np.bincount` of the index sums
-    i + j below out_len, weighted by the float64 products a_i * b_j unless both
-    operands are 0/1.  Every weight and every partial sum is a nonnegative
+    i + j in the kept window, weighted by the float64 products a_i * b_j
+    unless both operands are 0/1.  Every weight and every partial sum is a nonnegative
     integer below the entry bound, so each float sum is exact by construction
     and needs no check.  The k-th power indicator has n^(1/k) ones among n + 1
     entries, so its first products go this way;
   * otherwise a real FFT product, rounded, is accepted when every entry of the
-    whole product rounds with residue < 0.25 and the largest stays below 2^52.
+    cyclic product, kept or not, rounds with residue < 0.25 and the largest
+    stays below 2^52.
 
 When the float check rejects, or the entry bound already reaches 2^52 (as it
 does for Python integers past int64), the operand with more bits is split at
 half its bit length, a = hi * 2^h + lo, each half is convolved the same way
 (either route), and the two products recombine as hi * 2^h + lo.  Every split
-halves a bit length, so the pieces reach the float range.  The transforms have
-the least length 2^a 3^b 5^c >= len(a) + len(b) - 1: pocketfft is mixed-radix,
-so such a length is about as fast per point as a power of two and pads far
-less (2,048,000 points instead of 2^21 for a product of two 1,020,000-entry
-operands).
+halves a bit length, so the pieces reach the float range.
+
+A product may keep only a window [keep_from, out_len) of its entries.  The
+operands are first cut to out_len entries, which loses nothing kept.  Pair
+sums bin only the index sums in the window.  The float route transforms at
+the least length L = 2^a 3^b 5^c >= max(out_len, len(a) + len(b) - 1 -
+keep_from): pocketfft is mixed-radix, so such a length is about as fast per
+point as a power of two and pads far less.  The cyclic product of length L is
+the linear one with entry t + L added onto entry t; for every kept t that
+entry is past the end of the product, so the wrap lands only on the indices
+below the window, which no caller reads (the wrapped, or middle, product).
+With keep_from = 0 nothing wraps at all.  Both operands are no longer than
+L, so each cyclic entry still sums at most one pair per index of the shorter
+operand: the entry bound covers all L entries, and the checks run over all
+of them.  When the process may use two CPUs and the product is not a
+squaring, the second operand is transformed on a worker thread while the
+first is transformed here; that thread runs numpy alone.  On one CPU no
+thread starts, and the bytes are the same either way.
 
 `power` raises a histogram to the s-th power on these routes, truncated at a
 window of n (representation counts r(n)).  Results are int64 while they fit
@@ -37,17 +51,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, _usable_cpus
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
 _INT64_LIMIT = 2**63
 # peak bytes per FFT point of one checked float convolution of two int64
-# inputs (float copies, the half spectra multiplied in place, the inverse and
-# the rounding temporaries); tracemalloc measures 28 to 29.3 for a squaring and
-# for two operands alike, at a power of two (inputs fill half the transform) and
-# at a 5-smooth length that the inputs fill; pocketfft's own scratch is not traced
+# inputs (float copies, the half spectra, which then hold the inverse and its
+# rounding, and the kept entries); tracemalloc measures 18.6 to 21.4 for a
+# squaring or two operands transformed one after the other, and 24 to 30.3 for
+# two operands transformed side by side, at a power of two (inputs fill half
+# the transform), at a 5-smooth length that the inputs fill and for a window of
+# the upper half; pocketfft's own scratch is not traced
 _FFT_BYTES_PER_POINT = 48
+# the least transform length at which the second operand is transformed on a
+# worker thread: below it, starting the thread costs more than it saves (on
+# two CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
+_SIDE_BY_SIDE_POINTS = 2**16
 
 
 @dataclass
@@ -84,33 +104,62 @@ def fft_working_bytes(out_len: int) -> int:
     return _FFT_BYTES_PER_POINT * next_smooth(2 * out_len - 1)
 
 
-def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray | None:
-    """Float-FFT convolution truncated at out_len, or None when the rounded
-    product fails a check.  The spectra are multiplied in place, into the
-    spectrum of a, so no third half spectrum is allocated.
+def _transform_length(len_a: int, len_b: int, out_len: int, keep_from: int) -> int:
+    """The float route's length: no entry kept in [keep_from, out_len) wraps."""
+    return next_smooth(max(out_len, len_a + len_b - 1 - keep_from))
 
-    The product passes when every entry rounds with residue < 0.25 and stays
-    below 2^52 in magnitude.  These checks are not a proof of exactness: a
-    true error between 0.75 and 1.25 also leaves a residue under 0.25.  The
-    rounding error of every entry scales with the whole product, so both
-    checks cover all len(a) + len(b) - 1 entries: a large tail that is cut
-    off can still corrupt the kept prefix.
+
+def _spectrum(x: np.ndarray, size: int) -> np.ndarray:
+    return np.fft.rfft(x.astype(np.float64), size)
+
+
+def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int = 0) -> np.ndarray | None:
+    """Entries [keep_from, out_len) of the float-FFT convolution, or None when
+    the rounded product fails a check.
+
+    The transform has the least 5-smooth length L >= max(out_len, len(a) +
+    len(b) - 1 - keep_from).  Entry t + L of the linear product wraps onto
+    entry t; for every kept t it is past the product's end, so only entries
+    below keep_from take a wrapped part (an operand entry past L is past
+    out_len and is not transformed).  The spectra are multiplied in place, into
+    the spectrum of a, whose memory then takes the rounded inverse; for two
+    operands the inverse itself goes into the spectrum of b.  When the process
+    may use two CPUs, L is at least _SIDE_BY_SIDE_POINTS and b is not a, b is
+    transformed on a worker thread while a is transformed here; the worker runs
+    numpy alone, so every public function stays on the calling thread.  On one
+    CPU no thread starts.
+
+    The product passes when every one of the L cyclic entries rounds with
+    residue < 0.25 and stays below 2^52 in magnitude.  These checks are not a
+    proof of exactness: a true error between 0.75 and 1.25 also leaves a
+    residue under 0.25.  The rounding error of every entry scales with the
+    whole product, so the checks cover the entries that are not kept as well:
+    a large tail, or a large wrapped part, can still corrupt the kept window.
     """
-    n = len(a) + len(b) - 1
-    size = next_smooth(n)
-    fa = np.fft.rfft(a.astype(np.float64), size)
+    size = _transform_length(len(a), len(b), out_len, keep_from)
     if b is a:  # a squaring transforms once
-        fa *= fa
+        spectrum = _spectrum(a, size)
+        spectrum *= spectrum
+        conv = np.fft.irfft(spectrum, size)
     else:
-        fa *= np.fft.rfft(b.astype(np.float64), size)  # b's spectrum is dropped before the inverse
-    conv = np.fft.irfft(fa, size)[:n]
-    rounded = np.rint(conv)
+        if size < _SIDE_BY_SIDE_POINTS or _usable_cpus() < 2:
+            spectrum, other = _spectrum(a, size), _spectrum(b, size)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
+
+            with ThreadPoolExecutor(1) as pool:
+                future = pool.submit(_spectrum, b, size)
+                spectrum = _spectrum(a, size)
+                other = future.result()
+        spectrum *= other
+        conv = np.fft.irfft(spectrum, size, out=other.view(np.float64)[:size])  # into b's spectrum
+    rounded = np.rint(conv, out=spectrum.view(np.float64)[:size])  # into a's spectrum
     if float(rounded.max()) >= _FLOAT_EXACT_MAX:
         return None
     conv -= rounded  # the rounding residues, in place
     if float(np.abs(conv, out=conv).max()) >= _RESIDUE_LIMIT:
         return None
-    return rounded[:out_len].astype(np.int64)
+    return rounded[keep_from:out_len].astype(np.int64)
 
 
 def _exact(values) -> np.ndarray:
@@ -123,35 +172,37 @@ def _exact(values) -> np.ndarray:
     return arr
 
 
-def _pair_sums(a: np.ndarray, b: np.ndarray, out_len: int, weighted: bool) -> np.ndarray:
-    """sum_{i + j = m} a_i b_j for m < out_len, over the nonzero pairs only:
-    exact when every entry of the product is below 2^52.
+def _pair_sums(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, weighted: bool) -> np.ndarray:
+    """sum_{i + j = m} a_i b_j for keep_from <= m < out_len, over the nonzero
+    pairs only: exact when every entry of the product is below 2^52.
 
     At most 25 bytes per pair and 16 per output entry are live at once: with
-    no more pairs than transform points, and at least out_len of those, that
-    is under the 48 bytes per point that `fft_working_bytes` charges.
+    no more pairs than transform points, and at least out_len - keep_from of
+    those, that is under the 48 bytes per point that `fft_working_bytes`
+    charges.
     """
     ia = np.flatnonzero(a)
     ib = ia if b is a else np.flatnonzero(b)
-    sums = (ia[:, None] + ib).ravel()
-    keep = sums < out_len
+    sums = (ia[:, None] + (ib - keep_from)).ravel()
+    keep = sums.view(np.uint64) < out_len - keep_from  # a sum below the window reads as a huge uint64
     sums = sums[keep]
     weights = None  # 0/1 operands: bincount counts the pairs as integers
     if weighted:
         weights = np.multiply.outer(a[ia].astype(np.float64), b[ib].astype(np.float64)).ravel()[keep]
-    return np.bincount(sums, weights, minlength=out_len).astype(np.int64, copy=False)
+    return np.bincount(sums, weights, minlength=out_len - keep_from).astype(np.int64, copy=False)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, stats: ConvStats) -> np.ndarray:
-    """Pair sums or the checked float FFT, tried while the entry bound is below
-    2^52, splitting the wider operand until one of them gives the product."""
+def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, stats: ConvStats) -> np.ndarray:
+    """Entries [keep_from, out_len) of the product by pair sums or the checked
+    float FFT, tried while the entry bound is below 2^52, splitting the wider
+    operand until one of them gives the product."""
     max_a, max_b = int(a.max()), int(b.max())
     if max_a * max_b * min(len(a), len(b)) < _FLOAT_EXACT_MAX:
         # count_nonzero allocates nothing, so the FFT route keeps its working set
-        if np.count_nonzero(a) * np.count_nonzero(b) <= next_smooth(len(a) + len(b) - 1):
+        if np.count_nonzero(a) * np.count_nonzero(b) <= _transform_length(len(a), len(b), out_len, keep_from):
             stats.direct += 1
-            return _pair_sums(a, b, out_len, weighted=max(max_a, max_b) > 1)
-        result = fft_convolve_checked(a, b, out_len)
+            return _pair_sums(a, b, out_len, keep_from, weighted=max(max_a, max_b) > 1)
+        result = fft_convolve_checked(a, b, out_len, keep_from)
         if result is not None:
             stats.float_ok += 1
             return result
@@ -163,28 +214,38 @@ def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, stats: ConvStats) -> n
             f"the float FFT rejected a 0/1 convolution of lengths {len(a)} and {len(b)}")
     h = max_a.bit_length() // 2
     stats.splits += 1
-    hi = _convolve(_exact(a >> h), b, out_len, stats)
-    lo = _convolve(_exact(a & ((1 << h) - 1)), b, out_len, stats)
+    hi = _convolve(_exact(a >> h), b, out_len, keep_from, stats)
+    lo = _convolve(_exact(a & ((1 << h) - 1)), b, out_len, keep_from, stats)
     # int64 shifts and sums wrap silently: widen to Python integers first when they could
     if hi.dtype != object and (int(hi.max()) << h) + int(lo.max()) >= _INT64_LIMIT:
         hi = hi.astype(object)
     return _exact((hi << h) + lo)
 
 
-def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:
-    """Exact linear convolution of nonnegative sequences, truncated at out_len.
+def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = None,
+                   keep_from: int = 0) -> np.ndarray:
+    """Entries [keep_from, out_len) of the exact linear convolution of
+    nonnegative sequences; out_len defaults to the whole product.
 
-    The result is int64 when every entry fits and an object array of Python
-    integers otherwise; inputs may be either.
+    Both operands are cut to out_len entries first.  The result is int64 when
+    every entry fits and an object array of Python integers otherwise; inputs
+    may be either.
     """
     a, b = _exact(a), _exact(b)
+    same = b is a
     if not (len(a) and len(b)):
         return np.zeros(0, dtype=np.int64)
     if min(a.min(), b.min()) < 0:
         raise DomainError("exact convolution requires nonnegative entries")
     n_out = len(a) + len(b) - 1
     out_len = n_out if out_len is None else min(out_len, n_out)
-    return _convolve(a, b, out_len, stats if stats is not None else ConvStats())
+    if not 0 <= keep_from <= out_len:
+        raise DomainError(f"need 0 <= keep_from <= out_len, got keep_from={keep_from}, out_len={out_len}")
+    if keep_from == out_len:
+        return np.zeros(0, dtype=np.int64)
+    a = a[:out_len]
+    b = a if same else b[:out_len]  # a squaring stays one operand, transformed once
+    return _convolve(a, b, out_len, keep_from, stats if stats is not None else ConvStats())
 
 
 def power(hist, s: int, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:

@@ -9,7 +9,13 @@ natural numbers x_j >= 1.  Two independent routes:
     repeated convolution and convolves with the prime indicator; every entry
     is an exact integer (pair sums of sparse operands or a checked float FFT,
     splitting operands it rejects),
-    held as a Python integer once it outgrows int64.
+    held as a Python integer once it outgrows int64.  The power part is
+    raised in full up to n_max; the last product keeps only the rows asked
+    for, n_min <= n <= n_max, so its float transform has the least 5-smooth
+    length >= max(n_max + 1, 2 n_max + 1 - n_min): the cyclic wrap lands on
+    n < n_min, which is not returned, and the checks still cover every entry
+    of the transform.  On two CPUs the two operands of that product are
+    transformed side by side; on one, one after the other.
 
 The prediction compared against is
 
@@ -18,7 +24,8 @@ The prediction compared against is
 whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
-`compare_report` refuses the count's FFT working set before any local factor.
+`compare_report` counts only its rows, n_lo <= n <= n_hi, and refuses the
+count's FFT working set before any local factor.
 On two CPUs a worker thread multiplies the series periods of an ascending
 prefix of the primes, at most one float per row of them (every prime up to the
 default cutoff of 1000), while the count runs; the primes past the prefix
@@ -117,13 +124,17 @@ def _power_part(k: int, s: int, n_max: int, stats: ConvStats | None) -> np.ndarr
     return power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
 
 
-def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None) -> np.ndarray:
-    """Exact r(n) for all n <= n_max, via generating-function convolution."""
+def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_min: int = 0) -> np.ndarray:
+    """Exact r(n) for n_min <= n <= n_max, entry i holding r(n_min + i), via
+    generating-function convolution.  The power part is raised in full up to
+    n_max; only its product with the prime indicator is windowed."""
     check_exponents(k, s)
     if n_max < 2:
         raise DomainError(f"need n_max >= 2, got {n_max}")
+    if not 0 <= n_min <= n_max:
+        raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
     power_part = _power_part(k, s, n_max, stats)
-    return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats)
+    return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats, keep_from=n_min)
 
 
 def gamma_factor(k: int, s: int) -> float:
@@ -183,8 +194,8 @@ class CompareReport:
 
 
 def _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats):
-    """count_range(k, s, n_hi) and bit for bit singular_series_many's column of
-    `rows` rows.  The periods are computed on this thread and only their product
+    """count_range(k, s, n_hi, stats, n_lo) and bit for bit the column of
+    `rows` rows that singular_series_many gives.  The periods are computed on this thread and only their product
     runs on the worker, so every public function stays on this thread."""
     from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
 
@@ -199,7 +210,7 @@ def _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats):
         prefix.append(pair)
     with ThreadPoolExecutor(1) as pool:
         product = pool.submit(_multiply_periods, out, prefix)
-        counts = count_range(k, s, n_hi, stats)
+        counts = count_range(k, s, n_hi, stats, n_lo)
         product.result()
     _multiply_periods(out, past)
     _multiply_periods(out, periods)  # the primes after it, still ascending
@@ -228,13 +239,13 @@ def compare_report(
     _charge_count(n_hi)  # here, not only in count_range: on two CPUs the series periods come first
     rows = len(range(n_lo, n_hi + 1, stride))
     if _usable_cpus() < 2:
-        counts = count_range(k, s, n_hi, stats)
+        counts = count_range(k, s, n_hi, stats, n_lo)
         series_vals = singular_series_many(n_lo, stride, rows, k, s, prime_cutoff)
     else:
         counts, series_vals = _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats)
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     preds = hl_prediction(k, s, ns, series_vals)
-    r = counts[ns]
+    r = np.ascontiguousarray(counts[::stride])  # counts starts at n_lo: with stride 1, the window itself
     # int64 -> float64 and Python int -> float both round to nearest, so each
     # ratio is bit for bit the scalar r / pred
     ratio = np.full(len(ns), np.nan)

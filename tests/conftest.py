@@ -1,0 +1,33 @@
+"""Fixtures shared by the test modules."""
+
+import threading
+
+import pytest
+
+from wgcircle import convolve, counting, serialize
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """Set the CPU count that every worker thread of the package reads, in
+    each module that reads it; two to start with, whatever the machine."""
+    def use(cpus: int) -> None:
+        for mod in (serialize, counting, convolve):
+            monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
+
+    use(2)
+    return use
+
+
+@pytest.fixture
+def spectrum_threads(monkeypatch):
+    """The thread of every operand transform of a float product."""
+    threads = []
+    spectrum = convolve._spectrum
+
+    def recorded(x, size):
+        threads.append(threading.get_ident())
+        return spectrum(x, size)
+
+    monkeypatch.setattr(convolve, "_spectrum", recorded)
+    return threads

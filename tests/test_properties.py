@@ -17,7 +17,7 @@ import grid_oracle
 import level_oracle
 import local_oracle
 import series_oracle
-from wgcircle import arith, circle, convolve, serialize, series
+from wgcircle import arith, circle, convolve, counting, serialize, series
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -131,7 +131,7 @@ def sparse_or_dense(draw, max_size=96):
 # one example per route, whatever the draws: the float FFT, pair sums just below the
 # entry bound with truncation, and a split of a square at the bound
 @example(a=[7] * 40, b=[5] * 30, square=False, near_bound=None, truncate=None)
-@example(a=[1, 0, 0, 0, 0, 3], b=[0, 2, 0, 0, 0, 0, 0], square=False, near_bound=-1, truncate=4)
+@example(a=[3, 0, 0, 0, 0, 1], b=[0, 2, 0, 0, 0, 0, 0], square=False, near_bound=-1, truncate=4)
 @example(a=[9] * 20, b=[9] * 20, square=True, near_bound=0, truncate=None)
 def test_convolve_routes_follow_the_pair_rule(a, b, square, near_bound, truncate):
     # pair sums when nnz(a) nnz(b) <= the transform length, else the checked float FFT,
@@ -144,25 +144,82 @@ def test_convolve_routes_follow_the_pair_rule(a, b, square, near_bound, truncate
         top = math.isqrt((2**52 - 1) // m) if square else (2**52 - 1) // (max(b) * m)
         i = a.index(max(a))
         a[i] = max(a[i], top + 1 + near_bound)
-    x = np.array(a, dtype=np.int64)
-    y = x if square else np.array(b, dtype=np.int64)
     n_out = len(a) + len(b) - 1
     out_len = n_out if truncate is None else min(truncate, n_out)
     expected = naive_conv(a, b)[:out_len]
     stats = convolve.ConvStats()
-    got = convolve.convolve_exact(x, y, out_len, stats)
+    x = np.array(a, dtype=np.int64)
+    got = convolve.convolve_exact(x, x if square else np.array(b, dtype=np.int64), out_len, stats)
     assert got.tolist() == expected
+    # the rule reads the operands as convolve_exact cuts them, to out_len entries
+    a, b = a[:out_len], b[:out_len]
+    x = np.array(a, dtype=np.int64)
+    y = x if square else np.array(b, dtype=np.int64)
     float_try = convolve.fft_convolve_checked(x, y, out_len)
     if float_try is not None:
         assert float_try.tolist() == expected
     pairs = np.count_nonzero(x) * np.count_nonzero(y)
     in_range = max(a) * max(b) * min(len(a), len(b)) < 2**52
-    if in_range and pairs <= convolve.next_smooth(n_out):
+    if in_range and pairs <= convolve.next_smooth(len(a) + len(b) - 1):
         assert stats == convolve.ConvStats(direct=1)
     elif in_range and float_try is not None:
         assert stats == convolve.ConvStats(float_ok=1)
     else:
         assert stats.splits >= 1 and stats.float_rejected >= in_range
+
+
+@PROPERTY_SETTINGS
+@given(a=sparse_or_dense(), b=sparse_or_dense(), square=st.booleans(), wide=st.booleans(),
+       cut=st.integers(1, 200), keep=st.sampled_from(["first", "last", "any"]), data=st.data())
+# one example per route, each cutting the operands to out_len: pair sums keeping the last
+# entry, the float FFT keeping the first, and a split (entries past 2^40) keeping a middle
+@example(a=[0, 1, 0, 0, 1, 0, 0, 0, 1, 0], b=[1, 0, 0, 0, 0, 0, 0, 0, 0, 2], square=False, wide=False,
+         cut=7, keep="last", data=None)
+@example(a=[7] * 40, b=[5] * 30, square=False, wide=False, cut=35, keep="first", data=None)
+@example(a=[9] * 20, b=[3000] * 24, square=False, wide=True, cut=22, keep="any", data=None)
+def test_windowed_convolve_is_the_slice(a, b, square, wide, cut, keep, data):
+    # entries [keep_from, out_len) of the product, by the pair rule on the operands cut to
+    # out_len, with the float length max(out_len, len(a) + len(b) - 1 - keep_from)
+    if wide:
+        a = [v << 40 for v in a]
+    if square:
+        b = a
+    n_out = len(a) + len(b) - 1
+    out_len = min(cut, n_out)
+    keep_from = {"first": 0, "last": out_len - 1}.get(keep)
+    if keep_from is None:
+        keep_from = data.draw(st.integers(0, out_len - 1)) if data is not None else out_len // 2
+    x = np.array(a, dtype=np.int64)
+    y = x if square else np.array(b, dtype=np.int64)
+    stats = convolve.ConvStats()
+    got = convolve.convolve_exact(x, y, out_len, stats, keep_from)
+    assert got.tolist() == naive_conv(a, b)[keep_from:out_len]
+    a, b = a[:out_len], b[:out_len]
+    x = np.array(a, dtype=np.int64)
+    y = x if square else np.array(b, dtype=np.int64)
+    size = convolve.next_smooth(max(out_len, len(a) + len(b) - 1 - keep_from))
+    in_range = max(a) * max(b) * min(len(a), len(b)) < 2**52
+    if in_range and np.count_nonzero(x) * np.count_nonzero(y) <= size:
+        assert stats == convolve.ConvStats(direct=1)
+    elif in_range and convolve.fft_convolve_checked(x, y, out_len, keep_from) is not None:
+        assert stats == convolve.ConvStats(float_ok=1)
+    else:
+        assert stats.splits >= 1
+
+
+@PROPERTY_SETTINGS
+@given(k=st.integers(1, 4), s=st.integers(1, 4), n_max=st.integers(2, 400), data=st.data())
+def test_windowed_count_is_the_slice(k, s, n_max, data):
+    n_min = data.draw(st.sampled_from([0, n_max]) | st.integers(0, n_max))
+    assert counting.count_range(k, s, n_max, None, n_min).tolist() == counting.count_range(k, s, n_max)[n_min:].tolist()
+
+
+@pytest.mark.parametrize("n_min", [0, 10**6])
+def test_windowed_count_keeps_the_routes(n_min):
+    # only the last product is windowed, and at 10^6 it stays a float product either way
+    stats = convolve.ConvStats()
+    counting.count_range(3, 11, 10**6, stats, n_min)
+    assert stats == convolve.ConvStats(float_ok=6, float_rejected=0, direct=2, splits=2)
 
 
 @PROPERTY_SETTINGS

@@ -153,17 +153,6 @@ def traced_modules() -> tuple[str, ...]:
 
 class TestRowBlocksOnThreads:
     @pytest.fixture
-    def use_cpus(self, monkeypatch):
-        """Set the CPU count that every worker thread of the package reads, in
-        each module that reads it; two to start with, whatever the machine."""
-        def use(cpus: int) -> None:
-            for mod in (serialize, counting):
-                monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
-
-        use(2)
-        return use
-
-    @pytest.fixture
     def two_workers_and_text_threads(self, monkeypatch, use_cpus):
         """Two workers for any two or more blocks, whatever the CPUs, and the
         thread of every `_column_text` call."""
@@ -224,7 +213,7 @@ class TestRowBlocksOnThreads:
         assert not series_products  # one CPU: the series follows the count, with no worker
 
     def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, two_workers_and_text_threads,
-                                                     series_products):
+                                                     series_products, spectrum_threads):
         # a public function called from a worker would interleave the tracer's one span stack
         modules = [importlib.import_module(f"wgcircle.{name}") for name in traced_modules()]
         public = {id(obj): obj for mod in modules for attr, obj in vars(mod).items()
@@ -248,11 +237,14 @@ class TestRowBlocksOnThreads:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
         for fmt in ("csv", "json"):
             self.compare_bytes(tmp_path, fmt)
-        # on two CPUs the series column is multiplied beside the count, not by singular_series_many
-        assert {"main", "serialize", "count_range", "class_factors"} <= {name for name, _ in calls}
+        # on two CPUs the series column is multiplied beside the count, not by singular_series_many,
+        # and the count's float product transforms its second operand on a worker
+        assert {"main", "serialize", "count_range", "class_factors", "convolve_exact",
+                "fft_convolve_checked"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert two_workers_and_text_threads and threading.get_ident() not in two_workers_and_text_threads
         assert series_products and series_products[0][0] != threading.get_ident()
+        assert threading.get_ident() in spectrum_threads and set(spectrum_threads) - {threading.get_ident()}
 
     def test_cli_import_loads_no_thread_pool(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
