@@ -17,14 +17,16 @@ An arc union is one closed Farey family: the reduced fractions a/q <= 1
 with q <= q_top, in ascending order from the Farey next-term recurrence, held
 as int64 rows (q, a), with one exact width W (a float height is a dyadic
 rational, so W = num/den is exact).  The arc around a/q is
-|q*alpha - a| <= W, with integer-ratio endpoints, so grid masks, measures
-and the disjointness check are exact integer arithmetic.  Every family is
-symmetric under a/q -> (q - a)/q, so the half grid holds its mask.  The
-major arcs of height Q have W = Q/denom, q <= Q; the core arcs, of height
-Qcal < 2, are the order-1 family with W = Qcal/n.  The minor arcs and the
-height slices are mask expressions (complement, difference) over these
-families, with exact measures.  The dissection ledger keeps |g| and |f| at
-the base points of the minor arcs and of one height slice only, so its level
+|q*alpha - a| <= W, with integer-ratio endpoints, so grid masks and measures
+are exact integer arithmetic.  Neighbouring rows are Farey neighbours
+(a'q - aq' = 1), so the family is disjoint iff num * max(q + q') < den, one
+exact comparison.  Every family is symmetric under a/q -> (q - a)/q, so the
+half grid holds its mask.  The major arcs of height Q have W = Q/denom,
+q <= Q; the core arcs, of height Qcal < 2, are the order-1 family with
+W = Qcal/n.  The minor arcs are the complement of a family's mask; a height
+slice is the grid points of one family that the spans of a narrower one miss;
+both have exact measures.  The dissection ledger keeps |g| and |f| at the
+base points of the minor arcs and of one height slice only, so its level
 partitions work on compressed arrays.
 
 Grid evaluation and classification are data-parallel over grid indices;
@@ -45,7 +47,7 @@ from .arith import (
     check_double_range, check_exponents, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set,
 )
 from .convolve import next_pow2
-from .errors import AliasingError, DomainError, ensure_memory
+from .errors import AliasingError, DomainError, InternalConsistencyError, ensure_memory
 from .serialize import JsonRecords
 from .specialfn import check_theta, eta_value
 
@@ -93,9 +95,10 @@ def alias_free_size(n: int, s: int, oversample: int) -> int:
     return next_pow2((s + 1) * n + 1) * next_pow2(oversample)
 
 
-def half_grid_conj(coeffs: np.ndarray, m: int) -> np.ndarray:
+def half_grid_conj(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """The conjugates of the values sum_j c_j e(j * i/m) at the grid points
-    i/m, 0 <= i <= m/2, by one real FFT.
+    i/m, 0 <= i <= m/2, by one real FFT, written into `out` when it is given
+    (a complex array of m/2 + 1 points, such as an earlier result).
 
     rfft sums c_j e(-j * i/m): with real weights that is the conjugate of the
     value at i/m, and it is the value itself at the mirror point (m - i)/m.
@@ -103,9 +106,9 @@ def half_grid_conj(coeffs: np.ndarray, m: int) -> np.ndarray:
     """
     if m < len(coeffs):
         raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
-    # the complex half grid, and rfft's zero-padded copy of the input
-    ensure_memory(16 * half_size(m) + 8 * m, "half-grid evaluation")
-    return np.fft.rfft(coeffs, n=m)
+    # the complex half grid unless it is given, and rfft's zero-padded copy of the input
+    ensure_memory((16 * half_size(m) if out is None else 0) + 8 * m, "half-grid evaluation")
+    return np.fft.rfft(coeffs, n=m, out=out)
 
 
 def half_size(m: int) -> int:
@@ -121,7 +124,8 @@ class HalfPoints:
     Each point stands for itself and its mirror m - j, so it counts twice;
     `once` holds the positions, among the points, of j = 0 and j = m/2, which
     are their own mirrors and count once.  Values given at the points, and
-    masks over them, then count and sum as on the full grid.
+    classes of them (masks over the points or their ascending positions),
+    then count and sum as on the full grid.
     """
 
     size: int
@@ -129,42 +133,51 @@ class HalfPoints:
     m: int
 
     @classmethod
-    def of_mask(cls, mask: np.ndarray, m: int) -> HalfPoints:
-        """The points of a boolean mask over the half grid."""
-        if len(mask) != half_size(m):
-            raise DomainError(f"half-grid arrays need {half_size(m)} points for a grid of size {m}")
-        size = int(np.count_nonzero(mask))
-        once = [0] if mask[0] else []
-        if m % 2 == 0 and mask[-1]:
-            once.append(size - 1)
-        return cls(size=size, once=np.array(once, dtype=np.int64), m=m)
+    def of(cls, points: np.ndarray, m: int) -> HalfPoints:
+        """The points selected by a boolean mask over the half grid, or by
+        their indices j in ascending order; either selects the values at the
+        points from a half-grid array."""
+        top = half_size(m) - 1
+        if points.dtype == bool and len(points) != top + 1:
+            raise DomainError(f"half-grid arrays need {top + 1} points for a grid of size {m}")
+        size, mirrors = _picks(points, np.array([0, top] if m % 2 == 0 else [0], dtype=np.int64))
+        # j = 0 is the first of the points and j = m/2 the last
+        return cls(size=size, once=np.where(mirrors == 0, 0, size - 1), m=m)
 
-    def count(self, mask: np.ndarray | None = None) -> int:
-        """Full-grid points of the set, or of the class given by a mask over its points."""
-        if mask is None:
-            return 2 * self.size - len(self.once)
-        return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[self.once]))
+    def count(self, points: np.ndarray | None = None) -> int:
+        """Full-grid points of the set, or of the class given by a mask over
+        its points or by their ascending positions among them."""
+        size, once = (self.size, self.once) if points is None else _picks(points, self.once)
+        return 2 * size - len(once)
 
-    def total(self, values: np.ndarray, mask: np.ndarray | None = None) -> float:
-        """Sum over the full-grid points of the set, or of a class, of real
-        values given at the points."""
-        if mask is None:
+    def total(self, values: np.ndarray, points: np.ndarray | None = None) -> float:
+        """Sum over the full-grid points of the set, or of a class given as
+        in `count`, of real values given at the points."""
+        if points is None:
             return float(2.0 * values.sum() - values[self.once].sum())
-        ends = self.once[mask[self.once]]
-        return float(2.0 * values[mask].sum() - values[ends].sum())
+        return float(2.0 * values[points].sum() - values[_picks(points, self.once)[1]].sum())
 
     def measure(self) -> float:
         return self.count() / self.m
 
 
+def _picks(points: np.ndarray, ends: np.ndarray) -> tuple[int, np.ndarray]:
+    """How many entries of an array a selection picks, given as a boolean mask
+    or as ascending indices, and which of `ends`, indices of the array's first
+    or last entry, it picks."""
+    if points.dtype == bool:
+        return int(np.count_nonzero(points)), ends[points[ends]]
+    return len(points), ends[np.isin(ends, points[[0, -1]])] if len(points) else ends[:0]
+
+
 # ---------------------------------------------------------------------------
 # Farey arcs
 
-# peak bytes per arc while a family is built (the int64 rows and the exact
-# disjointness check on object integers); tracemalloc measures up to ~226 for
-# the K family at n = 10^8; per arc of a built family that stays alive (its
-# int64 row), 16
-_ARC_BYTES = 256
+# peak bytes per arc while a family is built (the list of Python integers the
+# recurrence makes, then the int64 rows and the int64 neighbour checks);
+# tracemalloc measures up to ~88 for the K family at n = 10^8; per arc of a
+# built family that stays alive (its int64 row), 16
+_ARC_BYTES = 128
 _ARC_LIVE_BYTES = 24
 
 
@@ -177,6 +190,11 @@ class ArcUnion:
     a/q.  The family shares one exact width W = num/den, so the arc around a/q
     runs from (a*den - num)/(q*den) to (a*den + num)/(q*den) and everything
     below is integer arithmetic on those ratios.
+
+    Neighbouring rows are Farey neighbours, a'q - aq' = 1 (Hardy and Wright,
+    Theorem 28), which construction asserts: the gap a'/q' - a/q is then
+    1/(qq'), so the two arcs meet iff W*(1/q + 1/q') >= 1/(qq'), that is iff
+    num*(q + q') >= den, and the family is disjoint iff num*max(q + q') < den.
     """
 
     label: str
@@ -185,14 +203,14 @@ class ArcUnion:
     den: int
 
     def __post_init__(self) -> None:
-        # neighbouring arcs are disjoint iff hi_i < lo_{i+1}; cross-multiplied
-        # by q_i*q_{i+1}*den that is an exact integer comparison
-        q, a = self.intervals.astype(object).T
-        hi = (a[:-1] * self.den + self.num) * q[1:]
-        lo = (a[1:] * self.den - self.num) * q[:-1]
-        overlaps = np.flatnonzero(hi >= lo)
-        if len(overlaps):
-            q1, a1 = self.intervals[overlaps[0] + 1].tolist()
+        q, a = self.intervals.T
+        if not (a[1:] * q[:-1] - a[:-1] * q[1:] == 1).all():
+            raise InternalConsistencyError(f"{self.label}: neighbouring rows are not Farey neighbours")
+        widths = q[:-1] + q[1:]
+        if self.num * int(widths.max(initial=0)) >= self.den:
+            # the first seam: q + q' >= ceil(den/num), a bound no larger than max(q + q')
+            first = int(np.argmax(widths >= -(-self.den // self.num)))
+            q1, a1 = self.intervals[first + 1].tolist()
             seam = max(0, a1 * self.den - self.num) / (q1 * self.den)
             raise DomainError(f"{self.label}: overlapping intervals at {seam:.6g}")
 
@@ -241,7 +259,7 @@ class ArcUnion:
         edges = np.zeros(half_size(m) + 1, dtype=np.int8)
         edges[j0] = 1
         edges[j1 + 1] -= 1  # disjoint spans: no index repeats within j0 or within j1 + 1
-        return np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
+        return np.cumsum(edges[:-1], dtype=np.int8).view(bool)  # each entry 0 or 1
 
     def endpoint_count(self) -> int:
         return 2 * len(self.intervals)
@@ -339,19 +357,24 @@ def _check_slice_height(n: int, Y: float) -> None:
 
 
 def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
-    """The slice P(Y) = M(2Y) minus M(Y) at scale n: its label, its mask on
-    the half grid j/m, j in [0, m/2], and its measure.
+    """The slice P(Y) = M(2Y) minus M(Y) at scale n: its label, its points
+    on the half grid j/m, j in [0, m/2], as ascending int64 j, and its measure.
 
     Both families are symmetric under j -> m - j, so the half grid holds the
-    whole slice.  Each arc of M(max(1, Y)) has the centre of an arc of M(2Y)
-    and is no wider (Y >= 1/2), so the slice measure is the exact difference
-    of the two.
+    whole slice.  Its points are those of M(2Y) that no span of M(max(1, Y))
+    holds: the spans ascend, so for each point the last span starting at or
+    before it must end before it.  Each arc of M(max(1, Y)) has the centre of
+    an arc of M(2Y) and is no wider (Y >= 1/2), so the slice measure is the
+    exact difference of the two.
     """
     _check_slice_height(n, Y)
     outer = major_arcs(2 * Y, n)
     inner = major_arcs(max(1.0, Y), n)
-    mask = outer.grid_mask(m) & ~inner.grid_mask(m)
-    return f"P({Y:g})", mask, float(outer.measure_exact() - inner.measure_exact())
+    j = outer.grid_points(m)[0]
+    _, _, j0, j1 = inner._spans(m)
+    ends = np.concatenate(([-1], j1))  # ends[i]: the end of the i-th span, -1 before the first
+    points = j[j > ends[np.searchsorted(j0, j, side="right")]]
+    return f"P({Y:g})", points, float(outer.measure_exact() - inner.measure_exact())
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +420,7 @@ def integrate_over_set(
         prod *= np.exp((-2j * np.pi * twist / m) * np.arange(half_size(m)))
     mask = np.ones(half_size(m), dtype=bool) if region is None else region.grid_mask(m)
     bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
-    points = HalfPoints.of_mask(mask, m)
+    points = HalfPoints.of(mask, m)
     return IntegralResult(value=complex(points.total(prod.real[mask]) / m), boundary_error=bound,
                           points=points.count(), measure=points.measure())
 
@@ -482,7 +505,7 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     return ModelErrorReport(
         n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
         sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=HalfPoints.of_mask(core.grid_mask(m), m).count(), arcs=len(core.intervals),
+        points=HalfPoints.of(core.grid_mask(m), m).count(), arcs=len(core.intervals),
     )
 
 
@@ -503,7 +526,7 @@ def _moment_row(Q: float, t: float, denom: int, f_half: np.ndarray, m: int, sup_
     max |f|^t over it; the caller adds the slope."""
     arcs = major_arcs(Q, denom)
     mask = arcs.grid_mask(m)
-    points = HalfPoints.of_mask(mask, m)
+    points = HalfPoints.of(mask, m)
     return {"Q": Q, "V": points.total(f_half[mask] ** t) / m, "measure": points.measure(),
             "boundary_error": arcs.endpoint_count() * sup_t / m}
 
@@ -595,21 +618,26 @@ class BasePoints:
     f: np.ndarray
 
     @classmethod
-    def select(cls, g_half: np.ndarray, f_half: np.ndarray, mask: np.ndarray, m: int) -> BasePoints:
-        """The points of the half-grid mask, from the half-grid amplitudes."""
-        return cls(points=HalfPoints.of_mask(mask, m), g=g_half[mask], f=f_half[mask])
+    def select(cls, g_half: np.ndarray, f_half: np.ndarray, points: np.ndarray, m: int) -> BasePoints:
+        """The points given by a half-grid mask or by ascending indices j,
+        from the half-grid amplitudes."""
+        return cls(points=HalfPoints.of(points, m), g=g_half[points], f=f_half[points])
 
 
 def _class_from_mask(label: str, mask: np.ndarray, base: BasePoints, weight: np.ndarray) -> LevelClass:
-    pts = base.points.count(mask)
+    # the class's positions among the base points: its three selections below
+    # read the same values, in the same order, as the mask would
+    at = np.flatnonzero(mask)
+    pts = base.points.count(at)
+    if not pts:  # amplitudes are >= 0, so an empty class has sup 0.0
+        return LevelClass(label=label, points=0, measure=0.0, sup_g=0.0, sup_f=0.0, contribution_abs=0.0)
     return LevelClass(
         label=label,
         points=pts,
         measure=pts / base.points.m,
-        # amplitudes are >= 0, so an empty class has sup 0.0
-        sup_g=float(np.max(base.g, where=mask, initial=0.0)),
-        sup_f=float(np.max(base.f, where=mask, initial=0.0)),
-        contribution_abs=base.points.total(weight, mask) / base.points.m if pts else 0.0,
+        sup_g=float(base.g[at].max()),
+        sup_f=float(base.f[at].max()),
+        contribution_abs=base.points.total(weight, at) / base.points.m,
     )
 
 
@@ -701,11 +729,13 @@ def g_envelope_constant(n: int, sup_g: float) -> dict:
 
 
 # peak bytes per half-grid point in dissection_ledger, reached in the second
-# real FFT: the first family's amplitudes (8), the complex transform (16) and
-# its amplitudes (8), the two masks (2), and pocketfft's scratch copy and
-# cached plan (about 24, allocated outside numpy where tracemalloc cannot see
-# them); per frequency, a spectrum (8) and the prime sieve with its table (< 8)
-_LEDGER_HALF_POINT_BYTES = 64
+# real FFT, which writes into the first one's complex output: the first
+# family's amplitudes (8), that output (16), the minor-arc mask (1) and
+# pocketfft's scratch (about 32, allocated outside numpy where tracemalloc
+# cannot see it); the slice points, a few per arc, do not count.  VmHWM rises
+# by about 58 per point at n = 10^6, less the spectrum.  Per frequency, a
+# spectrum (8) and the prime sieve with its table (< 8)
+_LEDGER_HALF_POINT_BYTES = 60
 _LEDGER_FREQUENCY_BYTES = 16
 
 
@@ -781,20 +811,22 @@ def dissection_ledger(
     wide = build_arc_union(wide_label, n, k)
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
-    slice_label, slice_mask, slice_measure = height_slice(n, Q_slice, m)
+    slice_label, slice_points, slice_measure = height_slice(n, Q_slice, m)
     minor_mask = ~wide.grid_mask(m)
 
-    # |g| and |f| once on the half grid, kept at the base points of each family only
+    # |g| and |f| once on the half grid, kept at the base points of each family
+    # only; g's transform goes into the complex output of f's
     f_spec, members = build_f_spectrum(n, k, R)
-    f_half = np.abs(half_grid_conj(f_spec, m))
+    transform = half_grid_conj(f_spec, m)
+    f_half = np.abs(transform)
     del f_spec
     g_spec = build_g_spectrum(n)
-    g_half = np.abs(half_grid_conj(g_spec, m))
-    del g_spec
+    g_half = np.abs(half_grid_conj(g_spec, m, out=transform))
+    del g_spec, transform
     minor = BasePoints.select(g_half, f_half, minor_mask, m)
-    sliced = BasePoints.select(g_half, f_half, slice_mask, m)
+    sliced = BasePoints.select(g_half, f_half, slice_points, m)
     f_envelope = f_envelope_constant(n, k, f_half, m, pruned)
-    del f_half, g_half, minor_mask, slice_mask  # the partitions below need only the base points
+    del f_half, g_half, minor_mask, slice_points  # the partitions below need only the base points
 
     sup_g_minor = float(minor.g.max()) if len(minor.g) else 0.0
     if U is None:

@@ -64,6 +64,10 @@ _INT64_LIMIT = 2**63
 # the transform), at a 5-smooth length that the inputs fill and for a window of
 # the upper half; pocketfft's own scratch is not traced
 _FFT_BYTES_PER_POINT = 48
+# pocketfft's scratch per point of each transform running at once, allocated
+# outside numpy: a lone 2^23-point rfft raises the peak resident set (VmHWM)
+# by 192 MB against its 64 MB output
+_POCKETFFT_SCRATCH_BYTES = 16
 # the least transform length at which the second operand is transformed on a
 # worker thread: below it, starting the thread costs more than it saves (on
 # two CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
@@ -99,9 +103,11 @@ def next_smooth(n: int) -> int:
     return best
 
 
-def fft_working_bytes(out_len: int) -> int:
-    """Peak bytes of a checked float-FFT self-convolution of out_len entries."""
-    return _FFT_BYTES_PER_POINT * next_smooth(2 * out_len - 1)
+def fft_working_bytes(out_len: int, transforms: int) -> int:
+    """Peak bytes of a checked float-FFT convolution of out_len entries, with
+    pocketfft's scratch for `transforms` transforms running at once (two
+    when the operands are transformed side by side)."""
+    return (_FFT_BYTES_PER_POINT + transforms * _POCKETFFT_SCRATCH_BYTES) * next_smooth(2 * out_len - 1)
 
 
 def _transform_length(len_a: int, len_b: int, out_len: int, keep_from: int) -> int:

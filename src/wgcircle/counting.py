@@ -25,7 +25,7 @@ whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
 `compare_report` counts only its rows, n_lo <= n <= n_hi, and refuses the
-count's FFT working set before any local factor.
+count's working set before any local factor.
 On two CPUs a worker thread multiplies the series periods of an ascending
 prefix of the primes, at most one float per row of them (every prime up to the
 default cutoff of 1000), while the count runs; the primes past the prefix
@@ -51,6 +51,10 @@ _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
 #: Peak bytes per tuple of one step of the brute-force route: the int64 sums,
 #: the mask of those <= bucket and the int64 copy kept.
 _TUPLE_BYTES = 17
+
+#: Bytes per counted n once r(n) is an object array of Python integers:
+#: tracemalloc measures 153 to 155 for `compare --k 3 --s 11` near 10^6.
+_OBJECT_ROW_BYTES = 160
 
 
 @lru_cache(maxsize=32)
@@ -111,17 +115,16 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
     return ind
 
 
-def _charge_count(n_max: int) -> None:
-    """Refuse a count up to n_max whose FFT working set overruns the budget."""
-    ensure_memory(fft_working_bytes(n_max + 1), f"the exact-count FFT up to n = {n_max}")
-
-
-def _power_part(k: int, s: int, n_max: int, stats: ConvStats | None) -> np.ndarray:
-    """z^0..z^n_max of the s-th power of the k-th power indicator, refused up
-    front when the FFT working set overruns the budget."""
-    _charge_count(n_max)
-    # exact: summands are >= 1, so truncating every product at z^n_max is safe
-    return power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
+def _charge_count(k: int, s: int, n_max: int, n_min: int) -> None:
+    """Refuse a count of r(n), n_min <= n <= n_max, whose working set overruns
+    the budget: a float product at full length, with pocketfft's scratch for
+    the two transforms that run side by side on two CPUs, and the Python
+    integers of r(n) when it may outgrow int64."""
+    nbytes = fft_working_bytes(n_max + 1, transforms=2 if _usable_cpus() >= 2 else 1)
+    # each s-tuple of x_j <= P = n_max^(1/k) leaves at most one prime, so r(n) <= P^s
+    if s * math.log2(kth_root_floor(n_max, k)) >= 63:
+        nbytes += _OBJECT_ROW_BYTES * (n_max - n_min + 1)
+    ensure_memory(nbytes, f"the exact count up to n = {n_max}")
 
 
 def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_min: int = 0) -> np.ndarray:
@@ -133,7 +136,9 @@ def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_mi
         raise DomainError(f"need n_max >= 2, got {n_max}")
     if not 0 <= n_min <= n_max:
         raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    power_part = _power_part(k, s, n_max, stats)
+    _charge_count(k, s, n_max, n_min)
+    # exact: summands are >= 1, so truncating every product at z^n_max is safe
+    power_part = power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
     return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats, keep_from=n_min)
 
 
@@ -236,7 +241,7 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    _charge_count(n_hi)  # here, not only in count_range: on two CPUs the series periods come first
+    _charge_count(k, s, n_hi, n_lo)  # here, not only in count_range: on two CPUs the series periods come first
     rows = len(range(n_lo, n_hi + 1, stride))
     if _usable_cpus() < 2:
         counts = count_range(k, s, n_hi, stats, n_lo)

@@ -121,3 +121,13 @@ def family_endpoints(union) -> list[tuple]:
         hi = Fraction(a * union.den + union.num, q * union.den)
         out.append((max(Fraction(0), lo), min(Fraction(1), hi), q, a))
     return out
+
+
+def half_mask(points: np.ndarray, m: int) -> np.ndarray:
+    """The mask over the half grid j in [0, m/2] of points given as ascending
+    int64 indices j, checked to be such."""
+    assert points.dtype == np.int64 and (np.diff(points) > 0).all()
+    assert len(points) == 0 or 0 <= points[0] <= points[-1] <= m // 2
+    out = np.zeros(m // 2 + 1, dtype=bool)
+    out[points] = True
+    return out

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from arc_oracle import (
-    contains, core_oracle, disjoint, family_endpoints, gaps_measure, major_oracle, mask, measure,
+    contains, core_oracle, disjoint, family_endpoints, gaps_measure, half_mask, major_oracle, mask, measure,
     measure_minus, oracle_arcs, upsilon,
 )
 from grid_oracle import grid_values
 from wgcircle import circle, counting
 from wgcircle.arith import smooth_set
-from wgcircle.errors import AliasingError, DomainError
+from wgcircle.errors import AliasingError, DomainError, InternalConsistencyError
 
 
 class TestSpectra:
@@ -63,7 +63,7 @@ class TestGridEvaluation:
         coeffs = rng.random(33)
         for m in (64, 65):
             vals = circle.half_grid_conj(coeffs, m)
-            everywhere = circle.HalfPoints.of_mask(np.ones(circle.half_size(m), dtype=bool), m)
+            everywhere = circle.HalfPoints.of(np.ones(circle.half_size(m), dtype=bool), m)
             lhs = everywhere.total(np.abs(vals) ** 2) / m
             assert lhs == pytest.approx(float((coeffs**2).sum()), rel=1e-12)
             assert lhs == pytest.approx(float((np.abs(grid_values(coeffs, m)) ** 2).mean()), rel=1e-12)
@@ -138,6 +138,9 @@ class TestArcUnions:
         with pytest.raises(DomainError, match=r"overlapping intervals at 0\.333333$"):
             circle._farey_family("x", 2, Fraction(1, 3))
         assert not disjoint(oracle_arcs(2, Fraction(1, 3), reach_is_q=False))
+        # the one-comparison check holds for Farey neighbours only: 1/3 and 1/1 are not
+        with pytest.raises(InternalConsistencyError, match="^x: neighbouring rows are not Farey neighbours$"):
+            circle.ArcUnion("x", np.array([[1, 0], [3, 1], [1, 1]]), 1, 100)
 
     def test_height_bound_enforced(self):
         with pytest.raises(DomainError):
@@ -147,10 +150,11 @@ class TestArcUnions:
         n, y, m = 10**4, 8.0, 1 << 15
         outer = circle.major_arcs(2 * y, n)
         inner = circle.major_arcs(y, n)
-        label, sl, sl_measure = circle.height_slice(n, y, m)
+        label, points, sl_measure = circle.height_slice(n, y, m)
         assert label == "P(8)"
-        # on the half grid: disjoint from the inner set, together they restore the outer set
-        assert len(sl) == circle.half_size(m)
+        # ascending points on the half grid: disjoint from the inner set,
+        # together they restore the outer set
+        sl = half_mask(points, m)
         assert not (sl & inner.grid_mask(m)).any()
         assert ((sl | inner.grid_mask(m)) == outer.grid_mask(m)).all()
         exact = measure_minus(major_oracle(2 * y, n), major_oracle(y, n))
@@ -187,7 +191,7 @@ class TestArcUnions:
         a, b = major_oracle(12.0, n), major_oracle(6.0, n)
         a_mask = circle.major_arcs(12.0, n).grid_mask(m)
         b_mask = circle.major_arcs(6.0, n).grid_mask(m)
-        _, diff, _ = circle.height_slice(n, 6.0, m)
+        diff = half_mask(circle.height_slice(n, 6.0, m)[1], m)
         for _ in range(3000):
             j = rng.randrange(0, m)
             in_a, in_b = contains(a, Fraction(j, m)), contains(b, Fraction(j, m))
@@ -221,7 +225,7 @@ class TestArcUnions:
         n, y, m = 1024, 2.0, 4096
         outer = circle.major_arcs(2 * y, n)
         inner = circle.major_arcs(y, n)
-        _, sl, _ = circle.height_slice(n, y, m)
+        sl = half_mask(circle.height_slice(n, y, m)[1], m)
         seam = Fraction(2, 1024)  # right endpoint of the inner arc at 0
         j = int(seam * m)
         assert contains(major_oracle(y, n), seam) and inner.grid_mask(m)[j]

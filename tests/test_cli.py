@@ -437,7 +437,7 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dissect_arcs_charged_before_they_are_built(self, capsys, monkeypatch):
-        # the K family of order 1584 would take ~320 MB; the spectra are never reached
+        # the K family of order 1584 would take ~160 MB; the spectra are never reached
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "10000000")
         start = time.perf_counter()
         code = main(["dissect", "--n", "100000000", "--k", "2", "--s", "3"])
@@ -466,15 +466,15 @@ class TestFailureModes:
         assert err.startswith(f"error: dissection ledger at n = {n} on a grid of ") and err.count("\n") == 1
 
     def test_dissect_charge_counts_the_arc_families(self, capsys, monkeypatch):
-        # at n = 10^7 the half grid takes 2,307,483,728 bytes and the Kprime,
+        # at n = 10^7 the half grid takes 2,173,265,996 bytes and the Kprime,
         # L and N families, kept through the FFTs, 30 MB more: the grid alone
-        # fits a 2.32 GB budget, the two together do not
+        # fits a 2.19 GB budget, the two together do not
         def no_build(*args, **kwargs):
             raise AssertionError("built before the working-set charge")
 
         for name in ("build_g_spectrum", "build_f_spectrum", "_farey_family"):
             monkeypatch.setattr(f"wgcircle.circle.{name}", no_build)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2320000000")
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2190000000")
         code = main(["dissect", "--n", "10000000", "--k", "2", "--s", "3", "--theta", "4"])
         err = capsys.readouterr().err
         assert code == 2
@@ -551,7 +551,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch, cpus):
         # 1 MB passes the series' charges (32 kB of index classes to 1000) but not the
-        # count's 14.6 MB: on two CPUs the periods are computed before the count runs
+        # count's 19.4 MB (24.3 MB with two transforms side by side): on two CPUs the
+        # periods are computed before the count runs
         calls = []
         class_factors = series.class_factors
         monkeypatch.setattr(series, "class_factors", lambda *args: calls.append(args) or class_factors(*args))
@@ -559,11 +560,32 @@ class TestFailureModes:
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(10**6))
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000", "--format", "csv"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: the exact-count FFT up to n = 150000 needs 14580000 bytes")
+        needs = {1: 19440000, 2: 24300000}[cpus]
+        assert capsys.readouterr().err.startswith(f"error: the exact count up to n = 150000 needs {needs} bytes")
         assert calls == []
         monkeypatch.delenv("WGCIRCLE_MEM_BYTES")
         assert main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150", "--format", "csv"]) == 0
         assert len(calls) == 168  # the patch is on the path the series takes
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch, cpus):
+        # the first run of this compare raises the peak resident set by about 108 MB
+        # on two CPUs, past the 98.3 MB that 48 B per transform point charged; with
+        # pocketfft's scratch the charge is 131 MB on one CPU and 164 MB on two
+        def no_counts(*args, **kwargs):
+            raise AssertionError("count_range ran past the count's charge")
+
+        monkeypatch.setattr(counting, "count_range", no_counts)
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "100000000")
+        start = time.perf_counter()
+        code = main(["compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999"])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        needs = {1: 131072000, 2: 163840000}[cpus]
+        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 100000000 "
+                       "(set WGCIRCLE_MEM_BYTES to raise it)\n")
 
     def test_compare_takes_every_s_the_series_takes(self, capsys):
         # 1000^102 fits a double; compare once refused 1000^102 (1000 - 1), a number no route computes

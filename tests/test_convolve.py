@@ -92,7 +92,8 @@ class TestFloatChecked:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= convolve.fft_working_bytes(out_len)
+            # the charge less pocketfft's scratch, which tracemalloc cannot see
+            assert peak <= convolve.fft_working_bytes(out_len, transforms=0)
             assert stats == convolve.ConvStats(direct=int(sparse))
             assert out.tolist() == convolve.fft_convolve_checked(x, y, out_len)[keep_from:].tolist()
 

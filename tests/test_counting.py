@@ -181,8 +181,9 @@ class TestCompareReport:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_traced_peak_within_the_charge(self, monkeypatch, cpus):
-        # the count's FFT charge, plus 8 B per row each for n, the series column and
-        # the period prefix that the series worker holds while the count runs
+        # the count's FFT charge less pocketfft's scratch, which tracemalloc cannot
+        # see, plus 8 B per row each for n, the series column and the period
+        # prefix that the series worker holds while the count runs
         monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
         lo, hi = 10**5, 2 * 10**5
         tracemalloc.start()
@@ -191,7 +192,17 @@ class TestCompareReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= fft_working_bytes(hi + 1) + 24 * (hi - lo + 1)
+        assert peak <= fft_working_bytes(hi + 1, transforms=0) + 24 * (hi - lo + 1)
+
+    def test_compare_object_counts_charged(self, monkeypatch):
+        # r(n) <= P^s: 99^11 passes 2^63 at n < 10^6, so the 500,000 counts are
+        # Python integers, about 155 B each; 999^2 does not, so they stay int64
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
+        fft = fft_working_bytes(10**6, transforms=1)
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(fft + 160 * 500000 - 1))
+        with pytest.raises(ResourceError, match=f"needs {fft + 160 * 500000} bytes"):
+            counting._charge_count(3, 11, 999999, 500000)
+        counting._charge_count(2, 2, 999999, 500000)
 
     def test_prediction_column_is_hl_prediction(self):
         rep = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)

@@ -4,6 +4,7 @@ oracles."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +19,7 @@ import level_oracle
 import local_oracle
 import series_oracle
 from wgcircle import arith, circle, convolve, counting, serialize, series
+from wgcircle.errors import DomainError
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -348,8 +350,8 @@ def test_grid_points_match_contains(family, slice_at):
     # a nested slice M(2Y) minus M(Y), Y in [1/2, sqrt(denom)/4]
     y = 0.5 + slice_at * (0.25 * math.sqrt(denom) - 0.5)
     outer, inner = arc_oracle.major_oracle(2 * y, denom), arc_oracle.major_oracle(max(1.0, y), denom)
-    _, sl, sl_measure = circle.height_slice(denom, y, m)
-    assert (sl == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))[: circle.half_size(m)]).all()
+    _, points, sl_measure = circle.height_slice(denom, y, m)
+    assert (arc_oracle.half_mask(points, m) == (arc_oracle.mask(outer, m) & ~arc_oracle.mask(inner, m))[: circle.half_size(m)]).all()
     assert sl_measure == float(arc_oracle.measure_minus(outer, inner))
 
 
@@ -376,7 +378,7 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
         y = 0.5 + slice_at * (0.25 * math.sqrt(n) - 0.5)
         full = (arc_oracle.span_mask(arc_oracle.major_oracle(2 * y, n), m)
                 & ~arc_oracle.span_mask(arc_oracle.major_oracle(max(1.0, y), n), m))
-        half = circle.height_slice(n, y, m)[1]
+        half = arc_oracle.half_mask(circle.height_slice(n, y, m)[1], m)
     else:
         height = circle.major_height(label, n, 2)
         oracle = arc_oracle.core_oracle(height, n) if label == "N" else arc_oracle.major_oracle(height, n)
@@ -387,6 +389,45 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
     j = np.arange(m)
     assert (full == full[(m - j) % m]).all()
     assert (half == full[: circle.half_size(m)]).all()
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(16, 200000), slice_at=st.floats(0.0, 1.0), m=st.integers(1, 1 << 16))
+def test_slice_points_match_the_mask_expression(n, slice_at, m):
+    # the slice from the outer family's grid points, against its two masks
+    y = 0.5 + slice_at * (0.25 * math.sqrt(n) - 0.5)
+    outer, inner = circle.major_arcs(2 * y, n), circle.major_arcs(max(1.0, y), n)
+    points = circle.height_slice(n, y, m)[1]
+    assert points.dtype == np.int64
+    assert np.array_equal(points, np.flatnonzero(outer.grid_mask(m) & ~inner.grid_mask(m)))
+
+
+def _cross_multiplied_seam(q_top, width):
+    """The first seam of the Farey family of order q_top at the width, by the
+    cross-multiplied comparison hi_i >= lo_{i+1} of its neighbours in Python
+    integers, or None when the family is disjoint."""
+    num, den = width.numerator, width.denominator
+    rows = [(q, a) for _, _, q, a in arc_oracle.oracle_arcs(q_top, Fraction(0), reach_is_q=False)]
+    for (q0, a0), (q1, a1) in zip(rows, rows[1:]):
+        if (a0 * den + num) * q1 >= (a1 * den - num) * q0:
+            return max(0, a1 * den - num) / (q1 * den)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(q_top=st.integers(1, 40), num=st.integers(1, 10**6), ratio=st.integers(1, 100), offset=st.integers(-2, 2))
+@example(q_top=2, num=1, ratio=3, offset=0)  # |2 alpha - 1| <= 1/3 and |alpha| <= 1/3 share 1/3
+def test_farey_neighbour_disjointness_matches_cross_multiplication(q_top, num, ratio, offset):
+    # num * max(q + q') < den against the neighbour-by-neighbour exact
+    # comparison, with den/num on either side of and at each q + q' <= 80
+    width = Fraction(num, max(1, num * ratio + offset))
+    seam = _cross_multiplied_seam(q_top, width)
+    if seam is None:
+        union = circle._farey_family("x", q_top, width)
+        assert Fraction(union.num, union.den) == width
+    else:
+        with pytest.raises(DomainError, match=f"^x: overlapping intervals at {re.escape(f'{seam:.6g}')}$"):
+            circle._farey_family("x", q_top, width)
 
 
 @PROPERTY_SETTINGS
@@ -505,6 +546,28 @@ def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale,
     assert sum(c.points for c in got.classes) == int(mirror(base, m).sum())
 
 
+@PROPERTY_SETTINGS
+@given(
+    family=st.sampled_from(("minor", "slice")),
+    n=st.integers(16, 10**7),
+    s=st.integers(1, 5),
+    scale=st.floats(1e-6, 1e6),
+    data=st.data(),
+)
+def test_level_partition_of_indices_matches_mask(family, n, s, scale, data):
+    # base points selected by ascending indices j, as the ledger selects a
+    # slice, against the same points selected by their mask
+    m = data.draw(st.integers(1, 48))
+    g = np.abs(data.draw(half_grid(m, _near([math.sqrt(n), n / scale, 2 * n / scale]), 3.0 * n)))
+    f = np.abs(data.draw(half_grid(m, [0.0, 1.0], 100.0)))
+    base = data.draw(half_base(m))
+    params = {"U": scale} if family == "minor" else {"V": scale, "Q": 8.0}
+    by_mask, by_index = (circle.level_partition(n, 2, s, 5, circle.BasePoints.select(g, f, chosen, m),
+                                                family=family, **params)
+                         for chosen in (base, np.flatnonzero(base)))
+    assert by_index.classes == by_mask.classes and by_index == by_mask
+
+
 def _band_edges(n, theta):
     u_min = n ** (1.0 / theta) / math.log(n) ** 5
     us, u = [], math.sqrt(n)
@@ -521,14 +584,14 @@ def test_dyadic_band_cover_matches_band_by_band_oracle(n, theta, data):
     # huge n reaches the 200-band cap; theta = 1 can leave no band at all
     m = data.draw(st.integers(1, 48))
     g, base = data.draw(half_grid(m, _near(_band_edges(n, theta)), 4.0 * n)), data.draw(half_base(m))
-    got = circle.dyadic_band_cover(n, theta, np.abs(g)[base], circle.HalfPoints.of_mask(base, m))
+    got = circle.dyadic_band_cover(n, theta, np.abs(g)[base], circle.HalfPoints.of(base, m))
     assert got == level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
 
 
 def _cover_pair(n, theta, g, m):
     """The half-grid band cover of every point j <= m/2 and the full-grid oracle's."""
     base = np.ones(len(g), dtype=bool)
-    got = circle.dyadic_band_cover(n, theta, np.abs(g), circle.HalfPoints.of_mask(base, m))
+    got = circle.dyadic_band_cover(n, theta, np.abs(g), circle.HalfPoints.of(base, m))
     return got, level_oracle.dyadic_band_cover(n, theta, mirror(g, m), mirror(base, m))
 
 
