@@ -34,10 +34,8 @@ below the window, which no caller reads (the wrapped, or middle, product).
 With keep_from = 0 nothing wraps at all.  Both operands are no longer than
 L, so each cyclic entry still sums at most one pair per index of the shorter
 operand: the entry bound covers all L entries, and the checks run over all
-of them.  When the process may use two CPUs and the product is not a
-squaring, the second operand is transformed on a worker thread while the
-first is transformed here; that thread runs numpy alone.  On one CPU no
-thread starts, and the bytes are the same either way.
+of them.  From _SIDE_BY_SIDE_POINTS on, the second operand of a product
+that is not a squaring is transformed beside the first (`errors._beside`).
 
 `power` raises a histogram to the s-th power on these routes, truncated at a
 window of n (representation counts r(n)).  Results are int64 while they fit
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, _usable_cpus
+from .errors import DomainError, InternalConsistencyError, _beside
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
@@ -68,9 +66,9 @@ _FFT_BYTES_PER_POINT = 48
 # outside numpy: a lone 2^23-point rfft raises the peak resident set (VmHWM)
 # by 192 MB against its 64 MB output
 _POCKETFFT_SCRATCH_BYTES = 16
-# the least transform length at which the second operand is transformed on a
-# worker thread: below it, starting the thread costs more than it saves (on
-# two CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
+# the least transform length at which the second operand is transformed beside
+# the first: below it, starting the thread costs more than it saves (on two
+# CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
 _SIDE_BY_SIDE_POINTS = 2**16
 
 
@@ -103,11 +101,11 @@ def next_smooth(n: int) -> int:
     return best
 
 
-def fft_working_bytes(out_len: int, transforms: int) -> int:
-    """Peak bytes of a checked float-FFT convolution of out_len entries, with
-    pocketfft's scratch for `transforms` transforms running at once (two
-    when the operands are transformed side by side)."""
-    return (_FFT_BYTES_PER_POINT + transforms * _POCKETFFT_SCRATCH_BYTES) * next_smooth(2 * out_len - 1)
+def fft_working_bytes(points: int, transforms: int) -> int:
+    """Peak bytes of a checked float-FFT convolution transformed at `points`
+    points, with pocketfft's scratch for `transforms` transforms running at
+    once (two when the operands are transformed side by side)."""
+    return (_FFT_BYTES_PER_POINT + transforms * _POCKETFFT_SCRATCH_BYTES) * points
 
 
 def _transform_length(len_a: int, len_b: int, out_len: int, keep_from: int) -> int:
@@ -129,11 +127,7 @@ def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: 
     below keep_from take a wrapped part (an operand entry past L is past
     out_len and is not transformed).  The spectra are multiplied in place, into
     the spectrum of a, whose memory then takes the rounded inverse; for two
-    operands the inverse itself goes into the spectrum of b.  When the process
-    may use two CPUs, L is at least _SIDE_BY_SIDE_POINTS and b is not a, b is
-    transformed on a worker thread while a is transformed here; the worker runs
-    numpy alone, so every public function stays on the calling thread.  On one
-    CPU no thread starts.
+    operands the inverse itself goes into the spectrum of b.
 
     The product passes when every one of the L cyclic entries rounds with
     residue < 0.25 and stays below 2^52 in magnitude.  These checks are not a
@@ -148,15 +142,9 @@ def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: 
         spectrum *= spectrum
         conv = np.fft.irfft(spectrum, size)
     else:
-        if size < _SIDE_BY_SIDE_POINTS or _usable_cpus() < 2:
-            spectrum, other = _spectrum(a, size), _spectrum(b, size)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
-
-            with ThreadPoolExecutor(1) as pool:
-                future = pool.submit(_spectrum, b, size)
-                spectrum = _spectrum(a, size)
-                other = future.result()
+        other = _beside(_spectrum, b, size) if size >= _SIDE_BY_SIDE_POINTS else lambda: _spectrum(b, size)
+        spectrum = _spectrum(a, size)
+        other = other()
         spectrum *= other
         conv = np.fft.irfft(spectrum, size, out=other.view(np.float64)[:size])  # into b's spectrum
     rounded = np.rint(conv, out=spectrum.view(np.float64)[:size])  # into a's spectrum

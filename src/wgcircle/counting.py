@@ -14,8 +14,7 @@ natural numbers x_j >= 1.  Two independent routes:
     for, n_min <= n <= n_max, so its float transform has the least 5-smooth
     length >= max(n_max + 1, 2 n_max + 1 - n_min): the cyclic wrap lands on
     n < n_min, which is not returned, and the checks still cover every entry
-    of the transform.  On two CPUs the two operands of that product are
-    transformed side by side; on one, one after the other.
+    of the transform.
 
 The prediction compared against is
 
@@ -25,12 +24,11 @@ whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
 `compare_report` counts only its rows, n_lo <= n <= n_hi, and refuses the
-count's working set before any local factor.
-On two CPUs a worker thread multiplies the series periods of an ascending
-prefix of the primes, at most one float per row of them (every prime up to the
-default cutoff of 1000), while the count runs; the primes past the prefix
-follow after it.  On one CPU no thread starts and the series follows the count.
-Every product keeps its ascending order, so the column is the same either way.
+count's working set before any local factor.  The series periods of an
+ascending prefix of the primes, at most one float per row of them (every prime
+up to the default cutoff of 1000), are multiplied beside the count
+(`errors._beside`); the primes past the prefix follow after it, so every
+product keeps its ascending order.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
-from .convolve import ConvStats, convolve_exact, fft_working_bytes, next_pow2, power
-from .errors import DomainError, ResourceError, _usable_cpus, ensure_memory
-from .series import _euler_periods, _multiply_periods, check_limits, singular_series_many
+from .convolve import ConvStats, _transform_length, convolve_exact, fft_working_bytes, next_pow2, power
+from .errors import DomainError, ResourceError, _beside, _usable_cpus, ensure_memory
+from .series import _euler_periods, _multiply_periods, check_limits
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
 
@@ -117,10 +115,15 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
 
 def _charge_count(k: int, s: int, n_max: int, n_min: int) -> None:
     """Refuse a count of r(n), n_min <= n <= n_max, whose working set overruns
-    the budget: a float product at full length, with pocketfft's scratch for
-    the two transforms that run side by side on two CPUs, and the Python
-    integers of r(n) when it may outgrow int64."""
-    nbytes = fft_working_bytes(n_max + 1, transforms=2 if _usable_cpus() >= 2 else 1)
+    the budget: its largest float product, with pocketfft's scratch for the
+    two transforms that run side by side on two CPUs, the int64 power part and
+    prime indicator it multiplies, and the Python integers of r(n) when it may
+    outgrow int64.  For s <= 2 and k >= 2 the power part is the indicator or
+    its square by pair sums (P^2 <= n_max), so the largest float product is
+    the windowed one; otherwise a full-length one."""
+    keep_from = n_min if s <= 2 <= k else 0
+    points = _transform_length(n_max + 1, n_max + 1, n_max + 1, keep_from)
+    nbytes = fft_working_bytes(points, transforms=2 if _usable_cpus() >= 2 else 1) + 16 * (n_max + 1)
     # each s-tuple of x_j <= P = n_max^(1/k) leaves at most one prime, so r(n) <= P^s
     if s * math.log2(kth_root_floor(n_max, k)) >= 63:
         nbytes += _OBJECT_ROW_BYTES * (n_max - n_min + 1)
@@ -198,30 +201,6 @@ class CompareReport:
         return [getattr(self, name) for name in COMPARE_COLUMNS]
 
 
-def _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats):
-    """count_range(k, s, n_hi, stats, n_lo) and bit for bit the column of
-    `rows` rows that singular_series_many gives.  The periods are computed on this thread and only their product
-    runs on the worker, so every public function stays on this thread."""
-    from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
-
-    out = np.ones(rows, dtype=np.float64)
-    periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)
-    prefix, past, held = [], [], 0
-    for pair in periods:  # an ascending prefix whose periods hold at most `rows` floats
-        held += len(pair[1])
-        if held > rows:
-            past = [pair]  # the first pair past the prefix
-            break
-        prefix.append(pair)
-    with ThreadPoolExecutor(1) as pool:
-        product = pool.submit(_multiply_periods, out, prefix)
-        counts = count_range(k, s, n_hi, stats, n_lo)
-        product.result()
-    _multiply_periods(out, past)
-    _multiply_periods(out, periods)  # the primes after it, still ascending
-    return counts, out
-
-
 def compare_report(
     k: int,
     s: int,
@@ -241,13 +220,22 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    _charge_count(k, s, n_hi, n_lo)  # here, not only in count_range: on two CPUs the series periods come first
+    _charge_count(k, s, n_hi, n_lo)  # here, not only in count_range: the series periods come first
     rows = len(range(n_lo, n_hi + 1, stride))
-    if _usable_cpus() < 2:
-        counts = count_range(k, s, n_hi, stats, n_lo)
-        series_vals = singular_series_many(n_lo, stride, rows, k, s, prime_cutoff)
-    else:
-        counts, series_vals = _count_beside_series(k, s, n_lo, n_hi, stride, rows, prime_cutoff, stats)
+    series_vals = np.ones(rows, dtype=np.float64)
+    periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)
+    prefix, past, held = [], [], 0
+    for pair in periods:  # an ascending prefix whose periods hold at most `rows` floats
+        held += len(pair[1])
+        if held > rows:
+            past = [pair]  # the first pair past the prefix
+            break
+        prefix.append(pair)
+    product = _beside(_multiply_periods, series_vals, prefix)
+    counts = count_range(k, s, n_hi, stats, n_lo)
+    product()
+    _multiply_periods(series_vals, past)
+    _multiply_periods(series_vals, periods)  # the primes after it, still ascending
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     preds = hl_prediction(k, s, ns, series_vals)
     r = np.ascontiguousarray(counts[::stride])  # counts starts at n_lo: with stride 1, the window itself

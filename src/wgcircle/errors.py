@@ -1,5 +1,5 @@
-"""Exception types, the process-wide memory budget guard and the CPU count
-that decides whether a worker thread starts."""
+"""Exception types, the process-wide memory budget guard, and `_beside`, the
+one place a worker thread of the package starts."""
 
 from __future__ import annotations
 
@@ -64,6 +64,24 @@ def ensure_memory(nbytes: int, what: str) -> None:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on.  Every worker thread of the package
-    starts only when this is at least 2."""
+    """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _beside(fn, *args):
+    """A callable that returns fn(*args), or raises what it raised.
+
+    When the process may use two CPUs, fn starts at once on a worker thread,
+    so it runs beside what the caller does next; on one CPU no thread starts
+    and fn runs when its result is asked for.  Either way the result is the
+    same.  Every worker thread of the package starts here, and fn must be
+    private numpy code: every public function stays on the calling thread,
+    where a span tracer keeps one stack."""
+    if _usable_cpus() < 2:
+        return lambda: fn(*args)
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
+
+    pool = ThreadPoolExecutor(1)
+    future = pool.submit(fn, *args)
+    pool.shutdown(wait=False)  # the thread ends once fn returns
+    return future.result

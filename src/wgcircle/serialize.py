@@ -10,10 +10,10 @@ comparison report's hundreds of thousands of rows).  Both write the same
 bytes for the same numbers: integers as str(int), floats as f"{v:.12g}", and
 no numeric field ever needs quoting.
 
-JSON goes through json.dumps, except for long record lists held as numeric
-columns (`JsonRecords`: the comparison rows, the Farey arc lists), which are
-written into the place json.dumps leaves for them, with the bytes json.dumps
-would give for their rows.
+JSON goes through the encoder of json.dumps, except for long record lists
+held as numeric columns (`JsonRecords`: the comparison rows, the Farey arc
+lists), whose bytes go in one pass into the place the encoder leaves for
+them, the bytes json.dumps would give for their rows.
 
 Both column writers take each column's text from one numpy kernel
 (`_column_text`).  A float x with decimal exponent X is scaled once,
@@ -29,9 +29,8 @@ Each block of `_ROW_BLOCK` rows is laid out as one uint8 matrix: every
 column's NUL-padded text and every constant piece (JSON keys and
 indentation, CSV commas, the row separator last) side by side.  The block's
 text is the matrix's non-NUL bytes in row order; no number text or piece
-holds a NUL, so only padding is dropped.  At most two blocks are written at
-once, on two threads when the process may use two CPUs, and the bytes are
-the same either way.
+holds a NUL, so only padding is dropped.  Two blocks are written at once,
+one of them beside this thread (`errors._beside`).
 """
 
 from __future__ import annotations
@@ -40,13 +39,12 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _usable_cpus
+from .errors import DomainError, _beside
 
 FORMATS = ("json", "csv", "plain")
 
@@ -195,11 +193,6 @@ def _check_kinds(columns, what: str) -> None:
         raise DomainError(f"{what} must be integer or float arrays, got dtype kinds {kinds}")
 
 
-def _workers(blocks: int) -> int:
-    """Threads for `blocks` row blocks: at most two, and no more than the CPUs this process may use."""
-    return min(2, blocks, _usable_cpus())
-
-
 def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> list[bytes]:
     """The rows pieces[0] + columns[0] + pieces[1] + ... + columns[-1] + pieces[-1], the columns
     as `layout` writes them, one bytes object per block of _ROW_BLOCK rows."""
@@ -214,13 +207,14 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> list[bytes]:
         return flat[flat != 0].tobytes()
 
     starts = range(0, len(columns[0]), _ROW_BLOCK)
-    workers = _workers(len(starts))
-    if workers < 2:
-        return [block(start) for start in starts]
-    from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
+    todo = iter(starts)  # shared: this thread and the helper each take the next block when they finish one
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(block, starts))
+    def take() -> list[tuple[int, bytes]]:
+        return [(start, block(start)) for start in todo]
+
+    helper = _beside(take) if len(starts) > 1 else list  # one block starts no thread
+    done = dict(take() + helper())
+    return [done[start] for start in starts]
 
 
 @dataclass(frozen=True)
@@ -236,12 +230,12 @@ class JsonRecords:
     columns: tuple
     fields: tuple[str, ...] = ()
 
-    def to_json(self, indent: int) -> str:
-        """What json.dumps(round_floats(rows), indent=2) writes for the list of
+    def json_pieces(self, indent: int) -> list[bytes]:
+        """The bytes of json.dumps(round_floats(rows), indent=2) for the list of
         the records as lists or dicts, on a line that starts `indent` spaces in."""
         _check_kinds(self.columns, "JSON record columns")
         if not len(self.columns[0]):
-            return "[]"
+            return [b"[]"]
         outer, inner = " " * (indent + 2), " " * (indent + 4)
         keys = [json.dumps(name) + ": " for name in self.fields] or [""] * len(self.columns)
         opening, closing = "{}" if self.fields else "[]"
@@ -249,25 +243,33 @@ class JsonRecords:
         pieces.append(f"\n{outer}{closing},\n")
         blocks = _row_blocks(self.columns, _JSON, [piece.encode() for piece in pieces])
         blocks[-1] = memoryview(blocks[-1])[:-2]  # the last row ends the list: no ",\n"
-        return b"".join([b"[\n", *blocks, f"\n{' ' * indent}]".encode()]).decode()
-
-
-# json.dumps writes the i-th JsonRecords of a report as the string "\0i"
-_RECORDS_SLOT = re.compile(r'^( *)(.*?)"\\u0000(\d+)"', re.MULTILINE)
+        return [b"[\n", *blocks, f"\n{' ' * indent}]".encode()]
 
 
 def to_json_bytes(report: Any) -> bytes:
-    blocks: list[JsonRecords] = []
+    held: list[JsonRecords] = []
 
     def slot(obj: Any) -> str:
         if not isinstance(obj, JsonRecords):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        blocks.append(obj)
-        return f"\0{len(blocks) - 1}"
+        held.append(obj)
+        return "\0"
 
-    text = json.dumps(round_floats(report), indent=2, allow_nan=True, default=slot)
-    text = _RECORDS_SLOT.sub(lambda hit: hit[1] + hit[2] + blocks[int(hit[3])].to_json(len(hit[1])), text)
-    return (text + "\n").encode()
+    # the pure-Python encoder that json.dumps(indent=2) runs, one chunk at a time
+    chunks = json.JSONEncoder(indent=2, default=slot).iterencode(round_floats(report))
+    pieces: list[bytes] = []
+    text: list[str] = []
+    indent = 0  # of the line being written: a newline and its indent come in one chunk
+    for chunk in chunks:
+        if held:  # the encoder's next chunk after a call to slot is its "\u0000"
+            pieces += ["".join(text).encode(), *held.pop().json_pieces(indent)]
+            text = []
+            continue
+        if "\n" in chunk:
+            line = chunk[chunk.rfind("\n") + 1:]
+            indent = len(line) - len(line.lstrip(" "))
+        text.append(chunk)
+    return b"".join([*pieces, "".join(text).encode(), b"\n"])
 
 
 def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:

@@ -267,16 +267,6 @@ def euler_product(
     return report
 
 
-def singular_series_many(n_lo: int, stride: int, count: int, k: int, s: int, prime_cutoff: int) -> np.ndarray:
-    """Euler products over p <= prime_cutoff at n = n_lo + i stride, i < count,
-    each bit for bit `euler_product(n, ...).product_value`: the same periods,
-    multiplied in ascending p.
-    """
-    out = np.ones(count, dtype=np.float64)
-    _multiply_periods(out, _euler_periods(n_lo, stride, count, k, s, prime_cutoff))
-    return out
-
-
 def _multiply_periods(out: np.ndarray, periods) -> None:
     """Multiply each (p, period) of `_euler_periods`, in the order given, into
     `out`: into its whole periods through a (len(out) // p, p) view, then into

@@ -4,15 +4,16 @@ import threading
 
 import pytest
 
-from wgcircle import convolve, counting, serialize
+from wgcircle import convolve, counting, errors
 
 
 @pytest.fixture
 def use_cpus(monkeypatch):
-    """Set the CPU count that every worker thread of the package reads, in
-    each module that reads it; two to start with, whatever the machine."""
+    """Set the CPU count that `errors._beside` reads before it starts a worker
+    thread, and that the exact count's charge reads; two to start with,
+    whatever the machine."""
     def use(cpus: int) -> None:
-        for mod in (serialize, counting, convolve):
+        for mod in (errors, counting):
             monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
 
     use(2)

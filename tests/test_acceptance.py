@@ -159,12 +159,11 @@ def test_criterion_8_quadrature_exactness():
 
 def test_criterion_9_prediction_desk_check():
     with criterion(9, "mean count/prediction ratio inside [0.8, 1.2]", 600.0):
-        counts = counting.count_range(2, 2, 10**5)
+        rep = counting.compare_report(2, 2, 5 * 10**4, 10**5, prime_cutoff=1000)
         ns = np.arange(5 * 10**4, 10**5 + 1, dtype=np.int64)
-        series_vals = series.singular_series_many(int(ns[0]), 1, len(ns), 2, 2, 1000)
         gamma_factor = math.gamma(1.5) ** 2 / math.gamma(2.0)
-        preds = series_vals * gamma_factor * ns / np.log(ns)
-        ratios = counts[ns] / preds
+        preds = rep.series * gamma_factor * ns / np.log(ns)
+        ratios = rep.r / preds
         assert float(ratios.min()) > 0
         assert 0.8 <= float(ratios.mean()) <= 1.2
 

@@ -551,8 +551,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch, cpus):
         # 1 MB passes the series' charges (32 kB of index classes to 1000) but not the
-        # count's 19.4 MB (24.3 MB with two transforms side by side): on two CPUs the
-        # periods are computed before the count runs
+        # count's 21.6 MB (26.4 MB with two transforms side by side), its windowed product
+        # at 300,000 points and its operands: the series periods are computed before the count runs
         calls = []
         class_factors = series.class_factors
         monkeypatch.setattr(series, "class_factors", lambda *args: calls.append(args) or class_factors(*args))
@@ -560,7 +560,7 @@ class TestFailureModes:
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(10**6))
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000", "--format", "csv"])
         assert code == 2
-        needs = {1: 19440000, 2: 24300000}[cpus]
+        needs = {1: 21600016, 2: 26400016}[cpus]
         assert capsys.readouterr().err.startswith(f"error: the exact count up to n = 150000 needs {needs} bytes")
         assert calls == []
         monkeypatch.delenv("WGCIRCLE_MEM_BYTES")
@@ -569,22 +569,24 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch, cpus):
-        # the first run of this compare raises the peak resident set by about 108 MB
-        # on two CPUs, past the 98.3 MB that 48 B per transform point charged; with
-        # pocketfft's scratch the charge is 131 MB on one CPU and 164 MB on two
+        # this comparison raises the peak resident set by about 114 MB on two CPUs and
+        # 81 MB on one, past the 73.7 MB that 48 B per transform point would charge; with
+        # s = 2 the power part is squared by pair sums, so the charge is the windowed
+        # product's 1,536,000 points with pocketfft's scratch, and 16 B per n for its
+        # operands: 114.6 MB on one CPU and 139.2 MB on two, both past a budget of 90 MB
         def no_counts(*args, **kwargs):
             raise AssertionError("count_range ran past the count's charge")
 
         monkeypatch.setattr(counting, "count_range", no_counts)
         monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "100000000")
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "90000000")
         start = time.perf_counter()
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999"])
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 2
-        needs = {1: 131072000, 2: 163840000}[cpus]
-        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 100000000 "
+        needs = {1: 114624000, 2: 139200000}[cpus]
+        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 90000000 "
                        "(set WGCIRCLE_MEM_BYTES to raise it)\n")
 
     def test_compare_takes_every_s_the_series_takes(self, capsys):

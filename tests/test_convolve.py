@@ -93,7 +93,7 @@ class TestFloatChecked:
             finally:
                 tracemalloc.stop()
             # the charge less pocketfft's scratch, which tracemalloc cannot see
-            assert peak <= convolve.fft_working_bytes(out_len, transforms=0)
+            assert peak <= convolve.fft_working_bytes(convolve.next_smooth(2 * out_len - 1), transforms=0)
             assert stats == convolve.ConvStats(direct=int(sparse))
             assert out.tolist() == convolve.fft_convolve_checked(x, y, out_len)[keep_from:].tolist()
 

@@ -8,7 +8,7 @@ import pytest
 
 from wgcircle import circle, counting, series
 from wgcircle.arith import sieve_primes
-from wgcircle.convolve import ConvStats, fft_working_bytes
+from wgcircle.convolve import ConvStats, fft_working_bytes, next_smooth
 from wgcircle.errors import DomainError, ResourceError
 
 
@@ -169,22 +169,22 @@ class TestCompareReport:
             counting.compare_report(2, 2, 100, 50)
 
     @pytest.mark.parametrize("k, s, lo, hi", [(2, 2, 61190, 61200), (3, 11, 5000, 5030)])
-    def test_series_column_is_the_euler_product(self, monkeypatch, k, s, lo, hi):
+    def test_series_column_is_the_euler_product(self, use_cpus, k, s, lo, hi):
         # both multiply the same checked class values in ascending p; the
         # column once came from a DFT and differed at n = 61194 in the last bit
         expected = [series.euler_product(n, k, s, 1000).product_value for n in range(lo, hi + 1)]
-        # on one CPU the series follows the count; on two the primes whose periods fit
-        # the 11 or 31 rows (2..5 or 2..11) are multiplied beside it and the rest after
+        # the primes whose periods fit the 11 or 31 rows (2..5 or 2..11) are multiplied
+        # beside the count, on a worker on two CPUs, and the rest after it
         for cpus in (1, 2):
-            monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+            use_cpus(cpus)
             assert counting.compare_report(k, s, lo, hi, prime_cutoff=1000).series.tolist() == expected
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_traced_peak_within_the_charge(self, monkeypatch, cpus):
-        # the count's FFT charge less pocketfft's scratch, which tracemalloc cannot
-        # see, plus 8 B per row each for n, the series column and the period
-        # prefix that the series worker holds while the count runs
-        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+    def test_traced_peak_within_the_charge(self, use_cpus, cpus):
+        # the charge of the count's float product less pocketfft's scratch, which
+        # tracemalloc cannot see, plus 8 B per row each for n, the series column and the
+        # period prefix held while the count runs; s = 2, so that product is the windowed one
+        use_cpus(cpus)
         lo, hi = 10**5, 2 * 10**5
         tracemalloc.start()
         try:
@@ -192,15 +192,15 @@ class TestCompareReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= fft_working_bytes(hi + 1, transforms=0) + 24 * (hi - lo + 1)
+        assert peak <= fft_working_bytes(next_smooth(2 * hi + 1 - lo), transforms=0) + 24 * (hi - lo + 1)
 
     def test_compare_object_counts_charged(self, monkeypatch):
         # r(n) <= P^s: 99^11 passes 2^63 at n < 10^6, so the 500,000 counts are
         # Python integers, about 155 B each; 999^2 does not, so they stay int64
         monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
-        fft = fft_working_bytes(10**6, transforms=1)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(fft + 160 * 500000 - 1))
-        with pytest.raises(ResourceError, match=f"needs {fft + 160 * 500000} bytes"):
+        count = fft_working_bytes(next_smooth(2 * 10**6 - 1), transforms=1) + 16 * 10**6  # with the operands
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(count + 160 * 500000 - 1))
+        with pytest.raises(ResourceError, match=f"needs {count + 160 * 500000} bytes"):
             counting._charge_count(3, 11, 999999, 500000)
         counting._charge_count(2, 2, 999999, 500000)
 

@@ -6,6 +6,9 @@ appears as a `Name` or an `Attribute` anywhere in those files outside its own
 definition; tests do not count.  The only unreached names allowed are those
 in `UNREACHED`, each kept for a planned reader, and each must still be
 unreached, so the list shrinks when one gains a caller.
+
+The same walk, with imports included, guards the one home of the worker
+threads: only `errors.py` names `ThreadPoolExecutor` or `threading`.
 """
 
 import ast
@@ -25,16 +28,31 @@ UNREACHED = {
 }
 
 
-def unreached_names() -> set[str]:
+def parsed() -> dict[Path, ast.Module]:
     files = sorted((ROOT / "src" / "wgcircle").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
-    # name -> (file, line) of every reference to it
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+
+
+def references(trees: dict[Path, ast.Module], imports: bool = False) -> dict[str, list[tuple[Path, int]]]:
+    """name -> (file, line) of every `Name` and `Attribute`, and with `imports`
+    of every imported name and module as well."""
     refs: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name is not None:
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            elif imports and isinstance(node, (ast.alias, ast.ImportFrom)):
+                names = ((node.name if isinstance(node, ast.alias) else node.module) or "").split(".")
+            else:
+                continue
+            for name in names:
                 refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def unreached_names() -> set[str]:
+    trees = parsed()
+    refs = references(trees)
     unreached = set()
     for path, tree in trees.items():
         if path.parent.name != "wgcircle":
@@ -51,3 +69,11 @@ def unreached_names() -> set[str]:
 
 def test_every_definition_is_reached():
     assert unreached_names() == UNREACHED
+
+
+def test_worker_threads_start_only_in_errors():
+    # errors._beside is the one home of the rule for starting a worker thread
+    refs = references(parsed(), imports=True)
+    naming = {path.name for name in ("ThreadPoolExecutor", "threading") for path, _ in refs.get(name, [])
+              if path.parent.name == "wgcircle"}
+    assert naming == {"errors.py"}

@@ -1,5 +1,5 @@
 """Serializer determinism, the number-text kernel of the column writers, their
-row blocks on threads, and the memory-budget guard."""
+row blocks on threads, the one worker-thread helper and the memory-budget guard."""
 
 import functools
 import importlib
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgcircle import cli, counting, serialize
+from wgcircle import cli, counting, errors, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
@@ -151,11 +151,49 @@ def traced_modules() -> tuple[str, ...]:
     return spans.TRACED_MODULES
 
 
+class TestBeside:
+    @staticmethod
+    def run_beside(fn, *args):
+        """fn's result through `_beside`, or the exception it raised, and the
+        threads alive when `_beside` returned."""
+        started = threading.enumerate()
+        result = errors._beside(fn, *args)
+        alive = [t for t in threading.enumerate() if t not in started]
+        try:
+            return result(), alive
+        except ValueError as exc:
+            return (type(exc), str(exc)), alive
+
+    def test_same_result_on_one_cpu_and_two(self, use_cpus):
+        def work(x, y):
+            return threading.get_ident(), np.arange(x) * y
+
+        def fail(x):
+            raise ValueError(f"no {x}")
+
+        (ident, value), _ = self.run_beside(work, 5, 3)
+        assert ident != threading.get_ident()
+        failed, _ = self.run_beside(fail, 7)
+        use_cpus(1)
+        (ident_one, value_one), alive_one = self.run_beside(work, 5, 3)
+        assert ident_one == threading.get_ident() and alive_one == []  # one CPU: no thread starts
+        assert value_one.tolist() == value.tolist() == [0, 3, 6, 9, 12]
+        assert self.run_beside(fail, 7) == (failed, []) and failed == (ValueError, "no 7")
+
+    def test_one_cpu_runs_fn_when_asked(self, use_cpus):
+        use_cpus(1)
+        calls = []
+        result = errors._beside(calls.append, 1)
+        assert calls == []
+        result()
+        assert calls == [1]
+
+
 class TestRowBlocksOnThreads:
     @pytest.fixture
-    def two_workers_and_text_threads(self, monkeypatch, use_cpus):
-        """Two workers for any two or more blocks, whatever the CPUs, and the
-        thread of every `_column_text` call."""
+    def text_threads(self, monkeypatch, use_cpus):
+        """A worker beside this thread for any two or more blocks, whatever the
+        CPUs, and the thread of every `_column_text` call."""
         threads = []
         column_text = serialize._column_text
 
@@ -186,18 +224,34 @@ class TestRowBlocksOnThreads:
         assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, use_cpus, two_workers_and_text_threads):
-        threads = two_workers_and_text_threads
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, use_cpus, text_threads):
+        threads = text_threads
         on_two = [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")]
         assert on_two[0].count(b"\n") == 149_999 > 2 * serialize._ROW_BLOCK
-        assert threads and threading.get_ident() not in threads  # every block ran on a worker
+        assert set(threads) - {threading.get_ident()}  # some block ran on a worker
         threads.clear()
         use_cpus(1)
         assert [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")] == on_two
         assert set(threads) == {threading.get_ident()}
 
+    def test_every_block_once_under_fast_switching(self, monkeypatch, text_threads):
+        # this thread and the worker take blocks from one shared iterator: a block taken
+        # twice or skipped would change the bytes or the number of text calls
+        rows = 4000
+        columns = [np.arange(rows, dtype=np.int64), np.linspace(0.0, 1.0, rows)]
+        expected = serialize.to_csv_bytes(["n", "x"], [list(row) for row in zip(*(c.tolist() for c in columns))])
+        monkeypatch.setattr(serialize, "_ROW_BLOCK", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert serialize.to_csv_columns_bytes(["n", "x"], columns) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(text_threads) == 2 * -(-rows // 3)
+        assert set(text_threads) - {threading.get_ident()}
+
     @pytest.mark.parametrize("argv", [COMPARE_THREE_BLOCKS, COMPARE_STRICT_PREFIX], ids=["all-primes", "strict-prefix"])
-    def test_bytes_do_not_depend_on_the_series_worker(self, tmp_path, use_cpus, series_products, argv):
+    def test_bytes_do_not_depend_on_the_series_worker(self, tmp_path, monkeypatch, use_cpus, series_products, argv):
         on_two = [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")]
         # per format: the prefix on the worker, then here the first prime past it and the rest
         assert len(series_products) == 6
@@ -209,10 +263,15 @@ class TestRowBlocksOnThreads:
         assert (prefix[-1], rest[:1]) == ((89, [97]) if argv is COMPARE_STRICT_PREFIX else (997, []))
         series_products.clear()
         use_cpus(1)
+        count_range = counting.count_range
+        monkeypatch.setattr(counting, "count_range",
+                            lambda *args: series_products.append("count") or count_range(*args))
         assert [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")] == on_two
-        assert not series_products  # one CPU: the series follows the count, with no worker
+        # one CPU: the same three products, all on this thread, the prefix once the count is done
+        here = [(threading.get_ident(), list(p)) for p in primes]
+        assert series_products == ["count", *here] * 2
 
-    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, two_workers_and_text_threads,
+    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, text_threads,
                                                      series_products, spectrum_threads):
         # a public function called from a worker would interleave the tracer's one span stack
         modules = [importlib.import_module(f"wgcircle.{name}") for name in traced_modules()]
@@ -237,12 +296,12 @@ class TestRowBlocksOnThreads:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
         for fmt in ("csv", "json"):
             self.compare_bytes(tmp_path, fmt)
-        # on two CPUs the series column is multiplied beside the count, not by singular_series_many,
-        # and the count's float product transforms its second operand on a worker
+        # on two CPUs the series prefix is multiplied beside the count, and the count's
+        # float product transforms its second operand on a worker
         assert {"main", "serialize", "count_range", "class_factors", "convolve_exact",
                 "fft_convolve_checked"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
-        assert two_workers_and_text_threads and threading.get_ident() not in two_workers_and_text_threads
+        assert set(text_threads) - {threading.get_ident()}
         assert series_products and series_products[0][0] != threading.get_ident()
         assert threading.get_ident() in spectrum_threads and set(spectrum_threads) - {threading.get_ident()}
 
