@@ -41,35 +41,51 @@ that is not a squaring is transformed beside the first (`errors._beside`).
 window of n (representation counts r(n)).  Results are int64 while they fit
 and Python integers beyond, never wrapped.  All inputs are nonnegative
 integer sequences.
+
+A product's peak bytes come from one function of its operands' shapes
+(`_product_bytes`), which reads the route rules above; `_convolve` checks
+them against `WGCIRCLE_MEM_BYTES` before it allocates.  `power` takes its
+products from one binary-exponentiation walk (`_binary_power`), and the same
+walk over shapes gives the up-front charge of a power and one windowed
+product after it (`_charge_power`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, _beside
+from .errors import DomainError, InternalConsistencyError, _beside, _usable_cpus, ensure_memory
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
 _INT64_LIMIT = 2**63
-# peak bytes per FFT point of one checked float convolution of two int64
-# inputs (float copies, the half spectra, which then hold the inverse and its
-# rounding, and the kept entries); tracemalloc measures 18.6 to 21.4 for a
-# squaring or two operands transformed one after the other, and 24 to 30.3 for
-# two operands transformed side by side, at a power of two (inputs fill half
-# the transform), at a 5-smooth length that the inputs fill and for a window of
-# the upper half; pocketfft's own scratch is not traced
-_FFT_BYTES_PER_POINT = 48
-# pocketfft's scratch per point of each transform running at once, allocated
-# outside numpy: a lone 2^23-point rfft raises the peak resident set (VmHWM)
-# by 192 MB against its 64 MB output
-_POCKETFFT_SCRATCH_BYTES = 16
+# peak bytes per transform point of one checked float product, beyond the
+# float copies of its operands and its kept entries: the half spectra, which
+# then hold the inverse and its rounding, and pocketfft's scratch (allocated
+# outside numpy).  The peak resident set (VmHWM) rises by 20.5 to 21.8 per
+# point for a squaring and 24.3 to 27.6 for two operands transformed one after
+# the other, from 150,000 to 2 million points, whole or windowed
+_FFT_BYTES_PER_POINT = 28
+# the bytes per point more when the second operand is transformed beside the
+# first, on a worker with its own scratch: 20.4 to 24.5 more, for the same
+# products from 300,000 points on
+_BESIDE_BYTES_PER_POINT = 25
 # the least transform length at which the second operand is transformed beside
 # the first: below it, starting the thread costs more than it saves (on two
 # CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
 _SIDE_BY_SIDE_POINTS = 2**16
+# peak bytes of pair sums: per nonzero pair (the int64 index sums, their keep
+# mask and the float64 weights) and per kept entry (the float sums and their
+# int64 copy)
+_PAIR_BYTES = 25
+_PAIR_ENTRY_BYTES = 16
+# the memory model holds its bounds on entries and sums at most this large, so
+# that a walk to a huge power stays cheap; larger entries are charged as
+# integers of 4096 bits
+_BOUND_CAP = 2**4096
 
 
 @dataclass
@@ -81,6 +97,102 @@ class ConvStats:
     float_rejected: int = 0
     direct: int = 0
     splits: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class _Operand:
+    """What the memory model reads of a nonnegative sequence: its length, and
+    upper bounds on its nonzero entries, on every entry and on their sum."""
+
+    length: int
+    nonzero: int
+    bound: int
+    mass: int
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _Operand:
+        """The shape of a sequence held, read without a new array: Python
+        integers are summed one at a time, and an int64 sum in floats is exact
+        below 2^53 and raised past its rounding error above."""
+        if x.dtype == object:
+            mass = sum(x)
+        else:
+            mass = float(x.sum(dtype=np.float64))
+            mass = int(mass) if mass < 2.0**53 else math.ceil(mass * (1 + 2**-40))
+        return cls(len(x), int(np.count_nonzero(x)), min(int(x.max()), _BOUND_CAP), min(mass, _BOUND_CAP))
+
+    @classmethod
+    def flags(cls, length: int, ones: int) -> _Operand:
+        """A 0/1 sequence with at most `ones` ones."""
+        return cls(length, ones, 1, ones)
+
+    @property
+    def nbytes(self) -> int:
+        """int64 while the bound fits, else a pointer and a CPython integer
+        (24 bytes and 4 per 30-bit digit, in 16-byte allocator blocks) each."""
+        if self.bound < _INT64_LIMIT:
+            return 8 * self.length
+        digits = -(-self.bound.bit_length() // 30)
+        return (8 + 16 * -(-(24 + 4 * digits) // 16)) * self.length
+
+    def times(self, other: _Operand, out_len: int, keep_from: int = 0, cap: int = _BOUND_CAP) -> _Operand:
+        """Entries [keep_from, out_len) of the product: an entry sums at most
+        min(len) pairs, each at most bound(a) bound(b), and at most every
+        entry of one operand against the largest of the other; `cap` bounds
+        the sum of the product's entries, and so each of them."""
+        length = min(out_len, self.length + other.length - 1) - keep_from
+        mass = min(self.mass * other.mass, cap, _BOUND_CAP)
+        bound = min(self.bound * other.bound * min(self.length, other.length),
+                    self.bound * other.mass, self.mass * other.bound, mass)
+        return _Operand(length, min(length, self.nonzero * other.nonzero), bound, min(mass, length * bound))
+
+    def split(self) -> _Operand:
+        """Either half of the operand split at half its bit length."""
+        h = _half_bits(self.bound)
+        bound = max(self.bound >> h, (1 << h) - 1)
+        return _Operand(self.length, self.nonzero, bound, min(self.mass, self.nonzero * bound))
+
+
+def _half_bits(bound: int) -> int:
+    """Where an operand with this largest entry is split: a = hi 2^h + lo."""
+    return bound.bit_length() // 2
+
+
+def _in_float_range(a: _Operand, b: _Operand) -> bool:
+    """The float routes are tried while the entry bound is below 2^52."""
+    return a.bound * b.bound * min(a.length, b.length) < _FLOAT_EXACT_MAX
+
+
+def _by_pair_sums(a: _Operand, b: _Operand, size: int) -> bool:
+    """Pair sums when the nonzero pairs are no more than the transform points."""
+    return a.nonzero * b.nonzero <= size
+
+
+def _product_bytes(a: _Operand, b: _Operand, out_len: int, keep_from: int) -> int:
+    """Peak bytes of `_convolve` on operands of these shapes (b is a for a
+    squaring), the operands included.  Down the splits, each level holds a
+    piece and the first piece's product, and recombines the two products in
+    place; the last level takes pair sums or the float product.  A float
+    product the check rejects splits once more than this walk foresees."""
+    squaring = b is a
+    out_len = min(out_len, a.length + b.length - 1)
+    size = _transform_length(a.length, b.length, out_len, keep_from)
+    held = a.nbytes + (0 if squaring else b.nbytes)
+    peak = held
+    while not _in_float_range(a, b):
+        if a.bound < b.bound:
+            a, b = b, a
+        whole, piece = a.times(b, out_len, keep_from), a.split()
+        part = piece.times(b, out_len, keep_from)
+        peak = max(peak, held + 2 * part.nbytes + whole.nbytes)
+        held += piece.nbytes + part.nbytes
+        a, squaring = piece, False
+    if _by_pair_sums(a, b, size):
+        return max(peak, held + _PAIR_BYTES * a.nonzero * b.nonzero + _PAIR_ENTRY_BYTES * (out_len - keep_from))
+    side_by_side = not squaring and size >= _SIDE_BY_SIDE_POINTS and _usable_cpus() >= 2
+    floats = a.length + (0 if squaring else b.length)
+    points = _FFT_BYTES_PER_POINT + (_BESIDE_BYTES_PER_POINT if side_by_side else 0)
+    return max(peak, held + 8 * (floats + out_len - keep_from) + points * size)
 
 
 def next_pow2(n: int) -> int:
@@ -99,13 +211,6 @@ def next_smooth(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def fft_working_bytes(points: int, transforms: int) -> int:
-    """Peak bytes of a checked float-FFT convolution transformed at `points`
-    points, with pocketfft's scratch for `transforms` transforms running at
-    once (two when the operands are transformed side by side)."""
-    return (_FFT_BYTES_PER_POINT + transforms * _POCKETFFT_SCRATCH_BYTES) * points
 
 
 def _transform_length(len_a: int, len_b: int, out_len: int, keep_from: int) -> int:
@@ -170,10 +275,8 @@ def _pair_sums(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, weigh
     """sum_{i + j = m} a_i b_j for keep_from <= m < out_len, over the nonzero
     pairs only: exact when every entry of the product is below 2^52.
 
-    At most 25 bytes per pair and 16 per output entry are live at once: with
-    no more pairs than transform points, and at least out_len - keep_from of
-    those, that is under the 48 bytes per point that `fft_working_bytes`
-    charges.
+    At most _PAIR_BYTES per pair and _PAIR_ENTRY_BYTES per output entry are
+    live at once.
     """
     ia = np.flatnonzero(a)
     ib = ia if b is a else np.flatnonzero(b)
@@ -189,31 +292,35 @@ def _pair_sums(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, weigh
 def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, stats: ConvStats) -> np.ndarray:
     """Entries [keep_from, out_len) of the product by pair sums or the checked
     float FFT, tried while the entry bound is below 2^52, splitting the wider
-    operand until one of them gives the product."""
-    max_a, max_b = int(a.max()), int(b.max())
-    if max_a * max_b * min(len(a), len(b)) < _FLOAT_EXACT_MAX:
-        # count_nonzero allocates nothing, so the FFT route keeps its working set
-        if np.count_nonzero(a) * np.count_nonzero(b) <= _transform_length(len(a), len(b), out_len, keep_from):
+    operand until one of them gives the product.  The product's peak bytes,
+    from the operands held, are checked against the budget first."""
+    x = _Operand.of(a)
+    y = x if b is a else _Operand.of(b)
+    ensure_memory(_product_bytes(x, y, out_len, keep_from), f"a product of {len(a)} by {len(b)} entries")
+    if _in_float_range(x, y):
+        if _by_pair_sums(x, y, _transform_length(len(a), len(b), out_len, keep_from)):
             stats.direct += 1
-            return _pair_sums(a, b, out_len, keep_from, weighted=max(max_a, max_b) > 1)
+            return _pair_sums(a, b, out_len, keep_from, weighted=max(x.bound, y.bound) > 1)
         result = fft_convolve_checked(a, b, out_len, keep_from)
         if result is not None:
             stats.float_ok += 1
             return result
         stats.float_rejected += 1
-    if max_a < max_b:
-        a, b, max_a = b, a, max_b
-    if max_a <= 1:
+    if x.bound < y.bound:
+        a, b, x = b, a, y
+    if x.bound <= 1:
         raise InternalConsistencyError(
             f"the float FFT rejected a 0/1 convolution of lengths {len(a)} and {len(b)}")
-    h = max_a.bit_length() // 2
+    h = _half_bits(x.bound)
     stats.splits += 1
     hi = _convolve(_exact(a >> h), b, out_len, keep_from, stats)
     lo = _convolve(_exact(a & ((1 << h) - 1)), b, out_len, keep_from, stats)
     # int64 shifts and sums wrap silently: widen to Python integers first when they could
     if hi.dtype != object and (int(hi.max()) << h) + int(lo.max()) >= _INT64_LIMIT:
         hi = hi.astype(object)
-    return _exact((hi << h) + lo)
+    hi <<= h  # in place: an object array replaces each integer as it goes
+    hi += lo
+    return _exact(hi)
 
 
 def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = None,
@@ -242,6 +349,40 @@ def convolve_exact(a, b, out_len: int | None = None, stats: ConvStats | None = N
     return _convolve(a, b, out_len, keep_from, stats if stats is not None else ConvStats())
 
 
+def _binary_power(x, s: int, multiply):
+    """x^s by binary exponentiation, the one schedule of `power` and of its
+    charge: multiply(a, b, held) forms each product, a squaring when b is a,
+    while the walk holds `held` (the result so far, or None) beside it."""
+    result = None
+    while True:
+        if s & 1:
+            result = x if result is None else multiply(result, x, None)
+        s >>= 1
+        if not s:
+            return result
+        x = multiply(x, x, result)
+
+
+def _charge_power(hist: _Operand, s: int, factor: _Operand, keep_from: int, what: str, mass) -> None:
+    """Refuse power(hist, s, len(hist)) times `factor`, kept on [keep_from,
+    len(hist)), when the peak bytes of any of its products overrun the budget.
+    The walk is `power`'s own; each product is charged with what the walk
+    holds beside it (hist, and the result during a squaring).  mass(j) bounds
+    the sum of the entries of hist^j truncated at len(hist)."""
+    peak = 0
+    start = (hist, 1)
+
+    def multiply(a, b, held):
+        nonlocal peak
+        (x, i), (y, j) = a, b
+        beside = sum(v[0].nbytes for v in {start, held} - {None, a, b})
+        peak = max(peak, _product_bytes(x, y, hist.length, 0) + beside)
+        return x.times(y, hist.length, cap=mass(i + j)), i + j
+
+    part, _ = _binary_power(start, s, multiply)
+    ensure_memory(max(peak, _product_bytes(part, factor, hist.length, keep_from)), what)
+
+
 def power(hist, s: int, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:
     """hist^s as a generating function, by binary exponentiation, exact.
 
@@ -250,13 +391,4 @@ def power(hist, s: int, out_len: int | None = None, stats: ConvStats | None = No
     """
     if s < 1:
         raise DomainError(f"power must be >= 1, got {s}")
-    square = _exact(hist)[:out_len]
-    result = None
-    e = s
-    while e > 0:
-        if e & 1:
-            result = square if result is None else convolve_exact(result, square, out_len, stats)
-        e >>= 1
-        if e:
-            square = convolve_exact(square, square, out_len, stats)
-    return result
+    return _binary_power(_exact(hist)[:out_len], s, lambda a, b, held: convolve_exact(a, b, out_len, stats))

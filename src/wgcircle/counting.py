@@ -14,7 +14,10 @@ natural numbers x_j >= 1.  Two independent routes:
     for, n_min <= n <= n_max, so its float transform has the least 5-smooth
     length >= max(n_max + 1, 2 n_max + 1 - n_min): the cyclic wrap lands on
     n < n_min, which is not returned, and the checks still cover every entry
-    of the transform.
+    of the transform.  Before any array is made the count is charged against
+    `WGCIRCLE_MEM_BYTES` by `convolve._charge_power`, the walk of `power`
+    over shapes, with the sum of the entries of the j-th power bounded by the
+    lattice volume gamma_factor(k, j) n^(j/k) (`_tuples`).
 
 The prediction compared against is
 
@@ -23,8 +26,8 @@ The prediction compared against is
 whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
-`compare_report` counts only its rows, n_lo <= n <= n_hi, and refuses the
-count's working set before any local factor.  The series periods of an
+`compare_report` counts only its rows, n_lo <= n <= n_hi, and makes the
+count's charge before any local factor.  The series periods of an
 ascending prefix of the primes, at most one float per row of them (every prime
 up to the default cutoff of 1000), are multiplied beside the count
 (`errors._beside`); the primes past the prefix follow after it, so every
@@ -40,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
-from .convolve import ConvStats, _transform_length, convolve_exact, fft_working_bytes, next_pow2, power
-from .errors import DomainError, ResourceError, _beside, _usable_cpus, ensure_memory
+from .convolve import ConvStats, _charge_power, _Operand, convolve_exact, next_pow2, power
+from .errors import DomainError, ResourceError, _beside, ensure_memory
 from .series import _euler_periods, _multiply_periods, check_limits
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
@@ -49,11 +52,6 @@ _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
 #: Peak bytes per tuple of one step of the brute-force route: the int64 sums,
 #: the mask of those <= bucket and the int64 copy kept.
 _TUPLE_BYTES = 17
-
-#: Bytes per counted n once r(n) is an object array of Python integers:
-#: tracemalloc measures 153 to 155 for `compare --k 3 --s 11` near 10^6.
-_OBJECT_ROW_BYTES = 160
-
 
 @lru_cache(maxsize=32)
 def _power_sums(k: int, s: int, bucket: int) -> np.ndarray:
@@ -113,21 +111,15 @@ def _power_indicator(k: int, n_max: int) -> np.ndarray:
     return ind
 
 
-def _charge_count(k: int, s: int, n_max: int, n_min: int) -> None:
-    """Refuse a count of r(n), n_min <= n <= n_max, whose working set overruns
-    the budget: its largest float product, with pocketfft's scratch for the
-    two transforms that run side by side on two CPUs, the int64 power part and
-    prime indicator it multiplies, and the Python integers of r(n) when it may
-    outgrow int64.  For s <= 2 and k >= 2 the power part is the indicator or
-    its square by pair sums (P^2 <= n_max), so the largest float product is
-    the windowed one; otherwise a full-length one."""
-    keep_from = n_min if s <= 2 <= k else 0
-    points = _transform_length(n_max + 1, n_max + 1, n_max + 1, keep_from)
-    nbytes = fft_working_bytes(points, transforms=2 if _usable_cpus() >= 2 else 1) + 16 * (n_max + 1)
-    # each s-tuple of x_j <= P = n_max^(1/k) leaves at most one prime, so r(n) <= P^s
-    if s * math.log2(kth_root_floor(n_max, k)) >= 63:
-        nbytes += _OBJECT_ROW_BYTES * (n_max - n_min + 1)
-    ensure_memory(nbytes, f"the exact count up to n = {n_max}")
+def _tuples(k: int, j: int, n: int) -> float:
+    """A bound on the j-tuples of x_i >= 1 with x_1^k + ... + x_j^k <= n, the
+    sum of the entries of the j-th power of the indicator: each tuple is the
+    top corner of a unit cube inside that region of y_i >= 0, whose volume is
+    gamma_factor(k, j) n^(j/k).  Infinite past the double range."""
+    try:
+        return math.ceil(gamma_factor(k, j) * n ** (j / k) * (1 + 1e-9))
+    except (DomainError, OverflowError):
+        return math.inf
 
 
 def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_min: int = 0) -> np.ndarray:
@@ -139,7 +131,8 @@ def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_mi
         raise DomainError(f"need n_max >= 2, got {n_max}")
     if not 0 <= n_min <= n_max:
         raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    _charge_count(k, s, n_max, n_min)
+    _charge_power(_Operand.flags(n_max + 1, kth_root_floor(n_max, k)), s, _Operand.flags(n_max + 1, n_max + 1), n_min,
+                  f"the exact count up to n = {n_max}", lambda j: _tuples(k, j, n_max))
     # exact: summands are >= 1, so truncating every product at z^n_max is safe
     power_part = power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
     return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats, keep_from=n_min)
@@ -220,7 +213,9 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    _charge_count(k, s, n_hi, n_lo)  # here, not only in count_range: the series periods come first
+    # the count's charge here, not only in count_range: the series periods come first
+    _charge_power(_Operand.flags(n_hi + 1, kth_root_floor(n_hi, k)), s, _Operand.flags(n_hi + 1, n_hi + 1), n_lo,
+                  f"the exact count up to n = {n_hi}", lambda j: _tuples(k, j, n_hi))
     rows = len(range(n_lo, n_hi + 1, stride))
     series_vals = np.ones(rows, dtype=np.float64)
     periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)

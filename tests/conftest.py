@@ -4,16 +4,16 @@ import threading
 
 import pytest
 
-from wgcircle import convolve, counting, errors
+from wgcircle import convolve, errors
 
 
 @pytest.fixture
 def use_cpus(monkeypatch):
     """Set the CPU count that `errors._beside` reads before it starts a worker
-    thread, and that the exact count's charge reads; two to start with,
+    thread, and that the memory model of a product reads; two to start with,
     whatever the machine."""
     def use(cpus: int) -> None:
-        for mod in (errors, counting):
+        for mod in (errors, convolve):
             monkeypatch.setattr(mod, "_usable_cpus", lambda: cpus)
 
     use(2)

@@ -92,8 +92,11 @@ class TestFloatChecked:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the charge less pocketfft's scratch, which tracemalloc cannot see
-            assert peak <= convolve.fft_working_bytes(convolve.next_smooth(2 * out_len - 1), transforms=0)
+            # the product's charge less its operands, which were made before tracing
+            shape = convolve._Operand.of(x)
+            other = shape if y is x else convolve._Operand.of(y)
+            charge = convolve._product_bytes(shape, other, out_len, keep_from)
+            assert peak <= charge - shape.nbytes - (0 if other is shape else other.nbytes)
             assert stats == convolve.ConvStats(direct=int(sparse))
             assert out.tolist() == convolve.fft_convolve_checked(x, y, out_len)[keep_from:].tolist()
 

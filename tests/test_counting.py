@@ -1,15 +1,28 @@
 """Tests for exact counting and the prediction comparisons."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wgcircle import circle, counting, series
+from wgcircle import circle, convolve, counting, series
 from wgcircle.arith import sieve_primes
-from wgcircle.convolve import ConvStats, fft_working_bytes, next_smooth
+from wgcircle.convolve import ConvStats
 from wgcircle.errors import DomainError, ResourceError
+
+
+def recorded_charges(monkeypatch) -> list[int]:
+    """The bytes of every memory check of the convolution layer, in order: the
+    count's up-front charge, then one per product."""
+    charges = []
+    ensure_memory = convolve.ensure_memory
+    monkeypatch.setattr(convolve, "ensure_memory", lambda nbytes, what: charges.append(nbytes) or ensure_memory(nbytes, what))
+    return charges
 
 
 class TestCountDirect:
@@ -114,6 +127,38 @@ class TestCountRange:
             x += 1
         assert int(counts.sum()) == direct
 
+    @pytest.mark.parametrize("n_min", [0, 900000])
+    @pytest.mark.parametrize("k, s", [(2, 9), (3, 11), (4, 13), (5, 15), (6, 17)])
+    def test_charge_against_the_measured_peak(self, k, s, n_min):
+        # the paper's regime s >= c k + 4 at 10^6: the rise of the peak resident set
+        # (VmHWM) across one count in a fresh interpreter, which sees pocketfft's scratch
+        # and the allocator's own holdings, stays within the up-front charge.  Over the
+        # last 10^5 rows the charge is at most 1.6 times the rise: the bounds cannot show
+        # that the k = 6 square R_8^2 needs no split, and that rise reads 108 or 117 MiB
+        # on two CPUs from run to run, against a charge of 171 MiB
+        script = (
+            "import sys\n"
+            "from wgcircle import convolve, counting\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "charges = []\n"
+            "check = convolve.ensure_memory\n"
+            "convolve.ensure_memory = lambda nbytes, what: charges.append(nbytes) or check(nbytes, what)\n"
+            "k, s, n_max, n_min = map(int, sys.argv[1:])\n"
+            "before = peak_kib()\n"
+            "counting.count_range(k, s, n_max, None, n_min)\n"
+            "print(charges[0], 1024 * (peak_kib() - before))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(counting.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script, str(k), str(s), str(10**6), str(n_min)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        charge, rise = map(int, out.split())
+        assert rise <= charge
+        if n_min:
+            assert charge <= 1.6 * rise
+
 
 class TestPrediction:
     def test_linear_case_has_unit_constant(self):
@@ -180,11 +225,12 @@ class TestCompareReport:
             assert counting.compare_report(k, s, lo, hi, prime_cutoff=1000).series.tolist() == expected
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_traced_peak_within_the_charge(self, use_cpus, cpus):
-        # the charge of the count's float product less pocketfft's scratch, which
-        # tracemalloc cannot see, plus 8 B per row each for n, the series column and the
-        # period prefix held while the count runs; s = 2, so that product is the windowed one
+    def test_traced_peak_within_the_charge(self, monkeypatch, use_cpus, cpus):
+        # the count's charge, which tracemalloc sees all of but pocketfft's scratch, plus
+        # 8 B per row each for n, the series column and the period prefix held while the
+        # count runs; s = 2, so its largest product is the windowed one
         use_cpus(cpus)
+        charges = recorded_charges(monkeypatch)
         lo, hi = 10**5, 2 * 10**5
         tracemalloc.start()
         try:
@@ -192,17 +238,24 @@ class TestCompareReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= fft_working_bytes(next_smooth(2 * hi + 1 - lo), transforms=0) + 24 * (hi - lo + 1)
+        assert peak <= charges[0] + 24 * (hi - lo + 1)
 
     def test_compare_object_counts_charged(self, monkeypatch):
-        # r(n) <= P^s: 99^11 passes 2^63 at n < 10^6, so the 500,000 counts are
-        # Python integers, about 155 B each; 999^2 does not, so they stay int64
-        monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
-        count = fft_working_bytes(next_smooth(2 * 10**6 - 1), transforms=1) + 16 * 10**6  # with the operands
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(count + 160 * 500000 - 1))
-        with pytest.raises(ResourceError, match=f"needs {count + 160 * 500000} bytes"):
-            counting._charge_count(3, 11, 999999, 500000)
-        counting._charge_count(2, 2, 999999, 500000)
+        # r(n) <= Gamma(4/3)^11 n^(11/3) / Gamma(14/3) passes 2^63 below 10^6, so the counts
+        # may be Python integers; compare refuses them by the count's charge, before any count
+        def no_counts(*args, **kwargs):
+            raise AssertionError("count_range ran")
+
+        monkeypatch.setattr(counting, "count_range", no_counts)
+        charges = recorded_charges(monkeypatch)
+        with pytest.raises(AssertionError, match="count_range ran"):
+            counting.compare_report(3, 11, 500000, 999999)
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(charges[0] - 1))
+        with pytest.raises(ResourceError, match=f"the exact count up to n = 999999 needs {charges[0]} bytes"):
+            counting.compare_report(3, 11, 500000, 999999)
+        # past int64 an entry is a pointer and a Python integer, 48-byte blocks up to six digits
+        for bound, nbytes in ((2**63 - 1, 8), (2**63, 56), (2**180 - 1, 56), (2**180, 72)):
+            assert convolve._Operand(10, 10, bound, 10 * bound).nbytes == 10 * nbytes
 
     def test_prediction_column_is_hl_prediction(self):
         rep = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)

@@ -216,6 +216,38 @@ def test_windowed_count_is_the_slice(k, s, n_max, data):
     assert counting.count_range(k, s, n_max, None, n_min).tolist() == counting.count_range(k, s, n_max)[n_min:].tolist()
 
 
+def binary_power_reference(hist, s, out_len, stats):
+    """hist^s by a binary exponentiation loop of its own, a reference for the
+    walk `power` shares with the count's charge."""
+    square, result, e = hist, None, s
+    while e > 0:
+        if e & 1:
+            result = square if result is None else convolve.convolve_exact(result, square, out_len, stats)
+        e >>= 1
+        if e:
+            square = convolve.convolve_exact(square, square, out_len, stats)
+    return result
+
+
+@PROPERTY_SETTINGS
+@given(k=st.integers(1, 4), s=st.integers(1, 14), n_max=st.integers(2, 600), data=st.data())
+def test_the_run_never_outgrows_the_plan(k, s, n_max, data):
+    # every product checks its own peak bytes, from the operands it holds, against
+    # the budget; none may pass the count's up-front charge, which walks the same schedule
+    n_min = data.draw(st.integers(0, n_max))
+    checks = []
+    ensure_memory = convolve.ensure_memory
+    with mock.patch.object(convolve, "ensure_memory", lambda nbytes, what: checks.append(nbytes) or ensure_memory(nbytes, what)):
+        stats = convolve.ConvStats()
+        counts = counting.count_range(k, s, n_max, stats, n_min)
+    assert max(checks[1:], default=0) <= checks[0]
+    expected = convolve.ConvStats()
+    power_part = binary_power_reference(counting._power_indicator(k, n_max), s, n_max + 1, expected)
+    primes = arith.sieve_primes(n_max).astype(np.int64)
+    assert counts.tolist() == convolve.convolve_exact(power_part, primes, n_max + 1, expected, n_min).tolist()
+    assert stats == expected
+
+
 @pytest.mark.parametrize("n_min", [0, 10**6])
 def test_windowed_count_keeps_the_routes(n_min):
     # only the last product is windowed, and at 10^6 it stays a float product either way
