@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, _beside, _usable_cpus, ensure_memory
+from .errors import DomainError, InternalConsistencyError, ResourceError, _beside, _usable_cpus, ensure_memory
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
@@ -82,9 +82,8 @@ _SIDE_BY_SIDE_POINTS = 2**16
 # int64 copy)
 _PAIR_BYTES = 25
 _PAIR_ENTRY_BYTES = 16
-# the memory model holds its bounds on entries and sums at most this large, so
-# that a walk to a huge power stays cheap; larger entries are charged as
-# integers of 4096 bits
+# the walk of a power charges products whose entries sum to less than this,
+# and refuses the power past it: the walk stays cheap, and no bound is cut
 _BOUND_CAP = 2**4096
 
 
@@ -119,7 +118,7 @@ class _Operand:
         else:
             mass = float(x.sum(dtype=np.float64))
             mass = int(mass) if mass < 2.0**53 else math.ceil(mass * (1 + 2**-40))
-        return cls(len(x), int(np.count_nonzero(x)), min(int(x.max()), _BOUND_CAP), min(mass, _BOUND_CAP))
+        return cls(len(x), int(np.count_nonzero(x)), int(x.max()), mass)
 
     @classmethod
     def flags(cls, length: int, ones: int) -> _Operand:
@@ -135,13 +134,13 @@ class _Operand:
         digits = -(-self.bound.bit_length() // 30)
         return (8 + 16 * -(-(24 + 4 * digits) // 16)) * self.length
 
-    def times(self, other: _Operand, out_len: int, keep_from: int = 0, cap: int = _BOUND_CAP) -> _Operand:
+    def times(self, other: _Operand, out_len: int, keep_from: int = 0, cap: float = math.inf) -> _Operand:
         """Entries [keep_from, out_len) of the product: an entry sums at most
         min(len) pairs, each at most bound(a) bound(b), and at most every
         entry of one operand against the largest of the other; `cap` bounds
         the sum of the product's entries, and so each of them."""
         length = min(out_len, self.length + other.length - 1) - keep_from
-        mass = min(self.mass * other.mass, cap, _BOUND_CAP)
+        mass = min(self.mass * other.mass, cap)
         bound = min(self.bound * other.bound * min(self.length, other.length),
                     self.bound * other.mass, self.mass * other.bound, mass)
         return _Operand(length, min(length, self.nonzero * other.nonzero), bound, min(mass, length * bound))
@@ -363,24 +362,30 @@ def _binary_power(x, s: int, multiply):
         x = multiply(x, x, result)
 
 
-def _charge_power(hist: _Operand, s: int, factor: _Operand, keep_from: int, what: str, mass) -> None:
+def _charge_power(hist: _Operand, s: int, factor: _Operand, keep_from: int, what: str, mass,
+                  held: int = 0) -> None:
     """Refuse power(hist, s, len(hist)) times `factor`, kept on [keep_from,
-    len(hist)), when the peak bytes of any of its products overrun the budget.
-    The walk is `power`'s own; each product is charged with what the walk
-    holds beside it (hist, and the result during a squaring).  mass(j) bounds
-    the sum of the entries of hist^j truncated at len(hist)."""
+    len(hist)), when the peak bytes of any of its products, with the `held`
+    bytes of the caller, overrun the budget.  The walk is `power`'s own; each
+    product is charged with what the walk holds beside it (hist, and the
+    result during a squaring).  mass(j) bounds the sum of the entries of
+    hist^j truncated at len(hist)."""
     peak = 0
     start = (hist, 1)
 
-    def multiply(a, b, held):
+    def multiply(a, b, walk_held):
         nonlocal peak
         (x, i), (y, j) = a, b
-        beside = sum(v[0].nbytes for v in {start, held} - {None, a, b})
+        beside = sum(v[0].nbytes for v in {start, walk_held} - {None, a, b})
         peak = max(peak, _product_bytes(x, y, hist.length, 0) + beside)
-        return x.times(y, hist.length, cap=mass(i + j)), i + j
+        product = x.times(y, hist.length, cap=mass(i + j))
+        if product.mass >= _BOUND_CAP:
+            raise ResourceError(f"{what} has entries that may sum past 2^{_BOUND_CAP.bit_length() - 1}, "
+                                "beyond the range of its memory model")
+        return product, i + j
 
     part, _ = _binary_power(start, s, multiply)
-    ensure_memory(max(peak, _product_bytes(part, factor, hist.length, keep_from)), what)
+    ensure_memory(max(peak, _product_bytes(part, factor, hist.length, keep_from)) + held, what)
 
 
 def power(hist, s: int, out_len: int | None = None, stats: ConvStats | None = None) -> np.ndarray:

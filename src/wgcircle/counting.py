@@ -27,11 +27,11 @@ whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
 `compare_report` counts only its rows, n_lo <= n <= n_hi, and makes the
-count's charge before any local factor.  The series periods of an
-ascending prefix of the primes, at most one float per row of them (every prime
-up to the default cutoff of 1000), are multiplied beside the count
-(`errors._beside`); the primes past the prefix follow after it, so every
-product keeps its ascending order.
+count's charge before any local factor, with the columns it holds beside the
+count.  The series periods of an ascending prefix of the primes, at most one
+float per row of them (every prime up to the default cutoff of 1000), are
+multiplied beside the count (`errors._beside`); the primes past the prefix
+follow after it, so every product keeps its ascending order.
 """
 
 from __future__ import annotations
@@ -122,6 +122,15 @@ def _tuples(k: int, j: int, n: int) -> float:
         return math.inf
 
 
+def _check_count_memory(k: int, s: int, n_max: int, n_min: int, held: int = 0) -> None:
+    """Refuse count_range(k, s, n_max, n_min=n_min) up front, beside `held`
+    bytes of the caller: the indicator's P = n_max^(1/k) ones raised to the
+    s-th power, the sum of its j-th power within the lattice volume, then
+    times the prime flags."""
+    _charge_power(_Operand.flags(n_max + 1, kth_root_floor(n_max, k)), s, _Operand.flags(n_max + 1, n_max + 1), n_min,
+                  f"the exact count up to n = {n_max}", lambda j: _tuples(k, j, n_max), held)
+
+
 def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_min: int = 0) -> np.ndarray:
     """Exact r(n) for n_min <= n <= n_max, entry i holding r(n_min + i), via
     generating-function convolution.  The power part is raised in full up to
@@ -131,8 +140,7 @@ def count_range(k: int, s: int, n_max: int, stats: ConvStats | None = None, n_mi
         raise DomainError(f"need n_max >= 2, got {n_max}")
     if not 0 <= n_min <= n_max:
         raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    _charge_power(_Operand.flags(n_max + 1, kth_root_floor(n_max, k)), s, _Operand.flags(n_max + 1, n_max + 1), n_min,
-                  f"the exact count up to n = {n_max}", lambda j: _tuples(k, j, n_max))
+    _check_count_memory(k, s, n_max, n_min)
     # exact: summands are >= 1, so truncating every product at z^n_max is safe
     power_part = power(_power_indicator(k, n_max), s, n_max + 1, stats=stats)
     return convolve_exact(power_part, sieve_primes(n_max).astype(np.int64), n_max + 1, stats, keep_from=n_min)
@@ -213,10 +221,11 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    # the count's charge here, not only in count_range: the series periods come first
-    _charge_power(_Operand.flags(n_hi + 1, kth_root_floor(n_hi, k)), s, _Operand.flags(n_hi + 1, n_hi + 1), n_lo,
-                  f"the exact count up to n = {n_hi}", lambda j: _tuples(k, j, n_hi))
+    # the count's charge here, not only in count_range: the series periods come first,
+    # and while the count runs the series column and the periods of its prefix stay
+    # held, with their product's work, 24 B per row
     rows = len(range(n_lo, n_hi + 1, stride))
+    _check_count_memory(k, s, n_hi, n_lo, 24 * rows)
     series_vals = np.ones(rows, dtype=np.float64)
     periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)
     prefix, past, held = [], [], 0

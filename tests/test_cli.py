@@ -551,8 +551,9 @@ class TestFailureModes:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch, cpus):
         # 1 MB passes the series' charges (32 kB of index classes to 1000) but not the
-        # count's 14.4 MB (21.9 MB with two transforms side by side), its windowed product
-        # at 300,000 points and its operands: the series periods are computed before the count runs
+        # count's 18.0 MB (25.5 MB with two transforms side by side), its windowed product
+        # at 300,000 points and its operands, with 24 B per row of the columns compare holds
+        # beside it: the series periods are computed before the count runs
         calls = []
         class_factors = series.class_factors
         monkeypatch.setattr(series, "class_factors", lambda *args: calls.append(args) or class_factors(*args))
@@ -560,7 +561,7 @@ class TestFailureModes:
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(10**6))
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000", "--format", "csv"])
         assert code == 2
-        needs = {1: 14400016, 2: 21900016}[cpus]
+        needs = {1: 17999968, 2: 25499968}[cpus]
         assert capsys.readouterr().err.startswith(f"error: the exact count up to n = 150000 needs {needs} bytes")
         assert calls == []
         monkeypatch.delenv("WGCIRCLE_MEM_BYTES")
@@ -569,24 +570,25 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch, cpus):
-        # the count of this comparison raises the peak resident set by about 109 MB on two
-        # CPUs and 76 MB on one; with s = 2 the power part is squared by pair sums, so the charge is the windowed
-        # product's 1,536,000 points with pocketfft's scratch, 8 B per entry for the float
-        # copies and the kept entries, and 16 B per n for its operands: 79.6 MB on one CPU
-        # and 118.0 MB on two, both past a budget of 75 MB
+        # this comparison raises the peak resident set by about 114 MB on two CPUs and 80 MB
+        # on one; with s = 2 the power part is squared by pair sums, so the charge is the
+        # windowed product's 1,536,000 points with pocketfft's scratch, 8 B per entry for
+        # the float copies and the kept entries, 16 B per n for its operands, and 24 B per
+        # row of the columns compare holds beside the count: 91.6 MB on one CPU and 130.0 MB
+        # on two, both past a budget of 90 MB
         def no_counts(*args, **kwargs):
             raise AssertionError("count_range ran past the count's charge")
 
         monkeypatch.setattr(counting, "count_range", no_counts)
         monkeypatch.setattr(convolve, "_usable_cpus", lambda: cpus)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "75000000")
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "90000000")
         start = time.perf_counter()
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999"])
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 2
-        needs = {1: 79648000, 2: 118048000}[cpus]
-        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 75000000 "
+        needs = {1: 91648000, 2: 130048000}[cpus]
+        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 90000000 "
                        "(set WGCIRCLE_MEM_BYTES to raise it)\n")
 
     def test_compare_takes_every_s_the_series_takes(self, capsys):

@@ -92,11 +92,13 @@ class TestFloatChecked:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the product's charge less its operands, which were made before tracing
+            # at most 48 B per point of the full-length transform, and within the product's
+            # charge less its operands, which were made before tracing
             shape = convolve._Operand.of(x)
             other = shape if y is x else convolve._Operand.of(y)
             charge = convolve._product_bytes(shape, other, out_len, keep_from)
-            assert peak <= charge - shape.nbytes - (0 if other is shape else other.nbytes)
+            assert peak <= min(48 * convolve.next_smooth(2 * out_len - 1),
+                               charge - shape.nbytes - (0 if other is shape else other.nbytes))
             assert stats == convolve.ConvStats(direct=int(sparse))
             assert out.tolist() == convolve.fft_convolve_checked(x, y, out_len)[keep_from:].tolist()
 
