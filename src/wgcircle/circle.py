@@ -5,13 +5,15 @@ spectrum with real weights.  The smooth-power sum places weight 1 at the
 frequencies x^k for x in A(P, R); the prime sum places weight log p at each
 prime p <= n.  Real weights give g(1 - alpha) = conj g(alpha), so with an
 integer n the integrand g * f^s * e(-alpha n) at 1 - alpha is the conjugate
-of its value at alpha.  Every grid consumer therefore reads one real FFT per
-spectrum on the half grid alpha_j = j/M, j in [0, M/2], where a point stands
-for itself and its mirror M - j: it counts twice, except j = 0 and j = M/2,
-which are their own mirrors (`HalfPoints`).  A Riemann sum over the grid
-integrates g * f^s * e(-alpha n) exactly on the full circle whenever M
-exceeds the bandwidth (trig-polynomial orthogonality); on arc subsets the
-endpoint error is reported, never hidden.
+of its value at alpha.  Every grid consumer therefore reads each spectrum on
+the half grid alpha_j = j/M, j in [0, M/2], where a point stands for itself
+and its mirror M - j: it counts twice, except j = 0 and j = M/2, which are
+their own mirrors (`HalfPoints`).  One engine evaluates it: one real FFT on
+small grids, cache-sized residue classes on large ones, of which amplitude
+readers keep |.| only.  A Riemann sum over the grid integrates
+g * f^s * e(-alpha n) exactly on the full circle whenever M exceeds the
+bandwidth (trig-polynomial orthogonality); on arc subsets the endpoint error
+is reported, never hidden.
 
 An arc union is one closed Farey family: the reduced fractions a/q <= 1
 with q <= q_top, in ascending order from the Farey next-term recurrence, held
@@ -47,7 +49,7 @@ from .arith import (
     check_double_range, check_exponents, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set,
 )
 from .convolve import next_pow2
-from .errors import AliasingError, DomainError, InternalConsistencyError, ensure_memory
+from .errors import AliasingError, DomainError, InternalConsistencyError, _beside, ensure_memory
 from .serialize import JsonRecords
 from .specialfn import check_theta, eta_value
 
@@ -95,20 +97,81 @@ def alias_free_size(n: int, s: int, oversample: int) -> int:
     return next_pow2((s + 1) * n + 1) * next_pow2(oversample)
 
 
-def half_grid_conj(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+def half_grid_conj(coeffs: np.ndarray, m: int, amplitudes: bool = False) -> np.ndarray:
     """The conjugates of the values sum_j c_j e(j * i/m) at the grid points
-    i/m, 0 <= i <= m/2, by one real FFT, written into `out` when it is given
-    (a complex array of m/2 + 1 points, such as an earlier result).
+    i/m, 0 <= i <= m/2, as rfft(coeffs, n=m) gives them, or with `amplitudes`
+    their absolute values, computed without the complex half grid (`_half_grid`).
 
     rfft sums c_j e(-j * i/m): with real weights that is the conjugate of the
     value at i/m, and it is the value itself at the mirror point (m - i)/m.
-    Callers that want values take np.conj; amplitudes need no conjugate.
+    Callers that want values take np.conj.
     """
     if m < len(coeffs):
         raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
-    # the complex half grid unless it is given, and rfft's zero-padded copy of the input
-    ensure_memory((16 * half_size(m) if out is None else 0) + 8 * m, "half-grid evaluation")
-    return np.fft.rfft(coeffs, n=m, out=out)
+    ensure_memory(_half_grid_bytes(m, 8 if amplitudes else 16), "half-grid evaluation")
+    return _half_grid(coeffs, m, amplitudes)
+
+
+#: Power-of-two grids of 2^20 points or more (measured: below that one real FFT
+#: is as fast) are evaluated by residue classes of 2^16 points, 4 at a time.
+#: One real FFT peaks at 48 bytes per half-grid point: pocketfft's padded copy
+#: of the input and its scratch, outside numpy, then the complex output.  A
+#: batch of classes peaks at 64 per class point: their folds and complex
+#: values, the partial last block's product, and pocketfft's scratch.
+_CLASS_POINTS = 1 << 16
+_CLASSES_FROM = 1 << 20
+_CLASS_BATCH = 4
+
+
+def _class_count(m: int) -> int:
+    """R, the number of residue classes of the grid of size m (1: one real FFT)."""
+    return m // _CLASS_POINTS if m >= _CLASSES_FROM and m & (m - 1) == 0 else 1
+
+
+def _half_grid_bytes(m: int, point_bytes: int) -> int:
+    """Peak bytes of `_half_grid` whose result holds point_bytes per half-grid point."""
+    if _class_count(m) == 1:
+        return 16 * m + 16 * half_size(m)
+    return point_bytes * half_size(m) + 64 * _CLASS_BATCH * _CLASS_POINTS
+
+
+def _half_grid(coeffs: np.ndarray, m: int, amplitudes: bool) -> np.ndarray:
+    """rfft(coeffs, n=m), or its absolute values, by residue class i = r mod R
+    (decimation in frequency): with m = R*M, the point R*t + r is the M-point
+    FFT at t of the fold F_r(y) = sum_b c_{y + M*b} e(-r*b/R) twisted by
+    e(-r*y/m).  Class 0 is real, and its real FFT holds t in [0, M/2]; class
+    R - r at t is the conjugate of class r at M - 1 - t, so the complex FFTs
+    of classes 1..R/2 hold the rest.  Each batch goes into the half grid at once."""
+    R = _class_count(m)
+    take, mirror = (np.abs, np.abs) if amplitudes else (np.asarray, np.conj)
+    if R == 1:
+        return take(np.fft.rfft(coeffs, n=m))
+    M, h, g = m // R, m // (2 * R), min(_CLASS_BATCH, R // 2)
+    full, rest = divmod(len(coeffs), M)
+    blocks, tail = coeffs[: full * M].reshape(full, M), coeffs[full * M :]
+    out = np.empty(m // 2 + 1, dtype=np.float64 if amplitudes else np.complex128)
+    fold = blocks.sum(axis=0)
+    fold[:rest] += tail
+    out[::R] = take(np.fft.rfft(fold))
+    grid = out[:-1].reshape(h, R)  # grid[t, r] is the point R*t + r
+    split = 1 << (M.bit_length() // 2)  # the twist e(-r*y/m) from two tables in y = y_hi + y_lo
+    b, y_lo, y_hi = np.arange(full + (rest > 0)), np.arange(split), np.arange(0, M, split)
+    values = np.empty((g, M), dtype=np.complex128)  # one batch, transformed in place
+    for r0 in range(1, R // 2 + 1, g):
+        r = np.arange(r0, r0 + g)
+        angles = (np.outer(r, b) % R) * (-2 * np.pi / R)
+        weights = np.concatenate((np.cos(angles), np.sin(angles)))  # real parts, then imaginary
+        folds = weights[:, :full] @ blocks
+        folds[:, :rest] += weights[:, full:] * tail  # the partial last block, if any
+        values.real, values.imag = folds[:g], folds[g:]
+        del folds
+        twisted = values.reshape(g, -1, split)
+        twisted *= np.exp((-2j * np.pi / m) * np.outer(r, y_lo))[:, None, :]
+        twisted *= np.exp((-2j * np.pi / m) * np.outer(r, y_hi))[:, :, None]
+        np.fft.fft(values, axis=1, out=values)
+        grid[:, r0 : r0 + g] = take(values[:, :h]).T
+        grid[::-1, R - r0 : R - r0 - g : -1] = mirror(values[:, h:]).T  # t = h + j is R - r at h - 1 - j
+    return out
 
 
 def half_size(m: int) -> int:
@@ -515,7 +578,7 @@ def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, in
     |f|^t <= P^t over the grid could leave the double range."""
     m = alias_free_size(P**k, 0, 2)
     check_double_range(P, t, f"P^t * grid size = {P}^{t:g} * {m}", factor=m)
-    f_half = np.abs(half_grid_conj(build_f_spectrum(P**k, k, R)[0], m))
+    f_half = half_grid_conj(build_f_spectrum(P**k, k, R)[0], m, amplitudes=True)
     # the grid max, not f_half[0] = |f(0)|: the two differ by rounding when |f| is flat
     return f_half, m, float(f_half.max() ** t)
 
@@ -728,14 +791,11 @@ def g_envelope_constant(n: int, sup_g: float) -> dict:
     return {"sup_g": sup_g, "scale": scale, "constant": sup_g / scale}
 
 
-# peak bytes per half-grid point in dissection_ledger, reached in the second
-# real FFT, which writes into the first one's complex output: the first
-# family's amplitudes (8), that output (16), the minor-arc mask (1) and
-# pocketfft's scratch (about 32, allocated outside numpy where tracemalloc
-# cannot see it); the slice points, a few per arc, do not count.  VmHWM rises
-# by about 58 per point at n = 10^6, less the spectrum.  Per frequency, a
-# spectrum (8) and the prime sieve with its table (< 8)
-_LEDGER_HALF_POINT_BYTES = 60
+# peak bytes per half-grid point while dissection_ledger partitions the minor
+# arcs (most of the grid): |g| and |f| there (16), |f|^s (8), the class masks
+# (4), one class's positions and values (16), and what the allocator keeps:
+# VmHWM rises by 42 to 48 at n = 10^6.  Per frequency, both spectra (8 each)
+_LEDGER_HALF_POINT_BYTES = 56
 _LEDGER_FREQUENCY_BYTES = 16
 
 
@@ -748,15 +808,17 @@ def _theta_families(theta: int) -> tuple[str, str]:
 def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
     """Peak working set of dissection_ledger at scale n on a grid of size m.
 
-    It is the larger of two phases.  First the Farey families are built: K or
-    Kprime, L and N, which stay alive, and the two families of the slice
-    P(Q_slice), which go once its mask is taken.  Then come the spectra, the
-    sieve and the half-grid arrays, beside the three families that stayed.
+    It is the largest of three phases.  First the Farey families are built: K
+    or Kprime, L and N, which stay alive, and the two families of the slice
+    P(Q_slice), which go once its mask is taken.  Then both transforms run at
+    once (on two CPUs) beside the spectra and the minor-arc mask, and then the
+    minor arcs are partitioned, beside the three families that stayed.
     """
     kept = [major_height(label, n, k) for label in (_theta_families(theta)[0], "L", "N")]
     orders = [math.floor(height) for height in (*kept, 2 * Q_slice, max(1.0, Q_slice))]
     arcs = sum(_family_bytes(q_top) for q_top in orders)
-    grid = _LEDGER_HALF_POINT_BYTES * half_size(m) + _LEDGER_FREQUENCY_BYTES * (n + 1)
+    transforms = _LEDGER_FREQUENCY_BYTES * (n + 1) + half_size(m) + 2 * _half_grid_bytes(m, 8)
+    grid = max(transforms, _LEDGER_HALF_POINT_BYTES * half_size(m))
     return max(arcs, grid + sum(_family_bytes(q_top, _ARC_LIVE_BYTES) for q_top in orders[:3]))
 
 
@@ -815,14 +877,13 @@ def dissection_ledger(
     minor_mask = ~wide.grid_mask(m)
 
     # |g| and |f| once on the half grid, kept at the base points of each family
-    # only; g's transform goes into the complex output of f's
+    # only; g's transform runs beside f's (on one CPU, when its result is asked for)
+    g_transform = _beside(_half_grid, build_g_spectrum(n), m, True)
     f_spec, members = build_f_spectrum(n, k, R)
-    transform = half_grid_conj(f_spec, m)
-    f_half = np.abs(transform)
+    f_half = half_grid_conj(f_spec, m, amplitudes=True)
     del f_spec
-    g_spec = build_g_spectrum(n)
-    g_half = np.abs(half_grid_conj(g_spec, m, out=transform))
-    del g_spec, transform
+    g_half = g_transform()
+    del g_transform  # on one CPU it holds the prime spectrum
     minor = BasePoints.select(g_half, f_half, minor_mask, m)
     sliced = BasePoints.select(g_half, f_half, slice_points, m)
     f_envelope = f_envelope_constant(n, k, f_half, m, pruned)

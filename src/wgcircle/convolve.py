@@ -296,6 +296,9 @@ def _convolve(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: int, stats:
     x = _Operand.of(a)
     y = x if b is a else _Operand.of(b)
     ensure_memory(_product_bytes(x, y, out_len, keep_from), f"a product of {len(a)} by {len(b)} entries")
+    if not (x.nonzero and y.nonzero):  # no pair, so the other operand, maybe past the double range, is never converted
+        stats.direct += 1
+        return np.zeros(out_len - keep_from, dtype=np.int64)
     if _in_float_range(x, y):
         if _by_pair_sums(x, y, _transform_length(len(a), len(b), out_len, keep_from)):
             stats.direct += 1

@@ -90,6 +90,16 @@ class TestGridEvaluation:
         with pytest.raises(AliasingError):
             circle.half_grid_conj(coeffs, 39)
 
+    def test_classes_match_one_real_fft(self):
+        # the first grid split into classes, with a partial last block of the spectrum
+        m = circle._CLASSES_FROM
+        coeffs = np.random.default_rng(4).random(m // 4 + 12345)
+        expected = np.fft.rfft(coeffs, n=m)
+        tol = 1e-12 * coeffs.sum()
+        assert circle._class_count(m) > 1 and circle._class_count(m + 2) == 1
+        assert np.abs(circle.half_grid_conj(coeffs, m) - expected).max() <= tol
+        assert np.abs(circle.half_grid_conj(coeffs, m, amplitudes=True) - np.abs(expected)).max() <= tol
+
     def test_grid_validation(self):
         assert circle.alias_free_size(100, 2, 1) == 512  # 2^k > (s+1)*n
         # oversample rounds up to a power of two
@@ -504,8 +514,10 @@ class TestDissectionLedger:
         # the rise of the peak resident set (VmHWM) across one ledger call in a
         # fresh interpreter, which sees pocketfft's scratch as tracemalloc
         # cannot; ru_maxrss would not do, since a child started by fork and
-        # exec inherits the parent's peak.  At n = 10^5 the estimate sits
-        # within 1% of the rise, at 5 * 10^5 about 10% above it
+        # exec inherits the parent's peak.  Both grids are split into classes:
+        # at 5 * 10^5 (2^21 points) the two transforms in flight are the peak,
+        # at 10^6 (2^22 points, the benchmark's shape) the partition of the
+        # minor arcs; the estimate sits 10-35% above the rise
         script = (
             "import json, sys\n"
             "from wgcircle import circle\n"
@@ -517,14 +529,15 @@ class TestDissectionLedger:
             "rise = peak_kib() - before\n"
             "print(json.dumps([rise, rep['grid_size'], rep['slice_partition']['thresholds']['Q']]))\n"
         )
-        n = 5 * 10**5
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(circle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script, str(n)], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        rise_kib, m, q_slice = json.loads(out)
-        rise = 1024 * rise_kib
-        assert rise <= circle.ledger_bytes(n, 2, 5, m, q_slice) <= 2 * rise
+        for n in (5 * 10**5, 10**6):
+            out = subprocess.run([sys.executable, "-c", script, str(n)], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            rise_kib, m, q_slice = json.loads(out)
+            rise = 1024 * rise_kib
+            assert m == circle.alias_free_size(n, 3, 1) >= circle._CLASSES_FROM
+            assert rise <= circle.ledger_bytes(n, 2, 5, m, q_slice) <= 2 * rise
 
     def test_largest_g_lies_in_the_band(self):
         # the default U puts the band's top edge 2n/U on the largest |g| of the
@@ -538,22 +551,27 @@ class TestDissectionLedger:
         assert max(classes["band_small_f"], classes["band_large_f"]) == sup
         assert classes["unbanded"] < sup
 
-    def test_one_real_fft_per_family(self, monkeypatch):
-        calls = []
-        rfft = np.fft.rfft
+    def test_transform_lengths(self, monkeypatch):
+        # below the crossover one real FFT per family at grid size; above it
+        # the grid is split into residue classes, and no transform, real or
+        # complex, is longer than a class
+        lengths = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["n"])
-            return rfft(*args, **kwargs)
+        def recorded(transform):
+            def run(a, n=None, axis=-1, **kwargs):
+                lengths.append((transform.__name__, n or a.shape[axis]))
+                return transform(a, n=n, axis=axis, **kwargs)
+            return run
 
-        def no_complex_grid(*args, **kwargs):
-            raise AssertionError("a complex FFT ran in the ledger")
-
-        monkeypatch.setattr(np.fft, "rfft", counted)
-        monkeypatch.setattr(np.fft, "ifft", no_complex_grid)
-        monkeypatch.setattr(np.fft, "fft", no_complex_grid)
-        rep = circle.dissection_ledger(10**4, 2, 3, 5, R=2)
-        assert calls == [rep["grid_size"]] * 2
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+        m = circle.dissection_ledger(10**4, 2, 3, 5, R=2)["grid_size"]
+        assert m < circle._CLASSES_FROM and lengths == [("rfft", m)] * 2
+        lengths.clear()
+        m = circle.dissection_ledger(300000, 2, 3, 5, R=2)["grid_size"]
+        assert m >= circle._CLASSES_FROM and max(length for _, length in lengths) == circle._CLASS_POINTS
+        assert sorted({name for name, _ in lengths}) == ["fft", "rfft"]
+        assert [name for name, _ in lengths].count("rfft") == 2  # class 0 of each family
 
     @pytest.mark.parametrize("theta", [3, 6])
     def test_theta_outside_four_and_five_refused(self, theta):

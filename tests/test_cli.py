@@ -387,9 +387,9 @@ class TestFailureModes:
     def test_moment_height_checked_before_the_fft(self, capsys, monkeypatch, height):
         # a NaN height fails every comparison, so the check must refuse it, not pass it
         def no_grid(*args, **kwargs):
-            raise AssertionError("half_grid_conj ran before the height check")
+            raise AssertionError("a half-grid transform ran before the height check")
 
-        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
+        monkeypatch.setattr("wgcircle.circle._half_grid", no_grid)
         code = main(["moments", "--P", "16", "--k", "3", "--t", "8", "--q-values", f"1,{height}"])
         err = capsys.readouterr().err
         assert code == 2
@@ -398,9 +398,9 @@ class TestFailureModes:
     def test_dissect_height_checked_before_the_ffts(self, capsys, monkeypatch):
         # at n < 1024 the default theta = 5 puts K = n^0.4 above sqrt(n)/2
         def no_grid(*args, **kwargs):
-            raise AssertionError("half_grid_conj ran before the arc check")
+            raise AssertionError("a half-grid transform ran before the arc check")
 
-        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
+        monkeypatch.setattr("wgcircle.circle._half_grid", no_grid)
         code = main(["dissect", "--n", "1000", "--k", "1", "--s", "1"])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -446,9 +446,9 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error: Farey family K of order 1584 needs ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("budget, n", [("1000000000", "30000000"), (None, "20000000")])
+    @pytest.mark.parametrize("budget, n", [("1000000000", "30000000"), (None, "40000000")])
     def test_dissect_grid_charged_before_the_arcs_and_spectra(self, capsys, monkeypatch, budget, n):
-        # the half-grid working set, past 1e9 bytes at n = 3e7 and past the 4 GiB default at 2e7
+        # the half-grid working set, past 1e9 bytes at n = 3e7 and past the 4 GiB default at 4e7
         def no_build(*args, **kwargs):
             raise AssertionError("built before the grid charge")
 
@@ -466,15 +466,15 @@ class TestFailureModes:
         assert err.startswith(f"error: dissection ledger at n = {n} on a grid of ") and err.count("\n") == 1
 
     def test_dissect_charge_counts_the_arc_families(self, capsys, monkeypatch):
-        # at n = 10^7 the half grid takes 2,173,265,996 bytes and the Kprime,
-        # L and N families, kept through the FFTs, 30 MB more: the grid alone
-        # fits a 2.19 GB budget, the two together do not
+        # at n = 10^7 the half grid takes 1,879,048,248 bytes (the partition of
+        # the minor arcs) and the Kprime, L and N families, kept through it,
+        # 30 MB more: the grid alone fits a 1.89 GB budget, the two together do not
         def no_build(*args, **kwargs):
             raise AssertionError("built before the working-set charge")
 
         for name in ("build_g_spectrum", "build_f_spectrum", "_farey_family"):
             monkeypatch.setattr(f"wgcircle.circle.{name}", no_build)
-        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "2190000000")
+        monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "1890000000")
         code = main(["dissect", "--n", "10000000", "--k", "2", "--s", "3", "--theta", "4"])
         err = capsys.readouterr().err
         assert code == 2
@@ -514,9 +514,9 @@ class TestFailureModes:
     def test_moments_t_checked_before_the_fft(self, capsys, monkeypatch, t):
         # the message once named t/k: "eta is defined for t > 0, got -0.5"
         def no_grid(*args, **kwargs):
-            raise AssertionError("half_grid_conj ran before the t check")
+            raise AssertionError("a half-grid transform ran before the t check")
 
-        monkeypatch.setattr("wgcircle.circle.half_grid_conj", no_grid)
+        monkeypatch.setattr("wgcircle.circle._half_grid", no_grid)
         code = main(["moments", "--P", "8", "--k", "2", "--t", t])
         assert code == 2
         assert capsys.readouterr().err == f"error: t must be finite and positive, got {float(t)}\n"

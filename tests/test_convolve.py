@@ -170,6 +170,16 @@ class TestConvolveExact:
         assert out.dtype == object
         assert out.tolist() == naive_conv(a, b)
 
+    def test_zero_piece_beside_an_operand_past_the_double_range(self):
+        # the splits leave all-zero pieces, such as the low half [0, 0] of b's high
+        # half, beside pieces of a past 2^1024: their products are zero, and the
+        # other operand is never converted to float
+        a, b = [2**5000, 1, 7], [3, 2**4097]
+        stats = convolve.ConvStats()
+        out = convolve.convolve_exact(np.array(a, dtype=object), np.array(b, dtype=object), stats=stats)
+        assert out.tolist() == naive_conv(a, b)
+        assert stats.direct >= 1
+
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             convolve.convolve_exact([1, -2], [3])

@@ -743,3 +743,20 @@ def test_kth_root_floor_near_perfect_powers(x, k, offset):
         return
     root = arith.kth_root_floor(n, k)
     assert root**k <= n < (root + 1) ** k
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([4, 16, 32, 64, 128, 256, 1024, 96, 1000]), st.data())
+def test_half_grid_by_classes_matches_one_real_fft(m, data):
+    # classes of 16 points from 64 grid points on, so that grids of 4 to 1024
+    # points lie on both sides of the crossover; 96 and 1000 are not powers of two
+    coeffs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=m)))
+    expected = np.fft.rfft(coeffs, n=m)
+    tol = 1e-12 * np.abs(coeffs).sum()
+    with mock.patch.multiple(circle, _CLASS_POINTS=16, _CLASSES_FROM=64):
+        assert circle._class_count(m) == (m // 16 if m in (64, 128, 256, 1024) else 1)
+        values = circle.half_grid_conj(coeffs, m)
+        amplitudes = circle.half_grid_conj(coeffs, m, amplitudes=True)
+    assert values.shape == amplitudes.shape == expected.shape
+    assert np.abs(values - expected).max() <= tol
+    assert np.abs(amplitudes - np.abs(expected)).max() <= tol

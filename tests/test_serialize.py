@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgcircle import cli, counting, errors, serialize
+from wgcircle import circle, cli, counting, errors, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
@@ -296,10 +296,21 @@ class TestRowBlocksOnThreads:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
         for fmt in ("csv", "json"):
             self.compare_bytes(tmp_path, fmt)
+        # a ledger above the crossover (2^21 grid points): g's half grid by classes on a worker
+        engine, grid_threads = circle._half_grid, []
+        monkeypatch.setattr(circle, "_half_grid", lambda *args: grid_threads.append(threading.get_ident())
+                            or engine(*args))
+        out = tmp_path / "dissect.json"
+        assert cli.main(["dissect", "--n", "300000", "--k", "2", "--s", "3", "--format", "json",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["grid_size"] >= circle._CLASSES_FROM
+        assert len(grid_threads) == 2 and threading.get_ident() in grid_threads
+        assert set(grid_threads) - {threading.get_ident()}
         # on two CPUs the series prefix is multiplied beside the count, and the count's
         # float product transforms its second operand on a worker
         assert {"main", "serialize", "count_range", "class_factors", "convolve_exact",
-                "fft_convolve_checked"} <= {name for name, _ in calls}
+                "fft_convolve_checked", "dissection_ledger", "build_g_spectrum",
+                "half_grid_conj"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert set(text_threads) - {threading.get_ident()}
         assert series_products and series_products[0][0] != threading.get_ident()
