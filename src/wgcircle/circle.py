@@ -19,17 +19,18 @@ An arc union is one closed Farey family: the reduced fractions a/q <= 1
 with q <= q_top, in ascending order from the Farey next-term recurrence, held
 as int64 rows (q, a), with one exact width W (a float height is a dyadic
 rational, so W = num/den is exact).  The arc around a/q is
-|q*alpha - a| <= W, with integer-ratio endpoints, so grid masks and measures
+|q*alpha - a| <= W, with integer-ratio endpoints, so grid points and measures
 are exact integer arithmetic.  Neighbouring rows are Farey neighbours
 (a'q - aq' = 1), so the family is disjoint iff num * max(q + q') < den, one
 exact comparison.  Every family is symmetric under a/q -> (q - a)/q, so the
-half grid holds its mask.  The major arcs of height Q have W = Q/denom,
-q <= Q; the core arcs, of height Qcal < 2, are the order-1 family with
-W = Qcal/n.  The minor arcs are the complement of a family's mask; a height
-slice is the grid points of one family that the spans of a narrower one miss;
-both have exact measures.  The dissection ledger keeps |g| and |f| at the
-base points of the minor arcs and of one height slice only, so its level
-partitions work on compressed arrays.
+half grid holds its points, and `ArcUnion.grid_points` is the one selection
+of them: ascending indices j, each with its arc's centre.  The major arcs of
+height Q have W = Q/denom, q <= Q; the core arcs, of height Qcal < 2, are the
+order-1 family with W = Qcal/n.  The minor arcs are the half grid less a
+family's points; a height slice is the grid points of one family that the
+spans of a narrower one miss; both have exact measures.  The dissection
+ledger keeps |g| and |f| at the base points of the minor arcs and of one
+height slice only, so its level partitions work on compressed arrays.
 
 Grid evaluation and classification are data-parallel over grid indices;
 reductions use numpy's fixed-order pairwise sums, so results are reproducible.
@@ -307,22 +308,14 @@ class ArcUnion:
 
     def grid_points(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat int64 arrays (j, q, a): each point j/m of the family on the
-        half grid j in [0, m/2], in ascending j, with the centre a/q of its arc."""
+        half grid j in [0, m/2], in ascending j, with the centre a/q of its arc.
+        The family is symmetric under a/q -> (q - a)/q, so its points on the
+        full grid are symmetric under j -> m - j and the half grid holds them all."""
         q, a, j0, j1 = self._spans(m)
         lengths = j1 - j0 + 1
         # the points of arc i are j0[i] + (position in the flat run - where arc i starts)
         j = np.arange(lengths.sum()) + np.repeat(j0 - (np.cumsum(lengths) - lengths), lengths)
         return j, np.repeat(q, lengths), np.repeat(a, lengths)
-
-    def grid_mask(self, m: int) -> np.ndarray:
-        """Boolean membership of the half-grid points j/m, j in [0, m/2]: the
-        family is symmetric under a/q -> (q - a)/q, so its mask on the full
-        grid is symmetric under j -> m - j and the half grid holds all of it."""
-        _, _, j0, j1 = self._spans(m)
-        edges = np.zeros(half_size(m) + 1, dtype=np.int8)
-        edges[j0] = 1
-        edges[j1 + 1] -= 1  # disjoint spans: no index repeats within j0 or within j1 + 1
-        return np.cumsum(edges[:-1], dtype=np.int8).view(bool)  # each entry 0 or 1
 
     def endpoint_count(self) -> int:
         return 2 * len(self.intervals)
@@ -481,10 +474,10 @@ def integrate_over_set(
         prod *= vals if conj else np.conj(vals)
     if twist:
         prod *= np.exp((-2j * np.pi * twist / m) * np.arange(half_size(m)))
-    mask = np.ones(half_size(m), dtype=bool) if region is None else region.grid_mask(m)
+    j = np.arange(half_size(m)) if region is None else region.grid_points(m)[0]
     bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
-    points = HalfPoints.of(mask, m)
-    return IntegralResult(value=complex(points.total(prod.real[mask]) / m), boundary_error=bound,
+    points = HalfPoints.of(j, m)
+    return IntegralResult(value=complex(points.total(prod.real[j]) / m), boundary_error=bound,
                           points=points.count(), measure=points.measure())
 
 
@@ -534,23 +527,11 @@ def singular_integral(n: int, k: int, s: int, X: float) -> float:
 # Major-arc model and moments
 
 
-@dataclass(frozen=True)
-class ModelErrorReport:
-    n: int
-    k: int
-    R: int
-    rho_hat: float
-    sup_abs_error: float
-    normalized: float  # sup / n^(1/k)
-    points: int
-    arcs: int
-
-
-def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
+def major_arc_model_error(n: int, k: int, R: int) -> dict:
     """Sup over core-arc grid points of |f(alpha) - rho * S(q,a)/q * v_k(alpha - a/q)|.
 
     rho is the empirical smooth density |A(P, R)| / P.  The sup is also
-    returned normalized by n^(1/k).
+    reported normalized by n^(1/k), with the grid points and arcs it ran over.
     """
     spectrum, members = build_f_spectrum(n, k, R)
     P = kth_root_floor(n, k)
@@ -558,18 +539,16 @@ def major_arc_model_error(n: int, k: int, R: int) -> ModelErrorReport:
     m = alias_free_size(n, 1, 1)
     f_conj = half_grid_conj(spectrum, m)
     core = build_arc_union("N", n, k)
-    j, q, a = (col.tolist() for col in core.grid_points(m))
+    j, q, a = core.grid_points(m)
     # the half grid holds the sup: at the mirror point f, S(q, q - a) and
     # v_k(-beta) are all conjugated, so |f - model| repeats
     sup_err = 0.0
-    for jj, qq, aa in zip(j, q, a):
+    for jj, qq, aa in zip(j.tolist(), q.tolist(), a.tolist()):
         model = rho_hat * gauss_sums_all(qq, k)[aa % qq] / qq * v_poly(jj / m - aa / qq, n, k)
         sup_err = max(sup_err, abs(f_conj[jj].conjugate() - model))
-    return ModelErrorReport(
-        n=int(n), k=int(k), R=int(R), rho_hat=rho_hat,
-        sup_abs_error=sup_err, normalized=sup_err / n ** (1.0 / k),
-        points=HalfPoints.of(core.grid_mask(m), m).count(), arcs=len(core.intervals),
-    )
+    return {"n": int(n), "k": int(k), "R": int(R), "rho_hat": rho_hat,
+            "sup_abs_error": sup_err, "normalized": sup_err / n ** (1.0 / k),
+            "points": HalfPoints.of(j, m).count(), "arcs": len(core.intervals)}
 
 
 def _moment_amplitudes(P: int, R: int, k: int, t: float) -> tuple[np.ndarray, int, float]:
@@ -588,9 +567,9 @@ def _moment_row(Q: float, t: float, denom: int, f_half: np.ndarray, m: int, sup_
     height Q at denominator P^k, from |f| on the half grid of size m and
     max |f|^t over it; the caller adds the slope."""
     arcs = major_arcs(Q, denom)
-    mask = arcs.grid_mask(m)
-    points = HalfPoints.of(mask, m)
-    return {"Q": Q, "V": points.total(f_half[mask] ** t) / m, "measure": points.measure(),
+    j = arcs.grid_points(m)[0]
+    points = HalfPoints.of(j, m)
+    return {"Q": Q, "V": points.total(f_half[j] ** t) / m, "measure": points.measure(),
             "boundary_error": arcs.endpoint_count() * sup_t / m}
 
 
@@ -630,39 +609,6 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
 # Level sets
 
 
-@dataclass(frozen=True)
-class LevelClass:
-    label: str
-    points: int
-    measure: float
-    sup_g: float
-    sup_f: float
-    contribution_abs: float
-
-
-@dataclass(frozen=True)
-class LevelSetPartition:
-    family: str  # "minor" (tiny/band over the minor arcs) or "slice" (per height slice)
-    thresholds: dict
-    classes: tuple[LevelClass, ...]
-    warnings: tuple[str, ...] = ()
-
-    def measures_sum(self) -> float:
-        return float(sum(c.measure for c in self.classes))
-
-    def to_csv_rows(self) -> list[list]:
-        return [
-            [c.label, c.measure, c.sup_g, c.sup_f, c.contribution_abs]
-            for c in self.classes
-        ]
-
-    def to_report(self, base_measure: float) -> dict:
-        return {
-            "thresholds": self.thresholds, "warnings": list(self.warnings),
-            "measure_sum": self.measures_sum(), "base_measure": base_measure, "classes": self.to_csv_rows(),
-        }
-
-
 def _check_positive(**values: float | None) -> None:
     """Each named value (the band thresholds U and V, which divide n, and the
     moment order t) must be finite and positive."""
@@ -687,23 +633,6 @@ class BasePoints:
         return cls(points=HalfPoints.of(points, m), g=g_half[points], f=f_half[points])
 
 
-def _class_from_mask(label: str, mask: np.ndarray, base: BasePoints, weight: np.ndarray) -> LevelClass:
-    # the class's positions among the base points: its three selections below
-    # read the same values, in the same order, as the mask would
-    at = np.flatnonzero(mask)
-    pts = base.points.count(at)
-    if not pts:  # amplitudes are >= 0, so an empty class has sup 0.0
-        return LevelClass(label=label, points=0, measure=0.0, sup_g=0.0, sup_f=0.0, contribution_abs=0.0)
-    return LevelClass(
-        label=label,
-        points=pts,
-        measure=pts / base.points.m,
-        sup_g=float(base.g[at].max()),
-        sup_f=float(base.f[at].max()),
-        contribution_abs=base.points.total(weight, at) / base.points.m,
-    )
-
-
 def level_partition(
     n: int,
     k: int,
@@ -715,8 +644,11 @@ def level_partition(
     U: float | None = None,
     V: float | None = None,
     Q: float | None = None,
-) -> LevelSetPartition:
-    """Classify the base set's points by the size of |g| (and then |f|).
+) -> dict:
+    """Classify the base set's points by the size of |g| (and then |f|): the
+    report block of the thresholds, the warnings, the sum of the class
+    measures, the base measure and one row [label, measure, sup_g, sup_f,
+    contribution_abs] per class.
 
     Counts, measures and sums are over the full grid (each half-grid point
     standing for its mirror too).  family="minor": tiny_g is |g| <= sqrt(n);
@@ -755,11 +687,16 @@ def level_partition(
     weight = np.multiply(f_pow, g_abs, out=f_pow)  # |g| |f|^s, in the buffer of |f|^s
     labels = (first_label, "band_small_f", "band_large_f", "unbanded")
     masks = (first, band_small, band & ~band_small, ~first & ~band)
-    classes = tuple(_class_from_mask(label, mask, base, weight) for label, mask in zip(labels, masks))
-    return LevelSetPartition(
-        family=family, thresholds=thresholds,
-        classes=classes, warnings=tuple(warnings),
-    )
+    points, classes = base.points, []
+    for label, mask in zip(labels, masks):
+        # the class's positions among the base points: its three selections read
+        # the same values, in the same order, as the mask would; amplitudes are
+        # >= 0, so an empty class has sup 0.0
+        at = np.flatnonzero(mask)
+        classes.append([label, points.count(at) / points.m, float(base.g[at].max(initial=0.0)),
+                        float(base.f[at].max(initial=0.0)), points.total(weight, at) / points.m])
+    return {"thresholds": thresholds, "warnings": warnings, "measure_sum": float(sum(row[1] for row in classes)),
+            "base_measure": points.measure(), "classes": classes}
 
 
 def dyadic_band_cover(n: int, theta: int, g_abs: np.ndarray, points: HalfPoints) -> dict:
@@ -874,7 +811,8 @@ def dissection_ledger(
     pruned = build_arc_union("L", n, k)
     core = build_arc_union("N", n, k)
     slice_label, slice_points, slice_measure = height_slice(n, Q_slice, m)
-    minor_mask = ~wide.grid_mask(m)
+    minor_mask = np.ones(half_size(m), dtype=bool)
+    minor_mask[wide.grid_points(m)[0]] = False
 
     # |g| and |f| once on the half grid, kept at the base points of each family
     # only; g's transform runs beside f's (on one CPU, when its result is asked for)
@@ -899,8 +837,8 @@ def dissection_ledger(
         V = min(Q_slice, max(math.sqrt(Q_slice), _band_scale(n, sup_g_slice) if sup_g_slice else Q_slice))
     part_slice = level_partition(n, k, s, theta, sliced, family="slice", V=V, Q=Q_slice)
 
-    csv_rows = [["minor/" + row[0], *row[1:]] for row in part_minor.to_csv_rows()]
-    csv_rows += [["slice/" + row[0], *row[1:]] for row in part_slice.to_csv_rows()]
+    csv_rows = [["minor/" + row[0], *row[1:]] for row in part_minor["classes"]]
+    csv_rows += [["slice/" + row[0], *row[1:]] for row in part_slice["classes"]]
     return {
         "n": n, "k": k, "s": s, "theta": theta, "R": R,
         "grid_size": m,
@@ -917,8 +855,8 @@ def dissection_ledger(
             pruned.label: pruned.to_json_arcs(),
             core.label: core.to_json_arcs(),
         },
-        "minor_partition": part_minor.to_report(minor.points.measure()),
-        "slice_partition": part_slice.to_report(sliced.points.measure()),
+        "minor_partition": part_minor,
+        "slice_partition": part_slice,
         "covering": dyadic_band_cover(n, theta, minor.g, minor.points),
         "g_envelope": g_envelope_constant(n, sup_g_minor),
         "f_envelope": f_envelope,

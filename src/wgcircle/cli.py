@@ -1,9 +1,10 @@
 """Command-line surface tying the modules together.
 
 Subcommand per module: constants, eta, plan, verify-tables, sieve, series,
-count, compare, dissect, moments, model-error.  Output format is json, csv or
-plain; identical invocations produce byte-identical output.  Exit codes:
-0 success, 2 validation/usage failure, 3 internal-consistency failure.
+count, compare, dissect, moments, model-error.  Output is json or plain, or csv
+for the tables of compare, dissect and moments; identical invocations produce
+byte-identical output.  Exit codes: 0 success, 2 validation/usage failure, 3
+internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _cmd_moments(args) -> int:
 def _cmd_model_error(args) -> int:
     P = circle.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
-    report = dataclasses.asdict(circle.major_arc_model_error(args.n, args.k, R))
+    report = circle.major_arc_model_error(args.n, args.k, R)
     _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
     return 0
 
@@ -223,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default=fmt_default)
+    def common(p, fmt_default="json", table=False):
+        p.add_argument("--format", choices=("json", "csv", "plain") if table else ("json", "plain"),
+                       default=fmt_default)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("constants", help="critical ratio 2c = 2 + log(theta*c - 1) and friends")
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--cutoff", type=int, default=1000)
-    common(p, fmt_default="csv")
+    common(p, fmt_default="csv", table=True)
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("dissect", help="arc dissection and level-set ledgers")
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=None)
     p.add_argument("--v", type=float, default=None)
     p.add_argument("--q-slice", type=float, default=None, dest="q_slice")
-    common(p, fmt_default="csv")
+    common(p, fmt_default="csv", table=True)
     p.set_defaults(fn=_cmd_dissect)
 
     p = sub.add_parser("moments", help="restricted moments of |f|^t over dyadic heights")
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--r-eta", type=float, default=None, dest="r_eta")
     p.add_argument("--q-values", default="", dest="q_values")
-    common(p)
+    common(p, table=True)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("model-error", help="major-arc model deviation for the smooth sum")

@@ -34,8 +34,8 @@ below the window, which no caller reads (the wrapped, or middle, product).
 With keep_from = 0 nothing wraps at all.  Both operands are no longer than
 L, so each cyclic entry still sums at most one pair per index of the shorter
 operand: the entry bound covers all L entries, and the checks run over all
-of them.  From _SIDE_BY_SIDE_POINTS on, the second operand of a product
-that is not a squaring is transformed beside the first (`errors._beside`).
+of them.  From _SIDE_BY_SIDE_POINTS on two CPUs, the second operand of a
+product that is not a squaring is transformed beside the first (`_transforms_beside`).
 
 `power` raises a histogram to the s-th power on these routes, truncated at a
 window of n (representation counts r(n)).  Results are int64 while they fit
@@ -167,6 +167,11 @@ def _by_pair_sums(a: _Operand, b: _Operand, size: int) -> bool:
     return a.nonzero * b.nonzero <= size
 
 
+def _transforms_beside(size: int) -> bool:
+    """Whether a product of two operands transforms the second beside the first (`errors._beside`)."""
+    return size >= _SIDE_BY_SIDE_POINTS and _usable_cpus() >= 2
+
+
 def _product_bytes(a: _Operand, b: _Operand, out_len: int, keep_from: int) -> int:
     """Peak bytes of `_convolve` on operands of these shapes (b is a for a
     squaring), the operands included.  Down the splits, each level holds a
@@ -188,9 +193,8 @@ def _product_bytes(a: _Operand, b: _Operand, out_len: int, keep_from: int) -> in
         a, squaring = piece, False
     if _by_pair_sums(a, b, size):
         return max(peak, held + _PAIR_BYTES * a.nonzero * b.nonzero + _PAIR_ENTRY_BYTES * (out_len - keep_from))
-    side_by_side = not squaring and size >= _SIDE_BY_SIDE_POINTS and _usable_cpus() >= 2
     floats = a.length + (0 if squaring else b.length)
-    points = _FFT_BYTES_PER_POINT + (_BESIDE_BYTES_PER_POINT if side_by_side else 0)
+    points = _FFT_BYTES_PER_POINT + (_BESIDE_BYTES_PER_POINT if not squaring and _transforms_beside(size) else 0)
     return max(peak, held + 8 * (floats + out_len - keep_from) + points * size)
 
 
@@ -246,7 +250,7 @@ def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: 
         spectrum *= spectrum
         conv = np.fft.irfft(spectrum, size)
     else:
-        other = _beside(_spectrum, b, size) if size >= _SIDE_BY_SIDE_POINTS else lambda: _spectrum(b, size)
+        other = _beside(_spectrum, b, size) if _transforms_beside(size) else lambda: _spectrum(b, size)
         spectrum = _spectrum(a, size)
         other = other()
         spectrum *= other

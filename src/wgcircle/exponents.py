@@ -130,9 +130,9 @@ def _data_text(name: str) -> str:
     return resources.files("wgcircle.data").joinpath(name).read_text()
 
 
-def load_table1(path: str | Path | None = None) -> dict[int, tuple[int | None, int | None]]:
-    """k -> (S0, S1); a blank cell stays None (it is never invented)."""
-    text = Path(path).read_text() if path is not None else _data_text("table1.csv")
+def load_table1() -> dict[int, tuple[int | None, int | None]]:
+    """k -> (S0, S1) of the shipped table 1; a blank cell stays None (it is never invented)."""
+    text = _data_text("table1.csv")
     out: dict[int, tuple[int | None, int | None]] = {}
     reader = csv.DictReader(text.splitlines())
     for lineno, row in enumerate(reader, start=2):
@@ -220,15 +220,12 @@ def verify_table2(plans: PlanTable | None = None) -> list[BlockCheck]:
     return checks
 
 
-def cross_check_table1(
-    table1: dict[int, tuple[int | None, int | None]] | None = None,
-    plans: PlanTable | None = None,
-) -> list[tuple[int, str, bool]]:
-    """S0(k) must equal s5(k) and S1(k) must equal s4(k) wherever both exist."""
-    table1 = load_table1() if table1 is None else table1
-    plans = load_table2() if plans is None else plans
+def cross_check_table1() -> list[tuple[int, str, bool]]:
+    """S0(k) must equal s5(k) and S1(k) must equal s4(k) wherever both exist
+    in the shipped tables."""
+    plans = load_table2()
     results: list[tuple[int, str, bool]] = []
-    for k, (s0, s1) in sorted(table1.items()):
+    for k, (s0, s1) in sorted(load_table1().items()):
         for name, s_ref, theta in (("S0", s0, 5), ("S1", s1, 4)):
             plan = plans.get((k, theta))
             if s_ref is not None and plan is not None:
@@ -236,10 +233,10 @@ def cross_check_table1(
     return results
 
 
-def table_plan(k: int, theta: int, plans: PlanTable | None = None) -> AdmissiblePlan:
+def table_plan(k: int, theta: int) -> AdmissiblePlan:
     """The shipped table block for (k, theta) as a checked plan."""
     check_theta(theta)
-    plans = load_table2() if plans is None else plans
+    plans = load_table2()
     if (k, theta) not in plans:
         raise TableLookupError(f"table has no row for k={k}")
     plan = plans[(k, theta)]

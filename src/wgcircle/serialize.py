@@ -301,18 +301,16 @@ def to_plain_bytes(lines: list[str]) -> bytes:
 
 def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, csv_rows: list[list] | None = None,
               plain_lines: list[str] | None = None, csv_columns: list | None = None) -> bytes:
-    """Encode a report in the requested format.
-
-    CSV needs an explicit header and rows or numeric columns; plain needs
-    prepared lines; both fall back to JSON when the structured form was not
-    supplied.
-    """
+    """Encode a report in the requested format: JSON from the report, CSV
+    from a header and rows or numeric columns, plain from prepared lines."""
     if fmt not in FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "csv" and csv_columns is not None:
-        return to_csv_columns_bytes(csv_header or [], csv_columns)
-    if fmt == "csv" and csv_rows is not None:
-        return to_csv_bytes(csv_header or [], csv_rows)
+    if fmt == "json":
+        return to_json_bytes(report)
     if fmt == "plain" and plain_lines is not None:
         return to_plain_bytes(plain_lines)
-    return to_json_bytes(report)
+    if fmt == "csv" and csv_header is not None and csv_columns is not None:
+        return to_csv_columns_bytes(csv_header, csv_columns)
+    if fmt == "csv" and csv_header is not None and csv_rows is not None:
+        return to_csv_bytes(csv_header, csv_rows)
+    raise DomainError(f"{fmt} output needs {'its lines' if fmt == 'plain' else 'a header and a table'}")

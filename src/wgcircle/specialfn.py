@@ -216,14 +216,14 @@ def tau_prime(sigma: float, theta: int) -> float:
     return -1.0 + theta / q + theta / (q * q)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Argmin of a unimodal f on [lo, hi] by golden-section search."""
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Argmin of a unimodal f on [lo, hi] by golden-section search, to within 1e-10."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

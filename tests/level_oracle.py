@@ -2,28 +2,29 @@
 
 This is the grid-wide construction: each routine takes the complex grid
 values and a boolean base mask over the whole grid, recomputes |g| and |f|
-everywhere, and builds every class as a full-grid mask.  The dyadic cover
-ORs in one band at a time.  The tests compare the amplitude-based
-`level_partition` and `dyadic_band_cover` against it exactly.
+everywhere, and builds every class as a full-grid mask; the partition is the
+same report block as `level_partition` gives.  The dyadic cover ORs in one
+band at a time.  The tests compare the amplitude-based `level_partition` and
+`dyadic_band_cover` against it exactly.
 """
 
 import math
 
 import numpy as np
 
-from wgcircle.circle import LevelClass, LevelSetPartition, kth_root_floor
+from wgcircle.circle import kth_root_floor
 
 
-def class_from_mask(label, mask, g_abs, f_abs, weight, m):
+def class_row(label, mask, g_abs, f_abs, weight, m):
+    """[label, measure, sup_g, sup_f, contribution_abs] of the class given by a full-grid mask."""
     pts = int(mask.sum())
-    return LevelClass(
-        label=label,
-        points=pts,
-        measure=pts / m,
-        sup_g=float(g_abs[mask].max()) if pts else 0.0,
-        sup_f=float(f_abs[mask].max()) if pts else 0.0,
-        contribution_abs=float(weight[mask].sum() / m) if pts else 0.0,
-    )
+    return [
+        label,
+        pts / m,
+        float(g_abs[mask].max()) if pts else 0.0,
+        float(f_abs[mask].max()) if pts else 0.0,
+        float(weight[mask].sum() / m) if pts else 0.0,
+    ]
 
 
 def level_partition(n, k, s, theta, base_mask, g_values, f_values, *, family, U=None, V=None, Q=None):
@@ -56,11 +57,9 @@ def level_partition(n, k, s, theta, base_mask, g_values, f_values, *, family, U=
     band_large = band & ~band_small
     rest = base_mask & ~first & ~band
     masks = (first, band_small, band_large, rest)
-    return LevelSetPartition(
-        family=family, thresholds=thresholds,
-        classes=tuple(class_from_mask(label, mask, g_abs, f_abs, weight, m) for label, mask in zip(labels, masks)),
-        warnings=tuple(warnings),
-    )
+    classes = [class_row(label, mask, g_abs, f_abs, weight, m) for label, mask in zip(labels, masks)]
+    return {"thresholds": thresholds, "warnings": warnings, "measure_sum": float(sum(row[1] for row in classes)),
+            "base_measure": int(base_mask.sum()) / m, "classes": classes}
 
 
 def dyadic_band_cover(n, theta, g_values, base_mask):

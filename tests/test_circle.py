@@ -21,6 +21,18 @@ from wgcircle.arith import smooth_set
 from wgcircle.errors import AliasingError, DomainError, InternalConsistencyError
 
 
+def family_mask(union, m):
+    """The half-grid mask of a family's points, from `grid_points` (checked to ascend)."""
+    return half_mask(union.grid_points(m)[0], m)
+
+
+def minor_mask(union, m):
+    """The half grid less a family's points, as the ledger builds the minor arcs."""
+    minor = np.ones(circle.half_size(m), dtype=bool)
+    minor[union.grid_points(m)[0]] = False
+    return minor
+
+
 class TestSpectra:
     def test_f_spectrum_counts_smooth_numbers(self):
         coeffs, members = circle.build_f_spectrum(100, 2, 3)
@@ -165,8 +177,8 @@ class TestArcUnions:
         # ascending points on the half grid: disjoint from the inner set,
         # together they restore the outer set
         sl = half_mask(points, m)
-        assert not (sl & inner.grid_mask(m)).any()
-        assert ((sl | inner.grid_mask(m)) == outer.grid_mask(m)).all()
+        assert not (sl & family_mask(inner, m)).any()
+        assert ((sl | family_mask(inner, m)) == family_mask(outer, m)).all()
         exact = measure_minus(major_oracle(2 * y, n), major_oracle(y, n))
         assert exact + inner.measure_exact() == outer.measure_exact()
         assert sl_measure == float(exact)
@@ -177,9 +189,9 @@ class TestArcUnions:
         # the minor-arc measure is 1 - measure_exact; the oracle sums the gaps
         assert 1 - union.measure_exact() == gaps_measure(oracle)
         m = 4096
-        minor = ~union.grid_mask(m)
+        minor = minor_mask(union, m)
         assert (minor == ~mask(oracle, m)[: circle.half_size(m)]).all()
-        assert not (union.grid_mask(m) & minor).any() and (union.grid_mask(m) | minor).all()
+        assert not (family_mask(union, m) & minor).any() and (family_mask(union, m) | minor).all()
 
     def test_named_unions(self):
         n = 10**4
@@ -199,8 +211,9 @@ class TestArcUnions:
         rng = random.Random(17)
         n, m = 5000, 4 * 5000
         a, b = major_oracle(12.0, n), major_oracle(6.0, n)
-        a_mask = circle.major_arcs(12.0, n).grid_mask(m)
-        b_mask = circle.major_arcs(6.0, n).grid_mask(m)
+        a_mask = family_mask(circle.major_arcs(12.0, n), m)
+        b_mask = family_mask(circle.major_arcs(6.0, n), m)
+        minor = minor_mask(circle.major_arcs(12.0, n), m)
         diff = half_mask(circle.height_slice(n, 6.0, m)[1], m)
         for _ in range(3000):
             j = rng.randrange(0, m)
@@ -208,13 +221,13 @@ class TestArcUnions:
             h = min(j, m - j)  # the half-grid masks, mirrored
             assert a_mask[h] == in_a and b_mask[h] == in_b
             assert diff[h] == (in_a and not in_b)
-            assert (~a_mask)[h] == (not in_a)
+            assert minor[h] == (not in_a)
             assert (a_mask | b_mask)[h] == (in_a or in_b)
 
-    def test_grid_mask_matches_contains(self):
+    def test_grid_points_match_contains(self):
         n, m = 3000, 2048
         union = circle.major_arcs(9.0, n)
-        assert (union.grid_mask(m) == mask(major_oracle(9.0, n), m)[: circle.half_size(m)]).all()
+        assert (family_mask(union, m) == mask(major_oracle(9.0, n), m)[: circle.half_size(m)]).all()
         j, q, a = union.grid_points(m)
         placed = 0
         for lo, hi, q2, a2 in major_oracle(9.0, n):
@@ -238,11 +251,11 @@ class TestArcUnions:
         sl = half_mask(circle.height_slice(n, y, m)[1], m)
         seam = Fraction(2, 1024)  # right endpoint of the inner arc at 0
         j = int(seam * m)
-        assert contains(major_oracle(y, n), seam) and inner.grid_mask(m)[j]
+        assert contains(major_oracle(y, n), seam) and family_mask(inner, m)[j]
         assert not sl[j]
-        assert not (sl & inner.grid_mask(m)).any()
-        combined = sl | inner.grid_mask(m)
-        assert (combined == outer.grid_mask(m)).all()
+        assert not (sl & family_mask(inner, m)).any()
+        combined = sl | family_mask(inner, m)
+        assert (combined == family_mask(outer, m)).all()
         expected = mask(major_oracle(2 * y, n), m) & ~mask(major_oracle(y, n), m)
         assert (sl == expected[: circle.half_size(m)]).all()
 
@@ -253,8 +266,8 @@ class TestArcUnions:
         m = 4096
         j = int(edge * m)
         assert contains(major_oracle(2.0, n), edge)
-        assert union.grid_mask(m)[j] and not (~union.grid_mask(m))[j]
-        assert (union.grid_mask(m) == mask(major_oracle(2.0, n), m)[: circle.half_size(m)]).all()
+        assert family_mask(union, m)[j] and not minor_mask(union, m)[j]
+        assert (family_mask(union, m) == mask(major_oracle(2.0, n), m)[: circle.half_size(m)]).all()
 
 
 class TestIntegration:
@@ -360,7 +373,7 @@ class TestModelError:
             P = circle.kth_root_floor(n, 2)
             R = max(2, int(P ** (1 / 3)))
             rep = circle.major_arc_model_error(n, 2, R)
-            norms.append(rep.normalized)
+            norms.append(rep["normalized"])
         assert norms[0] > norms[1] > norms[2]
 
     def test_zero_arc_is_tight(self):
@@ -373,7 +386,7 @@ class TestModelError:
 
     def test_full_range_smoothness_is_classical(self):
         rep = circle.major_arc_model_error(1024, 2, circle.kth_root_floor(1024, 2))
-        assert rep.rho_hat == 1.0
+        assert rep["rho_hat"] == 1.0
 
 
 class TestMoments:
@@ -425,7 +438,7 @@ def scene():
         "f": np.abs(circle.half_grid_conj(fspec, m)),
         "g": np.abs(circle.half_grid_conj(gspec, m)),
         # the minor arcs k = [0, 1] minus K on the half grid, as the ledger builds them
-        "minor": ~circle.build_arc_union("K", n, k).grid_mask(m),
+        "minor": minor_mask(circle.build_arc_union("K", n, k), m),
     }
 
 
@@ -442,9 +455,10 @@ class TestLevelSets:
         )
         full_minor = ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["m"])
         assert (scene["minor"] == full_minor[: circle.half_size(scene["m"])]).all()
-        assert part.measures_sum() == pytest.approx(float(full_minor.mean()), abs=1e-12)
-        assert sum(c.points for c in part.classes) == int(full_minor.sum())
-        labels = [c.label for c in part.classes]
+        assert part["measure_sum"] == pytest.approx(float(full_minor.mean()), abs=1e-12)
+        assert part["base_measure"] == int(full_minor.sum()) / scene["m"]
+        assert sum(round(row[1] * scene["m"]) for row in part["classes"]) == int(full_minor.sum())
+        labels = [row[0] for row in part["classes"]]
         assert labels == ["tiny_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_gentle_class_contribution_bound(self, scene):
@@ -455,9 +469,10 @@ class TestLevelSets:
         part = circle.level_partition(
             n, scene["k"], s, scene["theta"], base_points(scene, scene["minor"]), family="minor", U=u,
         )
-        gentle = part.classes[1]
-        cap = (2 * n / u) * part.thresholds["f_split"] * gentle.measure
-        assert gentle.contribution_abs <= cap + 1e-9
+        label, measure, _, _, contribution = part["classes"][1]
+        assert label == "band_small_f"
+        cap = (2 * n / u) * part["thresholds"]["f_split"] * measure
+        assert contribution <= cap + 1e-9
 
     def test_low_band_empty(self, scene):
         # a band threshold below the covered range forces |g| >= n/U > sup g
@@ -465,8 +480,8 @@ class TestLevelSets:
             scene["n"], scene["k"], scene["s"], scene["theta"],
             base_points(scene, scene["minor"]), family="minor", U=1e-6,
         )
-        assert part.warnings
-        assert part.classes[1].points == 0 and part.classes[2].points == 0
+        assert part["warnings"]
+        assert [round(row[1] * scene["m"]) for row in part["classes"][1:3]] == [0, 0]
 
     def test_slice_partition_is_exact(self, scene):
         n = scene["n"]
@@ -476,8 +491,8 @@ class TestLevelSets:
             n, scene["k"], scene["s"], scene["theta"], base_points(scene, sl), family="slice", V=q / 2, Q=q,
         )
         base_measure = (mask(major_oracle(2 * q, n), scene["m"]) & ~mask(major_oracle(q, n), scene["m"])).mean()
-        assert part.measures_sum() == pytest.approx(float(base_measure), abs=1e-12)
-        assert [c.label for c in part.classes] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
+        assert part["measure_sum"] == pytest.approx(float(base_measure), abs=1e-12)
+        assert [row[0] for row in part["classes"]] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_dyadic_cover(self, scene):
         base = base_points(scene, scene["minor"])
@@ -503,7 +518,7 @@ class TestLevelSets:
         pruned = circle.build_arc_union("L", n, k)
         scale = circle.kth_root_floor(n, k) * math.log(n) ** 3
         expected = max(f_half[j] / (scale * upsilon(Fraction(int(j), m), n) ** (1.0 / (2 * k)))
-                       for j in np.flatnonzero(pruned.grid_mask(m)))
+                       for j in pruned.grid_points(m)[0])
         fenv = circle.f_envelope_constant(n, k, f_half, m, pruned)
         assert fenv["scale"] == scale
         assert fenv["constant"] == pytest.approx(expected, rel=1e-12)

@@ -371,13 +371,13 @@ def test_grid_points_match_contains(family, slice_at):
     for jj, qq, aa in zip(j.tolist(), q.tolist(), a.tolist()):
         lo, hi = arcs[qq, aa]
         assert lo <= Fraction(jj, m) <= hi
-    points = np.zeros(circle.half_size(m), dtype=bool)
-    points[j] = True
+    points = arc_oracle.half_mask(j, m)
     assert (points == expected).all()
-    assert (union.grid_mask(m) == expected).all()
     assert union.measure_exact() == arc_oracle.measure(oracle)
-    # its complement: the minor-arc mask and measure
-    assert (~union.grid_mask(m) == ~expected).all()
+    # its complement, as the ledger builds the minor arcs: the half grid less the points
+    minor = np.ones(circle.half_size(m), dtype=bool)
+    minor[j] = False
+    assert (minor == ~expected).all()
     assert 1 - union.measure_exact() == arc_oracle.gaps_measure(oracle)
     # a nested slice M(2Y) minus M(Y), Y in [1/2, sqrt(denom)/4]
     y = 0.5 + slice_at * (0.25 * math.sqrt(denom) - 0.5)
@@ -416,8 +416,7 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
         oracle = arc_oracle.core_oracle(height, n) if label == "N" else arc_oracle.major_oracle(height, n)
         full = arc_oracle.span_mask(oracle, m)
         union = circle.build_arc_union(label, n, 2)
-        half = union.grid_mask(m)
-        assert np.array_equal(union.grid_points(m)[0], np.flatnonzero(half))
+        half = arc_oracle.half_mask(union.grid_points(m)[0], m)
     j = np.arange(m)
     assert (full == full[(m - j) % m]).all()
     assert (half == full[: circle.half_size(m)]).all()
@@ -426,12 +425,13 @@ def test_grid_masks_are_mirror_symmetric(n, s, oversample, label, slice_at):
 @PROPERTY_SETTINGS
 @given(n=st.integers(16, 200000), slice_at=st.floats(0.0, 1.0), m=st.integers(1, 1 << 16))
 def test_slice_points_match_the_mask_expression(n, slice_at, m):
-    # the slice from the outer family's grid points, against its two masks
+    # the slice from the outer family's grid points, against the masks of the two families' points
     y = 0.5 + slice_at * (0.25 * math.sqrt(n) - 0.5)
     outer, inner = circle.major_arcs(2 * y, n), circle.major_arcs(max(1.0, y), n)
     points = circle.height_slice(n, y, m)[1]
     assert points.dtype == np.int64
-    assert np.array_equal(points, np.flatnonzero(outer.grid_mask(m) & ~inner.grid_mask(m)))
+    outer_mask, inner_mask = (arc_oracle.half_mask(union.grid_points(m)[0], m) for union in (outer, inner))
+    assert np.array_equal(points, np.flatnonzero(outer_mask & ~inner_mask))
 
 
 def _cross_multiplied_seam(q_top, width):
@@ -533,13 +533,15 @@ def half_base(draw, m):
 
 
 def assert_same_partition(got, expected):
-    """Counts, measures, maxima, thresholds and warnings exactly; sums within 1e-12."""
-    assert (got.family, got.thresholds, got.warnings) == (expected.family, expected.thresholds, expected.warnings)
-    assert len(got.classes) == len(expected.classes)
-    for mine, theirs in zip(got.classes, expected.classes):
-        assert (mine.label, mine.points, mine.measure, mine.sup_g, mine.sup_f) == (
-            theirs.label, theirs.points, theirs.measure, theirs.sup_g, theirs.sup_f)
-        assert mine.contribution_abs == pytest.approx(theirs.contribution_abs, rel=1e-12, abs=0.0)
+    """Labels, measures, maxima, thresholds, warnings and the measure sums
+    exactly; contributions within rel 1e-12."""
+    assert list(got) == ["thresholds", "warnings", "measure_sum", "base_measure", "classes"] == list(expected)
+    for key in ("thresholds", "warnings", "measure_sum", "base_measure"):
+        assert got[key] == expected[key], key
+    assert len(got["classes"]) == len(expected["classes"])
+    for mine, theirs in zip(got["classes"], expected["classes"]):
+        assert mine[:4] == theirs[:4]  # label, measure, sup_g, sup_f
+        assert mine[4] == pytest.approx(theirs[4], rel=1e-12, abs=0.0)
 
 
 def _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m):
@@ -575,7 +577,7 @@ def test_level_partition_matches_full_grid_oracle(family, n, k, s, theta, scale,
     base = data.draw(half_base(m))
     got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m)
     assert_same_partition(got, expected)
-    assert sum(c.points for c in got.classes) == int(mirror(base, m).sum())
+    assert sum(round(row[1] * m) for row in got["classes"]) == int(mirror(base, m).sum())
 
 
 @PROPERTY_SETTINGS
@@ -597,7 +599,7 @@ def test_level_partition_of_indices_matches_mask(family, n, s, scale, data):
     by_mask, by_index = (circle.level_partition(n, 2, s, 5, circle.BasePoints.select(g, f, chosen, m),
                                                 family=family, **params)
                          for chosen in (base, np.flatnonzero(base)))
-    assert by_index.classes == by_mask.classes and by_index == by_mask
+    assert by_index["classes"] == by_mask["classes"] and by_index == by_mask
 
 
 def _band_edges(n, theta):
@@ -648,7 +650,7 @@ def test_level_set_edge_cases_match_oracle():
         for base in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
             got, expected = _level_pair(n, k, s, theta, family, scale, Q, g, f, base, 8)
             assert_same_partition(got, expected)
-            assert sum(c.points for c in got.classes) == (8 if base.any() else 0)
+            assert sum(round(row[1] * 8) for row in got["classes"]) == (8 if base.any() else 0)
     # the 200-band cap, with points on the top edge and just above it
     n, theta = 2**700, 8
     top = _band_edges(n, theta)[-1]

@@ -61,9 +61,23 @@ class TestFormats:
         with pytest.raises(DomainError):
             serialize.serialize({}, "yaml")
 
-    def test_csv_fallback_to_json(self):
-        payload = serialize.serialize({"a": 1}, "csv")
-        assert json.loads(payload) == {"a": 1}
+    def test_csv_refused_without_a_table(self, capsys):
+        # only compare, dissect and moments have a table: elsewhere argparse refuses
+        # csv with one line and exit 2
+        for argv in (["count", "--k", "2", "--s", "2", "--n", "10"], ["series", "--n", "100", "--k", "3", "--s", "4"],
+                     ["model-error", "--n", "1024", "--k", "2"], ["constants"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--format", "csv"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith(f"error: wgcircle {argv[0]}: argument --format: ")
+            assert "invalid choice: 'csv'" in err
+        # and serialize itself takes no JSON in place of a missing table or missing lines
+        with pytest.raises(DomainError, match="^csv output needs a header and a table$"):
+            serialize.serialize({"a": 1}, "csv")
+        with pytest.raises(DomainError, match="^plain output needs its lines$"):
+            serialize.serialize({"a": 1}, "plain")
 
 
 # what the number-text kernel replaces: Python's own formatting, value by value
