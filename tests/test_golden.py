@@ -14,7 +14,8 @@ every integer height up to 8 and one with a single member.  The series
 variants pin truncated q-sums at ascending, unsorted and repeated points.
 Three runs in the paper's regime (s >= ck + 4) pin counts past 2^52, and one
 at s = 40 counts past 2^115; two JSON comparison reports print 50-bit counts
-and counts past int64 exactly.  Refactors that keep behaviour keep these digests.
+and counts past int64 exactly.  The format variants pin the plain form of the
+key = value reports and of ``series``, and ``verify-tables`` as JSON.  Refactors that keep behaviour keep these digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -119,8 +120,21 @@ PAPER_REGIME_VARIANTS = {
     "count-k2-s40": ["count", "--k", "2", "--s", "40", "--n", "20000"],
 }
 
+# the other format of each small report: plain key = value lines (NaN and None
+# fields among them for k = 3's external plan) and the exponent-table checks as JSON
+FORMAT_VARIANTS = {
+    "series-plain": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000", "--xs", "64,256",
+                     "--format", "plain"],
+    "verify-tables-json": ["verify-tables", "--format", "json"],
+    "plan-k17-plain": ["plan", "--k", "17", "--format", "plain"],
+    "plan-k3-plain": ["plan", "--k", "3", "--format", "plain"],
+    "eta-plain": ["eta", "--t", "1.0", "--format", "plain"],
+    "constants-plain": ["constants", "--format", "plain"],
+    "model-error-plain": ["model-error", "--n", "16384", "--k", "2", "--format", "plain"],
+}
+
 GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS, **SERIES_VARIANTS,
-                   **PAPER_REGIME_VARIANTS}
+                   **PAPER_REGIME_VARIANTS, **FORMAT_VARIANTS}
 
 
 def output_digest(argv: list[str], path: Path) -> str:
@@ -157,6 +171,12 @@ def test_series_variant_bytes(name, tmp_path):
 def test_paper_regime_bytes(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert output_digest(PAPER_REGIME_VARIANTS[name], tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("name", list(FORMAT_VARIANTS))
+def test_format_variant_bytes(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert output_digest(FORMAT_VARIANTS[name], tmp_path / "out") == expected
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
