@@ -437,30 +437,22 @@ def height_slice(n: int, Y: float, m: int) -> tuple[str, np.ndarray, float]:
 # Arc integrals
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: complex
-    boundary_error: float  # endpoint-count * sup|integrand| / M; 0 on the full circle
-    points: int
-    measure: float
-
-
 def integrate_over_set(
     spectra: list[np.ndarray],
     conjugate_flags: list[bool],
     twist: int | None,
     region: ArcUnion | None,
     m: int,
-) -> IntegralResult:
+) -> dict:
     """Riemann sum of prod spectra * e(-alpha*twist) over the region's points
-    of the grid of size m.
+    of the grid of size m, as {value, boundary_error, points, measure}.
 
     Real spectra and an integer twist make the integrand at 1 - alpha the
     conjugate of its value at alpha, and every region is mirror-symmetric,
     so the sum is real and is taken over the half grid.  On the full circle
     (region None) with an alias-free grid this equals the true integral
     exactly; on subsets the reported boundary error bounds the endpoint
-    effect.
+    effect (endpoint count * sup |integrand| / m; 0 on the full circle).
     """
     if len(spectra) != len(conjugate_flags):
         raise DomainError("one conjugate flag per spectrum required")
@@ -477,8 +469,8 @@ def integrate_over_set(
     j = np.arange(half_size(m)) if region is None else region.grid_points(m)[0]
     bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
     points = HalfPoints.of(j, m)
-    return IntegralResult(value=complex(points.total(prod.real[j]) / m), boundary_error=bound,
-                          points=points.count(), measure=points.measure())
+    return {"value": complex(points.total(prod.real[j]) / m), "boundary_error": bound,
+            "points": points.count(), "measure": points.measure()}
 
 
 @lru_cache(maxsize=64)
@@ -837,8 +829,6 @@ def dissection_ledger(
         V = min(Q_slice, max(math.sqrt(Q_slice), _band_scale(n, sup_g_slice) if sup_g_slice else Q_slice))
     part_slice = level_partition(n, k, s, theta, sliced, family="slice", V=V, Q=Q_slice)
 
-    csv_rows = [["minor/" + row[0], *row[1:]] for row in part_minor["classes"]]
-    csv_rows += [["slice/" + row[0], *row[1:]] for row in part_slice["classes"]]
     return {
         "n": n, "k": k, "s": s, "theta": theta, "R": R,
         "grid_size": m,
@@ -860,7 +850,6 @@ def dissection_ledger(
         "covering": dyadic_band_cover(n, theta, minor.g, minor.points),
         "g_envelope": g_envelope_constant(n, sup_g_minor),
         "f_envelope": f_envelope,
-        "csv_rows": csv_rows,
     }
 
 

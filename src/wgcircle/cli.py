@@ -1,16 +1,17 @@
 """Command-line surface tying the modules together.
 
 Subcommand per module: constants, eta, plan, verify-tables, sieve, series,
-count, compare, dissect, moments, model-error.  Output is json or plain, or csv
-for the tables of compare, dissect and moments; identical invocations produce
-byte-identical output.  Exit codes: 0 success, 2 validation/usage failure, 3
-internal-consistency failure.
+count, compare, dissect, moments, model-error.  Each prints the report dict
+its library function returns; the CLI lays out only the tables' CSV rows and
+the plain lines, which default to one `key = value` line per field.  Output is
+json or plain, or csv for the tables of compare, dissect and moments; identical
+invocations produce byte-identical output.  Exit codes: 0 success, 2
+validation/usage failure, 3 internal-consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import arith, circle, counting, exponents, series, specialfn
 from .errors import DomainError, InternalConsistencyError, WgcircleError
-from .serialize import JsonRecords, serialize
+from .serialize import serialize
 
 _R_ETA_MAX = 1.0 / 7.0
 
@@ -44,8 +45,12 @@ def _parse_list(text: str, kind, flag: str) -> list:
             f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}") from None
 
 
-def _emit(args, report, csv_header=None, csv_rows=None, plain_lines=None, csv_columns=None) -> None:
-    payload = serialize(report, args.format, csv_header, csv_rows, plain_lines, csv_columns)
+def _emit(args, report, csv_header=None, table_rows=None, plain_lines=None, csv_columns=None) -> None:
+    """Write the report in args.format; plain output without lines of its
+    own is one `key = value` line per field of the report."""
+    if args.format == "plain" and plain_lines is None:
+        plain_lines = [f"{key} = {value}" for key, value in report.items()]
+    payload = serialize(report, args.format, csv_header, table_rows, plain_lines, csv_columns)
     if args.out:
         try:
             with open(args.out, "wb") as fh:
@@ -69,7 +74,7 @@ def _cmd_constants(args) -> int:
         "sigma_half_ratio": specialfn.SIGMA_HALF_RATIO,
         "residual": abs(2 * c - 2 - math.log(theta * c - 1)),
     }
-    _emit(args, report, plain_lines=[f"{key} = {value}" for key, value in report.items()])
+    _emit(args, report)
     return 0
 
 
@@ -77,7 +82,7 @@ def _cmd_eta(args) -> int:
     point = specialfn.eta(args.t)
     report = {"t": point.t, "eta": point.eta, "eta_prime": point.eta_prime,
               "residual": abs(point.eta + math.log(point.eta) - (1 - point.t))}
-    _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
+    _emit(args, report)
     return 0
 
 
@@ -95,30 +100,18 @@ def _cmd_plan(args) -> int:
         report["tau"] = sp.tau
         report["even_target"] = sp.even_target
         report["gap_bound"] = sp.gap_bound
-    _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
+    _emit(args, report)
     return 0
 
 
 def _cmd_verify_tables(args) -> int:
-    checks = exponents.verify_table2()
+    blocks = exponents.verify_table2()
     cross = exponents.cross_check_table1()
-    lines = []
-    all_ok = True
-    for c in checks:
-        status = "PASS" if c.ok else "FAIL"
-        all_ok &= c.ok
-        lines.append(f"{status} k={c.k} theta={c.theta} {c.detail}")
-    for k, desc, ok in cross:
-        status = "ok" if ok else "FAIL"
-        all_ok &= ok
-        lines.append(f"cross-check {status}: {desc}")
+    all_ok = all(check["ok"] for check in blocks + cross)
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'} k={c['k']} theta={c['theta']} {c.pop('detail')}" for c in blocks]
+    lines += [f"cross-check {'ok' if c['ok'] else 'FAIL'}: {c['detail']}" for c in cross]
     lines.append(f"summary: {'all checks passed' if all_ok else 'FAILURES PRESENT'}")
-    report = {
-        "blocks": [{key: v for key, v in dataclasses.asdict(c).items() if key != "detail"} for c in checks],
-        "table1_cross_checks": [{"k": k, "detail": d, "ok": ok} for k, d, ok in cross],
-        "all_ok": all_ok,
-    }
-    _emit(args, report, plain_lines=lines)
+    _emit(args, {"blocks": blocks, "table1_cross_checks": cross, "all_ok": all_ok}, plain_lines=lines)
     return 0 if all_ok else 3
 
 
@@ -131,17 +124,17 @@ def _cmd_sieve(args) -> int:
         "chebyshev_theta": float(np.cumsum(np.log(primes))[-1]),
         "largest_prime": int(primes[-1]),
     }
-    _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
+    _emit(args, report)
     return 0
 
 
 def _cmd_series(args) -> int:
     xs = tuple(_parse_list(args.xs, int, "--xs")) if args.xs else ()
-    rep = series.euler_product(args.n, args.k, args.s, args.cutoff, partial_xs=xs)
-    _emit(args, rep.to_json_dict(), plain_lines=[
-        f"product({args.cutoff}) = {rep.product_value}",
-        f"tail_bound = {rep.tail_bound}",
-    ] + [f"partial({x}) = {v}" for x, v in rep.partials])
+    report = series.euler_product(args.n, args.k, args.s, args.cutoff, partial_xs=xs)
+    _emit(args, report, plain_lines=[
+        f"product({report['cutoff']}) = {report['product']}",
+        f"tail_bound = {report['tail_bound']}",
+    ] + [f"partial({x}) = {v}" for x, v in report["partials"]])
     return 0
 
 
@@ -156,18 +149,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rep = counting.compare_report(args.k, args.s, args.lo, args.hi, args.stride, args.cutoff)
-    report = {
-        "k": rep.k, "s": rep.s, "n_lo": rep.n_lo, "n_hi": rep.n_hi, "stride": rep.stride,
-        "prime_cutoff": rep.prime_cutoff,
-        "min_ratio": rep.min_ratio, "mean_ratio": rep.mean_ratio, "zero_count": rep.zero_count,
-        "constant_note": rep.constant_note,
-    }
-    if args.format == "json":
-        report["rows"] = JsonRecords(tuple(rep.columns()))
-    _emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=rep.columns(),
-          plain_lines=[f"min_ratio = {rep.min_ratio}", f"mean_ratio = {rep.mean_ratio}",
-                       f"zero_count = {rep.zero_count}"])
+    report = counting.compare_report(args.k, args.s, args.lo, args.hi, args.stride, args.cutoff)
+    columns = report["rows"].columns
+    if args.format != "json":
+        del report["rows"]
+    _emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=columns,
+          plain_lines=[f"{key} = {report[key]}" for key in ("min_ratio", "mean_ratio", "zero_count")])
     return 0
 
 
@@ -180,11 +167,11 @@ def _cmd_dissect(args) -> int:
         args.n, args.k, args.s, args.theta, R,
         oversample=args.oversample, U=args.u, V=args.v, Q_slice=args.q_slice,
     )
-    csv_rows = report.pop("csv_rows")
-    _emit(args, report, csv_header=["label", "measure", "sup_g", "sup_f", "contribution_abs"],
-          csv_rows=csv_rows,
+    rows = [[f"{family}/{label}", *row] for family in ("minor", "slice")
+            for label, *row in report[f"{family}_partition"]["classes"]]
+    _emit(args, report, csv_header=["label", "measure", "sup_g", "sup_f", "contribution_abs"], table_rows=rows,
           plain_lines=[f"{row[0]}: measure={row[1]:.6g} sup_g={row[2]:.6g} "
-                       f"sup_f={row[3]:.6g} contribution={row[4]:.6g}" for row in csv_rows])
+                       f"sup_f={row[3]:.6g} contribution={row[4]:.6g}" for row in rows])
     return 0
 
 
@@ -194,9 +181,9 @@ def _cmd_moments(args) -> int:
     report = circle.moment_doubling_report(args.P, R, args.k, args.t, qs)
     _emit(args, report,
           csv_header=["Q", "V", "measure", "boundary_error", "log2_ratio"],
-          csv_rows=[[row["Q"], row["V"], row["measure"], row["boundary_error"],
-                     row["log2_ratio"] if row["log2_ratio"] is not None else ""]
-                    for row in report["rows"]],
+          table_rows=[[row["Q"], row["V"], row["measure"], row["boundary_error"],
+                       row["log2_ratio"] if row["log2_ratio"] is not None else ""]
+                      for row in report["rows"]],
           plain_lines=[f"Q={row['Q']:g} V={row['V']:.6g}" for row in report["rows"]])
     return 0
 
@@ -205,7 +192,7 @@ def _cmd_model_error(args) -> int:
     P = circle.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
     report = circle.major_arc_model_error(args.n, args.k, R)
-    _emit(args, report, plain_lines=[f"{k} = {v}" for k, v in report.items()])
+    _emit(args, report)
     return 0
 
 

@@ -37,7 +37,6 @@ follow after it, so every product keeps its ascending order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +44,7 @@ import numpy as np
 from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
 from .convolve import ConvStats, _charge_power, _Operand, convolve_exact, next_pow2, power
 from .errors import DomainError, ResourceError, _beside, ensure_memory
+from .serialize import JsonRecords
 from .series import _euler_periods, _multiply_periods, check_limits
 
 _DIRECT_BUDGET = 80_000_000  # tuple budget for the brute-force route
@@ -169,37 +169,8 @@ def hl_prediction(k: int, s: int, n, series_value):
     return series_value * gamma_factor(k, s) * ns ** (s / k) / np.log(ns)
 
 
-#: Column names of a comparison report, in CSV order.
+#: Column names of the rows of a comparison report, in CSV order.
 COMPARE_COLUMNS = ("n", "r", "prediction", "ratio", "series")
-
-
-@dataclass(frozen=True, eq=False)
-class CompareReport:
-    """Counts against the prediction, one array per column (see COMPARE_COLUMNS).
-
-    `r` is int64, or an object array of Python integers once a count
-    outgrows int64; `ratio` is r / prediction, NaN where the prediction is
-    not positive.
-    """
-
-    k: int
-    s: int
-    n_lo: int
-    n_hi: int
-    stride: int
-    prime_cutoff: int
-    n: np.ndarray
-    r: np.ndarray
-    prediction: np.ndarray
-    ratio: np.ndarray
-    series: np.ndarray
-    min_ratio: float
-    mean_ratio: float
-    zero_count: int
-    constant_note: str = "prediction constant is heuristic (circle-method shape); only the order is backed by theory"
-
-    def columns(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in COMPARE_COLUMNS]
 
 
 def compare_report(
@@ -210,8 +181,13 @@ def compare_report(
     stride: int = 1,
     prime_cutoff: int = 1000,
     stats: ConvStats | None = None,
-) -> CompareReport:
-    """Exact counts against the prediction over a range, with aggregates."""
+) -> dict:
+    """Exact counts against the prediction over a range, as the report
+    `compare` prints: the range, the aggregates min_ratio, mean_ratio and
+    zero_count, a note on the constant, and `rows`, the columns named by
+    COMPARE_COLUMNS.  `r` is int64, or an object array of Python integers
+    once a count outgrows int64; `ratio` is r / prediction, NaN where the
+    prediction is not positive."""
     if not 3 <= n_lo <= n_hi:
         raise DomainError(f"need 3 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if stride < 1:
@@ -247,8 +223,9 @@ def compare_report(
     # ratio is bit for bit the scalar r / pred
     ratio = np.full(len(ns), np.nan)
     np.divide(r.astype(np.float64), preds, out=ratio, where=preds > 0)
-    return CompareReport(
-        k=k, s=s, n_lo=n_lo, n_hi=n_hi, stride=stride, prime_cutoff=prime_cutoff,
-        n=ns, r=r, prediction=preds, ratio=ratio, series=series_vals,
-        min_ratio=float(ratio.min()), mean_ratio=float(ratio.mean()), zero_count=int((r == 0).sum()),
-    )
+    return {
+        "k": k, "s": s, "n_lo": n_lo, "n_hi": n_hi, "stride": stride, "prime_cutoff": prime_cutoff,
+        "min_ratio": float(ratio.min()), "mean_ratio": float(ratio.mean()), "zero_count": int((r == 0).sum()),
+        "constant_note": "prediction constant is heuristic (circle-method shape); only the order is backed by theory",
+        "rows": JsonRecords((ns, r, preds, ratio, series_vals)),
+    }

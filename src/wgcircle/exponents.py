@@ -113,19 +113,6 @@ def round_up_4dp(x: float) -> float:
 PlanTable = dict[tuple[int, int], AdmissiblePlan | None]
 
 
-@dataclass(frozen=True)
-class BlockCheck:
-    k: int
-    theta: int
-    ok: bool
-    blank: bool
-    omega_recomputed: float | None
-    omega_table: float | None
-    cond1_margin: float | None  # k - 2*delta_s
-    cond2_margin: float | None  # 1 - omega
-    detail: str
-
-
 def _data_text(name: str) -> str:
     return resources.files("wgcircle.data").joinpath(name).read_text()
 
@@ -173,24 +160,23 @@ def load_table2(path: str | Path | None = None) -> PlanTable:
     return plans
 
 
-def verify_table2(plans: PlanTable | None = None) -> list[BlockCheck]:
-    """Compare every block's recomputed Omega with the tabulated one and check both conditions.
+def verify_table2(plans: PlanTable | None = None) -> list[dict]:
+    """Compare every block's recomputed Omega with the tabulated one and check
+    both conditions: one dict per block with k, theta, ok, blank,
+    omega_recomputed, omega_table, cond1_margin (k - 2*delta_s), cond2_margin
+    (1 - omega) and a one-line detail.
 
     A blank block (only k=5, theta=5 in the shipped data) yields a vacuous
-    passing entry so that every k contributes one check per theta.
+    passing entry with None for every number, so that every k contributes
+    one check per theta.
     """
     plans = load_table2() if plans is None else plans
-    checks: list[BlockCheck] = []
+    checks: list[dict] = []
     for (k, theta), plan in plans.items():
         if plan is None:
-            checks.append(
-                BlockCheck(
-                    k=k, theta=theta, ok=True, blank=True,
-                    omega_recomputed=None, omega_table=None,
-                    cond1_margin=None, cond2_margin=None,
-                    detail="blank entry",
-                )
-            )
+            checks.append({"k": k, "theta": theta, "ok": True, "blank": True,
+                           "omega_recomputed": None, "omega_table": None,
+                           "cond1_margin": None, "cond2_margin": None, "detail": "blank entry"})
             continue
         omega_up = round_up_4dp(plan.omega)
         table_units = round(plan.omega_table * 10**4)
@@ -209,27 +195,23 @@ def verify_table2(plans: PlanTable | None = None) -> list[BlockCheck]:
         detail = f"omega {plan.omega:.6f} -> {omega_up:.4f} vs {plan.omega_table:.4f}{slack_note}"
         if not match:
             detail += " MISMATCH"
-        checks.append(
-            BlockCheck(
-                k=k, theta=theta, ok=match and plan.cond1_ok and cond2_margin > 0.0, blank=False,
-                omega_recomputed=omega_up, omega_table=plan.omega_table,
-                cond1_margin=k - 2.0 * plan.delta_s, cond2_margin=cond2_margin,
-                detail=detail,
-            )
-        )
+        checks.append({"k": k, "theta": theta, "ok": match and plan.cond1_ok and cond2_margin > 0.0,
+                       "blank": False, "omega_recomputed": omega_up, "omega_table": plan.omega_table,
+                       "cond1_margin": k - 2.0 * plan.delta_s, "cond2_margin": cond2_margin,
+                       "detail": detail})
     return checks
 
 
-def cross_check_table1() -> list[tuple[int, str, bool]]:
+def cross_check_table1() -> list[dict]:
     """S0(k) must equal s5(k) and S1(k) must equal s4(k) wherever both exist
-    in the shipped tables."""
+    in the shipped tables: one dict {k, detail, ok} per comparison."""
     plans = load_table2()
-    results: list[tuple[int, str, bool]] = []
+    results: list[dict] = []
     for k, (s0, s1) in sorted(load_table1().items()):
         for name, s_ref, theta in (("S0", s0, 5), ("S1", s1, 4)):
             plan = plans.get((k, theta))
             if s_ref is not None and plan is not None:
-                results.append((k, f"{name}({k})={s_ref} vs s{theta}={plan.s}", s_ref == plan.s))
+                results.append({"k": k, "detail": f"{name}({k})={s_ref} vs s{theta}={plan.s}", "ok": s_ref == plan.s})
     return results
 
 

@@ -299,7 +299,7 @@ def to_plain_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, csv_rows: list[list] | None = None,
+def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, table_rows: list[list] | None = None,
               plain_lines: list[str] | None = None, csv_columns: list | None = None) -> bytes:
     """Encode a report in the requested format: JSON from the report, CSV
     from a header and rows or numeric columns, plain from prepared lines."""
@@ -311,6 +311,6 @@ def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, csv_ro
         return to_plain_bytes(plain_lines)
     if fmt == "csv" and csv_header is not None and csv_columns is not None:
         return to_csv_columns_bytes(csv_header, csv_columns)
-    if fmt == "csv" and csv_header is not None and csv_rows is not None:
-        return to_csv_bytes(csv_header, csv_rows)
+    if fmt == "csv" and csv_header is not None and table_rows is not None:
+        return to_csv_bytes(csv_header, table_rows)
     raise DomainError(f"{fmt} output needs {'its lines' if fmt == 'plain' else 'a header and a table'}")

@@ -34,7 +34,6 @@ backing the tail estimates starts at s = 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,32 +45,6 @@ from .arith import (
 from .errors import DomainError, InternalConsistencyError, ensure_memory
 
 _DUAL_ROUTE_TOL = 1e-9
-
-
-@dataclass
-class SeriesReport:
-    n: int
-    k: int
-    s: int
-    prime_cutoff: int
-    product_value: float
-    tail_bound: float
-    tail_constant: float
-    partials: list[tuple[int, float]] = field(default_factory=list)
-    converges: bool = True  # False marks the no-guarantee regime s in {1, 2}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "s": self.s,
-            "cutoff": self.prime_cutoff,
-            "product": self.product_value,
-            "tail_bound": self.tail_bound,
-            "tail_constant": self.tail_constant,
-            "convergence_guaranteed": self.converges,
-            "partials": [[x, v] for x, v in self.partials],
-        }
 
 
 def s_n_q(q: int, n: int, k: int, s: int) -> complex:
@@ -238,14 +211,17 @@ def euler_product(
     s: int,
     prime_cutoff: int,
     partial_xs: tuple[int, ...] = (),
-) -> SeriesReport:
-    """Product of chi_p over p <= prime_cutoff, dual-route checked per prime.
+) -> dict:
+    """Product of chi_p over p <= prime_cutoff, dual-route checked per prime,
+    as the report `series` prints: n, k, s, cutoff, product, tail_bound,
+    tail_constant, convergence_guaranteed (False for s in {1, 2}, where no
+    guarantee holds) and partials, [X, S(n, X)] for each X of partial_xs in
+    the given order.
 
-    partial_xs optionally attaches truncated q-sum values to the report, in
-    the given order.  The tail bound combines the measured decay constant,
-    max |chi_p - 1| p^(3/2) over ascending p <= _TAIL_PROBE (reported as
-    tail_constant), with the integral estimate beyond the cutoff.  Every
-    factor is positive: `class_factors` checks M_p >= 1.
+    The tail bound combines the measured decay constant, max |chi_p - 1|
+    p^(3/2) over ascending p <= _TAIL_PROBE (reported as tail_constant),
+    with the integral estimate beyond the cutoff.  Every factor is positive:
+    `class_factors` checks M_p >= 1.
     """
     product = 1.0
     tail_constant = 0.0
@@ -254,17 +230,15 @@ def euler_product(
         product *= chi
         if p <= _TAIL_PROBE:
             tail_constant = max(tail_constant, abs(chi - 1.0) * float(p) ** 1.5)
-    report = SeriesReport(
-        n=int(n), k=int(k), s=int(s), prime_cutoff=int(prime_cutoff),
-        product_value=product,
-        tail_bound=_product_tail_estimate(prime_cutoff, tail_constant) * abs(product),
-        tail_constant=tail_constant,
-        converges=s >= 3,
-    )
-    if partial_xs:
-        partials = series_partials(n, k, s, partial_xs)
-        report.partials = [(int(x), partials[int(x)].real) for x in partial_xs]
-    return report
+    partials = series_partials(n, k, s, partial_xs) if partial_xs else {}
+    return {
+        "n": int(n), "k": int(k), "s": int(s), "cutoff": int(prime_cutoff),
+        "product": product,
+        "tail_bound": _product_tail_estimate(prime_cutoff, tail_constant) * abs(product),
+        "tail_constant": tail_constant,
+        "convergence_guaranteed": s >= 3,
+        "partials": [[int(x), partials[int(x)].real] for x in partial_xs],
+    }
 
 
 def _multiply_periods(out: np.ndarray, periods) -> None:

@@ -603,8 +603,8 @@ class TestFailureModes:
             assert code == 0
             assert json.loads(out)["product"] == value
         # and unrounded, in process: the series column is the one-n product bit for bit
-        column = counting.compare_report(2, 102, 200, 203, 1, 1000).series
-        assert column.tolist() == [series.euler_product(n, 2, 102, 1000).product_value for n in range(200, 204)]
+        column = counting.compare_report(2, 102, 200, 203, 1, 1000)["rows"].columns[-1]
+        assert column.tolist() == [series.euler_product(n, 2, 102, 1000)["product"] for n in range(200, 204)]
 
     @pytest.mark.parametrize("k", [100, 2**53])
     def test_count_with_one_power_runs(self, capsys, k):

@@ -195,25 +195,26 @@ class TestPrediction:
 class TestCompareReport:
     def test_bookkeeping(self):
         rep = counting.compare_report(2, 2, 100, 300, stride=7, prime_cutoff=200)
-        assert rep.n[0] == 100
-        ratios = rep.ratio.tolist()
-        assert rep.min_ratio == pytest.approx(min(ratios))
-        assert rep.mean_ratio == pytest.approx(sum(ratios) / len(ratios))
-        assert rep.zero_count == sum(1 for r in rep.r.tolist() if r == 0)
-        for r, prediction, ratio in zip(rep.r.tolist(), rep.prediction.tolist(), ratios):
+        n, counts, predictions, ratio_column, _ = rep["rows"].columns
+        assert n[0] == 100
+        ratios = ratio_column.tolist()
+        assert rep["min_ratio"] == pytest.approx(min(ratios))
+        assert rep["mean_ratio"] == pytest.approx(sum(ratios) / len(ratios))
+        assert rep["zero_count"] == sum(1 for r in counts.tolist() if r == 0)
+        for r, prediction, ratio in zip(counts.tolist(), predictions.tolist(), ratios):
             if prediction > 0:
                 assert ratio == pytest.approx(r / prediction)
 
     def test_csv_shape(self):
         rep = counting.compare_report(2, 2, 50, 60, prime_cutoff=100)
-        rows = list(zip(*rep.columns()))
+        rows = list(zip(*rep["rows"].columns))
         assert len(rows) == 11
         assert all(len(r) == 5 for r in rows)
 
     def test_positive_ratio_region(self):
         rep = counting.compare_report(2, 2, 1000, 1200, prime_cutoff=300)
-        assert rep.zero_count == 0
-        assert rep.min_ratio > 0
+        assert rep["zero_count"] == 0
+        assert rep["min_ratio"] > 0
 
     def test_cubes_window_never_vanishes(self):
         # four cubes plus a prime over [1e4, 2e4]: normalized count stays positive
@@ -230,12 +231,13 @@ class TestCompareReport:
     def test_series_column_is_the_euler_product(self, use_cpus, k, s, lo, hi):
         # both multiply the same checked class values in ascending p; the
         # column once came from a DFT and differed at n = 61194 in the last bit
-        expected = [series.euler_product(n, k, s, 1000).product_value for n in range(lo, hi + 1)]
+        expected = [series.euler_product(n, k, s, 1000)["product"] for n in range(lo, hi + 1)]
         # the primes whose periods fit the 11 or 31 rows (2..5 or 2..11) are multiplied
         # beside the count, on a worker on two CPUs, and the rest after it
         for cpus in (1, 2):
             use_cpus(cpus)
-            assert counting.compare_report(k, s, lo, hi, prime_cutoff=1000).series.tolist() == expected
+            column = counting.compare_report(k, s, lo, hi, prime_cutoff=1000)["rows"].columns[-1]
+            assert column.tolist() == expected
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_traced_peak_within_the_charge(self, monkeypatch, use_cpus, cpus):
@@ -272,7 +274,7 @@ class TestCompareReport:
             assert convolve._Operand(10, 10, bound, 10 * bound).nbytes == 10 * nbytes
 
     def test_prediction_column_is_hl_prediction(self):
-        rep = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)
-        assert np.array_equal(counting.hl_prediction(3, 11, rep.n, rep.series), rep.prediction)
+        n, _, prediction, _, column = counting.compare_report(3, 11, 5000, 5400, prime_cutoff=1000)["rows"].columns
+        assert np.array_equal(counting.hl_prediction(3, 11, n, column), prediction)
         for i in (0, 17, 233, 400):
-            assert counting.hl_prediction(3, 11, int(rep.n[i]), float(rep.series[i])) == rep.prediction[i]
+            assert counting.hl_prediction(3, 11, int(n[i]), float(column[i])) == prediction[i]

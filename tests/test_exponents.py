@@ -71,22 +71,22 @@ class TestShippedTables:
     def test_all_blocks_pass(self):
         checks = ex.verify_table2()
         assert len(checks) == 32
-        assert all(c.ok for c in checks)
-        blanks = [c for c in checks if c.blank]
-        assert [(c.k, c.theta) for c in blanks] == [(5, 5)]
+        assert all(c["ok"] for c in checks)
+        blanks = [c for c in checks if c["blank"]]
+        assert [(c["k"], c["theta"]) for c in blanks] == [(5, 5)]
 
     def test_margins_positive(self):
         for c in ex.verify_table2():
-            if c.blank:
+            if c["blank"]:
                 continue
-            assert c.cond1_margin > 0.0
-            assert c.cond2_margin > 0.0
+            assert c["cond1_margin"] > 0.0
+            assert c["cond2_margin"] > 0.0
 
     def test_table1_cross_checks(self):
         results = ex.cross_check_table1()
         assert results, "no overlapping rows found"
-        assert all(ok for _, _, ok in results)
-        lookup = {desc: ok for _, desc, ok in results}
+        assert all(c["ok"] for c in results)
+        lookup = {c["detail"]: c["ok"] for c in results}
         assert any(d.startswith("S0(6)=11") for d in lookup)
         assert any(d.startswith("S1(5)=8") for d in lookup)
 
@@ -133,11 +133,11 @@ class TestTamperedTable:
         return p
 
     def test_verify_reports_both_faults(self, path):
-        checks = {(c.k, c.theta): c for c in ex.verify_table2(ex.load_table2(path))}
+        checks = {(c["k"], c["theta"]): c for c in ex.verify_table2(ex.load_table2(path))}
         moved, half = checks[(8, 5)], checks[(9, 4)]
-        assert not moved.ok and moved.detail.endswith(" MISMATCH")
-        assert not half.ok and half.cond1_margin <= 0.0
-        assert [key for key, c in checks.items() if not c.ok] == [(8, 5), (9, 4)]
+        assert not moved["ok"] and moved["detail"].endswith(" MISMATCH")
+        assert not half["ok"] and half["cond1_margin"] <= 0.0
+        assert [key for key, c in checks.items() if not c["ok"]] == [(8, 5), (9, 4)]
 
     def test_cli_exits_three(self, path, monkeypatch, capsys):
         from wgcircle.cli import main

@@ -481,14 +481,14 @@ def test_integral_matches_full_grid_oracle(m, count, twist, region, data):
     value, points, sup = grid_oracle.integral(spectra, flags, twist, full_mask, m)
     # the product of the l1 norms bounds |integrand| and scales the FFT rounding
     scale = math.prod(float(np.abs(c).sum()) for c in spectra)
-    assert type(got.value) is complex and got.value.imag == 0.0
-    assert abs(got.value - value) <= 1e-12 * scale
-    assert got.points == points and got.measure == points / m
+    assert type(got["value"]) is complex and got["value"].imag == 0.0
+    assert abs(got["value"] - value) <= 1e-12 * scale
+    assert got["points"] == points and got["measure"] == points / m
     if union is None:
-        assert (got.boundary_error, got.points, got.measure) == (0.0, m, 1.0)
+        assert (got["boundary_error"], got["points"], got["measure"]) == (0.0, m, 1.0)
     else:
         expected = union.endpoint_count() * sup / m
-        assert got.boundary_error == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+        assert got["boundary_error"] == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
 
 
 def _near(values):

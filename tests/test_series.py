@@ -89,7 +89,7 @@ class TestLocalFactor:
                 assert local_factor(p, n, 2, 3)[1] >= p ** (-3) - 1e-12
 
     def test_large_p_trend(self):
-        c = series.euler_product(10, 3, 3, 500).tail_constant
+        c = series.euler_product(10, 3, 3, 500)["tail_constant"]
         assert c < 3.0  # recorded: 1.386 at p <= 1000
 
     @pytest.mark.parametrize("n", [0, 1, 46380, 123457])
@@ -135,8 +135,8 @@ class TestSeriesPartial:
         assert abs(series.series_partials(100, 3, 4, (64,))[64].imag) < 1e-9
 
     def test_low_s_flagged(self):
-        assert series.euler_product(50, 2, 2, 10, partial_xs=(8,)).converges is False
-        assert series.euler_product(50, 2, 3, 10, partial_xs=(8,)).converges is True
+        assert series.euler_product(50, 2, 2, 10, partial_xs=(8,))["convergence_guaranteed"] is False
+        assert series.euler_product(50, 2, 3, 10, partial_xs=(8,))["convergence_guaranteed"] is True
 
     def test_one_pass_matches_separate_sums(self):
         # each running total is summed in the order of a pass stopping at its X,
@@ -171,19 +171,19 @@ class TestSeriesPartial:
 class TestEulerProduct:
     def test_cutoff_two_is_single_factor(self):
         rep = series.euler_product(10, 3, 4, 2)
-        assert rep.product_value == pytest.approx(local_factor(2, 10, 3, 4)[1], abs=1e-12)
+        assert rep["product"] == pytest.approx(local_factor(2, 10, 3, 4)[1], abs=1e-12)
 
     @pytest.mark.parametrize("k,s,n", [(3, 4, 100), (2, 3, 50), (3, 5, 999)])
     def test_agrees_with_partial_within_tails(self, k, s, n):
         rep = series.euler_product(n, k, s, 2000, partial_xs=(512, 1024))
-        best = rep.partials[-1][1]
-        series_tail = 3.5 * abs(rep.partials[-1][1] - rep.partials[0][1])
-        assert abs(rep.product_value - best) <= rep.tail_bound + series_tail + 1e-9
+        best = rep["partials"][-1][1]
+        series_tail = 3.5 * abs(rep["partials"][-1][1] - rep["partials"][0][1])
+        assert abs(rep["product"] - best) <= rep["tail_bound"] + series_tail + 1e-9
 
     def test_partials_keep_the_given_order(self):
         rep = series.euler_product(100, 3, 4, 50, partial_xs=(16, 4, 16))
         partials = series.series_partials(100, 3, 4, (4, 16))
-        assert rep.partials == [(16, partials[16].real), (4, partials[4].real), (16, partials[16].real)]
+        assert rep["partials"] == [[16, partials[16].real], [4, partials[4].real], [16, partials[16].real]]
 
     @pytest.fixture
     def series_column(self, monkeypatch):
@@ -193,7 +193,9 @@ class TestEulerProduct:
                             lambda k, s, n_max, stats, n_min: np.zeros(n_max - n_min + 1, dtype=np.int64))
 
         def column(n_lo, stride, count, k, s, prime_cutoff):
-            return counting.compare_report(k, s, n_lo, n_lo + stride * (count - 1), stride, prime_cutoff).series
+            n, r, prediction, ratio, column = counting.compare_report(
+                k, s, n_lo, n_lo + stride * (count - 1), stride, prime_cutoff)["rows"].columns
+            return column
         return column
 
     def test_positivity_sample(self, series_column):
@@ -218,11 +220,10 @@ class TestEulerProduct:
                 ns = n_lo + stride * np.arange(count)
                 assert np.array_equal(many, series_oracle.gather_product(ns, k, s, 200))
                 for n, v in zip(ns.tolist(), many.tolist()):
-                    assert v == series.euler_product(n, k, s, 200).product_value
+                    assert v == series.euler_product(n, k, s, 200)["product"]
 
     def test_report_schema(self):
-        rep = series.euler_product(100, 3, 4, 50, partial_xs=(8,))
-        d = rep.to_json_dict()
+        d = series.euler_product(100, 3, 4, 50, partial_xs=(8,))
         assert set(d) == {"n", "k", "s", "cutoff", "product", "tail_bound",
                           "tail_constant", "convergence_guaranteed", "partials"}
 
