@@ -12,6 +12,7 @@ validation/usage failure, 3 internal-consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import arith, circle, counting, exponents, series, specialfn
 from .errors import DomainError, InternalConsistencyError, WgcircleError
-from .serialize import serialize
+from .serialize import serialize_chunks
 
 _R_ETA_MAX = 1.0 / 7.0
 
@@ -46,19 +47,19 @@ def _parse_list(text: str, kind, flag: str) -> list:
 
 
 def _emit(args, report, csv_header=None, table_rows=None, plain_lines=None, csv_columns=None) -> None:
-    """Write the report in args.format; plain output without lines of its
-    own is one `key = value` line per field of the report."""
+    """Write the report in args.format, each chunk as it is made; plain
+    output without lines of its own is one `key = value` line per field of
+    the report.  A report the serializer refuses opens no --out file."""
     if args.format == "plain" and plain_lines is None:
         plain_lines = [f"{key} = {value}" for key, value in report.items()]
-    payload = serialize(report, args.format, csv_header, table_rows, plain_lines, csv_columns)
-    if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise WgcircleError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.buffer.write(payload)
+    chunks = serialize_chunks(report, args.format, csv_header, table_rows, plain_lines, csv_columns)
+    where = f"--out {args.out}" if args.out else "stdout"
+    try:
+        with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise WgcircleError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _cmd_constants(args) -> int:

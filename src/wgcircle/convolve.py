@@ -35,7 +35,11 @@ With keep_from = 0 nothing wraps at all.  Both operands are no longer than
 L, so each cyclic entry still sums at most one pair per index of the shorter
 operand: the entry bound covers all L entries, and the checks run over all
 of them.  From _SIDE_BY_SIDE_POINTS on two CPUs, the second operand of a
-product that is not a squaring is transformed beside the first (`_transforms_beside`).
+product that is not a squaring is transformed beside the first when a CPU is
+free (`errors._beside`); while another worker of the package runs, as
+`compare`'s series product does, the two transforms run one after the other
+on this thread.  The charge counts the second transform whenever it may run
+beside (`_transforms_beside`).
 
 `power` raises a histogram to the s-th power on these routes, truncated at a
 window of n (representation counts r(n)).  Results are int64 while they fit
@@ -168,7 +172,8 @@ def _by_pair_sums(a: _Operand, b: _Operand, size: int) -> bool:
 
 
 def _transforms_beside(size: int) -> bool:
-    """Whether a product of two operands transforms the second beside the first (`errors._beside`)."""
+    """Whether a product of two operands may transform the second beside the first: it
+    asks `errors._beside` for a worker, which it gets when a CPU is free."""
     return size >= _SIDE_BY_SIDE_POINTS and _usable_cpus() >= 2
 
 

@@ -31,7 +31,9 @@ count's charge before any local factor, with the columns it holds beside the
 count.  The series periods of an ascending prefix of the primes, at most one
 float per row of them (every prime up to the default cutoff of 1000), are
 multiplied beside the count (`errors._beside`); the primes past the prefix
-follow after it, so every product keeps its ascending order.
+follow after it, so every product keeps its ascending order.  On two CPUs the
+series product holds the one worker, so while it runs the count's float
+product transforms its two operands one after the other on this thread.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ to 12 significant digits before encoding, CSV uses RFC-style minimal quoting.
 Identical reports serialize to identical bytes.
 
 CSV comes from rows (`to_csv_bytes`, through `csv.writer`, for the small
-mixed-type tables) or from numeric columns (`to_csv_columns_bytes`, for the
+mixed-type tables) or from numeric columns (`_csv_column_chunks`, for the
 comparison report's hundreds of thousands of rows).  Both write the same
 bytes for the same numbers: integers as str(int), floats as f"{v:.12g}", and
 no numeric field ever needs quoting.
@@ -29,8 +29,15 @@ Each block of `_ROW_BLOCK` rows is laid out as one uint8 matrix: every
 column's NUL-padded text and every constant piece (JSON keys and
 indentation, CSV commas, the row separator last) side by side.  The block's
 text is the matrix's non-NUL bytes in row order; no number text or piece
-holds a NUL, so only padding is dropped.  Two blocks are written at once,
-one of them beside this thread (`errors._beside`).
+holds a NUL, so only padding is dropped.  Two blocks are formatted at once,
+the first beside this thread (`errors._beside`), and both are done before
+the first is handed on, so a consumer that stops leaves no helper
+formatting.
+
+`serialize_chunks` makes every check up front and then hands out the bytes
+in order, as they are made: the CSV header, then each row block; the JSON
+encoder's text, with each `JsonRecords` list's blocks in its place.  A writer
+of the chunks holds at most two row blocks, whatever the row count.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -193,9 +200,9 @@ def _check_kinds(columns, what: str) -> None:
         raise DomainError(f"{what} must be integer or float arrays, got dtype kinds {kinds}")
 
 
-def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> list[bytes]:
+def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> Iterator[bytes]:
     """The rows pieces[0] + columns[0] + pieces[1] + ... + columns[-1] + pieces[-1], the columns
-    as `layout` writes them, one bytes object per block of _ROW_BLOCK rows."""
+    as `layout` writes them, one bytes object per block of _ROW_BLOCK rows, in order."""
     assert not any(b"\0" in piece for piece in pieces)  # a NUL would be dropped with the padding
 
     def block(start: int) -> bytes:
@@ -207,21 +214,23 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> list[bytes]:
         return flat[flat != 0].tobytes()
 
     starts = range(0, len(columns[0]), _ROW_BLOCK)
-    todo = iter(starts)  # shared: this thread and the helper each take the next block when they finish one
-
-    def take() -> list[tuple[int, bytes]]:
-        return [(start, block(start)) for start in todo]
-
-    helper = _beside(take) if len(starts) > 1 else list  # one block starts no thread
-    done = dict(take() + helper())
-    return [done[start] for start in starts]
+    for first, second in zip(starts[::2], starts[1::2]):
+        # two blocks at once, the first beside this thread; both are done before either
+        # is yielded, so a consumer that stops leaves no helper formatting
+        beside = _beside(block, first)
+        here = block(second)
+        yield beside()
+        yield here
+    if len(starts) % 2:
+        yield block(starts[-1])
 
 
 @dataclass(frozen=True)
 class JsonRecords:
     """A list of JSON records held as equal-length numeric numpy columns: one
     object per row with `fields` as its keys, or one array per row when
-    `fields` is empty.
+    `fields` is empty.  The columns' kinds are checked when the records are
+    made, so a report that holds them can be written without a refusal.
 
     Integer columns (int64, or object arrays of Python integers) print
     exactly; float columns are rounded like every other float of a report.
@@ -230,23 +239,29 @@ class JsonRecords:
     columns: tuple
     fields: tuple[str, ...] = ()
 
-    def json_pieces(self, indent: int) -> list[bytes]:
+    def __post_init__(self):
+        _check_kinds(self.columns, "JSON record columns")
+
+    def json_chunks(self, indent: int) -> Iterator[bytes]:
         """The bytes of json.dumps(round_floats(rows), indent=2) for the list of
         the records as lists or dicts, on a line that starts `indent` spaces in."""
-        _check_kinds(self.columns, "JSON record columns")
-        if not len(self.columns[0]):
-            return [b"[]"]
+        rows = len(self.columns[0])
+        if not rows:
+            yield b"[]"
+            return
         outer, inner = " " * (indent + 2), " " * (indent + 4)
         keys = [json.dumps(name) + ": " for name in self.fields] or [""] * len(self.columns)
         opening, closing = "{}" if self.fields else "[]"
         pieces = [f"{outer}{opening}\n{inner}{keys[0]}"] + [f",\n{inner}{key}" for key in keys[1:]]
         pieces.append(f"\n{outer}{closing},\n")
-        blocks = _row_blocks(self.columns, _JSON, [piece.encode() for piece in pieces])
-        blocks[-1] = memoryview(blocks[-1])[:-2]  # the last row ends the list: no ",\n"
-        return [b"[\n", *blocks, f"\n{' ' * indent}]".encode()]
+        yield b"[\n"
+        last = (rows - 1) // _ROW_BLOCK
+        for i, block in enumerate(_row_blocks(self.columns, _JSON, [piece.encode() for piece in pieces])):
+            yield block if i < last else memoryview(block)[:-2]  # the last row ends the list: no ",\n"
+        yield f"\n{' ' * indent}]".encode()
 
 
-def to_json_bytes(report: Any) -> bytes:
+def _json_chunks(report: Any) -> Iterator[bytes]:
     held: list[JsonRecords] = []
 
     def slot(obj: Any) -> str:
@@ -257,19 +272,20 @@ def to_json_bytes(report: Any) -> bytes:
 
     # the pure-Python encoder that json.dumps(indent=2) runs, one chunk at a time
     chunks = json.JSONEncoder(indent=2, default=slot).iterencode(round_floats(report))
-    pieces: list[bytes] = []
     text: list[str] = []
     indent = 0  # of the line being written: a newline and its indent come in one chunk
     for chunk in chunks:
         if held:  # the encoder's next chunk after a call to slot is its "\u0000"
-            pieces += ["".join(text).encode(), *held.pop().json_pieces(indent)]
+            yield "".join(text).encode()
+            yield from held.pop().json_chunks(indent)
             text = []
             continue
         if "\n" in chunk:
             line = chunk[chunk.rfind("\n") + 1:]
             indent = len(line) - len(line.lstrip(" "))
         text.append(chunk)
-    return b"".join([*pieces, "".join(text).encode(), b"\n"])
+    text.append("\n")
+    yield "".join(text).encode()
 
 
 def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -281,36 +297,35 @@ def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-def to_csv_columns_bytes(header: list[str], columns: list) -> bytes:
-    """CSV of numeric numpy columns, the bytes to_csv_bytes gives for their rows.
-
-    Integer columns (int64, or object arrays of Python integers) print as
-    str(int), float columns as f"{v:.12g}".
-    """
-    _check_kinds(columns, "CSV columns")
-    head = to_csv_bytes(header, [])
-    if not len(columns):
-        return head
-    blocks = _row_blocks(columns, _CSV, [b""] + [b","] * (len(columns) - 1) + [b"\n"])
-    return b"".join([head, *blocks])  # one copy: the header, every row, each ending in a newline
+def _csv_column_chunks(header: list[str], columns: list) -> Iterator[bytes]:
+    """CSV of numeric numpy columns, the bytes to_csv_bytes gives for their rows:
+    integer columns (int64, or object arrays of Python integers) as str(int),
+    float columns as f"{v:.12g}"."""
+    yield to_csv_bytes(header, [])
+    if len(columns):
+        yield from _row_blocks(columns, _CSV, [b""] + [b","] * (len(columns) - 1) + [b"\n"])
 
 
 def to_plain_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def serialize(report: Any, fmt: str, csv_header: list[str] | None = None, table_rows: list[list] | None = None,
-              plain_lines: list[str] | None = None, csv_columns: list | None = None) -> bytes:
-    """Encode a report in the requested format: JSON from the report, CSV
-    from a header and rows or numeric columns, plain from prepared lines."""
+def serialize_chunks(report: Any, fmt: str, csv_header: list[str] | None = None,
+                     table_rows: list[list] | None = None, plain_lines: list[str] | None = None,
+                     csv_columns: list | None = None) -> Iterator[bytes]:
+    """The report in the requested format as byte chunks, in order: JSON from
+    the report, CSV from a header and rows or numeric columns, plain from
+    prepared lines.  Every refusal comes from this call, before the first
+    chunk is made."""
     if fmt not in FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "json":
-        return to_json_bytes(report)
+        return _json_chunks(report)
     if fmt == "plain" and plain_lines is not None:
-        return to_plain_bytes(plain_lines)
+        return iter([to_plain_bytes(plain_lines)])
     if fmt == "csv" and csv_header is not None and csv_columns is not None:
-        return to_csv_columns_bytes(csv_header, csv_columns)
+        _check_kinds(csv_columns, "CSV columns")
+        return _csv_column_chunks(csv_header, csv_columns)
     if fmt == "csv" and csv_header is not None and table_rows is not None:
-        return to_csv_bytes(csv_header, table_rows)
+        return iter([to_csv_bytes(csv_header, table_rows)])
     raise DomainError(f"{fmt} output needs {'its lines' if fmt == 'plain' else 'a header and a table'}")

@@ -570,12 +570,14 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch, cpus):
-        # this comparison raises the peak resident set by about 114 MB on two CPUs and 80 MB
-        # on one; with s = 2 the power part is squared by pair sums, so the charge is the
-        # windowed product's 1,536,000 points with pocketfft's scratch, 8 B per entry for
-        # the float copies and the kept entries, 16 B per n for its operands, and 24 B per
-        # row of the columns compare holds beside the count: 91.6 MB on one CPU and 130.0 MB
-        # on two, both past a budget of 90 MB
+        # this comparison raises the peak resident set (VmHWM) by about 80 MB on one CPU or
+        # two: on two the series product holds the one worker while the count transforms its
+        # operands one after the other (114 MB when the second ran beside the first, as the
+        # charge still allows); with s = 2 the power part is squared by pair sums, so the
+        # charge is the windowed product's 1,536,000 points with pocketfft's scratch, 8 B
+        # per entry for the float copies and the kept entries, 16 B per n for its operands,
+        # and 24 B per row of the columns compare holds beside the count: 91.6 MB on one CPU
+        # and 130.0 MB on two, both past a budget of 90 MB
         def no_counts(*args, **kwargs):
             raise AssertionError("count_range ran past the count's charge")
 

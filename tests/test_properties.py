@@ -690,11 +690,11 @@ def test_csv_columns_match_row_writer(rows):
     columns = [np.array(n, dtype=np.int64), np.array(r, dtype=r_dtype)]
     columns += [np.array(values, dtype=np.float64) for values in floats]
     expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
-    assert serialize.to_csv_columns_bytes(header, columns) == expected
+    assert b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns)) == expected
     # with blocks this short, 20 rows span many blocks, on two threads where two CPUs are free
     for block in MANY_BLOCKS:
         with mock.patch.object(serialize, "_ROW_BLOCK", block):
-            assert serialize.to_csv_columns_bytes(header, columns) == expected
+            assert b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns)) == expected
 
 
 _JSON_FLOATS = st.one_of(
@@ -731,10 +731,10 @@ def test_json_records_match_json_dumps(rows, named):
          {"a": 0.1, "rows": rows, "more": [rows, {"deep": rows}], "z": None}),
     ):
         expected = (json.dumps(serialize.round_floats(plain), indent=2) + "\n").encode()
-        assert serialize.to_json_bytes(report) == expected
+        assert b"".join(serialize.serialize_chunks(report, "json")) == expected
         for block in MANY_BLOCKS:
             with mock.patch.object(serialize, "_ROW_BLOCK", block):
-                assert serialize.to_json_bytes(report) == expected
+                assert b"".join(serialize.serialize_chunks(report, "json")) == expected
 
 
 @PROPERTY_SETTINGS

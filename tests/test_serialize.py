@@ -1,6 +1,9 @@
 """Serializer determinism, the number-text kernel of the column writers, their
 row blocks on threads, the one worker-thread helper and the memory-budget guard."""
 
+import argparse
+import concurrent.futures
+import errno
 import functools
 import importlib
 import importlib.util
@@ -10,6 +13,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,14 @@ import pytest
 from wgcircle import circle, cli, counting, errors, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
+
+
+def json_bytes(report) -> bytes:
+    return b"".join(serialize.serialize_chunks(report, "json"))
+
+
+def csv_column_bytes(header, columns) -> bytes:
+    return b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns))
 
 
 class TestRounding:
@@ -40,12 +53,12 @@ class TestRounding:
 class TestFormats:
     def test_json_round_trip(self):
         report = {"a": 1, "b": [1.5, "x"], "c": {"d": None}}
-        payload = serialize.to_json_bytes(report)
+        payload = json_bytes(report)
         assert json.loads(payload) == report
 
     def test_json_deterministic(self):
         report = {"z": 1.0 / 3.0, "a": [2, 3]}
-        assert serialize.to_json_bytes(report) == serialize.to_json_bytes(dict(report))
+        assert json_bytes(report) == json_bytes(dict(report))
 
     def test_csv_quoting(self):
         payload = serialize.to_csv_bytes(["label", "value"], [["needs,quote", 0.5], ["plain", 2]])
@@ -59,7 +72,7 @@ class TestFormats:
 
     def test_unknown_format(self):
         with pytest.raises(DomainError):
-            serialize.serialize({}, "yaml")
+            serialize.serialize_chunks({}, "yaml")
 
     def test_csv_refused_without_a_table(self, capsys):
         # only compare, dissect and moments have a table: elsewhere argparse refuses
@@ -75,9 +88,24 @@ class TestFormats:
             assert "invalid choice: 'csv'" in err
         # and serialize itself takes no JSON in place of a missing table or missing lines
         with pytest.raises(DomainError, match="^csv output needs a header and a table$"):
-            serialize.serialize({"a": 1}, "csv")
+            serialize.serialize_chunks({"a": 1}, "csv")
         with pytest.raises(DomainError, match="^plain output needs its lines$"):
-            serialize.serialize({"a": 1}, "plain")
+            serialize.serialize_chunks({"a": 1}, "plain")
+
+    @pytest.mark.parametrize("fmt, table", [
+        ("yaml", {}),
+        ("csv", {}),
+        ("csv", {"csv_header": ["x"], "csv_columns": [np.array(["a"])]}),
+    ], ids=["format", "no-table", "column-kind"])
+    def test_refused_report_opens_no_file(self, tmp_path, fmt, table):
+        # every refusal comes before the first chunk, so --out is never opened
+        out = tmp_path / "report"
+        with pytest.raises(DomainError):
+            cli._emit(argparse.Namespace(format=fmt, out=str(out)), {"a": 1}, **table)
+        assert not out.exists()
+        # records of another kind are refused when they are made
+        with pytest.raises(DomainError, match=r"^JSON record columns must be integer or float arrays"):
+            serialize.JsonRecords((np.array(["a"]),))
 
 
 # what the number-text kernel replaces: Python's own formatting, value by value
@@ -142,10 +170,10 @@ class TestNumberText:
         x[rng.integers(0, rows, 50)] = 1.0
         columns = [n, r, x]
         expected = serialize.to_csv_bytes(["n", "r", "x"], list(zip(n.tolist(), r.tolist(), x.tolist())))
-        assert serialize.to_csv_columns_bytes(["n", "r", "x"], columns) == expected
+        assert csv_column_bytes(["n", "r", "x"], columns) == expected
         plain = [dict(zip(("n", "r", "x"), row)) for row in zip(n.tolist(), r.tolist(), x.tolist())]
         expected = (json.dumps(serialize.round_floats({"rows": plain}), indent=2) + "\n").encode()
-        assert serialize.to_json_bytes({"rows": serialize.JsonRecords(tuple(columns), ("n", "r", "x"))}) == expected
+        assert json_bytes({"rows": serialize.JsonRecords(tuple(columns), ("n", "r", "x"))}) == expected
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,6 +183,24 @@ COMPARE_THREE_BLOCKS = ["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", 
 # would pass 1,001, so the series worker takes 2..89 and 97..199 follow after the count
 COMPARE_STRICT_PREFIX = ["compare", "--k", "3", "--s", "5", "--lo", "1000", "--hi", "8000",
                          "--stride", "7", "--cutoff", "200"]
+
+
+class FullAfterOneChunk:
+    """A binary file whose writes after the first fail as on a full disk."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, chunk):
+        if self.chunks:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.chunks.append(bytes(chunk))
 
 
 def traced_modules() -> tuple[str, ...]:
@@ -201,6 +247,84 @@ class TestBeside:
         assert calls == []
         result()
         assert calls == [1]
+
+    @staticmethod
+    def blocking_worker():
+        """A worker of `_beside` that runs until the returned event is set, and its result."""
+        started, release = threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            release.wait(10)
+            return threading.get_ident()
+
+        result = errors._beside(block)
+        assert started.wait(10)
+        return release, result
+
+    def test_two_cpus_run_a_second_call_on_the_caller(self, use_cpus):
+        release, first = self.blocking_worker()
+        try:
+            calls = []
+            (ident, _), alive = self.run_beside(lambda: calls.append(1) or (threading.get_ident(), None))
+        finally:
+            release.set()
+        assert ident == threading.get_ident() and alive == [] and calls == [1]
+        assert first() != threading.get_ident()
+
+    def test_three_cpus_start_a_second_worker(self, use_cpus):
+        use_cpus(3)
+        release, first = self.blocking_worker()
+        try:
+            (ident, _), _ = self.run_beside(lambda: (threading.get_ident(), None))
+        finally:
+            release.set()
+        assert ident not in {threading.get_ident(), first()}
+
+    def test_failed_worker_frees_its_slot(self, use_cpus):
+        threads = []
+
+        def fail(x):
+            threads.append(threading.get_ident())
+            raise ValueError(f"no {x}")
+
+        failed, _ = self.run_beside(fail, 7)
+        assert failed == (ValueError, "no 7") and threads[0] != threading.get_ident()
+        (ident, _), _ = self.run_beside(lambda: (threading.get_ident(), None))
+        assert ident != threading.get_ident()
+        assert errors._workers == 0
+
+    def test_worker_count_under_fast_switching(self, use_cpus):
+        # four callers take and free slots while the interpreter switches threads at every
+        # chance: a lost update to the count would let a third worker run, or leave a slot taken
+        use_cpus(3)
+        callers, running, most, lock = set(), [0], [0], threading.Lock()
+
+        def work():
+            on_worker = threading.get_ident() not in callers
+            with lock:
+                running[0] += on_worker
+                most[0] = max(most[0], running[0])
+            with lock:
+                running[0] -= on_worker
+
+        def call():
+            callers.add(threading.get_ident())
+            for _ in range(100):
+                errors._beside(work)()
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert 1 <= most[0] <= 2 and errors._workers == 0
 
 
 class TestRowBlocksOnThreads:
@@ -258,7 +382,7 @@ class TestRowBlocksOnThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert serialize.to_csv_columns_bytes(["n", "x"], columns) == expected
+            assert csv_column_bytes(["n", "x"], columns) == expected
         finally:
             sys.setswitchinterval(interval)
         assert len(text_threads) == 2 * -(-rows // 3)
@@ -320,21 +444,124 @@ class TestRowBlocksOnThreads:
         assert json.loads(out.read_bytes())["grid_size"] >= circle._CLASSES_FROM
         assert len(grid_threads) == 2 and threading.get_ident() in grid_threads
         assert set(grid_threads) - {threading.get_ident()}
-        # on two CPUs the series prefix is multiplied beside the count, and the count's
-        # float product transforms its second operand on a worker
-        assert {"main", "serialize", "count_range", "class_factors", "convolve_exact",
+        # on two CPUs the series prefix is multiplied beside the count
+        assert {"main", "serialize_chunks", "count_range", "class_factors", "convolve_exact",
                 "fft_convolve_checked", "dissection_ledger", "build_g_spectrum",
                 "half_grid_conj"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert set(text_threads) - {threading.get_ident()}
         assert series_products and series_products[0][0] != threading.get_ident()
-        assert threading.get_ident() in spectrum_threads and set(spectrum_threads) - {threading.get_ident()}
+        assert threading.get_ident() in spectrum_threads
+
+    @pytest.mark.parametrize("where", ["out", "stdout"])
+    def test_failed_write_mid_stream(self, tmp_path, capsys, monkeypatch, text_threads, where):
+        # a full disk after the header: exit 2 with one line, and no helper formats a block
+        # after the error; three blocks, of which only the first pair was formatted
+        writer = FullAfterOneChunk()
+        argv = [*COMPARE_THREE_BLOCKS, "--format", "csv"]
+        if where == "out":
+            monkeypatch.setattr(cli, "open", lambda path, mode: writer, raising=False)
+            argv += ["--out", str(tmp_path / "compare.csv")]
+        else:
+            monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=writer))
+        assert cli.main(argv) == 2
+        target = f"--out {tmp_path / 'compare.csv'}" if where == "out" else "stdout"
+        assert capsys.readouterr().err == f"error: cannot write {target}: No space left on device\n"
+        assert writer.chunks == [b"n,r,prediction,ratio,series\n"]
+        assert len(text_threads) == 2 * len(counting.COMPARE_COLUMNS)
+        time.sleep(0.05)
+        assert len(text_threads) == 2 * len(counting.COMPARE_COLUMNS) and errors._workers == 0
+
+    def test_one_package_worker_at_a_time_on_two_cpus(self, tmp_path, monkeypatch, use_cpus, spectrum_threads):
+        # the series product, the count's second transform, g's half grid and the row
+        # blocks all ask `_beside` for a worker; on two CPUs at most one may run at once
+        running, most, lock = [0], [0], threading.Lock()
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                def counted():
+                    with lock:
+                        running[0] += 1
+                        most[0] = max(most[0], running[0])
+                    try:
+                        return fn(*args)
+                    finally:
+                        with lock:
+                            running[0] -= 1
+                return super().submit(counted)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        for fmt in ("csv", "json"):
+            self.compare_bytes(tmp_path, fmt)
+        assert cli.main(["dissect", "--n", "300000", "--k", "2", "--s", "3", "--format", "json",
+                         "--out", str(tmp_path / "dissect.json")]) == 0
+        assert most == [1] and running == [0] and errors._workers == 0
+        assert len(spectrum_threads) >= 2  # the count made a float product of two operands
 
     def test_cli_import_loads_no_thread_pool(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         code = "import sys, wgcircle.cli; print('concurrent.futures' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout == "False\n"
+
+
+# a fresh interpreter on at most two CPUs, as on the benchmark's host; it prints the
+# rise of the peak resident set (VmHWM) over the resident set after the imports
+PEAK_PRELUDE = (
+    "import os, sys\n"
+    "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+    "import argparse\n"
+    "import numpy as np\n"
+    "from wgcircle import cli, counting, serialize\n"
+    "def status_kib(key):\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(line.split()[1]) for line in fh if line.startswith(key + ':'))\n"
+)
+
+
+def peak_rise(script: str, *argv: str) -> int:
+    """The bytes the script prints, run after PEAK_PRELUDE in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", PEAK_PRELUDE + script, *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    return 1024 * int(run.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or not hasattr(os, "sched_setaffinity"),
+                    reason="reads VmHWM from /proc/self/status")
+class TestPeakMemory:
+    def test_compare_sweep_peak(self, tmp_path):
+        # the benchmark's compare: the series product holds the one worker while the count's
+        # windowed product transforms its operands one after the other, and the writer holds
+        # two row blocks at a time; 139 MiB at the parent (a rise of 108), 107 MiB now
+        script = (
+            "before = status_kib('VmRSS')\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(status_kib('VmHWM') - before)\n"
+        )
+        rise = peak_rise(script, "compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999",
+                         "--format", "csv", "--out", str(tmp_path / "compare.csv"))
+        assert rise <= 95 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_peak_does_not_grow_with_the_rows(self, tmp_path, fmt):
+        # compare's columns for 150,000 and for 600,000 rows, written by the CLI's writer:
+        # its working set is a pair of row blocks either way.  The 600,000 rows rise by 8 to
+        # 16 MiB more, the free heap that glibc keeps once it has freed a block's arrays;
+        # a writer that joined every block rose by 64 MiB more for CSV and 104 for JSON
+        script = (
+            "rows = int(sys.argv[1])\n"
+            "rng = np.random.default_rng(1)\n"
+            "n = np.arange(520000, 520000 + rows, dtype=np.int64)\n"
+            "columns = (n, rng.integers(0, 3000, rows), 1e3 * rng.random(rows), rng.random(rows), rng.random(rows))\n"
+            "report = {'k': 2, 'rows': serialize.JsonRecords(columns)}\n"
+            "args = argparse.Namespace(format=sys.argv[2], out=sys.argv[3])\n"
+            "before = status_kib('VmHWM')\n"
+            "cli._emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=columns)\n"
+            "print(status_kib('VmHWM') - before)\n"
+        )
+        rises = [peak_rise(script, str(rows), fmt, str(tmp_path / f"rows.{fmt}")) for rows in (150_000, 600_000)]
+        assert rises[1] <= rises[0] + 24 * 2**20, rises
 
 
 class TestMemoryBudget:
