@@ -50,7 +50,7 @@ from .arith import (
     check_double_range, check_exponents, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set,
 )
 from .convolve import next_pow2
-from .errors import AliasingError, DomainError, InternalConsistencyError, _beside, ensure_memory
+from .errors import AliasingError, DomainError, InternalConsistencyError, ensure_memory
 from .serialize import JsonRecords
 from .specialfn import check_theta, eta_value
 
@@ -723,9 +723,8 @@ def g_envelope_constant(n: int, sup_g: float) -> dict:
 # peak bytes per half-grid point while dissection_ledger partitions the minor
 # arcs (most of the grid): |g| and |f| there (16), |f|^s (8), the class masks
 # (4), one class's positions and values (16), and what the allocator keeps:
-# VmHWM rises by 42 to 48 at n = 10^6.  Per frequency, both spectra (8 each)
+# VmHWM rises by 42 to 48 at n = 10^6
 _LEDGER_HALF_POINT_BYTES = 56
-_LEDGER_FREQUENCY_BYTES = 16
 
 
 def _theta_families(theta: int) -> tuple[str, str]:
@@ -739,14 +738,15 @@ def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
 
     It is the largest of three phases.  First the Farey families are built: K
     or Kprime, L and N, which stay alive, and the two families of the slice
-    P(Q_slice), which go once its mask is taken.  Then both transforms run at
-    once (on two CPUs) beside the spectra and the minor-arc mask, and then the
-    minor arcs are partitioned, beside the three families that stayed.
+    P(Q_slice), which go once its mask is taken.  Then the two transforms run
+    one after the other, each beside its spectrum (8 bytes per frequency) and
+    the minor-arc mask, the second beside the first's half grid as well; and
+    then the minor arcs are partitioned, beside the three families that stayed.
     """
     kept = [major_height(label, n, k) for label in (_theta_families(theta)[0], "L", "N")]
     orders = [math.floor(height) for height in (*kept, 2 * Q_slice, max(1.0, Q_slice))]
     arcs = sum(_family_bytes(q_top) for q_top in orders)
-    transforms = _LEDGER_FREQUENCY_BYTES * (n + 1) + half_size(m) + 2 * _half_grid_bytes(m, 8)
+    transforms = 8 * (n + 1) + 9 * half_size(m) + _half_grid_bytes(m, 8)
     grid = max(transforms, _LEDGER_HALF_POINT_BYTES * half_size(m))
     return max(arcs, grid + sum(_family_bytes(q_top, _ARC_LIVE_BYTES) for q_top in orders[:3]))
 
@@ -806,14 +806,12 @@ def dissection_ledger(
     minor_mask = np.ones(half_size(m), dtype=bool)
     minor_mask[wide.grid_points(m)[0]] = False
 
-    # |g| and |f| once on the half grid, kept at the base points of each family
-    # only; g's transform runs beside f's (on one CPU, when its result is asked for)
-    g_transform = _beside(_half_grid, build_g_spectrum(n), m, True)
+    # |g| and |f| once on the half grid, one after the other, each spectrum dropped
+    # once transformed; they are kept at the base points of each family only
+    g_half = _half_grid(build_g_spectrum(n), m, True)
     f_spec, members = build_f_spectrum(n, k, R)
     f_half = half_grid_conj(f_spec, m, amplitudes=True)
     del f_spec
-    g_half = g_transform()
-    del g_transform  # on one CPU it holds the prime spectrum
     minor = BasePoints.select(g_half, f_half, minor_mask, m)
     sliced = BasePoints.select(g_half, f_half, slice_points, m)
     f_envelope = f_envelope_constant(n, k, f_half, m, pruned)

@@ -34,12 +34,7 @@ below the window, which no caller reads (the wrapped, or middle, product).
 With keep_from = 0 nothing wraps at all.  Both operands are no longer than
 L, so each cyclic entry still sums at most one pair per index of the shorter
 operand: the entry bound covers all L entries, and the checks run over all
-of them.  From _SIDE_BY_SIDE_POINTS on two CPUs, the second operand of a
-product that is not a squaring is transformed beside the first when a CPU is
-free (`errors._beside`); while another worker of the package runs, as
-`compare`'s series product does, the two transforms run one after the other
-on this thread.  The charge counts the second transform whenever it may run
-beside (`_transforms_beside`).
+of them.  A product of two operands transforms them one after the other.
 
 `power` raises a histogram to the s-th power on these routes, truncated at a
 window of n (representation counts r(n)).  Results are int64 while they fit
@@ -61,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, ResourceError, _beside, _usable_cpus, ensure_memory
+from .errors import DomainError, InternalConsistencyError, ResourceError, ensure_memory
 
 _FLOAT_EXACT_MAX = 2.0**52
 _RESIDUE_LIMIT = 0.25
@@ -73,14 +68,6 @@ _INT64_LIMIT = 2**63
 # point for a squaring and 24.3 to 27.6 for two operands transformed one after
 # the other, from 150,000 to 2 million points, whole or windowed
 _FFT_BYTES_PER_POINT = 28
-# the bytes per point more when the second operand is transformed beside the
-# first, on a worker with its own scratch: 20.4 to 24.5 more, for the same
-# products from 300,000 points on
-_BESIDE_BYTES_PER_POINT = 25
-# the least transform length at which the second operand is transformed beside
-# the first: below it, starting the thread costs more than it saves (on two
-# CPUs the side-by-side pair of 2^15-point transforms broke even, 2^16 won)
-_SIDE_BY_SIDE_POINTS = 2**16
 # peak bytes of pair sums: per nonzero pair (the int64 index sums, their keep
 # mask and the float64 weights) and per kept entry (the float sums and their
 # int64 copy)
@@ -171,12 +158,6 @@ def _by_pair_sums(a: _Operand, b: _Operand, size: int) -> bool:
     return a.nonzero * b.nonzero <= size
 
 
-def _transforms_beside(size: int) -> bool:
-    """Whether a product of two operands may transform the second beside the first: it
-    asks `errors._beside` for a worker, which it gets when a CPU is free."""
-    return size >= _SIDE_BY_SIDE_POINTS and _usable_cpus() >= 2
-
-
 def _product_bytes(a: _Operand, b: _Operand, out_len: int, keep_from: int) -> int:
     """Peak bytes of `_convolve` on operands of these shapes (b is a for a
     squaring), the operands included.  Down the splits, each level holds a
@@ -199,8 +180,7 @@ def _product_bytes(a: _Operand, b: _Operand, out_len: int, keep_from: int) -> in
     if _by_pair_sums(a, b, size):
         return max(peak, held + _PAIR_BYTES * a.nonzero * b.nonzero + _PAIR_ENTRY_BYTES * (out_len - keep_from))
     floats = a.length + (0 if squaring else b.length)
-    points = _FFT_BYTES_PER_POINT + (_BESIDE_BYTES_PER_POINT if not squaring and _transforms_beside(size) else 0)
-    return max(peak, held + 8 * (floats + out_len - keep_from) + points * size)
+    return max(peak, held + 8 * (floats + out_len - keep_from) + _FFT_BYTES_PER_POINT * size)
 
 
 def next_pow2(n: int) -> int:
@@ -255,9 +235,8 @@ def fft_convolve_checked(a: np.ndarray, b: np.ndarray, out_len: int, keep_from: 
         spectrum *= spectrum
         conv = np.fft.irfft(spectrum, size)
     else:
-        other = _beside(_spectrum, b, size) if _transforms_beside(size) else lambda: _spectrum(b, size)
         spectrum = _spectrum(a, size)
-        other = other()
+        other = _spectrum(b, size)
         spectrum *= other
         conv = np.fft.irfft(spectrum, size, out=other.view(np.float64)[:size])  # into b's spectrum
     rounded = np.rint(conv, out=spectrum.view(np.float64)[:size])  # into a's spectrum

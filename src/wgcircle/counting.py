@@ -27,13 +27,9 @@ whose Gamma factor is the standard circle-method heuristic; only the order of
 magnitude is backed by theory, and reports label the constant as heuristic.
 
 `compare_report` counts only its rows, n_lo <= n <= n_hi, and makes the
-count's charge before any local factor, with the columns it holds beside the
-count.  The series periods of an ascending prefix of the primes, at most one
-float per row of them (every prime up to the default cutoff of 1000), are
-multiplied beside the count (`errors._beside`); the primes past the prefix
-follow after it, so every product keeps its ascending order.  On two CPUs the
-series product holds the one worker, so while it runs the count's float
-product transforms its two operands one after the other on this thread.
+count's charge before any local factor.  Once the count is done, the series
+periods of the primes are multiplied into the series column in ascending
+order, so no column or period is held while the count runs.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import numpy as np
 
 from .arith import check_double_range, check_exponents, kth_root_floor, sieve_primes
 from .convolve import ConvStats, _charge_power, _Operand, convolve_exact, next_pow2, power
-from .errors import DomainError, ResourceError, _beside, ensure_memory
+from .errors import DomainError, ResourceError, ensure_memory
 from .serialize import JsonRecords
 from .series import _euler_periods, _multiply_periods, check_limits
 
@@ -199,25 +195,13 @@ def compare_report(
     check_limits(s, prime_cutoff)
     gamma_factor(k, s)  # called only for its range check; hl_prediction computes the factor again
     check_double_range(n_hi, s / k, f"n^(s/k) = {n_hi}^({s}/{k})")
-    # the count's charge here, not only in count_range: the series periods come first,
-    # and while the count runs the series column and the periods of its prefix stay
-    # held, with their product's work, 24 B per row
+    # the count's charge here, before any local factor; the 24 B per row beside it
+    # stand for the columns built once the count is done
     rows = len(range(n_lo, n_hi + 1, stride))
     _check_count_memory(k, s, n_hi, n_lo, 24 * rows)
-    series_vals = np.ones(rows, dtype=np.float64)
-    periods = _euler_periods(n_lo, stride, rows, k, s, prime_cutoff)
-    prefix, past, held = [], [], 0
-    for pair in periods:  # an ascending prefix whose periods hold at most `rows` floats
-        held += len(pair[1])
-        if held > rows:
-            past = [pair]  # the first pair past the prefix
-            break
-        prefix.append(pair)
-    product = _beside(_multiply_periods, series_vals, prefix)
     counts = count_range(k, s, n_hi, stats, n_lo)
-    product()
-    _multiply_periods(series_vals, past)
-    _multiply_periods(series_vals, periods)  # the primes after it, still ascending
+    series_vals = np.ones(rows, dtype=np.float64)
+    _multiply_periods(series_vals, _euler_periods(n_lo, stride, rows, k, s, prime_cutoff))
     ns = np.arange(n_lo, n_hi + 1, stride, dtype=np.int64)
     preds = hl_prediction(k, s, ns, series_vals)
     r = np.ascontiguousarray(counts[::stride])  # counts starts at n_lo: with stride 1, the window itself

@@ -1,10 +1,8 @@
-"""Exception types, the process-wide memory budget guard, and `_beside`, the
-one place a worker thread of the package starts."""
+"""Exception types and the process-wide memory budget guard."""
 
 from __future__ import annotations
 
 import os
-import threading
 
 
 class WgcircleError(Exception):
@@ -62,46 +60,3 @@ def ensure_memory(nbytes: int, what: str) -> None:
     budget = memory_budget_bytes()
     if nbytes > budget:
         raise ResourceError(f"{what} needs {nbytes} bytes; budget is {budget} (set {MEMORY_BUDGET_ENV} to raise it)")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-_workers = 0  # package workers running now, in the whole process: the cap is on its threads
-_workers_lock = threading.Lock()
-
-
-def _beside(fn, *args):
-    """A callable that returns fn(*args), or raises what it raised.
-
-    While fewer than `_usable_cpus() - 1` package workers run, fn starts at
-    once on a worker thread, so it runs beside what the caller does next;
-    otherwise (on one CPU, or while every spare CPU holds a worker) no thread
-    starts and fn runs on the caller when its result is asked for.  Either way
-    the result is the same, and the threads of the package never outnumber the
-    CPUs.  A worker frees its slot when fn returns or raises, before its result
-    can be asked for.  Every worker thread of the package starts here, and fn
-    must be private numpy code: every public function stays on the calling
-    thread, where a span tracer keeps one stack."""
-    global _workers
-    with _workers_lock:
-        start = _workers < _usable_cpus() - 1
-        _workers += start
-    if not start:
-        return lambda: fn(*args)
-    from concurrent.futures import ThreadPoolExecutor  # not at import: it would slow every CLI start
-
-    def work():
-        global _workers
-        try:
-            return fn(*args)
-        finally:
-            with _workers_lock:
-                _workers -= 1
-
-    pool = ThreadPoolExecutor(1)
-    future = pool.submit(work)
-    pool.shutdown(wait=False)  # the thread ends once fn returns
-    return future.result

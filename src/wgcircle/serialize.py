@@ -29,15 +29,13 @@ Each block of `_ROW_BLOCK` rows is laid out as one uint8 matrix: every
 column's NUL-padded text and every constant piece (JSON keys and
 indentation, CSV commas, the row separator last) side by side.  The block's
 text is the matrix's non-NUL bytes in row order; no number text or piece
-holds a NUL, so only padding is dropped.  Two blocks are formatted at once,
-the first beside this thread (`errors._beside`), and both are done before
-the first is handed on, so a consumer that stops leaves no helper
-formatting.
+holds a NUL, so only padding is dropped.  A block is formatted when the
+consumer asks for it, so one that stops leaves the rest unformatted.
 
 `serialize_chunks` makes every check up front and then hands out the bytes
 in order, as they are made: the CSV header, then each row block; the JSON
 encoder's text, with each `JsonRecords` list's blocks in its place.  A writer
-of the chunks holds at most two row blocks, whatever the row count.
+of the chunks holds one row block at a time, whatever the row count.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _beside
+from .errors import DomainError
 
 FORMATS = ("json", "csv", "plain")
 
@@ -205,7 +203,7 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> Iterator[bytes
     as `layout` writes them, one bytes object per block of _ROW_BLOCK rows, in order."""
     assert not any(b"\0" in piece for piece in pieces)  # a NUL would be dropped with the padding
 
-    def block(start: int) -> bytes:
+    def block(start: int) -> bytes:  # its arrays go when it returns, before the next block
         cells = [pieces[0]]
         for column, piece in zip(columns, pieces[1:]):
             text = _column_text(column[start:start + _ROW_BLOCK], layout)
@@ -213,16 +211,8 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> Iterator[bytes
         flat = _cells(*cells).ravel()
         return flat[flat != 0].tobytes()
 
-    starts = range(0, len(columns[0]), _ROW_BLOCK)
-    for first, second in zip(starts[::2], starts[1::2]):
-        # two blocks at once, the first beside this thread; both are done before either
-        # is yielded, so a consumer that stops leaves no helper formatting
-        beside = _beside(block, first)
-        here = block(second)
-        yield beside()
-        yield here
-    if len(starts) % 2:
-        yield block(starts[-1])
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield block(start)
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,7 @@ def euler_product(
 def _multiply_periods(out: np.ndarray, periods) -> None:
     """Multiply each (p, period) of `_euler_periods`, in the order given, into
     `out`: into its whole periods through a (len(out) // p, p) view, then into
-    the tail.  Pure numpy, so it may run on a worker thread."""
+    the tail."""
     count = len(out)
     for p, period in periods:
         whole = count - count % p

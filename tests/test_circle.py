@@ -529,10 +529,10 @@ class TestDissectionLedger:
         # the rise of the peak resident set (VmHWM) across one ledger call in a
         # fresh interpreter, which sees pocketfft's scratch as tracemalloc
         # cannot; ru_maxrss would not do, since a child started by fork and
-        # exec inherits the parent's peak.  Both grids are split into classes:
-        # at 5 * 10^5 (2^21 points) the two transforms in flight are the peak,
-        # at 10^6 (2^22 points, the benchmark's shape) the partition of the
-        # minor arcs; the estimate sits 10-35% above the rise
+        # exec inherits the parent's peak.  Both grids are split into classes,
+        # 2^21 and 2^22 points (the benchmark's shape), and at both the
+        # partition of the minor arcs is the peak; the estimate sits about 35%
+        # above the rise
         script = (
             "import json, sys\n"
             "from wgcircle import circle\n"

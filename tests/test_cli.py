@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcircle import cli, convolve, counting, series
+from wgcircle import cli, counting, series
 from wgcircle.cli import main
 
 
@@ -548,49 +548,40 @@ class TestFailureModes:
         assert code == 2
         assert capsys.readouterr().err == expected
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch, cpus):
+    def test_compare_count_budget_before_any_class_factor(self, capsys, monkeypatch):
         # 1 MB passes the series' charges (32 kB of index classes to 1000) but not the
-        # count's 18.0 MB (25.5 MB with two transforms side by side), its windowed product
-        # at 300,000 points and its operands, with 24 B per row of the columns compare holds
-        # beside it: the series periods are computed before the count runs
+        # count's 18.0 MB, its windowed product at 300,000 points and its operands, with
+        # 24 B per row of the columns compare builds after it: the count is refused before
+        # any series period is computed
         calls = []
         class_factors = series.class_factors
         monkeypatch.setattr(series, "class_factors", lambda *args: calls.append(args) or class_factors(*args))
-        monkeypatch.setattr(convolve, "_usable_cpus", lambda: cpus)
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", str(10**6))
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000", "--format", "csv"])
         assert code == 2
-        needs = {1: 17999968, 2: 25499968}[cpus]
-        assert capsys.readouterr().err.startswith(f"error: the exact count up to n = 150000 needs {needs} bytes")
+        assert capsys.readouterr().err.startswith("error: the exact count up to n = 150000 needs 17999968 bytes")
         assert calls == []
         monkeypatch.delenv("WGCIRCLE_MEM_BYTES")
         assert main(["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150", "--format", "csv"]) == 0
         assert len(calls) == 168  # the patch is on the path the series takes
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch, cpus):
-        # this comparison raises the peak resident set (VmHWM) by about 80 MB on one CPU or
-        # two: on two the series product holds the one worker while the count transforms its
-        # operands one after the other (114 MB when the second ran beside the first, as the
-        # charge still allows); with s = 2 the power part is squared by pair sums, so the
-        # charge is the windowed product's 1,536,000 points with pocketfft's scratch, 8 B
-        # per entry for the float copies and the kept entries, 16 B per n for its operands,
-        # and 24 B per row of the columns compare holds beside the count: 91.6 MB on one CPU
-        # and 130.0 MB on two, both past a budget of 90 MB
+    def test_compare_count_charge_covers_pocketfft_scratch(self, capsys, monkeypatch):
+        # this comparison raises the peak resident set (VmHWM) by about 80 MB; with s = 2
+        # the power part is squared by pair sums, so the charge is the windowed product's
+        # 1,536,000 points with pocketfft's scratch, 8 B per entry for the float copies and
+        # the kept entries, 16 B per n for its operands, and 24 B per row of the columns
+        # compare builds after the count: 91.6 MB, past a budget of 90 MB
         def no_counts(*args, **kwargs):
             raise AssertionError("count_range ran past the count's charge")
 
         monkeypatch.setattr(counting, "count_range", no_counts)
-        monkeypatch.setattr(convolve, "_usable_cpus", lambda: cpus)
         monkeypatch.setenv("WGCIRCLE_MEM_BYTES", "90000000")
         start = time.perf_counter()
         code = main(["compare", "--k", "2", "--s", "2", "--lo", "520000", "--hi", "1019999"])
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 2
-        needs = {1: 91648000, 2: 130048000}[cpus]
-        assert err == (f"error: the exact count up to n = 1019999 needs {needs} bytes; budget is 90000000 "
+        assert err == ("error: the exact count up to n = 1019999 needs 91648000 bytes; budget is 90000000 "
                        "(set WGCIRCLE_MEM_BYTES to raise it)\n")
 
     def test_compare_takes_every_s_the_series_takes(self, capsys):

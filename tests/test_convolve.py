@@ -1,7 +1,6 @@
 """Tests for the exact convolution route and the power engine."""
 
 import random
-import threading
 import tracemalloc
 
 import numpy as np
@@ -64,17 +63,14 @@ class TestFloatChecked:
 
     # 2 out_len - 1 is 98415 = 3^9 * 5 itself (the inputs fill the transform), or 100001,
     # padded to 101250; the sparse case squares the square indicator up to 10^5 by pair sums.
-    # On one CPU the operands are transformed one after the other; on two, side by side, and
-    # the windowed product keeps the upper half, transformed at 75,000 points
-    @pytest.mark.parametrize("out_len, keep_from, sparse, cpus", [
-        pytest.param(49208, 0, False, 1, id="49208"),
-        pytest.param(50001, 0, False, 1, id="50001"),
-        pytest.param(100001, 0, True, 1, id="100001-sparse"),
-        pytest.param(49208, 0, False, 2, id="49208-two-cpus"),
-        pytest.param(50001, 25001, False, 2, id="50001-window-two-cpus"),
+    # The windowed product keeps the upper half, transformed at 75,000 points
+    @pytest.mark.parametrize("out_len, keep_from, sparse", [
+        pytest.param(49208, 0, False, id="49208"),
+        pytest.param(50001, 0, False, id="50001"),
+        pytest.param(100001, 0, True, id="100001-sparse"),
+        pytest.param(50001, 25001, False, id="50001-window"),
     ])
-    def test_traced_peak_within_working_bytes(self, use_cpus, out_len, keep_from, sparse, cpus):
-        use_cpus(cpus)
+    def test_traced_peak_within_working_bytes(self, out_len, keep_from, sparse):
         if sparse:
             ind = np.zeros(out_len, dtype=np.int64)
             ind[np.arange(1, 317) ** 2] = 1
@@ -104,24 +100,16 @@ class TestFloatChecked:
 
 
     @pytest.mark.parametrize("keep_from", [0, 30000])
-    def test_products_do_not_depend_on_the_cpus(self, use_cpus, spectrum_threads, keep_from):
+    def test_products_do_not_depend_on_the_cpus(self, keep_from):
         # entries to 2^26 put the entry bound past 2^52, so the splits leave four pieces of
         # a, each a float product with b at 80,000 points, whether or not a window is kept
         rng = np.random.default_rng(7)
         a, b = rng.integers(0, 2**26, 40000), rng.integers(0, 2**26, 40000)
-        threads = spectrum_threads
-        runs = []
-        for cpus in (1, 2):
-            use_cpus(cpus)
-            threads.clear()
-            stats = convolve.ConvStats()
-            runs.append((convolve.convolve_exact(a, b, None, stats, keep_from).tolist(), stats))
-            # on two CPUs b is transformed on a worker for every piece, on one never
-            assert (set(threads) != {threading.get_ident()}) == (cpus == 2)
-        assert runs[0] == runs[1]
-        assert runs[0][1] == convolve.ConvStats(float_ok=4, splits=3)
-        assert runs[0][0][:3] == [sum(int(a[i]) * int(b[t - i]) for i in range(t + 1))
-                                  for t in range(keep_from, keep_from + 3)]
+        stats = convolve.ConvStats()
+        out = convolve.convolve_exact(a, b, None, stats, keep_from).tolist()
+        assert stats == convolve.ConvStats(float_ok=4, splits=3)
+        assert out[:3] == [sum(int(a[i]) * int(b[t - i]) for i in range(t + 1))
+                           for t in range(keep_from, keep_from + 3)]
 
 
 class TestConvolveExact:

@@ -691,7 +691,7 @@ def test_csv_columns_match_row_writer(rows):
     columns += [np.array(values, dtype=np.float64) for values in floats]
     expected = serialize.to_csv_bytes(header, [list(row) for row in rows])
     assert b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns)) == expected
-    # with blocks this short, 20 rows span many blocks, on two threads where two CPUs are free
+    # with blocks this short, 20 rows span many blocks
     for block in MANY_BLOCKS:
         with mock.patch.object(serialize, "_ROW_BLOCK", block):
             assert b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns)) == expected

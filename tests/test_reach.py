@@ -7,8 +7,9 @@ definition; tests do not count.  The only unreached names allowed are those
 in `UNREACHED`, each kept for a planned reader, and each must still be
 unreached, so the list shrinks when one gains a caller.
 
-The same walk, with imports included, guards the one home of the worker
-threads: only `errors.py` names `ThreadPoolExecutor` or `threading`.
+The same walk, with imports included, keeps the package to one thread of
+control: no module of `src/` names `threading`, `concurrent` or
+`multiprocessing`.
 """
 
 import ast
@@ -71,9 +72,8 @@ def test_every_definition_is_reached():
     assert unreached_names() == UNREACHED
 
 
-def test_worker_threads_start_only_in_errors():
-    # errors._beside is the one home of the rule for starting a worker thread
+def test_package_starts_no_thread_or_process():
     refs = references(parsed(), imports=True)
-    naming = {path.name for name in ("ThreadPoolExecutor", "threading") for path, _ in refs.get(name, [])
-              if path.parent.name == "wgcircle"}
-    assert naming == {"errors.py"}
+    naming = {(name, path.name) for name in ("threading", "concurrent", "multiprocessing")
+              for path, _ in refs.get(name, []) if path.parent.name == "wgcircle"}
+    assert naming == set()

@@ -1,26 +1,19 @@
 """Serializer determinism, the number-text kernel of the column writers, their
-row blocks on threads, the one worker-thread helper and the memory-budget guard."""
+row blocks, their peak memory and the memory-budget guard."""
 
 import argparse
-import concurrent.futures
 import errno
-import functools
-import importlib
-import importlib.util
-import inspect
 import json
 import os
 import subprocess
 import sys
-import threading
-import time
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wgcircle import circle, cli, counting, errors, serialize
+from wgcircle import cli, counting, serialize
 from wgcircle.arith import sieve_primes
 from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
@@ -179,10 +172,6 @@ class TestNumberText:
 ROOT = Path(__file__).resolve().parent.parent
 # 149,998 rows: three row blocks of at most 2^16
 COMPARE_THREE_BLOCKS = ["compare", "--k", "2", "--s", "2", "--lo", "3", "--hi", "150000"]
-# 1,001 rows: the periods of the primes up to 89 hold 963 floats and with 97 they
-# would pass 1,001, so the series worker takes 2..89 and 97..199 follow after the count
-COMPARE_STRICT_PREFIX = ["compare", "--k", "3", "--s", "5", "--lo", "1000", "--hi", "8000",
-                         "--stride", "7", "--cutoff", "200"]
 
 
 class FullAfterOneChunk:
@@ -203,260 +192,24 @@ class FullAfterOneChunk:
         self.chunks.append(bytes(chunk))
 
 
-def traced_modules() -> tuple[str, ...]:
-    """The modules whose public functions the benchmark's span tracer wraps."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TRACED_MODULES
-
-
-class TestBeside:
-    @staticmethod
-    def run_beside(fn, *args):
-        """fn's result through `_beside`, or the exception it raised, and the
-        threads alive when `_beside` returned."""
-        started = threading.enumerate()
-        result = errors._beside(fn, *args)
-        alive = [t for t in threading.enumerate() if t not in started]
-        try:
-            return result(), alive
-        except ValueError as exc:
-            return (type(exc), str(exc)), alive
-
-    def test_same_result_on_one_cpu_and_two(self, use_cpus):
-        def work(x, y):
-            return threading.get_ident(), np.arange(x) * y
-
-        def fail(x):
-            raise ValueError(f"no {x}")
-
-        (ident, value), _ = self.run_beside(work, 5, 3)
-        assert ident != threading.get_ident()
-        failed, _ = self.run_beside(fail, 7)
-        use_cpus(1)
-        (ident_one, value_one), alive_one = self.run_beside(work, 5, 3)
-        assert ident_one == threading.get_ident() and alive_one == []  # one CPU: no thread starts
-        assert value_one.tolist() == value.tolist() == [0, 3, 6, 9, 12]
-        assert self.run_beside(fail, 7) == (failed, []) and failed == (ValueError, "no 7")
-
-    def test_one_cpu_runs_fn_when_asked(self, use_cpus):
-        use_cpus(1)
-        calls = []
-        result = errors._beside(calls.append, 1)
-        assert calls == []
-        result()
-        assert calls == [1]
-
-    @staticmethod
-    def blocking_worker():
-        """A worker of `_beside` that runs until the returned event is set, and its result."""
-        started, release = threading.Event(), threading.Event()
-
-        def block():
-            started.set()
-            release.wait(10)
-            return threading.get_ident()
-
-        result = errors._beside(block)
-        assert started.wait(10)
-        return release, result
-
-    def test_two_cpus_run_a_second_call_on_the_caller(self, use_cpus):
-        release, first = self.blocking_worker()
-        try:
-            calls = []
-            (ident, _), alive = self.run_beside(lambda: calls.append(1) or (threading.get_ident(), None))
-        finally:
-            release.set()
-        assert ident == threading.get_ident() and alive == [] and calls == [1]
-        assert first() != threading.get_ident()
-
-    def test_three_cpus_start_a_second_worker(self, use_cpus):
-        use_cpus(3)
-        release, first = self.blocking_worker()
-        try:
-            (ident, _), _ = self.run_beside(lambda: (threading.get_ident(), None))
-        finally:
-            release.set()
-        assert ident not in {threading.get_ident(), first()}
-
-    def test_failed_worker_frees_its_slot(self, use_cpus):
-        threads = []
-
-        def fail(x):
-            threads.append(threading.get_ident())
-            raise ValueError(f"no {x}")
-
-        failed, _ = self.run_beside(fail, 7)
-        assert failed == (ValueError, "no 7") and threads[0] != threading.get_ident()
-        (ident, _), _ = self.run_beside(lambda: (threading.get_ident(), None))
-        assert ident != threading.get_ident()
-        assert errors._workers == 0
-
-    def test_worker_count_under_fast_switching(self, use_cpus):
-        # four callers take and free slots while the interpreter switches threads at every
-        # chance: a lost update to the count would let a third worker run, or leave a slot taken
-        use_cpus(3)
-        callers, running, most, lock = set(), [0], [0], threading.Lock()
-
-        def work():
-            on_worker = threading.get_ident() not in callers
-            with lock:
-                running[0] += on_worker
-                most[0] = max(most[0], running[0])
-            with lock:
-                running[0] -= on_worker
-
-        def call():
-            callers.add(threading.get_ident())
-            for _ in range(100):
-                errors._beside(work)()
-
-        threads = [threading.Thread(target=call) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert 1 <= most[0] <= 2 and errors._workers == 0
-
-
 class TestRowBlocksOnThreads:
     @pytest.fixture
-    def text_threads(self, monkeypatch, use_cpus):
-        """A worker beside this thread for any two or more blocks, whatever the
-        CPUs, and the thread of every `_column_text` call."""
-        threads = []
+    def text_calls(self, monkeypatch):
+        """The number of `_column_text` calls, one per column of each block formatted."""
+        calls = [0]
         column_text = serialize._column_text
 
         def recorded(column, layout):
-            threads.append(threading.get_ident())
+            calls[0] += 1
             return column_text(column, layout)
 
         monkeypatch.setattr(serialize, "_column_text", recorded)
-        return threads
-
-    @pytest.fixture
-    def series_products(self, monkeypatch):
-        """(thread, primes) of every `_multiply_periods` call of `compare`."""
-        products = []
-        multiply = counting._multiply_periods
-
-        def recorded(out, periods):
-            periods = list(periods)
-            products.append((threading.get_ident(), [p for p, _ in periods]))
-            multiply(out, periods)
-
-        monkeypatch.setattr(counting, "_multiply_periods", recorded)
-        return products
-
-    @staticmethod
-    def compare_bytes(tmp_path, fmt: str, argv=COMPARE_THREE_BLOCKS) -> bytes:
-        out = tmp_path / f"compare.{fmt}"
-        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
-        return out.read_bytes()
-
-    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, use_cpus, text_threads):
-        threads = text_threads
-        on_two = [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")]
-        assert on_two[0].count(b"\n") == 149_999 > 2 * serialize._ROW_BLOCK
-        assert set(threads) - {threading.get_ident()}  # some block ran on a worker
-        threads.clear()
-        use_cpus(1)
-        assert [self.compare_bytes(tmp_path, fmt) for fmt in ("csv", "json")] == on_two
-        assert set(threads) == {threading.get_ident()}
-
-    def test_every_block_once_under_fast_switching(self, monkeypatch, text_threads):
-        # this thread and the worker take blocks from one shared iterator: a block taken
-        # twice or skipped would change the bytes or the number of text calls
-        rows = 4000
-        columns = [np.arange(rows, dtype=np.int64), np.linspace(0.0, 1.0, rows)]
-        expected = serialize.to_csv_bytes(["n", "x"], [list(row) for row in zip(*(c.tolist() for c in columns))])
-        monkeypatch.setattr(serialize, "_ROW_BLOCK", 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert csv_column_bytes(["n", "x"], columns) == expected
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(text_threads) == 2 * -(-rows // 3)
-        assert set(text_threads) - {threading.get_ident()}
-
-    @pytest.mark.parametrize("argv", [COMPARE_THREE_BLOCKS, COMPARE_STRICT_PREFIX], ids=["all-primes", "strict-prefix"])
-    def test_bytes_do_not_depend_on_the_series_worker(self, tmp_path, monkeypatch, use_cpus, series_products, argv):
-        on_two = [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")]
-        # per format: the prefix on the worker, then here the first prime past it and the rest
-        assert len(series_products) == 6
-        threads, primes = zip(*series_products[:3])
-        assert threads[0] != threading.get_ident() and threads[1:] == (threading.get_ident(),) * 2
-        prefix, rest = primes[0], primes[1] + primes[2]
-        cutoff = int(argv[argv.index("--cutoff") + 1]) if "--cutoff" in argv else 1000
-        assert prefix + rest == np.flatnonzero(sieve_primes(cutoff)).tolist()
-        assert (prefix[-1], rest[:1]) == ((89, [97]) if argv is COMPARE_STRICT_PREFIX else (997, []))
-        series_products.clear()
-        use_cpus(1)
-        count_range = counting.count_range
-        monkeypatch.setattr(counting, "count_range",
-                            lambda *args: series_products.append("count") or count_range(*args))
-        assert [self.compare_bytes(tmp_path, fmt, argv) for fmt in ("csv", "json")] == on_two
-        # one CPU: the same three products, all on this thread, the prefix once the count is done
-        here = [(threading.get_ident(), list(p)) for p in primes]
-        assert series_products == ["count", *here] * 2
-
-    def test_public_functions_run_on_the_main_thread(self, tmp_path, monkeypatch, text_threads,
-                                                     series_products, spectrum_threads):
-        # a public function called from a worker would interleave the tracer's one span stack
-        modules = [importlib.import_module(f"wgcircle.{name}") for name in traced_modules()]
-        public = {id(obj): obj for mod in modules for attr, obj in vars(mod).items()
-                  if not attr.startswith("_") and callable(obj) and not inspect.isclass(obj)
-                  and getattr(obj, "__module__", None) == mod.__name__}
-        calls = []
-
-        def wrap(fn):
-            @functools.wraps(fn)
-            def recorded(*args, **kwargs):
-                calls.append((fn.__qualname__, threading.get_ident()))
-                return fn(*args, **kwargs)
-            return recorded
-
-        wrappers = {key: wrap(fn) for key, fn in public.items()}
-        # every binding, as `from .serialize import serialize` in cli is a second one
-        for name, mod in list(sys.modules.items()):
-            if name == "wgcircle" or name.startswith("wgcircle."):
-                for attr, obj in list(vars(mod).items()):
-                    if id(obj) in public and public[id(obj)] is obj:
-                        monkeypatch.setattr(mod, attr, wrappers[id(obj)])
-        for fmt in ("csv", "json"):
-            self.compare_bytes(tmp_path, fmt)
-        # a ledger above the crossover (2^21 grid points): g's half grid by classes on a worker
-        engine, grid_threads = circle._half_grid, []
-        monkeypatch.setattr(circle, "_half_grid", lambda *args: grid_threads.append(threading.get_ident())
-                            or engine(*args))
-        out = tmp_path / "dissect.json"
-        assert cli.main(["dissect", "--n", "300000", "--k", "2", "--s", "3", "--format", "json",
-                         "--out", str(out)]) == 0
-        assert json.loads(out.read_bytes())["grid_size"] >= circle._CLASSES_FROM
-        assert len(grid_threads) == 2 and threading.get_ident() in grid_threads
-        assert set(grid_threads) - {threading.get_ident()}
-        # on two CPUs the series prefix is multiplied beside the count
-        assert {"main", "serialize_chunks", "count_range", "class_factors", "convolve_exact",
-                "fft_convolve_checked", "dissection_ledger", "build_g_spectrum",
-                "half_grid_conj"} <= {name for name, _ in calls}
-        assert {ident for _, ident in calls} == {threading.get_ident()}
-        assert set(text_threads) - {threading.get_ident()}
-        assert series_products and series_products[0][0] != threading.get_ident()
-        assert threading.get_ident() in spectrum_threads
+        return calls
 
     @pytest.mark.parametrize("where", ["out", "stdout"])
-    def test_failed_write_mid_stream(self, tmp_path, capsys, monkeypatch, text_threads, where):
-        # a full disk after the header: exit 2 with one line, and no helper formats a block
-        # after the error; three blocks, of which only the first pair was formatted
+    def test_failed_write_mid_stream(self, tmp_path, capsys, monkeypatch, text_calls, where):
+        # a full disk after the header: exit 2 with one line; of the three blocks only
+        # the first was formatted, the one whose write failed
         writer = FullAfterOneChunk()
         argv = [*COMPARE_THREE_BLOCKS, "--format", "csv"]
         if where == "out":
@@ -468,41 +221,7 @@ class TestRowBlocksOnThreads:
         target = f"--out {tmp_path / 'compare.csv'}" if where == "out" else "stdout"
         assert capsys.readouterr().err == f"error: cannot write {target}: No space left on device\n"
         assert writer.chunks == [b"n,r,prediction,ratio,series\n"]
-        assert len(text_threads) == 2 * len(counting.COMPARE_COLUMNS)
-        time.sleep(0.05)
-        assert len(text_threads) == 2 * len(counting.COMPARE_COLUMNS) and errors._workers == 0
-
-    def test_one_package_worker_at_a_time_on_two_cpus(self, tmp_path, monkeypatch, use_cpus, spectrum_threads):
-        # the series product, the count's second transform, g's half grid and the row
-        # blocks all ask `_beside` for a worker; on two CPUs at most one may run at once
-        running, most, lock = [0], [0], threading.Lock()
-
-        class Counted(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                def counted():
-                    with lock:
-                        running[0] += 1
-                        most[0] = max(most[0], running[0])
-                    try:
-                        return fn(*args)
-                    finally:
-                        with lock:
-                            running[0] -= 1
-                return super().submit(counted)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-        for fmt in ("csv", "json"):
-            self.compare_bytes(tmp_path, fmt)
-        assert cli.main(["dissect", "--n", "300000", "--k", "2", "--s", "3", "--format", "json",
-                         "--out", str(tmp_path / "dissect.json")]) == 0
-        assert most == [1] and running == [0] and errors._workers == 0
-        assert len(spectrum_threads) >= 2  # the count made a float product of two operands
-
-    def test_cli_import_loads_no_thread_pool(self):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        code = "import sys, wgcircle.cli; print('concurrent.futures' in sys.modules)"
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert run.stdout == "False\n"
+        assert text_calls == [len(counting.COMPARE_COLUMNS)]
 
 
 # a fresh interpreter on at most two CPUs, as on the benchmark's host; it prints the
@@ -531,9 +250,8 @@ def peak_rise(script: str, *argv: str) -> int:
                     reason="reads VmHWM from /proc/self/status")
 class TestPeakMemory:
     def test_compare_sweep_peak(self, tmp_path):
-        # the benchmark's compare: the series product holds the one worker while the count's
-        # windowed product transforms its operands one after the other, and the writer holds
-        # two row blocks at a time; 139 MiB at the parent (a rise of 108), 107 MiB now
+        # the benchmark's compare: the count's windowed product transforms its operands one
+        # after the other, and the writer holds one row block at a time; a rise of about 72 MiB
         script = (
             "before = status_kib('VmRSS')\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
@@ -546,8 +264,8 @@ class TestPeakMemory:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_peak_does_not_grow_with_the_rows(self, tmp_path, fmt):
         # compare's columns for 150,000 and for 600,000 rows, written by the CLI's writer:
-        # its working set is a pair of row blocks either way.  The 600,000 rows rise by 8 to
-        # 16 MiB more, the free heap that glibc keeps once it has freed a block's arrays;
+        # its working set is one row block either way.  The 600,000 rows rise by about 5
+        # MiB more, the free heap that glibc keeps once it has freed a block's arrays;
         # a writer that joined every block rose by 64 MiB more for CSV and 104 for JSON
         script = (
             "rows = int(sys.argv[1])\n"
