@@ -231,7 +231,8 @@ def _picks(points: np.ndarray, ends: np.ndarray) -> tuple[int, np.ndarray]:
     or last entry, it picks."""
     if points.dtype == bool:
         return int(np.count_nonzero(points)), ends[points[ends]]
-    return len(points), ends[np.isin(ends, points[[0, -1]])] if len(points) else ends[:0]
+    # not np.isin, whose first call imports numpy.ma: 0.6 MiB of the ledger's peak
+    return len(points), ends[(ends == points[0]) | (ends == points[-1])] if len(points) else ends[:0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def integrate_over_set(
 
     Real spectra and an integer twist make the integrand at 1 - alpha the
     conjugate of its value at alpha, and every region is mirror-symmetric,
-    so the sum is real and is taken over the half grid.  On the full circle
+    so the sum is real: a float, taken over the half grid.  On the full circle
     (region None) with an alias-free grid this equals the true integral
     exactly; on subsets the reported boundary error bounds the endpoint
     effect (endpoint count * sup |integrand| / m; 0 on the full circle).
@@ -469,7 +470,7 @@ def integrate_over_set(
     j = np.arange(half_size(m)) if region is None else region.grid_points(m)[0]
     bound = 0.0 if region is None else region.endpoint_count() * float(np.abs(prod).max()) / m
     points = HalfPoints.of(j, m)
-    return {"value": complex(points.total(prod.real[j]) / m), "boundary_error": bound,
+    return {"value": points.total(prod.real[j]) / m, "boundary_error": bound,
             "points": points.count(), "measure": points.measure()}
 
 
@@ -725,6 +726,11 @@ def g_envelope_constant(n: int, sup_g: float) -> dict:
 # (4), one class's positions and values (16), and what the allocator keeps:
 # VmHWM rises by 42 to 48 at n = 10^6
 _LEDGER_HALF_POINT_BYTES = 56
+# what the ledger adds whatever its size, past the three phases: numpy.fft's
+# import at the first transform, the interpreter's object arenas and the heap
+# glibc keeps between phases; VmHWM rises 0.6 to 1.1 MiB past them for n from
+# 4*10^3 to 7*10^4
+_LEDGER_FIXED_BYTES = 2 << 20
 
 
 def _theta_families(theta: int) -> tuple[str, str]:
@@ -742,13 +748,15 @@ def ledger_bytes(n: int, k: int, theta: int, m: int, Q_slice: float) -> int:
     one after the other, each beside its spectrum (8 bytes per frequency) and
     the minor-arc mask, the second beside the first's half grid as well; and
     then the minor arcs are partitioned, beside the three families that stayed.
+    A fixed charge covers what no phase holds, which dominates on small grids.
     """
     kept = [major_height(label, n, k) for label in (_theta_families(theta)[0], "L", "N")]
     orders = [math.floor(height) for height in (*kept, 2 * Q_slice, max(1.0, Q_slice))]
     arcs = sum(_family_bytes(q_top) for q_top in orders)
     transforms = 8 * (n + 1) + 9 * half_size(m) + _half_grid_bytes(m, 8)
     grid = max(transforms, _LEDGER_HALF_POINT_BYTES * half_size(m))
-    return max(arcs, grid + sum(_family_bytes(q_top, _ARC_LIVE_BYTES) for q_top in orders[:3]))
+    kept_arcs = sum(_family_bytes(q_top, _ARC_LIVE_BYTES) for q_top in orders[:3])
+    return _LEDGER_FIXED_BYTES + max(arcs, grid + kept_arcs)
 
 
 def _band_scale(n: int, sup: float) -> float:
@@ -808,7 +816,7 @@ def dissection_ledger(
 
     # |g| and |f| once on the half grid, one after the other, each spectrum dropped
     # once transformed; they are kept at the base points of each family only
-    g_half = _half_grid(build_g_spectrum(n), m, True)
+    g_half = half_grid_conj(build_g_spectrum(n), m, amplitudes=True)
     f_spec, members = build_f_spectrum(n, k, R)
     f_half = half_grid_conj(f_spec, m, amplitudes=True)
     del f_spec

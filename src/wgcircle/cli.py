@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arith, circle, counting, exponents, series, specialfn
 from .errors import DomainError, InternalConsistencyError, WgcircleError
-from .serialize import serialize_chunks
+from .serialize import csv_column_chunks, json_chunks, to_csv_bytes, to_plain_bytes
 
 _R_ETA_MAX = 1.0 / 7.0
 
@@ -46,13 +46,19 @@ def _parse_list(text: str, kind, flag: str) -> list:
             f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}") from None
 
 
-def _emit(args, report, csv_header=None, table_rows=None, plain_lines=None, csv_columns=None) -> None:
-    """Write the report in args.format, each chunk as it is made; plain
-    output without lines of its own is one `key = value` line per field of
-    the report.  A report the serializer refuses opens no --out file."""
-    if args.format == "plain" and plain_lines is None:
-        plain_lines = [f"{key} = {value}" for key, value in report.items()]
-    chunks = serialize_chunks(report, args.format, csv_header, table_rows, plain_lines, csv_columns)
+def _emit(args, report, csv=None, plain_lines=None) -> None:
+    """Write the report in args.format, each chunk as it is made: JSON from
+    the report, CSV from the command's chunks (only the commands with a table
+    offer csv), plain from its lines, or without them one `key = value` line
+    per field.  Every refusal comes before --out is opened."""
+    if args.format == "json":
+        chunks = json_chunks(report)
+    elif args.format == "csv":
+        chunks = csv
+    else:
+        if plain_lines is None:
+            plain_lines = [f"{key} = {value}" for key, value in report.items()]
+        chunks = [to_plain_bytes(plain_lines)]
     where = f"--out {args.out}" if args.out else "stdout"
     try:
         with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as fh:
@@ -151,10 +157,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_compare(args) -> int:
     report = counting.compare_report(args.k, args.s, args.lo, args.hi, args.stride, args.cutoff)
-    columns = report["rows"].columns
-    if args.format != "json":
-        del report["rows"]
-    _emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=columns,
+    _emit(args, report, csv=csv_column_chunks(list(counting.COMPARE_COLUMNS), report["rows"].columns),
           plain_lines=[f"{key} = {report[key]}" for key in ("min_ratio", "mean_ratio", "zero_count")])
     return 0
 
@@ -170,7 +173,7 @@ def _cmd_dissect(args) -> int:
     )
     rows = [[f"{family}/{label}", *row] for family in ("minor", "slice")
             for label, *row in report[f"{family}_partition"]["classes"]]
-    _emit(args, report, csv_header=["label", "measure", "sup_g", "sup_f", "contribution_abs"], table_rows=rows,
+    _emit(args, report, csv=[to_csv_bytes(["label", "measure", "sup_g", "sup_f", "contribution_abs"], rows)],
           plain_lines=[f"{row[0]}: measure={row[1]:.6g} sup_g={row[2]:.6g} "
                        f"sup_f={row[3]:.6g} contribution={row[4]:.6g}" for row in rows])
     return 0
@@ -181,10 +184,10 @@ def _cmd_moments(args) -> int:
     R = _resolve_r(args, args.P)
     report = circle.moment_doubling_report(args.P, R, args.k, args.t, qs)
     _emit(args, report,
-          csv_header=["Q", "V", "measure", "boundary_error", "log2_ratio"],
-          table_rows=[[row["Q"], row["V"], row["measure"], row["boundary_error"],
-                       row["log2_ratio"] if row["log2_ratio"] is not None else ""]
-                      for row in report["rows"]],
+          csv=[to_csv_bytes(["Q", "V", "measure", "boundary_error", "log2_ratio"],
+                            [[row["Q"], row["V"], row["measure"], row["boundary_error"],
+                              row["log2_ratio"] if row["log2_ratio"] is not None else ""]
+                             for row in report["rows"]])],
           plain_lines=[f"Q={row['Q']:g} V={row['V']:.6g}" for row in report["rows"]])
     return 0
 

@@ -5,7 +5,7 @@ to 12 significant digits before encoding, CSV uses RFC-style minimal quoting.
 Identical reports serialize to identical bytes.
 
 CSV comes from rows (`to_csv_bytes`, through `csv.writer`, for the small
-mixed-type tables) or from numeric columns (`_csv_column_chunks`, for the
+mixed-type tables) or from numeric columns (`csv_column_chunks`, for the
 comparison report's hundreds of thousands of rows).  Both write the same
 bytes for the same numbers: integers as str(int), floats as f"{v:.12g}", and
 no numeric field ever needs quoting.
@@ -32,16 +32,20 @@ text is the matrix's non-NUL bytes in row order; no number text or piece
 holds a NUL, so only padding is dropped.  A block is formatted when the
 consumer asks for it, so one that stops leaves the rest unformatted.
 
-`serialize_chunks` makes every check up front and then hands out the bytes
-in order, as they are made: the CSV header, then each row block; the JSON
-encoder's text, with each `JsonRecords` list's blocks in its place.  A writer
-of the chunks holds one row block at a time, whatever the row count.
+`json_chunks` and `csv_column_chunks` hand out the bytes in order, as they
+are made: the JSON encoder's text, with each `JsonRecords` list's blocks in
+its place; the CSV header, then each row block.  Neither refuses a chunk once
+made: JSON record columns are checked when the records are made, CSV columns
+when `csv_column_chunks` is called.  A writer of the chunks holds one row
+block at a time, whatever the row count.  The caller picks the writer for its
+format; plain text is the caller's lines (`to_plain_bytes`).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,8 +54,6 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-
-FORMATS = ("json", "csv", "plain")
 
 
 def _round_sig(x: float) -> float | None:
@@ -69,8 +71,6 @@ def round_floats(obj: Any) -> Any:
         return obj
     if isinstance(obj, float):
         return _round_sig(obj)
-    if isinstance(obj, complex):
-        return {"re": _round_sig(obj.real), "im": _round_sig(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -251,7 +251,9 @@ class JsonRecords:
         yield f"\n{' ' * indent}]".encode()
 
 
-def _json_chunks(report: Any) -> Iterator[bytes]:
+def json_chunks(report: Any) -> Iterator[bytes]:
+    """The bytes of json.dumps(round_floats(report), indent=2) and a newline,
+    each `JsonRecords` list written from its columns, in order."""
     held: list[JsonRecords] = []
 
     def slot(obj: Any) -> str:
@@ -287,35 +289,15 @@ def to_csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-def _csv_column_chunks(header: list[str], columns: list) -> Iterator[bytes]:
+def csv_column_chunks(header: list[str], columns: list) -> Iterator[bytes]:
     """CSV of numeric numpy columns, the bytes to_csv_bytes gives for their rows:
     integer columns (int64, or object arrays of Python integers) as str(int),
-    float columns as f"{v:.12g}"."""
-    yield to_csv_bytes(header, [])
-    if len(columns):
-        yield from _row_blocks(columns, _CSV, [b""] + [b","] * (len(columns) - 1) + [b"\n"])
+    float columns as f"{v:.12g}".  The column kinds are checked by this call,
+    before the first chunk is made."""
+    _check_kinds(columns, "CSV columns")
+    pieces = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
+    return itertools.chain([to_csv_bytes(header, [])], _row_blocks(columns, _CSV, pieces) if len(columns) else ())
 
 
 def to_plain_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
-
-
-def serialize_chunks(report: Any, fmt: str, csv_header: list[str] | None = None,
-                     table_rows: list[list] | None = None, plain_lines: list[str] | None = None,
-                     csv_columns: list | None = None) -> Iterator[bytes]:
-    """The report in the requested format as byte chunks, in order: JSON from
-    the report, CSV from a header and rows or numeric columns, plain from
-    prepared lines.  Every refusal comes from this call, before the first
-    chunk is made."""
-    if fmt not in FORMATS:
-        raise DomainError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "json":
-        return _json_chunks(report)
-    if fmt == "plain" and plain_lines is not None:
-        return iter([to_plain_bytes(plain_lines)])
-    if fmt == "csv" and csv_header is not None and csv_columns is not None:
-        _check_kinds(csv_columns, "CSV columns")
-        return _csv_column_chunks(csv_header, csv_columns)
-    if fmt == "csv" and csv_header is not None and table_rows is not None:
-        return iter([to_csv_bytes(csv_header, table_rows)])
-    raise DomainError(f"{fmt} output needs {'its lines' if fmt == 'plain' else 'a header and a table'}")

@@ -16,7 +16,7 @@ from arc_oracle import core_oracle, family_endpoints, gaps_measure, major_oracle
 from wgcircle import circle, counting, exponents, series
 from wgcircle import specialfn as sf
 from wgcircle.arith import sieve_primes
-from wgcircle.serialize import serialize_chunks, to_csv_bytes
+from wgcircle.serialize import json_chunks, to_csv_bytes
 
 
 @contextmanager
@@ -210,7 +210,7 @@ def test_criterion_11_moment_diagnostics():
     with criterion(11, "dyadic moment report with reference slope", 300.0):
         first = circle.moment_doubling_report(64, 2, 3, 8.0)
         second = circle.moment_doubling_report(64, 2, 3, 8.0)
-        assert b"".join(serialize_chunks(first, "json")) == b"".join(serialize_chunks(second, "json"))
+        assert b"".join(json_chunks(first)) == b"".join(json_chunks(second))
         assert first["reference_slope"] == pytest.approx(2 * sf.eta(8 / 3).eta, abs=1e-9)
         assert len(first["rows"]) == 9  # Q = 1, 2, ..., 256
         assert all(row["V"] >= 0 for row in first["rows"])

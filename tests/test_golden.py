@@ -15,7 +15,8 @@ variants pin truncated q-sums at ascending, unsorted and repeated points.
 Three runs in the paper's regime (s >= ck + 4) pin counts past 2^52, and one
 at s = 40 counts past 2^115; two JSON comparison reports print 50-bit counts
 and counts past int64 exactly.  The format variants pin the plain form of the
-key = value reports and of ``series``, and ``verify-tables`` as JSON.  Refactors that keep behaviour keep these digests.
+key = value reports, of ``series``, ``sieve`` and ``count``, the CSV and plain forms
+of ``moments``, and ``verify-tables`` as JSON.  Refactors that keep behaviour keep these digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -121,7 +122,8 @@ PAPER_REGIME_VARIANTS = {
 }
 
 # the other format of each small report: plain key = value lines (NaN and None
-# fields among them for k = 3's external plan) and the exponent-table checks as JSON
+# fields among them for k = 3's external plan), the exponent-table checks as JSON,
+# the plain lines of sieve and count, and the CSV and plain tables of moments
 FORMAT_VARIANTS = {
     "series-plain": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000", "--xs", "64,256",
                      "--format", "plain"],
@@ -131,6 +133,10 @@ FORMAT_VARIANTS = {
     "eta-plain": ["eta", "--t", "1.0", "--format", "plain"],
     "constants-plain": ["constants", "--format", "plain"],
     "model-error-plain": ["model-error", "--n", "16384", "--k", "2", "--format", "plain"],
+    "sieve-plain": ["sieve", "--limit", "1000000", "--format", "plain"],
+    "count-plain": ["count", "--k", "2", "--s", "2", "--n", "10", "--format", "plain"],
+    "moments-csv": ["moments", "--P", "64", "--k", "3", "--t", "8", "--format", "csv"],
+    "moments-plain": ["moments", "--P", "64", "--k", "3", "--t", "8", "--format", "plain"],
 }
 
 GOLDEN_COMMANDS = {**README_COMMANDS, **COMPARE_VARIANTS, **ARC_VARIANTS, **SERIES_VARIANTS,

@@ -19,11 +19,11 @@ from wgcircle.errors import DomainError, ResourceError, MEMORY_BUDGET_ENV
 
 
 def json_bytes(report) -> bytes:
-    return b"".join(serialize.serialize_chunks(report, "json"))
+    return b"".join(serialize.json_chunks(report))
 
 
 def csv_column_bytes(header, columns) -> bytes:
-    return b"".join(serialize.serialize_chunks({}, "csv", header, csv_columns=columns))
+    return b"".join(serialize.csv_column_chunks(header, columns))
 
 
 class TestRounding:
@@ -37,10 +37,6 @@ class TestRounding:
         out = serialize.round_floats(obj)
         assert out["rows"][0][1] == float("0.123456789012")
         assert out["flag"] is True
-
-    def test_complex_becomes_pair(self):
-        out = serialize.round_floats(complex(1.5, -2.25))
-        assert out == {"re": 1.5, "im": -2.25}
 
 
 class TestFormats:
@@ -63,10 +59,6 @@ class TestFormats:
         payload = serialize.to_csv_bytes(["v"], [[1.0 / 3.0]])
         assert payload.decode().splitlines()[1] == "0.333333333333"
 
-    def test_unknown_format(self):
-        with pytest.raises(DomainError):
-            serialize.serialize_chunks({}, "yaml")
-
     def test_csv_refused_without_a_table(self, capsys):
         # only compare, dissect and moments have a table: elsewhere argparse refuses
         # csv with one line and exit 2
@@ -79,22 +71,14 @@ class TestFormats:
             assert out == ""
             assert err.count("\n") == 1 and err.startswith(f"error: wgcircle {argv[0]}: argument --format: ")
             assert "invalid choice: 'csv'" in err
-        # and serialize itself takes no JSON in place of a missing table or missing lines
-        with pytest.raises(DomainError, match="^csv output needs a header and a table$"):
-            serialize.serialize_chunks({"a": 1}, "csv")
-        with pytest.raises(DomainError, match="^plain output needs its lines$"):
-            serialize.serialize_chunks({"a": 1}, "plain")
 
-    @pytest.mark.parametrize("fmt, table", [
-        ("yaml", {}),
-        ("csv", {}),
-        ("csv", {"csv_header": ["x"], "csv_columns": [np.array(["a"])]}),
-    ], ids=["format", "no-table", "column-kind"])
-    def test_refused_report_opens_no_file(self, tmp_path, fmt, table):
-        # every refusal comes before the first chunk, so --out is never opened
+    @pytest.mark.parametrize("column", [np.array(["a"]), np.array([1j])], ids=["column-kind", "complex-column"])
+    def test_refused_report_opens_no_file(self, tmp_path, column):
+        # a column of another kind is refused when its chunks are asked for, so --out is never opened
         out = tmp_path / "report"
-        with pytest.raises(DomainError):
-            cli._emit(argparse.Namespace(format=fmt, out=str(out)), {"a": 1}, **table)
+        with pytest.raises(DomainError, match=r"^CSV columns must be integer or float arrays"):
+            cli._emit(argparse.Namespace(format="csv", out=str(out)), {"a": 1},
+                      csv=serialize.csv_column_chunks(["x"], [column]))
         assert not out.exists()
         # records of another kind are refused when they are made
         with pytest.raises(DomainError, match=r"^JSON record columns must be integer or float arrays"):
@@ -275,7 +259,7 @@ class TestPeakMemory:
             "report = {'k': 2, 'rows': serialize.JsonRecords(columns)}\n"
             "args = argparse.Namespace(format=sys.argv[2], out=sys.argv[3])\n"
             "before = status_kib('VmHWM')\n"
-            "cli._emit(args, report, csv_header=list(counting.COMPARE_COLUMNS), csv_columns=columns)\n"
+            "cli._emit(args, report, csv=serialize.csv_column_chunks(list(counting.COMPARE_COLUMNS), columns))\n"
             "print(status_kib('VmHWM') - before)\n"
         )
         rises = [peak_rise(script, str(rows), fmt, str(tmp_path / f"rows.{fmt}")) for rows in (150_000, 600_000)]
