@@ -737,6 +737,48 @@ def test_json_records_match_json_dumps(rows, named):
                 assert b"".join(serialize.json_chunks(report)) == expected
 
 
+_INT_EDGES = [0, 9, 10, 9999, 10000, 10**8, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def number_columns(draw, rows):
+    """An int64, float64 or object-int column of `rows` entries.  The floats lie
+    mostly within a few decades of one another, as a report's do, so that the
+    number-text kernel writes most of them; the rest take Python's formatting."""
+    kind = draw(st.sampled_from(["int64", "float64", "object"]))
+    if kind == "int64":
+        element = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_INT_EDGES), st.integers(-10**5, 10**5))
+        return np.array(draw(st.lists(element, min_size=rows, max_size=rows)), dtype=np.int64)
+    if kind == "object":
+        element = st.one_of(st.integers(-(2**200), 2**200), st.sampled_from(_INT_EDGES))
+        return np.array(draw(st.lists(element, min_size=rows, max_size=rows)), dtype=object)
+    exp = draw(st.integers(-8, 20))
+    element = st.one_of(
+        # d * 10^(exp + shift - 11): all 12 digits, or a few and trailing zeros
+        st.builds(lambda d, shift, sign: sign * d * 10.0 ** (exp + shift - 11),
+                  st.one_of(st.integers(10**11, 10**12 - 1), st.integers(1, 999).map(lambda d: d * 10**9)),
+                  st.integers(0, 8), st.sampled_from([1, -1])),
+        _JSON_FLOATS,
+    )
+    return np.array(draw(st.lists(element, min_size=rows, max_size=rows)), dtype=np.float64)
+
+
+@PROPERTY_SETTINGS
+@given(block=st.integers(1, 16), data=st.data())
+def test_number_columns_match_python_writers(block, data):
+    # columns that span one to three row blocks, the blocks shortened inside the test body
+    rows = data.draw(st.integers(1, 3 * block))
+    columns = data.draw(st.lists(number_columns(rows), min_size=1, max_size=4))
+    header = [f"c{i}" for i in range(len(columns))]
+    table = [list(row) for row in zip(*(column.tolist() for column in columns))]
+    plain = {"rows": [dict(zip(header, row)) for row in table]}
+    with mock.patch.object(serialize, "_ROW_BLOCK", block):
+        assert b"".join(serialize.csv_column_chunks(header, columns)) == serialize.to_csv_bytes(header, table)
+        report = {"rows": serialize.JsonRecords(tuple(columns), tuple(header))}
+        expected = (json.dumps(serialize.round_floats(plain), indent=2) + "\n").encode()
+        assert b"".join(serialize.json_chunks(report)) == expected
+
+
 @PROPERTY_SETTINGS
 @given(x=st.integers(1, 2**200 - 1), k=st.integers(1, 12), offset=st.sampled_from([-1, 0, 1]))
 def test_kth_root_floor_near_perfect_powers(x, k, offset):
