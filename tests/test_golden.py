@@ -16,7 +16,8 @@ Three runs in the paper's regime (s >= ck + 4) pin counts past 2^52, and one
 at s = 40 counts past 2^115; two JSON comparison reports print 50-bit counts
 and counts past int64 exactly.  The format variants pin the plain form of the
 key = value reports, of ``series``, ``sieve`` and ``count``, the CSV and plain forms
-of ``moments``, and ``verify-tables`` as JSON.  Refactors that keep behaviour keep these digests.
+of ``moments``, ``verify-tables`` as JSON, and ``plan`` at a block of the
+shipped exponent table as JSON and plain.  Refactors that keep behaviour keep these digests.
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -123,13 +124,17 @@ PAPER_REGIME_VARIANTS = {
 
 # the other format of each small report: plain key = value lines (NaN and None
 # fields among them for k = 3's external plan), the exponent-table checks as JSON,
-# the plain lines of sieve and count, and the CSV and plain tables of moments
+# the plain lines of sieve and count, the CSV and plain tables of moments, and
+# the plans of table 2's blocks
 FORMAT_VARIANTS = {
     "series-plain": ["series", "--n", "100", "--k", "3", "--s", "4", "--cutoff", "1000", "--xs", "64,256",
                      "--format", "plain"],
     "verify-tables-json": ["verify-tables", "--format", "json"],
     "plan-k17-plain": ["plan", "--k", "17", "--format", "plain"],
     "plan-k3-plain": ["plan", "--k", "3", "--format", "plain"],
+    # the shipped table 2's blocks (5 <= k <= 16), as JSON and as plain lines
+    "plan-k10-theta4": ["plan", "--k", "10", "--theta", "4", "--format", "json"],
+    "plan-k16-plain": ["plan", "--k", "16", "--format", "plain"],
     "eta-plain": ["eta", "--t", "1.0", "--format", "plain"],
     "constants-plain": ["constants", "--format", "plain"],
     "model-error-plain": ["model-error", "--n", "16384", "--k", "2", "--format", "plain"],
