@@ -610,35 +610,22 @@ def _check_positive(**values: float | None) -> None:
             raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class BasePoints:
-    """|g| and |f| at the points of a symmetric base set on the half grid,
-    in grid order."""
-
-    points: HalfPoints
-    g: np.ndarray
-    f: np.ndarray
-
-    @classmethod
-    def select(cls, g_half: np.ndarray, f_half: np.ndarray, points: np.ndarray, m: int) -> BasePoints:
-        """The points given by a half-grid mask or by ascending indices j,
-        from the half-grid amplitudes."""
-        return cls(points=HalfPoints.of(points, m), g=g_half[points], f=f_half[points])
-
-
 def level_partition(
     n: int,
     k: int,
     s: int,
     theta: int,
-    base: BasePoints,
+    points: HalfPoints,
+    g_abs: np.ndarray,
+    f_abs: np.ndarray,
     *,
     family: str,
     U: float | None = None,
     V: float | None = None,
     Q: float | None = None,
 ) -> dict:
-    """Classify the base set's points by the size of |g| (and then |f|): the
+    """Classify the points of a symmetric base set on the half grid by the size
+    of |g| (and then |f|), given |g| and |f| at the points in grid order: the
     report block of the thresholds, the warnings, the sum of the class
     measures, the base measure and one row [label, measure, sup_g, sup_f,
     contribution_abs] per class.
@@ -673,21 +660,21 @@ def level_partition(
     split = kth_root_floor(n, k) ** s / (scale * L**log_power)
     thresholds["f_split"] = split
 
-    g_abs, f_pow = base.g, base.f**s
+    f_pow = f_abs**s
     first = g_abs <= first_cut
     band = ~first & (g_abs >= n / scale) & (g_abs <= 2 * n / scale)
     band_small = band & (f_pow <= split)
     weight = np.multiply(f_pow, g_abs, out=f_pow)  # |g| |f|^s, in the buffer of |f|^s
     labels = (first_label, "band_small_f", "band_large_f", "unbanded")
     masks = (first, band_small, band & ~band_small, ~first & ~band)
-    points, classes = base.points, []
+    classes = []
     for label, mask in zip(labels, masks):
         # the class's positions among the base points: its three selections read
         # the same values, in the same order, as the mask would; amplitudes are
         # >= 0, so an empty class has sup 0.0
         at = np.flatnonzero(mask)
-        classes.append([label, points.count(at) / points.m, float(base.g[at].max(initial=0.0)),
-                        float(base.f[at].max(initial=0.0)), points.total(weight, at) / points.m])
+        classes.append([label, points.count(at) / points.m, float(g_abs[at].max(initial=0.0)),
+                        float(f_abs[at].max(initial=0.0)), points.total(weight, at) / points.m])
     return {"thresholds": thresholds, "warnings": warnings, "measure_sum": float(sum(row[1] for row in classes)),
             "base_measure": points.measure(), "classes": classes}
 
@@ -820,20 +807,20 @@ def dissection_ledger(
     f_spec, members = build_f_spectrum(n, k, R)
     f_half = half_grid_conj(f_spec, m, amplitudes=True)
     del f_spec
-    minor = BasePoints.select(g_half, f_half, minor_mask, m)
-    sliced = BasePoints.select(g_half, f_half, slice_points, m)
+    minor, minor_g, minor_f = HalfPoints.of(minor_mask, m), g_half[minor_mask], f_half[minor_mask]
+    sliced, slice_g, slice_f = HalfPoints.of(slice_points, m), g_half[slice_points], f_half[slice_points]
     f_envelope = f_envelope_constant(n, k, f_half, m, pruned)
     del f_half, g_half, minor_mask, slice_points  # the partitions below need only the base points
 
-    sup_g_minor = float(minor.g.max()) if len(minor.g) else 0.0
+    sup_g_minor = float(minor_g.max()) if len(minor_g) else 0.0
     if U is None:
         U = min(math.sqrt(n), max(1.0, _band_scale(n, sup_g_minor) if sup_g_minor else math.sqrt(n)))
-    part_minor = level_partition(n, k, s, theta, minor, family="minor", U=U)
+    part_minor = level_partition(n, k, s, theta, minor, minor_g, minor_f, family="minor", U=U)
 
-    sup_g_slice = float(sliced.g.max()) if len(sliced.g) else 0.0
+    sup_g_slice = float(slice_g.max()) if len(slice_g) else 0.0
     if V is None:
         V = min(Q_slice, max(math.sqrt(Q_slice), _band_scale(n, sup_g_slice) if sup_g_slice else Q_slice))
-    part_slice = level_partition(n, k, s, theta, sliced, family="slice", V=V, Q=Q_slice)
+    part_slice = level_partition(n, k, s, theta, sliced, slice_g, slice_f, family="slice", V=V, Q=Q_slice)
 
     return {
         "n": n, "k": k, "s": s, "theta": theta, "R": R,
@@ -853,7 +840,7 @@ def dissection_ledger(
         },
         "minor_partition": part_minor,
         "slice_partition": part_slice,
-        "covering": dyadic_band_cover(n, theta, minor.g, minor.points),
+        "covering": dyadic_band_cover(n, theta, minor_g, minor),
         "g_envelope": g_envelope_constant(n, sup_g_minor),
         "f_envelope": f_envelope,
     }

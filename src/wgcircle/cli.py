@@ -2,11 +2,13 @@
 
 Subcommand per module: constants, eta, plan, verify-tables, sieve, series,
 count, compare, dissect, moments, model-error.  Each prints the report dict
-its library function returns; the CLI lays out only the tables' CSV rows and
-the plain lines, which default to one `key = value` line per field.  Output is
-json or plain, or csv for the tables of compare, dissect and moments; identical
-invocations produce byte-identical output.  Exit codes: 0 success, 2
-validation/usage failure, 3 internal-consistency failure.
+its library function returns, except constants, eta, sieve and count, whose
+few fields the CLI gathers from the library's values itself.  The CLI lays out
+only the tables' CSV rows and the plain lines, which default to one
+`key = value` line per field.  Output is json or plain, or csv for the tables
+of compare, dissect and moments; identical invocations produce byte-identical
+output.  Exit codes: 0 success, 2 validation/usage failure, 3
+internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -94,20 +96,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    plan = exponents.plan_for_k(args.k, args.theta)
-    report = {
-        "k": plan.k, "theta": plan.theta, "s": plan.s, "t": plan.t,
-        "delta_s": plan.delta_s, "delta_st": plan.delta_st, "omega": plan.omega,
-        "cond_half_ok": plan.cond1_ok, "cond_omega_ok": plan.cond2_ok,
-        "source": plan.source,
-    }
-    sp = plan.optimizer
-    if sp is not None:
-        report["sigma"] = sp.sigma
-        report["tau"] = sp.tau
-        report["even_target"] = sp.even_target
-        report["gap_bound"] = sp.gap_bound
-    _emit(args, report)
+    _emit(args, exponents.plan_for_k(args.k, args.theta))
     return 0
 
 
@@ -165,7 +154,7 @@ def _cmd_compare(args) -> int:
 def _cmd_dissect(args) -> int:
     if args.oversample < 1:
         raise WgcircleError(f"--oversample must be >= 1, got {args.oversample}")
-    P = circle.kth_root_floor(args.n, args.k)
+    P = arith.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
     report = circle.dissection_ledger(
         args.n, args.k, args.s, args.theta, R,
@@ -193,7 +182,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_model_error(args) -> int:
-    P = circle.kth_root_floor(args.n, args.k)
+    P = arith.kth_root_floor(args.n, args.k)
     R = _resolve_r(args, P)
     report = circle.major_arc_model_error(args.n, args.k, R)
     _emit(args, report)

@@ -4,59 +4,39 @@ An exponent Delta_t is admissible for the smooth Weyl sum of degree k when the
 t-th moment over the full circle is O(P^(t-k+Delta_t+eps)) for R a small power
 of P.  For even t the eta formula gives one: Delta_t = k * eta(t/k).
 
-Every exponent pair (s, t) is an AdmissiblePlan from check_conditions, the one
-home of the two side conditions 2*Delta_s < k and Omega < 1, where
+Every exponent pair (s, t) is checked by check_conditions, the one home of
+the two side conditions 2*Delta_s < k and Omega < 1, where
 
     Omega_theta = t/s + theta * Delta_{s+t} / k.
 
+It returns the plan report that `wgcircle plan` prints: k, theta, s, t,
+delta_s, delta_st, omega, cond_half_ok (2*Delta_s < k), cond_omega_ok
+(Omega < 1) and source, in that order.
+
 The shipped CSV tables (data/table1.csv, data/table2.csv) record, per k in
 [5, 20] and theta in {4, 5}, a pair (s_theta, t_theta) with its exponents and
-Omega rounded up in the fourth decimal place (a plan's omega_table).
-verify_table2 checks every tabulated Omega and both conditions.  plan_for_k
-selects a working (s, t) pair for 3 <= k <= 2**40: the table blocks for
-5 <= k <= 16, the sigma_even_plan optimizer above (it refuses k > 2**40, where
-doubles no longer place its even target), and literal externally-known pairs
-for k in {3, 4}.
+Omega rounded up in the fourth decimal place.  load_table2 keeps each block's
+plan beside that tabulated Omega, and verify_table2 checks every tabulated
+Omega and both conditions.  plan_for_k selects a working (s, t) pair for
+3 <= k <= 2**40: the table blocks for 5 <= k <= 16, the sigma_even_plan
+optimizer above, whose sigma, tau, even_target and gap_bound the plan adds
+(it refuses k > 2**40, where doubles no longer place its even target), and
+literal externally-known pairs for k in {3, 4}.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, TableLookupError, TableParseError
-from .specialfn import SigmaPlan, check_theta, eta_value, sigma_even_plan
+from .specialfn import check_theta, eta_value, sigma_even_plan
 
 #: Guard subtracted before ceiling at the fourth decimal; absorbs binary
 #: representation fuzz of decimal inputs without masking real mismatches.
 _ROUND_UP_GUARD = 5e-7
-
-
-@dataclass(frozen=True)
-class AdmissiblePlan:
-    """An exponent pair with its condition checks.
-
-    cond1_ok: 2*Delta_s < k.  cond2_ok: Omega = t/s + theta*Delta_{s+t}/k < 1.
-    Both are None for plans whose validity rests on external results rather
-    than on these conditions.  omega_table is the rounded-up Omega of a
-    shipped table block; optimizer is the SigmaPlan a k >= 17 plan came from.
-    """
-
-    k: int
-    theta: int
-    s: int
-    t: int
-    delta_s: float
-    delta_st: float
-    omega: float
-    cond1_ok: bool | None
-    cond2_ok: bool | None
-    source: str = "computed"
-    omega_table: float | None = None
-    optimizer: SigmaPlan | None = None
 
 
 def delta_from_eta(k: int, t: int) -> float:
@@ -76,8 +56,9 @@ def check_conditions(
     delta_s: float,
     delta_st: float,
     source: str = "computed",
-) -> AdmissiblePlan:
-    """Assemble Omega = t/s + theta*delta_st/k and both side conditions.
+) -> dict:
+    """The plan report of the pair: Omega = t/s + theta*delta_st/k and both
+    side conditions, cond_half_ok (2*delta_s < k) and cond_omega_ok (Omega < 1).
 
     No rounding happens before the comparisons.
     """
@@ -87,18 +68,10 @@ def check_conditions(
     if not 0 <= t <= s:
         raise DomainError(f"need 0 <= t <= s, got t={t}, s={s}")
     omega = t / s + theta * delta_st / k
-    return AdmissiblePlan(
-        k=int(k),
-        theta=int(theta),
-        s=int(s),
-        t=int(t),
-        delta_s=float(delta_s),
-        delta_st=float(delta_st),
-        omega=omega,
-        cond1_ok=bool(2.0 * delta_s < k),
-        cond2_ok=bool(omega < 1.0),
-        source=source,
-    )
+    return {"k": int(k), "theta": int(theta), "s": int(s), "t": int(t),
+            "delta_s": float(delta_s), "delta_st": float(delta_st), "omega": omega,
+            "cond_half_ok": bool(2.0 * delta_s < k), "cond_omega_ok": bool(omega < 1.0),
+            "source": source}
 
 
 def round_up_4dp(x: float) -> float:
@@ -109,8 +82,9 @@ def round_up_4dp(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Shipped tables
 
-#: (k, theta) -> the table block's plan, None for a blank block, in file order.
-PlanTable = dict[tuple[int, int], AdmissiblePlan | None]
+#: (k, theta) -> the table block's plan and its tabulated Omega, None for a
+#: blank block, in file order.
+PlanTable = dict[tuple[int, int], tuple[dict, float] | None]
 
 
 def _data_text(name: str) -> str:
@@ -134,7 +108,7 @@ def load_table1() -> dict[int, tuple[int | None, int | None]]:
 
 
 def load_table2(path: str | Path | None = None) -> PlanTable:
-    """Every block of table 2 as a checked plan carrying its tabulated Omega."""
+    """Every block of table 2 as its checked plan and its tabulated Omega."""
     text = Path(path).read_text() if path is not None else _data_text("table2.csv")
     plans: PlanTable = {}
     reader = csv.DictReader(text.splitlines())
@@ -152,7 +126,7 @@ def load_table2(path: str | Path | None = None) -> PlanTable:
                     k, theta, int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
                     source="table2_literal",
                 )
-                plans[(k, theta)] = replace(plan, omega_table=float(cells[4]))
+                plans[(k, theta)] = (plan, float(cells[4]))
         except TableParseError:
             raise
         except (KeyError, ValueError, TypeError) as exc:  # DomainError from check_conditions is a ValueError
@@ -172,14 +146,16 @@ def verify_table2(plans: PlanTable | None = None) -> list[dict]:
     """
     plans = load_table2() if plans is None else plans
     checks: list[dict] = []
-    for (k, theta), plan in plans.items():
-        if plan is None:
+    for (k, theta), block in plans.items():
+        if block is None:
             checks.append({"k": k, "theta": theta, "ok": True, "blank": True,
                            "omega_recomputed": None, "omega_table": None,
                            "cond1_margin": None, "cond2_margin": None, "detail": "blank entry"})
             continue
-        omega_up = round_up_4dp(plan.omega)
-        table_units = round(plan.omega_table * 10**4)
+        plan, omega_table = block
+        omega = plan["omega"]
+        omega_up = round_up_4dp(omega)
+        table_units = round(omega_table * 10**4)
         recomputed_units = round(omega_up * 10**4)
         match = recomputed_units == table_units
         slack_note = ""
@@ -188,16 +164,16 @@ def verify_table2(plans: PlanTable | None = None) -> list[dict]:
             # inflates the recomputed omega by at most theta*1e-4/k; a
             # one-ulp overshoot within that slack is consistent.
             slack = theta * 1e-4 / k
-            if plan.omega - slack < plan.omega_table + 1e-12:
+            if omega - slack < omega_table + 1e-12:
                 match = True
                 slack_note = " (within delta-rounding slack)"
         cond2_margin = 1.0 - omega_up
-        detail = f"omega {plan.omega:.6f} -> {omega_up:.4f} vs {plan.omega_table:.4f}{slack_note}"
+        detail = f"omega {omega:.6f} -> {omega_up:.4f} vs {omega_table:.4f}{slack_note}"
         if not match:
             detail += " MISMATCH"
-        checks.append({"k": k, "theta": theta, "ok": match and plan.cond1_ok and cond2_margin > 0.0,
-                       "blank": False, "omega_recomputed": omega_up, "omega_table": plan.omega_table,
-                       "cond1_margin": k - 2.0 * plan.delta_s, "cond2_margin": cond2_margin,
+        checks.append({"k": k, "theta": theta, "ok": match and plan["cond_half_ok"] and cond2_margin > 0.0,
+                       "blank": False, "omega_recomputed": omega_up, "omega_table": omega_table,
+                       "cond1_margin": k - 2.0 * plan["delta_s"], "cond2_margin": cond2_margin,
                        "detail": detail})
     return checks
 
@@ -209,28 +185,29 @@ def cross_check_table1() -> list[dict]:
     results: list[dict] = []
     for k, (s0, s1) in sorted(load_table1().items()):
         for name, s_ref, theta in (("S0", s0, 5), ("S1", s1, 4)):
-            plan = plans.get((k, theta))
-            if s_ref is not None and plan is not None:
-                results.append({"k": k, "detail": f"{name}({k})={s_ref} vs s{theta}={plan.s}", "ok": s_ref == plan.s})
+            block = plans.get((k, theta))
+            if s_ref is not None and block is not None:
+                s = block[0]["s"]
+                results.append({"k": k, "detail": f"{name}({k})={s_ref} vs s{theta}={s}", "ok": s_ref == s})
     return results
 
 
-def table_plan(k: int, theta: int) -> AdmissiblePlan:
+def table_plan(k: int, theta: int) -> dict:
     """The shipped table block for (k, theta) as a checked plan."""
     check_theta(theta)
     plans = load_table2()
     if (k, theta) not in plans:
         raise TableLookupError(f"table has no row for k={k}")
-    plan = plans[(k, theta)]
-    if plan is None:
+    block = plans[(k, theta)]
+    if block is None:
         raise TableLookupError(f"table has a blank block for k={k}, theta={theta}")
-    return plan
+    return block[0]
 
 
 _EXTERNAL_SMALL_K = {3: 4, 4: 6}  # k -> s known from the literature
 
 
-def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
+def plan_for_k(k: int, theta: int = 5) -> dict:
     """Select a working (s, t) pair for exponent k.
 
     17 <= k <= 2**40 runs the even-target optimizer: s = ceil(k*sigma), t = target - s,
@@ -238,25 +215,26 @@ def plan_for_k(k: int, theta: int = 5) -> AdmissiblePlan:
     from the smallest even s' >= s.  Taking the ceiling keeps t/s <= tau/sigma,
     so Omega <= E(sigma) < 1 survives the rounding to integers.  For
     5 <= k <= 16 the shipped table block is returned; k in {3, 4} yields the
-    literal externally-known pairs with no condition data.
+    literal externally-known pairs with no condition data (NaN exponents and
+    None conditions).  The optimizer's plans end with its sigma, tau,
+    even_target and gap_bound.
     """
     check_theta(theta)
     if k < 3:
         raise DomainError(f"plans exist for k >= 3, got {k}")
     if k in _EXTERNAL_SMALL_K:
         nan = float("nan")
-        return AdmissiblePlan(
-            k=int(k), theta=int(theta), s=_EXTERNAL_SMALL_K[k], t=0,
-            delta_s=nan, delta_st=nan, omega=nan,
-            cond1_ok=None, cond2_ok=None, source="external_result",
-        )
+        return {"k": int(k), "theta": int(theta), "s": _EXTERNAL_SMALL_K[k], "t": 0,
+                "delta_s": nan, "delta_st": nan, "omega": nan,
+                "cond_half_ok": None, "cond_omega_ok": None, "source": "external_result"}
     if k <= 16:
         return table_plan(k, theta)
     sp = sigma_even_plan(k, theta)
-    s = math.ceil(k * sp.sigma)
-    t = sp.even_target - s
-    delta_st = delta_from_eta(k, sp.even_target)
+    s = math.ceil(k * sp["sigma"])
+    t = sp["even_target"] - s
+    delta_st = delta_from_eta(k, sp["even_target"])
     s_even = s if s % 2 == 0 else s + 1
     delta_s = delta_from_eta(k, s_even)
-    return replace(check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula"), optimizer=sp)
+    plan = check_conditions(k, theta, s, t, delta_s, delta_st, source="eta_formula")
+    return plan | {key: sp[key] for key in ("sigma", "tau", "even_target", "gap_bound")}
 

@@ -145,21 +145,6 @@ _WORDS = _WORDS.view(np.uint32).ravel()
 del _GROUP, _GROUP_BYTES, _LEAD, _TRAIL, _POINT_BYTES
 
 
-class _Text(NamedTuple):
-    """A column's text in one row block, before it is placed: `write` puts each
-    row's text, NUL-padded, into that row of a NUL-filled (rows, width) uint8 matrix."""
-
-    rows: int
-    width: int
-    write: Callable[[np.ndarray], None]
-
-    def tolist(self) -> list[bytes]:
-        """Each row's text on its own: the bytes `write` puts in its row, less the NULs."""
-        cells = np.zeros((self.rows, self.width), np.uint8)
-        self.write(cells)
-        return [text.replace(b"\0", b"") for text in cells.view(f"S{self.width}").ravel().tolist()]
-
-
 def _split(values: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """The nonnegative integers `values` cut into groups of `sizes` decimal digits,
     most significant first; the first group takes all that is left."""
@@ -226,8 +211,14 @@ def _put_strings(cells: np.ndarray, rows, strings: np.ndarray) -> None:
     cells[rows] = padded
 
 
+#: A column's text in one row block, before it is placed: its width, and the
+#: `write` that puts each row's text, NUL-padded, into that row of a NUL-filled
+#: (rows, width) uint8 matrix.
+_Text = tuple[int, Callable[[np.ndarray], None]]
+
+
 def _string_text(strings: np.ndarray) -> _Text:
-    return _Text(len(strings), strings.itemsize, lambda cells: _put_strings(cells, slice(None), strings))
+    return strings.itemsize, lambda cells: _put_strings(cells, slice(None), strings)
 
 
 def _int_text(column: np.ndarray) -> _Text:
@@ -247,7 +238,7 @@ def _int_text(column: np.ndarray) -> _Text:
             cells[:, 0] = negative * np.uint8(ord("-"))
         _put_integer(cells[:, sign:], magnitude, digits, least)
 
-    return _Text(len(column), sign + digits, write)
+    return sign + digits, write
 
 
 def _float_text(column: np.ndarray, layout: _Layout) -> _Text:
@@ -311,7 +302,7 @@ def _float_text(column: np.ndarray, layout: _Layout) -> _Text:
         if len(outside):
             _put_strings(field, outside, strings)
 
-    return _Text(len(x), width, write)
+    return width, write
 
 
 def _column_text(column: np.ndarray, layout: _Layout) -> _Text:
@@ -332,8 +323,9 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> Iterator[bytea
     assert not any(b"\0" in piece for piece in pieces)  # a NUL would be dropped with the padding
 
     def block(start: int) -> bytearray:  # its arrays go when it returns, before the next block
-        texts = [_column_text(column[start:start + _ROW_BLOCK], layout) for column in columns]
-        rows, width = texts[0].rows, sum(map(len, pieces)) + sum(text.width for text in texts)
+        rows = min(_ROW_BLOCK, len(columns[0]) - start)
+        texts = [_column_text(column[start:start + rows], layout) for column in columns]
+        width = sum(map(len, pieces)) + sum(text_width for text_width, _ in texts)
         matrix = bytearray(rows * width)
         cells = np.frombuffer(matrix, np.uint8).reshape(rows, width)
         at = 0
@@ -341,8 +333,9 @@ def _row_blocks(columns, layout: _Layout, pieces: list[bytes]) -> Iterator[bytea
             cells[:, at:at + len(piece)] = np.frombuffer(piece, np.uint8)
             at += len(piece)
             if text is not None:
-                text.write(cells[:, at:at + text.width])
-                at += text.width
+                text_width, write = text
+                write(cells[:, at:at + text_width])
+                at += text_width
         return matrix.translate(None, b"\0")
 
     for start in range(0, len(columns[0]), _ROW_BLOCK):

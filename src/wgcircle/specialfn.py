@@ -63,19 +63,6 @@ class EtaPoint:
     eta_prime: float
 
 
-@dataclass(frozen=True)
-class SigmaPlan:
-    """An even-integer target k*(sigma + tau(sigma)) and the sigma realizing it."""
-
-    theta: int
-    k: int
-    sigma: float
-    tau: float
-    even_target: int
-    gap_bound: float          # k * (tau(c) - tau(c + 4/k)); must be < 2
-    interval: tuple[float, float]
-
-
 def check_theta(theta: int) -> int:
     if theta not in THETA_VALUES:
         raise DomainError(f"theta must be 4 or 5, got {theta!r}")
@@ -285,8 +272,10 @@ def critical_ratio_via_optimizer(theta: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def sigma_even_plan(k: int, theta: int) -> SigmaPlan:
-    """Find sigma in (c, c + 4/k) with k*(sigma + tau(sigma)) an even integer.
+def sigma_even_plan(k: int, theta: int) -> dict:
+    """Find sigma in (c, c + 4/k) with k*(sigma + tau(sigma)) an even integer:
+    {sigma, tau, even_target, gap_bound, interval}, where gap_bound is
+    k*(tau(c) - tau(c + 4/k)) and interval the ends of the target interval.
 
     k*(sigma + tau(sigma)) increases in sigma (its derivative is
     k*theta*(q + 1)/q^2 with q = theta*sigma - 1), so it maps the interval onto
@@ -324,12 +313,5 @@ def sigma_even_plan(k: int, theta: int) -> SigmaPlan:
         c,
         hi_sigma,
     )
-    return SigmaPlan(
-        theta=theta,
-        k=int(k),
-        sigma=sigma,
-        tau=tau_of_sigma(sigma, theta),
-        even_target=int(even),
-        gap_bound=gap_bound,
-        interval=(lo_target, hi_target),
-    )
+    return {"sigma": sigma, "tau": tau_of_sigma(sigma, theta), "even_target": int(even),
+            "gap_bound": gap_bound, "interval": (lo_target, hi_target)}

@@ -88,8 +88,8 @@ def test_criterion_3_optimizer():
         for k in range(17, 61):
             for theta in (4, 5):
                 plan = sf.sigma_even_plan(k, theta)
-                assert plan.gap_bound < 2.0
-                assert plan.interval[0] < plan.even_target < plan.interval[1]
+                assert plan["gap_bound"] < 2.0
+                assert plan["interval"][0] < plan["even_target"] < plan["interval"][1]
 
 
 def test_criterion_4_tables():

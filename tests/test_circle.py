@@ -443,15 +443,15 @@ def scene():
 
 
 def base_points(scene, mask):
-    """|g| and |f| at the base points of the half grid, as the ledger selects them."""
-    return circle.BasePoints.select(scene["g"], scene["f"], mask, scene["m"])
+    """The base points of the half grid and |g| and |f| at them, as the ledger selects them."""
+    return circle.HalfPoints.of(mask, scene["m"]), scene["g"][mask], scene["f"][mask]
 
 
 class TestLevelSets:
     def test_minor_partition_is_exact(self, scene):
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            base_points(scene, scene["minor"]), family="minor", U=20.0,
+            *base_points(scene, scene["minor"]), family="minor", U=20.0,
         )
         full_minor = ~mask(major_oracle(scene["n"] ** 0.4, scene["n"]), scene["m"])
         assert (scene["minor"] == full_minor[: circle.half_size(scene["m"])]).all()
@@ -467,7 +467,7 @@ class TestLevelSets:
         n, s = scene["n"], scene["s"]
         u = 20.0
         part = circle.level_partition(
-            n, scene["k"], s, scene["theta"], base_points(scene, scene["minor"]), family="minor", U=u,
+            n, scene["k"], s, scene["theta"], *base_points(scene, scene["minor"]), family="minor", U=u,
         )
         label, measure, _, _, contribution = part["classes"][1]
         assert label == "band_small_f"
@@ -478,7 +478,7 @@ class TestLevelSets:
         # a band threshold below the covered range forces |g| >= n/U > sup g
         part = circle.level_partition(
             scene["n"], scene["k"], scene["s"], scene["theta"],
-            base_points(scene, scene["minor"]), family="minor", U=1e-6,
+            *base_points(scene, scene["minor"]), family="minor", U=1e-6,
         )
         assert part["warnings"]
         assert [round(row[1] * scene["m"]) for row in part["classes"][1:3]] == [0, 0]
@@ -488,21 +488,21 @@ class TestLevelSets:
         q = 8.0
         _, sl, _ = circle.height_slice(n, q, scene["m"])
         part = circle.level_partition(
-            n, scene["k"], scene["s"], scene["theta"], base_points(scene, sl), family="slice", V=q / 2, Q=q,
+            n, scene["k"], scene["s"], scene["theta"], *base_points(scene, sl), family="slice", V=q / 2, Q=q,
         )
         base_measure = (mask(major_oracle(2 * q, n), scene["m"]) & ~mask(major_oracle(q, n), scene["m"])).mean()
         assert part["measure_sum"] == pytest.approx(float(base_measure), abs=1e-12)
         assert [row[0] for row in part["classes"]] == ["small_g", "band_small_f", "band_large_f", "unbanded"]
 
     def test_dyadic_cover(self, scene):
-        base = base_points(scene, scene["minor"])
-        cover = circle.dyadic_band_cover(scene["n"], scene["theta"], base.g, base.points)
+        points, g_abs, _ = base_points(scene, scene["minor"])
+        cover = circle.dyadic_band_cover(scene["n"], scene["theta"], g_abs, points)
         assert cover["uncovered"] == 0
         assert cover["bands"] >= 5
 
     def test_envelope_reports(self, scene):
         n = scene["n"]
-        env = circle.g_envelope_constant(n, float(base_points(scene, scene["minor"]).g.max()))
+        env = circle.g_envelope_constant(n, float(base_points(scene, scene["minor"])[1].max()))
         assert env["constant"] > 0
         assert env["sup_g"] <= env["constant"] * env["scale"] + 1e-9
         fenv = circle.f_envelope_constant(n, scene["k"], scene["f"], scene["m"],

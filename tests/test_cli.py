@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcircle import cli, counting, series
+from wgcircle import cli, counting, exponents, series
 from wgcircle.cli import main
+from wgcircle.serialize import json_chunks
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,14 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["s"] + payload["t"] == 54
         assert payload["even_target"] == 54
+
+    @pytest.mark.parametrize("theta", [4, 5])
+    @pytest.mark.parametrize("k", [3, 10, 17])
+    def test_plan_prints_the_library_report(self, tmp_path, k, theta):
+        # the external, table and optimizer plans, as plan_for_k returns them
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--k", str(k), "--theta", str(theta), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == b"".join(json_chunks(exponents.plan_for_k(k, theta)))
 
     def test_sieve(self, capsys):
         code, out = run_cli(capsys, "sieve", "--limit", "100")

@@ -1,6 +1,5 @@
 """Tests for admissible exponents, the shipped tables, and plan selection."""
 
-import dataclasses
 import math
 
 import pytest
@@ -43,17 +42,17 @@ class TestDeltaFromEta:
 class TestCheckConditions:
     def test_row_k8_theta5(self):
         plan = ex.check_conditions(8, 5, 16, 8, 1.8429, 0.6562)
-        assert plan.omega == pytest.approx(0.9101250, abs=1e-7)
-        assert ex.round_up_4dp(plan.omega) == pytest.approx(0.9102)
-        assert plan.cond1_ok and plan.cond2_ok
+        assert plan["omega"] == pytest.approx(0.9101250, abs=1e-7)
+        assert ex.round_up_4dp(plan["omega"]) == pytest.approx(0.9102)
+        assert plan["cond_half_ok"] and plan["cond_omega_ok"]
 
     def test_row_k6_theta4(self):
         plan = ex.check_conditions(6, 4, 10, 4, 1.7247, 0.8506)
-        assert ex.round_up_4dp(plan.omega) == pytest.approx(0.9671)
+        assert ex.round_up_4dp(plan["omega"]) == pytest.approx(0.9671)
 
     def test_t_zero_collapses_ratio(self):
         plan = ex.check_conditions(9, 5, 12, 0, 1.5, 1.5)
-        assert plan.omega == pytest.approx(5 * 1.5 / 9)
+        assert plan["omega"] == pytest.approx(5 * 1.5 / 9)
 
     def test_t_above_s_rejected(self):
         with pytest.raises(DomainError):
@@ -110,7 +109,7 @@ class TestShippedTables:
         assert plans[(5, 5)] is None
         plan = plans[(8, 5)]
         expected = ex.check_conditions(8, 5, 16, 8, 1.8429, 0.6562, source="table2_literal")
-        assert plan == dataclasses.replace(expected, omega_table=0.9102)
+        assert plan == (expected, 0.9102)
 
 
 class TestTamperedTable:
@@ -151,37 +150,42 @@ class TestTamperedTable:
         assert out.splitlines()[-1] == "summary: FAILURES PRESENT"
 
 
+PLAN_KEYS = ["k", "theta", "s", "t", "delta_s", "delta_st", "omega", "cond_half_ok", "cond_omega_ok", "source"]
+
+
 class TestPlanForK:
     def test_k17_theta5_uses_even_target(self):
         plan = ex.plan_for_k(17, 5)
-        assert plan.s + plan.t == 54
-        assert plan.cond1_ok and plan.cond2_ok
-        assert plan.source == "eta_formula"
-        assert plan.optimizer == sf.sigma_even_plan(17, 5)
-        assert plan.delta_st == ex.delta_from_eta(17, 54)
+        assert plan["s"] + plan["t"] == 54
+        assert plan["cond_half_ok"] and plan["cond_omega_ok"]
+        assert plan["source"] == "eta_formula"
+        optimizer, fields = sf.sigma_even_plan(17, 5), ["sigma", "tau", "even_target", "gap_bound"]
+        assert list(plan) == PLAN_KEYS + fields
+        assert all(plan[key] == optimizer[key] for key in fields)
+        assert plan["delta_st"] == ex.delta_from_eta(17, 54)
 
     @pytest.mark.parametrize("theta", [4, 5])
     def test_largest_k_meets_both_conditions(self, theta):
         plan = ex.plan_for_k(2**40, theta)
-        assert plan.cond1_ok and plan.cond2_ok
+        assert plan["cond_half_ok"] and plan["cond_omega_ok"]
 
     def test_k8_theta4_is_table_row(self):
         plan = ex.plan_for_k(8, 4)
-        assert (plan.s, plan.t) == (14, 6)
-        assert plan.source == "table2_literal"
-        assert plan.optimizer is None
+        assert (plan["s"], plan["t"]) == (14, 6)
+        assert plan["source"] == "table2_literal"
+        assert list(plan) == PLAN_KEYS
 
     def test_k25_bound(self):
         plan = ex.plan_for_k(25, 5)
-        assert plan.s <= math.ceil(sf.critical_ratio(5) * 25) + 4
+        assert plan["s"] <= math.ceil(sf.critical_ratio(5) * 25) + 4
 
     def test_small_k_external(self):
         for k, s in ((3, 4), (4, 6)):
             plan = ex.plan_for_k(k, 5)
-            assert plan.s == s
-            assert plan.source == "external_result"
-            assert plan.cond1_ok is None and plan.cond2_ok is None
-            assert math.isnan(plan.omega)
+            assert plan["s"] == s
+            assert plan["source"] == "external_result"
+            assert plan["cond_half_ok"] is None and plan["cond_omega_ok"] is None
+            assert math.isnan(plan["omega"])
 
     def test_k5_theta5_blank_raises(self):
         with pytest.raises(TableLookupError):
@@ -195,6 +199,6 @@ class TestPlanForK:
         for k in range(17, 41):
             for theta in (4, 5):
                 plan = ex.plan_for_k(k, theta)
-                assert plan.cond1_ok and plan.cond2_ok
-                assert plan.s <= sf.critical_ratio(theta) * k + 5.0
-                assert 0 <= plan.t <= plan.s
+                assert plan["cond_half_ok"] and plan["cond_omega_ok"]
+                assert plan["s"] <= sf.critical_ratio(theta) * k + 5.0
+                assert 0 <= plan["t"] <= plan["s"]

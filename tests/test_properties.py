@@ -548,7 +548,7 @@ def _level_pair(n, k, s, theta, family, scale, Q, g, f, base, m):
     """The half-grid partition of the base points and the full-grid oracle's
     on the mirrored grid."""
     params = {"U": scale} if family == "minor" else {"V": scale, "Q": Q}
-    got = circle.level_partition(n, k, s, theta, circle.BasePoints.select(np.abs(g), np.abs(f), base, m),
+    got = circle.level_partition(n, k, s, theta, circle.HalfPoints.of(base, m), np.abs(g)[base], np.abs(f)[base],
                                  family=family, **params)
     expected = level_oracle.level_partition(n, k, s, theta, mirror(base, m), mirror(g, m), mirror(f, m),
                                             family=family, **params)
@@ -596,8 +596,8 @@ def test_level_partition_of_indices_matches_mask(family, n, s, scale, data):
     f = np.abs(data.draw(half_grid(m, [0.0, 1.0], 100.0)))
     base = data.draw(half_base(m))
     params = {"U": scale} if family == "minor" else {"V": scale, "Q": 8.0}
-    by_mask, by_index = (circle.level_partition(n, 2, s, 5, circle.BasePoints.select(g, f, chosen, m),
-                                                family=family, **params)
+    by_mask, by_index = (circle.level_partition(n, 2, s, 5, circle.HalfPoints.of(chosen, m), g[chosen],
+                                                f[chosen], family=family, **params)
                          for chosen in (base, np.flatnonzero(base)))
     assert by_index["classes"] == by_mask["classes"] and by_index == by_mask
 

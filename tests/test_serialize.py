@@ -93,6 +93,14 @@ def python_text(values, fmt):
     return [fmt(v).encode() for v in values.tolist()]
 
 
+def column_text(column, layout):
+    """Each entry's text on its own: the bytes the kernel's write puts in its row, less the NULs."""
+    width, write = serialize._column_text(column, layout)
+    cells = np.zeros((len(column), width), np.uint8)
+    write(cells)
+    return [text.replace(b"\0", b"") for text in cells.view(f"S{width}").ravel().tolist()]
+
+
 class TestNumberText:
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_every_binade(self, layout):
@@ -107,7 +115,7 @@ class TestNumberText:
                    9.99999999999e-5, 1.0, 10.0, 1e11, 1e12, 1e15, 1e16, 1e22, 1e23, 999999999999.5, 0.1 + 0.2]
         x = np.concatenate([bits.view(np.float64), decades, special])
         kernel, fmt = LAYOUTS[layout]
-        assert serialize._column_text(x, kernel).tolist() == python_text(x, fmt)
+        assert column_text(x, kernel) == python_text(x, fmt)
 
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_near_ties(self, layout):
@@ -127,14 +135,14 @@ class TestNumberText:
         values += [np.arange(10**11, 10**11 + 2000) + 0.5, 10.0 * np.arange(10**11, 10**11 + 2000) + 5]
         x = np.concatenate(values)
         kernel, fmt = LAYOUTS[layout]
-        assert serialize._column_text(x, kernel).tolist() == python_text(x, fmt)
+        assert column_text(x, kernel) == python_text(x, fmt)
 
     def test_int64_extremes(self):
         x = np.array([-(2**63), 2**63 - 1, 0, -1, 1, 9999, 10000, -10**18, 10**18], dtype=np.int64)
         expected = [str(v).encode() for v in x.tolist()]
-        assert serialize._column_text(x, serialize._CSV).tolist() == expected
-        assert serialize._column_text(x, serialize._JSON).tolist() == expected
-        assert serialize._column_text(np.zeros(3, dtype=np.int64), serialize._CSV).tolist() == [b"0"] * 3
+        assert column_text(x, serialize._CSV) == expected
+        assert column_text(x, serialize._JSON) == expected
+        assert column_text(np.zeros(3, dtype=np.int64), serialize._CSV) == [b"0"] * 3
 
     @pytest.mark.parametrize("layout,exps", [("csv", (-5, -4)), ("json", (-5, -4)), ("csv", (11, 12)),
                                              ("json", (15, 16))])
@@ -147,11 +155,11 @@ class TestNumberText:
         x = np.concatenate([digits * 10.0 ** (e - 11) for e in exps])
         x = rng.permutation(np.concatenate([x, -x]))
         kernel, fmt = LAYOUTS[layout]
-        assert serialize._column_text(x, kernel).tolist() == python_text(x, fmt)
+        assert column_text(x, kernel) == python_text(x, fmt)
         # and on their own, each exponent filling the block
         for e in exps:
             single = digits * 10.0 ** (e - 11)
-            assert serialize._column_text(single, kernel).tolist() == python_text(single, fmt)
+            assert column_text(single, kernel) == python_text(single, fmt)
 
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_block_of_fallbacks(self, layout):
@@ -159,9 +167,9 @@ class TestNumberText:
         ties = (np.arange(10**11, 10**11 + 50) + 0.5) * 10.0**-7
         x = np.concatenate([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1e-300, 1e40, -1e300], ties])
         kernel, fmt = LAYOUTS[layout]
-        assert serialize._column_text(x, kernel).tolist() == python_text(x, fmt)
+        assert column_text(x, kernel) == python_text(x, fmt)
         for value in x[:10]:
-            assert serialize._column_text(np.array([value]), kernel).tolist() == python_text(np.array([value]), fmt)
+            assert column_text(np.array([value]), kernel) == python_text(np.array([value]), fmt)
 
     def test_one_row_block(self):
         # the last block of these columns holds one row
@@ -183,16 +191,16 @@ class TestNumberText:
         values = edges + [-v for v in edges] + [-(2**63)]
         column = np.array(values, dtype=np.int64)
         for layout in (serialize._CSV, serialize._JSON):
-            assert serialize._column_text(column, layout).tolist() == [str(v).encode() for v in values]
+            assert column_text(column, layout) == [str(v).encode() for v in values]
         # alone, each value sets the column's width
         for v in values:
-            assert serialize._column_text(np.array([v], dtype=np.int64), serialize._CSV).tolist() == [str(v).encode()]
+            assert column_text(np.array([v], dtype=np.int64), serialize._CSV) == [str(v).encode()]
 
     def test_object_int_columns(self):
         values = [0, 1, -1, 2**63, -(2**63) - 1, 2**64, 10**30, -(10**40), 7]
         column = np.array(values, dtype=object)
-        assert serialize._column_text(column, serialize._CSV).tolist() == [str(v).encode() for v in values]
-        assert serialize._column_text(column, serialize._JSON).tolist() == [str(v).encode() for v in values]
+        assert column_text(column, serialize._CSV) == [str(v).encode() for v in values]
+        assert column_text(column, serialize._JSON) == [str(v).encode() for v in values]
         expected = serialize.to_csv_bytes(["r", "n"], [[v, i] for i, v in enumerate(values)])
         assert csv_column_bytes(["r", "n"], [column, np.arange(len(values))]) == expected
 

@@ -212,22 +212,22 @@ class TestTauAndBigE:
 class TestSigmaEvenPlan:
     def test_k17_theta5(self):
         plan = sf.sigma_even_plan(17, 5)
-        assert plan.even_target == 54
-        assert plan.interval[0] == pytest.approx(53.822, abs=1e-3)
-        assert plan.interval[1] == pytest.approx(55.964, abs=1e-3)
+        assert plan["even_target"] == 54
+        assert plan["interval"][0] == pytest.approx(53.822, abs=1e-3)
+        assert plan["interval"][1] == pytest.approx(55.964, abs=1e-3)
         c = sf.critical_ratio(5)
-        assert c < plan.sigma < c + 4 / 17
-        assert plan.gap_bound < 2.0
-        assert 17 * (plan.sigma + plan.tau) == pytest.approx(54.0, abs=1e-9)
-        assert 0 < plan.tau < plan.sigma
+        assert c < plan["sigma"] < c + 4 / 17
+        assert plan["gap_bound"] < 2.0
+        assert 17 * (plan["sigma"] + plan["tau"]) == pytest.approx(54.0, abs=1e-9)
+        assert 0 < plan["tau"] < plan["sigma"]
 
     def test_target_is_smallest_even_in_interval(self):
         for k in (17, 23, 40):
             for theta in (4, 5):
                 plan = sf.sigma_even_plan(k, theta)
-                assert plan.even_target % 2 == 0
-                assert plan.interval[0] < plan.even_target < plan.interval[1]
-                assert plan.even_target - 2 <= plan.interval[0]
+                assert plan["even_target"] % 2 == 0
+                assert plan["interval"][0] < plan["even_target"] < plan["interval"][1]
+                assert plan["even_target"] - 2 <= plan["interval"][0]
 
     def test_small_k_rejected(self):
         with pytest.raises(DomainError):
