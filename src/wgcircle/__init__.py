@@ -9,25 +9,12 @@ counting (exact representation counts vs the heuristic prediction), cli.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AliasingError,
-    ConvergenceError,
-    DomainError,
-    InternalConsistencyError,
-    ResourceError,
-    TableLookupError,
-    TableParseError,
-    WgcircleError,
-)
+from .errors import DomainError, InternalConsistencyError, ResourceError, WgcircleError
 
 __all__ = [
     "__version__",
-    "AliasingError",
-    "ConvergenceError",
     "DomainError",
     "InternalConsistencyError",
     "ResourceError",
-    "TableLookupError",
-    "TableParseError",
     "WgcircleError",
 ]

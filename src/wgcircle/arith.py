@@ -3,7 +3,7 @@
 sieve_primes gives the prime flags up to a limit, which callers read as the
 prime indicator or turn into primes and log weights; smooth_set materializes
 the sets A(P, R) of integers in [1, P] whose prime divisors are all at most R;
-ArithTables holds Moebius and totient arrays.  On top of these sit the
+arith_tables gives the Moebius and totient arrays.  On top of these sit the
 complete exponential sum S(q, a) = sum_{x=1..q} e(a x^k / q), Ramanujan sums,
 and the local counts M_p(n) of b + x_1^k + ... + x_s^k = n mod p, b coprime
 to p (`mp_classes`).  M_p(n) is counted on the cyclotomic classes of p: with
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,16 +59,8 @@ def smooth_set(P: int, R: int) -> np.ndarray:
     return np.nonzero((gpf >= 1) & (gpf <= R))[0].astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ArithTables:
-    """Moebius and totient arrays up to ``limit``."""
-
-    limit: int
-    mobius: np.ndarray  # int8 in {-1, 0, 1}
-    phi: np.ndarray     # int64
-
-
-def arith_tables(limit: int) -> ArithTables:
+def arith_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mobius, phi) up to ``limit`` inclusive: int8 values in {-1, 0, 1} and int64."""
     if limit < 1:
         raise DomainError(f"tables need limit >= 1, got {limit}")
     ensure_memory(9 * (limit + 1), "arithmetic tables")
@@ -82,7 +73,7 @@ def arith_tables(limit: int) -> ArithTables:
                 mob[p * p :: p * p] = 0
             phi[p::p] -= phi[p::p] // p
     mob[0] = 0
-    return ArithTables(limit=int(limit), mobius=mob, phi=phi)
+    return mob, phi
 
 
 def kth_root_floor(n: int, k: int) -> int:
@@ -167,18 +158,19 @@ def gauss_sums_all(q: int, k: int) -> np.ndarray:
     return np.conj(np.fft.fft(counts))
 
 
-def ramanujan_sum(q: int, a: int, tables: ArithTables) -> int:
-    """c_q(a) = mu(q/g) * phi(q) / phi(q/g) with g = gcd(q, a); exact integer."""
+def ramanujan_sum(q: int, a: int, mobius: np.ndarray, phi: np.ndarray) -> int:
+    """c_q(a) = mu(q/g) * phi(q) / phi(q/g) with g = gcd(q, a); exact integer,
+    read from the tables of `arith_tables`."""
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
-    if q > tables.limit:
-        raise DomainError(f"tables only reach {tables.limit}, got q={q}")
+    if q > len(phi) - 1:
+        raise DomainError(f"tables only reach {len(phi) - 1}, got q={q}")
     g = math.gcd(q, a % q if a else 0)
     if a % q == 0:
         g = q
     d = q // g
-    num = int(tables.mobius[d]) * int(tables.phi[q])
-    den = int(tables.phi[d])
+    num = int(mobius[d]) * int(phi[q])
+    den = int(phi[d])
     quotient, rem = divmod(num, den)
     if rem:
         raise DomainError(f"phi({d}) does not divide mu*phi({q}); inconsistent tables")

@@ -50,9 +50,9 @@ from .arith import (
     check_double_range, check_exponents, gauss_sums_all, kth_root_floor, sieve_primes, smooth_set,
 )
 from .convolve import next_pow2
-from .errors import AliasingError, DomainError, InternalConsistencyError, ensure_memory
+from .errors import DomainError, InternalConsistencyError, ensure_memory
 from .serialize import JsonRecords
-from .specialfn import check_theta, eta_value
+from .specialfn import check_theta, eta
 
 #: Exponent of the core-arc height (log n)^CORE_HEIGHT_EXPONENT; tiny by
 #: design: the height stays below 2 unless log n >= 2^99, so the core arcs
@@ -108,7 +108,7 @@ def half_grid_conj(coeffs: np.ndarray, m: int, amplitudes: bool = False) -> np.n
     Callers that want values take np.conj.
     """
     if m < len(coeffs):
-        raise AliasingError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
+        raise DomainError(f"grid size {m} <= max frequency {len(coeffs) - 1}")
     ensure_memory(_half_grid_bytes(m, 8 if amplitudes else 16), "half-grid evaluation")
     return _half_grid(coeffs, m, amplitudes)
 
@@ -572,7 +572,7 @@ def moment_doubling_report(P: int, R: int, k: int, t: float, q_values: list[floa
         raise DomainError(f"need P >= 2 and k >= 1, got P={P}, k={k}")
     check_double_range(P, k, f"P^k = {P}^{k}")  # the heights and the ladder take P^k as a double
     _check_positive(t=t)
-    reference = 2.0 * eta_value(t / k)  # 2*Delta_t/k with Delta_t = k*eta(t/k)
+    reference = 2.0 * eta(t / k)  # 2*Delta_t/k with Delta_t = k*eta(t/k)
     denom = P**k
     if q_values is None:
         q_values, q = [], 1.0

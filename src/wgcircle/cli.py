@@ -7,8 +7,9 @@ few fields the CLI gathers from the library's values itself.  The CLI lays out
 only the tables' CSV rows and the plain lines, which default to one
 `key = value` line per field.  Output is json or plain, or csv for the tables
 of compare, dissect and moments; identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 validation/usage failure, 3
-internal-consistency failure.
+output.  Exit codes: 0 success, 2 validation/usage failure or resource
+limit, 3 internal-consistency failure (two routes disagree, or a solver did
+not converge on a bracket that holds its root).
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    point = specialfn.eta(args.t)
-    report = {"t": point.t, "eta": point.eta, "eta_prime": point.eta_prime,
-              "residual": abs(point.eta + math.log(point.eta) - (1 - point.t))}
+    u = specialfn.eta(args.t)
+    report = {"t": args.t, "eta": u, "eta_prime": -u / (1.0 + u), "residual": abs(u + math.log(u) - (1 - args.t))}
     _emit(args, report)
     return 0
 

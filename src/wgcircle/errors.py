@@ -10,32 +10,19 @@ class WgcircleError(Exception):
 
 
 class DomainError(WgcircleError, ValueError):
-    """An argument lies outside the range an operation is defined on."""
-
-
-class ConvergenceError(WgcircleError, RuntimeError):
-    """An iterative solver failed to reach its tolerance within its budget."""
+    """An input lies outside what an operation is defined on: an argument out
+    of range, a grid too small for its spectrum, a malformed table or an
+    absent table entry."""
 
 
 class InternalConsistencyError(WgcircleError, RuntimeError):
-    """Two independent computation routes disagree beyond tolerance."""
-
-
-class AliasingError(WgcircleError, ValueError):
-    """Evaluation grid is too small for the bandwidth of the spectrum."""
+    """The program contradicts itself: two independent computation routes
+    disagree beyond tolerance, or a solver on a bracket that holds its root
+    did not converge."""
 
 
 class ResourceError(WgcircleError, MemoryError):
     """Requested computation exceeds the configured memory budget."""
-
-
-class TableLookupError(WgcircleError, LookupError):
-    """A required table entry is absent (a LookupError, not a KeyError, whose
-    str() would quote the message)."""
-
-
-class TableParseError(WgcircleError, ValueError):
-    """A shipped or user-supplied data file is malformed."""
 
 
 MEMORY_BUDGET_ENV = "WGCIRCLE_MEM_BYTES"

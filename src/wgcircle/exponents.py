@@ -31,8 +31,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .errors import DomainError, TableLookupError, TableParseError
-from .specialfn import check_theta, eta_value, sigma_even_plan
+from .errors import DomainError
+from .specialfn import check_theta, eta, sigma_even_plan
 
 #: Guard subtracted before ceiling at the fourth decimal; absorbs binary
 #: representation fuzz of decimal inputs without masking real mismatches.
@@ -45,7 +45,7 @@ def delta_from_eta(k: int, t: int) -> float:
         raise DomainError(f"eta-formula exponents need k >= 3, got {k}")
     if t < 2 or t % 2 != 0:
         raise DomainError(f"eta-formula exponents need even t >= 2, got {t}")
-    return k * eta_value(t / k)
+    return k * eta(t / k)
 
 
 def check_conditions(
@@ -102,7 +102,7 @@ def load_table1() -> dict[int, tuple[int | None, int | None]]:
             s0 = int(row["S0"]) if row["S0"] else None
             s1 = int(row["S1"]) if row["S1"] else None
         except (KeyError, ValueError, TypeError) as exc:
-            raise TableParseError(f"table1.csv line {lineno}: {exc}") from None
+            raise DomainError(f"table1.csv line {lineno}: {exc}") from None
         out[k] = (s0, s1)
     return out
 
@@ -121,16 +121,14 @@ def load_table2(path: str | Path | None = None) -> PlanTable:
                     plans[(k, theta)] = None
                     continue
                 if any(not c for c in cells):
-                    raise TableParseError(f"table2.csv line {lineno}: partially blank theta={theta} block")
+                    raise ValueError(f"partially blank theta={theta} block")
                 plan = check_conditions(
                     k, theta, int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
                     source="table2_literal",
                 )
                 plans[(k, theta)] = (plan, float(cells[4]))
-        except TableParseError:
-            raise
         except (KeyError, ValueError, TypeError) as exc:  # DomainError from check_conditions is a ValueError
-            raise TableParseError(f"table2.csv line {lineno}: {exc}") from None
+            raise DomainError(f"table2.csv line {lineno}: {exc}") from None
     return plans
 
 
@@ -197,10 +195,10 @@ def table_plan(k: int, theta: int) -> dict:
     check_theta(theta)
     plans = load_table2()
     if (k, theta) not in plans:
-        raise TableLookupError(f"table has no row for k={k}")
+        raise DomainError(f"table has no row for k={k}")
     block = plans[(k, theta)]
     if block is None:
-        raise TableLookupError(f"table has a blank block for k={k}, theta={theta}")
+        raise DomainError(f"table has a blank block for k={k}, theta={theta}")
     return block[0]
 
 

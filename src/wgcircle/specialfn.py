@@ -22,17 +22,19 @@ For 17 <= k <= 2**40, sigma_even_plan locates sigma in (c, c + 4/k) such
 that k*(sigma + tau(sigma)) is an even integer, which is what makes the
 even-moment machinery applicable while keeping E(sigma) < 1.
 
-All functions are pure; no shared mutable state.
+All functions are pure; no shared mutable state.  An argument outside a
+function's domain raises DomainError (exit 2 in the CLI).  Every solver runs
+on a bracket that holds its root by construction, so one that fails to
+converge raises InternalConsistencyError (exit 3).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError
 
 THETA_VALUES = (4, 5)
 
@@ -52,15 +54,6 @@ _COARSE_WIDTH = 1e-3
 
 # eta's root bracket; for t below ~2e-12 the root lies above it.
 _ETA_BRACKET = (1e-300, 1.0 - 1e-12)
-
-
-@dataclass(frozen=True)
-class EtaPoint:
-    """A solved point of the implicit function: eta + log eta = 1 - t."""
-
-    t: float
-    eta: float
-    eta_prime: float
 
 
 def check_theta(theta: int) -> int:
@@ -87,7 +80,7 @@ def _bisect_newton(
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise ConvergenceError(f"no sign change on bracket [{lo}, {hi}]")
+        raise InternalConsistencyError(f"no sign change on bracket [{lo}, {hi}]")
     neg, pos = (lo, hi) if flo < 0.0 else (hi, lo)
     for _ in range(_MAX_ITER):
         if abs(pos - neg) <= _COARSE_WIDTH:
@@ -98,7 +91,7 @@ def _bisect_newton(
         else:
             pos = mid
     else:
-        raise ConvergenceError("bisection did not narrow the bracket")
+        raise InternalConsistencyError("bisection did not narrow the bracket")
     x = 0.5 * (neg + pos)
     for _ in range(_MAX_ITER):
         fx = f(x)
@@ -112,18 +105,17 @@ def _bisect_newton(
         x -= step
         if not (min(neg, pos) < x < max(neg, pos)):
             x = 0.5 * (neg + pos)
-    raise ConvergenceError(f"root polish did not reach |f| <= {_ABS_TOL}")
+    raise InternalConsistencyError(f"root polish did not reach |f| <= {_ABS_TOL}")
 
 
-def eta(t: float) -> EtaPoint:
+def eta(t: float) -> float:
     """Solve eta + log eta = 1 - t for the unique root in (0, 1).
 
-    Returns the value together with the derivative -eta/(1+eta).  The map is
-    a strictly decreasing bijection of (0, inf) onto (0, 1).  For t > 140 the
-    asymptotic form e^(1-t) is used (relative error below 1e-60).  Beyond
-    t ~ 709.4, where e^(1-t) drops below the smallest normal double and would
-    keep ever fewer significant bits, DomainError is raised.  For t below
-    ~2e-12, whose root lies above the solver's bracket, the series
+    The map is a strictly decreasing bijection of (0, inf) onto (0, 1).  For
+    t > 140 the asymptotic form e^(1-t) is used (relative error below 1e-60).
+    Beyond t ~ 709.4, where e^(1-t) drops below the smallest normal double and
+    would keep ever fewer significant bits, DomainError is raised.  For t
+    below ~2e-12, whose root lies above the solver's bracket, the series
     1 - t/2 + t^2/16 is used (error O(t^3), far below one ulp of 1).
     """
     t = float(t)
@@ -138,11 +130,7 @@ def eta(t: float) -> EtaPoint:
         u = 1.0 - t / 2.0 + t * t / 16.0
     else:
         u = _bisect_newton(f, lambda x: 1.0 + 1.0 / x, *_ETA_BRACKET)
-    return EtaPoint(t=t, eta=u, eta_prime=-u / (1.0 + u))
-
-
-def eta_value(t: float) -> float:
-    return eta(t).eta
+    return u
 
 
 def eta_inverse(u: float) -> float:
@@ -236,7 +224,7 @@ def big_e(sigma: float, theta: int, cross_check: bool = False) -> float:
         raise DomainError(f"big_e defined on [{lo}, {hi}], got sigma={sigma!r}")
     value = tau_of_sigma(sigma, theta) / sigma + theta / (theta * sigma - 1.0)
     if cross_check:
-        h = lambda tau: tau / sigma + theta * eta_value(sigma + tau)
+        h = lambda tau: tau / sigma + theta * eta(sigma + tau)
         grid = [sigma * j / 64.0 for j in range(65)]
         j_best = min(range(65), key=lambda j: h(grid[j]))
         a = grid[max(j_best - 1, 0)]
@@ -260,7 +248,7 @@ def critical_ratio_via_optimizer(theta: int) -> float:
     f = lambda c: big_e(c, theta) - 1.0
     flo, fhi = f(lo), f(hi)
     if flo < 0.0 or fhi > 0.0:
-        raise ConvergenceError("E - 1 does not change sign on [3/2, 3]")
+        raise InternalConsistencyError("E - 1 does not change sign on [3/2, 3]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:

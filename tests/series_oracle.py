@@ -21,13 +21,13 @@ from wgcircle.series import s_n_q
 
 def qsum_partials(n: int, k: int, s: int, xs) -> dict[int, complex]:
     """S(n, X) for each X in xs, summed term by term over ascending q."""
-    tables = arith_tables(max(xs))
+    mobius, phi = arith_tables(max(xs))
     out = {}
     total = 1 + 0j  # q = 1 term
     for q in range(2, max(xs) + 1):
-        mu = int(tables.mobius[q])
+        mu = int(mobius[q])
         if mu:
-            total += mu / int(tables.phi[q]) * s_n_q(q, n, k, s)
+            total += mu / int(phi[q]) * s_n_q(q, n, k, s)
         if q in xs:
             out[q] = total
     if 1 in xs:

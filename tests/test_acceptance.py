@@ -5,6 +5,7 @@ lines and timings.  Every tolerance is pinned here; runtime limits are
 asserted against wall-clock time.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -16,6 +17,7 @@ from arc_oracle import core_oracle, family_endpoints, gaps_measure, major_oracle
 from wgcircle import circle, counting, exponents, series
 from wgcircle import specialfn as sf
 from wgcircle.arith import sieve_primes
+from wgcircle.cli import main
 from wgcircle.serialize import json_chunks, to_csv_bytes
 
 
@@ -44,20 +46,23 @@ def test_criterion_1_constants():
         assert abs(sf.coarse_constant(4) - 2.136294) < 1e-6
 
 
-def test_criterion_2_eta_suite():
+def test_criterion_2_eta_suite(tmp_path):
     with criterion(2, "implicit-function residuals, bound, derivative", 1.0):
         for i in range(1000):
             t = 0.01 + (10.0 - 0.01) * (i + 1) / 1000
-            u = sf.eta(t).eta
+            u = sf.eta(t)
             assert abs(u + math.log(u) - (1.0 - t)) < 1e-10
         for i in range(1000):
             t = 1.0 + 2.0 * i / 999
-            assert sf.eta(t).eta > 1.0 / (4.0 * t - 1.0)
+            assert sf.eta(t) > 1.0 / (4.0 * t - 1.0)
+        # the derivative the eta command reports, against a central difference of eta
+        out = tmp_path / "eta.json"
         h = 1e-5
         for i in range(100):
             t = 0.5 + 4.5 * i / 99
-            fd = (sf.eta(t + h).eta - sf.eta(t - h).eta) / (2 * h)
-            assert abs(sf.eta(t).eta_prime - fd) < 1e-6
+            assert main(["eta", "--t", repr(t), "--out", str(out)]) == 0
+            fd = (sf.eta(t + h) - sf.eta(t - h)) / (2 * h)
+            assert abs(json.loads(out.read_text())["eta_prime"] - fd) < 1e-6
 
 
 def test_criterion_3_optimizer():
@@ -66,7 +71,7 @@ def test_criterion_3_optimizer():
         for theta in (4, 5):
             for i in range(50):
                 sigma = 1.5 + 1.5 * i / 49
-                h = lambda tau: tau / sigma + theta * sf.eta(sigma + tau).eta
+                h = lambda tau: tau / sigma + theta * sf.eta(sigma + tau)
                 lo, hi = 0.0, sigma
                 c = hi - inv_phi * (hi - lo)
                 d = lo + inv_phi * (hi - lo)
@@ -211,6 +216,6 @@ def test_criterion_11_moment_diagnostics():
         first = circle.moment_doubling_report(64, 2, 3, 8.0)
         second = circle.moment_doubling_report(64, 2, 3, 8.0)
         assert b"".join(json_chunks(first)) == b"".join(json_chunks(second))
-        assert first["reference_slope"] == pytest.approx(2 * sf.eta(8 / 3).eta, abs=1e-9)
+        assert first["reference_slope"] == pytest.approx(2 * sf.eta(8 / 3), abs=1e-9)
         assert len(first["rows"]) == 9  # Q = 1, 2, ..., 256
         assert all(row["V"] >= 0 for row in first["rows"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcircle import cli, counting, exponents, series
+from wgcircle import cli, counting, exponents, series, specialfn
 from wgcircle.cli import main
 from wgcircle.serialize import json_chunks
 
@@ -268,6 +268,13 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: sigma_even_plan supports k <= 2**40") and err.count("\n") == 1
+
+    def test_solver_failure_exits_three(self, capsys, monkeypatch):
+        # the solver's brackets hold their roots, so a failure is the program's own fault
+        monkeypatch.setattr(specialfn, "_MAX_ITER", 0)
+        code = main(["eta", "--t", "1.0"])
+        assert code == 3
+        assert capsys.readouterr().err == "internal-consistency failure: bisection did not narrow the bracket\n"
 
     def test_plan_blank_block_message_is_unquoted(self, capsys):
         code = main(["plan", "--k", "5", "--theta", "5"])

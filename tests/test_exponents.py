@@ -6,7 +6,7 @@ import pytest
 
 from wgcircle import exponents as ex
 from wgcircle import specialfn as sf
-from wgcircle.errors import DomainError, TableLookupError, TableParseError
+from wgcircle.errors import DomainError
 
 
 class TestDeltaFromEta:
@@ -97,10 +97,14 @@ class TestShippedTables:
     def test_malformed_table_raises_with_line(self, tmp_path):
         p = tmp_path / "t2.csv"
         p.write_text("k,s4,t4,d_s4,d_s4t4,om4,s5,t5,d_s5,d_s5t5,om5\n5,8,x,1,1,1,,,,,\n")
-        with pytest.raises(TableParseError, match="line 2"):
+        with pytest.raises(DomainError, match="line 2"):
             ex.load_table2(p)
         p.write_text("k,s4,t4,d_s4,d_s4t4,om4,s5,t5,d_s5,d_s5t5,om5\n5,8,4,1,1,1,,,,,\n6,3,4,1,1,1,,,,,\n")
-        with pytest.raises(TableParseError, match="line 3: need 0 <= t <= s"):
+        with pytest.raises(DomainError, match="line 3: need 0 <= t <= s"):
+            ex.load_table2(p)
+        # the line prefix once, though the refusal is raised inside the loader's try
+        p.write_text("k,s4,t4,d_s4,d_s4t4,om4,s5,t5,d_s5,d_s5t5,om5\n5,8,,1,1,1,,,,,\n")
+        with pytest.raises(DomainError, match=r"^table2\.csv line 2: partially blank theta=4 block$"):
             ex.load_table2(p)
 
     def test_blocks_are_checked_plans(self):
@@ -188,7 +192,7 @@ class TestPlanForK:
             assert math.isnan(plan["omega"])
 
     def test_k5_theta5_blank_raises(self):
-        with pytest.raises(TableLookupError):
+        with pytest.raises(DomainError, match="^table has a blank block for k=5, theta=5$"):
             ex.plan_for_k(5, 5)
 
     def test_k_below_3_rejected(self):

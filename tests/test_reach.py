@@ -9,11 +9,14 @@ unreached, so the list shrinks when one gains a caller.
 
 The same walk, with imports included, keeps the package to one thread of
 control: no module of `src/` names `threading`, `concurrent` or
-`multiprocessing`.
+`multiprocessing`.  And `errors` keeps one exception class per cause, all of
+them exported by the package.
 """
 
 import ast
 from pathlib import Path
+
+import wgcircle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,3 +80,11 @@ def test_package_starts_no_thread_or_process():
     naming = {(name, path.name) for name in ("threading", "concurrent", "multiprocessing")
               for path, _ in refs.get(name, []) if path.parent.name == "wgcircle"}
     assert naming == set()
+
+
+def test_one_exception_class_per_cause():
+    tree = parsed()[ROOT / "src" / "wgcircle" / "errors.py"]
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    causes = ["WgcircleError", "DomainError", "InternalConsistencyError", "ResourceError"]
+    assert sorted(classes) == sorted(causes)
+    assert sorted(wgcircle.__all__) == sorted(causes + ["__version__"])

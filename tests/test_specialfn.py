@@ -1,11 +1,13 @@
 """Tests for the implicit function, its constants, and the optimizer."""
 
+import json
 import math
 
 import pytest
 
 from wgcircle import specialfn as sf
-from wgcircle.errors import ConvergenceError, DomainError, InternalConsistencyError
+from wgcircle.cli import main
+from wgcircle.errors import DomainError, InternalConsistencyError
 
 
 def bisect_omega_inverse(target: float) -> float:
@@ -24,9 +26,9 @@ class TestEta:
     def test_eta_at_one_is_omega_constant(self):
         # u + log u = 0 means u * e^u = 1
         oracle = bisect_omega_inverse(1.0)
-        point = sf.eta(1.0)
-        assert point.eta == pytest.approx(oracle, abs=1e-10)
-        assert point.eta == pytest.approx(0.5671432904, abs=1e-9)
+        u = sf.eta(1.0)
+        assert u == pytest.approx(oracle, abs=1e-10)
+        assert u == pytest.approx(0.5671432904, abs=1e-9)
 
     @pytest.mark.parametrize(
         "t,expected",
@@ -37,30 +39,33 @@ class TestEta:
         ],
     )
     def test_level_values(self, t, expected):
-        assert sf.eta(t).eta == pytest.approx(expected, abs=1e-10)
+        assert sf.eta(t) == pytest.approx(expected, abs=1e-10)
 
     def test_residual_on_grid(self):
         for i in range(1000):
             t = 0.01 + (10.0 - 0.01) * (i + 1) / 1000
-            u = sf.eta(t).eta
+            u = sf.eta(t)
             assert abs(u + math.log(u) - (1.0 - t)) < 1e-10
 
     def test_strictly_decreasing(self):
-        values = [sf.eta(0.05 * j + 0.05).eta for j in range(1, 150)]
+        values = [sf.eta(0.05 * j + 0.05) for j in range(1, 150)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_lower_bound_on_unit_window(self):
         # eta(t) > 1/(4t - 1) strictly on [1, 3]
         for i in range(1000):
             t = 1.0 + 2.0 * i / 999
-            assert sf.eta(t).eta > 1.0 / (4.0 * t - 1.0)
+            assert sf.eta(t) > 1.0 / (4.0 * t - 1.0)
 
-    def test_derivative_matches_finite_difference(self):
+    def test_derivative_matches_finite_difference(self, tmp_path):
+        # the eta command's eta_prime against a central difference of eta
+        out = tmp_path / "eta.json"
         h = 1e-5
         for i in range(60):
             t = 0.5 + 4.5 * i / 59
-            fd = (sf.eta(t + h).eta - sf.eta(t - h).eta) / (2 * h)
-            assert abs(sf.eta(t).eta_prime - fd) < 1e-6
+            assert main(["eta", "--t", repr(t), "--out", str(out)]) == 0
+            fd = (sf.eta(t + h) - sf.eta(t - h)) / (2 * h)
+            assert abs(json.loads(out.read_text())["eta_prime"] - fd) < 1e-6
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_domain_errors(self, bad):
@@ -69,10 +74,10 @@ class TestEta:
 
     def test_inverse_round_trip(self):
         for u in (0.1, 0.25, 0.5, 0.9):
-            assert sf.eta(sf.eta_inverse(u)).eta == pytest.approx(u, abs=1e-10)
+            assert sf.eta(sf.eta_inverse(u)) == pytest.approx(u, abs=1e-10)
 
     def test_large_t_asymptotic_residual(self):
-        u = sf.eta(650.0).eta
+        u = sf.eta(650.0)
         assert 0.0 < u < 1e-250
         # residual in the exponential form: u * e^u should equal e^(1-t)
         assert u * math.exp(u) == pytest.approx(math.exp(1 - 650.0), rel=1e-12)
@@ -82,19 +87,19 @@ class TestEta:
         # the solver once failed for most t in (142, 600]
         prev = 1.0
         for i in range(1, 70940):
-            u = sf.eta(i / 100).eta
+            u = sf.eta(i / 100)
             assert 0.0 < u < prev
             prev = u
 
     def test_tiny_t_stays_below_one(self):
-        u = sf.eta(1e-9).eta
+        u = sf.eta(1e-9)
         assert 0.999 < u < 1.0
         assert abs(u + math.log(u) - (1.0 - 1e-9)) < 1e-10
 
     def test_root_above_the_bracket_uses_the_series(self):
         # below t ~ 2e-12 the root lies above the solver's bracket [1e-300, 1 - 1e-12]
         tiny = [1.5e-12, 1e-13, 1e-320]
-        values = [sf.eta(t).eta for t in [1e-11] + tiny]
+        values = [sf.eta(t) for t in [1e-11] + tiny]
         for t, u in zip(tiny, values[1:]):
             assert abs(u + math.log(u) - (1.0 - t)) < 1e-15
         assert values[0] < values[1] < values[2] <= values[3] == 1.0
@@ -104,12 +109,12 @@ class TestRootConfig:
     """The root finder's fixed tolerance and step budget."""
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(ConvergenceError, match="no sign change"):
+        with pytest.raises(InternalConsistencyError, match="no sign change"):
             sf._bisect_newton(lambda x: x * x + 1, lambda x: 2 * x, -1.0, 1.0)
 
     def test_iteration_budget_enforced(self):
         # a step has no point with |f| <= tol, so the polish spends its whole budget
-        with pytest.raises(ConvergenceError, match="root polish"):
+        with pytest.raises(InternalConsistencyError, match="root polish"):
             sf._bisect_newton(lambda x: -1.0 if x < 0.3 else 1.0, lambda x: 1.0, 0.0, 1.0)
 
 
@@ -149,7 +154,7 @@ class TestTauAndBigE:
     def test_stationarity(self):
         sigma, theta = 2.0, 5
         tau = sf.tau_of_sigma(sigma, theta)
-        assert sf.eta(sigma + tau).eta == pytest.approx(1.0 / (theta * sigma - 1.0), abs=1e-9)
+        assert sf.eta(sigma + tau) == pytest.approx(1.0 / (theta * sigma - 1.0), abs=1e-9)
 
     def test_tau_below_sigma_at_left_endpoint(self):
         # the inequality underlying tau < sigma: 1 + log(21/4) < 5/2 + 4/21
@@ -187,7 +192,7 @@ class TestTauAndBigE:
     def test_big_e_cross_check_against_direct_minimum(self):
         # closed form vs in-test golden-section oracle at sigma = 2.5, theta = 4
         sigma, theta = 2.5, 4
-        h = lambda tau: tau / sigma + theta * sf.eta(sigma + tau).eta
+        h = lambda tau: tau / sigma + theta * sf.eta(sigma + tau)
         lo, hi = 0.0, sigma
         inv_phi = (math.sqrt(5) - 1) / 2
         c = hi - inv_phi * (hi - lo)
